@@ -23,15 +23,6 @@ fn main() {
         lang_bench::run(args.iter().any(|a| a == "--smoke"));
         return;
     }
-    if args.first().map(String::as_str) == Some("traffic") {
-        // `experiments traffic [--smoke]` — open-loop arrival harness:
-        // Poisson/bursty arrivals with Zipf key skew over a sharded
-        // supervised group, latency measured from each call's *intended*
-        // arrival time, offered load swept past saturation, tail
-        // percentiles written to BENCH_traffic.json.
-        traffic::run(args.iter().any(|a| a == "--smoke"));
-        return;
-    }
     if args.first().map(String::as_str) == Some("remote") {
         // `experiments remote [--smoke]` — distributed objects over real
         // loopback TCP against a self-spawned second process: warm-call
@@ -68,7 +59,7 @@ fn main() {
             Some(r) => r.print(),
             None => {
                 eprintln!(
-                    "unknown experiment `{a}` (use e1..e10, all, bench-json, lang-bench, probe, traffic, or remote)"
+                    "unknown experiment `{a}` (use e1..e10, all, bench-json, lang-bench, probe, or remote)"
                 );
                 std::process::exit(1);
             }
@@ -1226,450 +1217,6 @@ end
             "contended: compiled/embedded {compiled_over_embedded:.2} (target <= 1.5), interpreted/compiled {interp_over_compiled:.2}x (target >= 5)"
         );
         println!("wrote BENCH_lang_compile.json");
-    }
-}
-
-/// `experiments traffic` — open-loop tail-latency harness.
-///
-/// Closed-loop benches (everything in `bench_json`) measure *service
-/// capacity*: each caller waits for its reply before issuing the next
-/// call, so queueing delay is bounded by the caller count and the tail
-/// looks flattering. This harness is open-loop: arrivals follow a
-/// precomputed Poisson (or bursty) schedule that does not slow down when
-/// the system falls behind, and every call's latency is measured from its
-/// *intended* arrival instant — a late dispatch counts against the
-/// system, not the clock. Swept past saturation this produces the
-/// textbook hockey stick in p99/p999.
-///
-/// Workload: Zipf-skewed integer keys over a sharded, supervised,
-/// managed-execute group on the work-stealing pool executor. One
-/// dispatcher process per shard replays that shard's slice of the
-/// schedule (single dominant producer — the shape the adaptive SPSC lane
-/// promotes on). Two configs run A/B:
-///
-/// * `pr5_defaults`  — lane promotion disabled, no worker-affinity hints
-///   (the PR-5 behaviour);
-/// * `lane_affinity` — adaptive SPSC lane + per-shard affinity hints (the
-///   defaults after this change).
-mod traffic {
-    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    use alps_core::{
-        argv, EntryDef, ObjectBuilder, RestartPolicy, ShardedBuilder, ShardedHandle, Ty,
-    };
-    use alps_runtime::metrics::Histogram;
-    use alps_runtime::{Runtime, Spawn};
-
-    const SHARDS: usize = 4;
-    const KEYS: usize = 64;
-    const ZIPF_S: f64 = 1.0;
-
-    /// xorshift64* — deterministic, seedable, good enough for schedules.
-    struct Rng(u64);
-
-    impl Rng {
-        fn new(seed: u64) -> Rng {
-            Rng(seed.max(1))
-        }
-
-        fn next_u64(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.0 = x;
-            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        }
-
-        /// Uniform in [0, 1).
-        fn next_f64(&mut self) -> f64 {
-            (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-        }
-    }
-
-    /// Zipf(s) CDF over `n` ranks, for inverse-transform sampling.
-    fn zipf_cdf(n: usize, s: f64) -> Vec<f64> {
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 0..n {
-            acc += 1.0 / ((k + 1) as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for c in &mut cdf {
-            *c /= total;
-        }
-        cdf
-    }
-
-    fn sample_cdf(cdf: &[f64], u: f64) -> usize {
-        cdf.partition_point(|&c| c < u).min(cdf.len() - 1)
-    }
-
-    /// One scheduled arrival: intended instant (ns from run start) and key.
-    #[derive(Clone, Copy)]
-    struct Arrival {
-        at_ns: u64,
-        key: i64,
-    }
-
-    /// Generate `n` arrivals at `rate` ops/s. `bursty` replaces the
-    /// memoryless gaps with geometric bursts (1..=8 back-to-back arrivals
-    /// per burst instant, gaps stretched to preserve the offered rate) —
-    /// same mean load, much lumpier short-term demand.
-    fn schedule(rng: &mut Rng, cdf: &[f64], rate: f64, n: usize, bursty: bool) -> Vec<Arrival> {
-        let mean_gap_ns = 1e9 / rate;
-        let mut out = Vec::with_capacity(n);
-        let mut t = 0.0f64;
-        let mut burst_left = 0u32;
-        while out.len() < n {
-            if bursty {
-                if burst_left == 0 {
-                    // Uniform burst size 1..=8, mean 4.5; scale the gap by
-                    // the mean so the long-run rate stays `rate`.
-                    burst_left = 1 + (rng.next_u64() % 8) as u32;
-                    t += -(1.0 - rng.next_f64()).ln() * mean_gap_ns * 4.5;
-                }
-                burst_left -= 1;
-            } else {
-                t += -(1.0 - rng.next_f64()).ln() * mean_gap_ns;
-            }
-            let key = sample_cdf(cdf, rng.next_f64()) as i64;
-            out.push(Arrival {
-                at_ns: t as u64,
-                key,
-            });
-        }
-        out
-    }
-
-    /// The sharded supervised group under test. `lane`/`affinity` toggle
-    /// this PR's two mechanisms independently of each other.
-    fn spawn_group(rt: &Runtime, lane: bool, affinity: bool) -> ShardedHandle {
-        ShardedBuilder::new("KV", SHARDS)
-            .spread_affinity(affinity)
-            .spawn(rt, |i| {
-                let b = ObjectBuilder::new(format!("KV#{i}"))
-                    .entry(
-                        EntryDef::new("Get")
-                            .params([Ty::Int])
-                            .results([Ty::Int])
-                            .intercepted()
-                            .body(|_ctx, args| {
-                                // A few hundred ns of CPU — a cache-warm
-                                // table lookup, small enough that protocol
-                                // overhead dominates the tail.
-                                for i in 0..200u64 {
-                                    std::hint::black_box(i);
-                                }
-                                Ok(argv![args[0].clone()])
-                            }),
-                    )
-                    .manager(|mgr| loop {
-                        let acc = mgr.accept("Get")?;
-                        mgr.execute(acc)?;
-                    })
-                    .supervise(RestartPolicy::RestartTransient {
-                        max_restarts: 3,
-                        window_ticks: 1_000_000,
-                    });
-                if lane {
-                    b
-                } else {
-                    // `u32::MAX` keeps the intake-ring streak from ever
-                    // reaching the promotion threshold.
-                    b.lane_promote_after(u32::MAX)
-                }
-            })
-            .unwrap()
-    }
-
-    /// Tail summary of one run.
-    struct RunResult {
-        offered: f64,
-        achieved: f64,
-        p50_ns: u64,
-        p99_ns: u64,
-        p999_ns: u64,
-        mean_ns: f64,
-        max_ns: u64,
-        lane_promotes: u64,
-        lane_pushes: u64,
-    }
-
-    /// Replay `arrivals` against a fresh group: one dispatcher process per
-    /// shard walks its shard's slice of the schedule in intended-time
-    /// order, firing each call as soon as the wall clock passes its
-    /// arrival instant (immediately, if the dispatcher is already late —
-    /// the lateness is the system's problem and lands in the histogram).
-    /// Worker threads for the sweep: one per shard, but never more than
-    /// the machine's CPUs — on a single-CPU container extra workers only
-    /// add kernel-timeslice ping-pong between busy loops (ms-scale noise
-    /// that would swamp the µs-scale tail being measured), while one
-    /// worker keeps every yield a user-space runqueue rotation.
-    fn workers() -> usize {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(SHARDS)
-    }
-
-    fn run_once(lane: bool, affinity: bool, arrivals: &[Arrival], offered: f64) -> RunResult {
-        let rt = Runtime::thread_pool(workers());
-        let group = spawn_group(&rt, lane, affinity);
-
-        // Partition the schedule by routing shard, preserving time order.
-        let mut per_shard: Vec<Vec<Arrival>> = vec![Vec::new(); SHARDS];
-        for a in arrivals {
-            per_shard[group.shard_for_key(a.key as u64)].push(*a);
-        }
-
-        let ready = Arc::new(AtomicU32::new(0));
-        let go = Arc::new(AtomicBool::new(false));
-        let start_ns = Arc::new(AtomicU64::new(0));
-        let hist = Arc::new(Histogram::new());
-        let t0 = Instant::now();
-
-        let hs: Vec<_> = per_shard
-            .into_iter()
-            .enumerate()
-            .map(|(si, slice)| {
-                let shard = group.shard(si).clone();
-                let rt2 = rt.clone();
-                let (ready2, go2) = (Arc::clone(&ready), Arc::clone(&go));
-                let (start2, hist2) = (Arc::clone(&start_ns), Arc::clone(&hist));
-                rt.spawn_with(Spawn::new(format!("dispatch-{si}")), move || {
-                    let id = shard.entry_id("Get").unwrap();
-                    // Warm the shard closed-loop: recycles cells, trains
-                    // the EWMA, and (when enabled) builds the same-producer
-                    // streak past the promotion threshold.
-                    for _ in 0..64 {
-                        shard.call_id(id, argv![0i64]).unwrap();
-                    }
-                    ready2.fetch_add(1, Ordering::SeqCst);
-                    while !go2.load(Ordering::Acquire) {
-                        rt2.yield_now();
-                    }
-                    let base = start2.load(Ordering::Acquire);
-                    for a in &slice {
-                        let due = base + a.at_ns;
-                        loop {
-                            let now = t0.elapsed().as_nanos() as u64;
-                            if now >= due {
-                                break;
-                            }
-                            // Sleep through long gaps (frees the core —
-                            // the whole sweep shares one CPU with the
-                            // managers), spin-yield only near the due
-                            // instant.
-                            let gap = due - now;
-                            if gap > 200_000 {
-                                rt2.sleep((gap / 2_000).max(1));
-                            } else {
-                                rt2.yield_now();
-                            }
-                        }
-                        shard.call_id(id, argv![a.key]).unwrap();
-                        let done = t0.elapsed().as_nanos() as u64;
-                        hist2.record(done.saturating_sub(due).max(1));
-                    }
-                })
-            })
-            .collect();
-
-        while ready.load(Ordering::SeqCst) < SHARDS as u32 {
-            std::thread::yield_now();
-        }
-        start_ns.store(
-            t0.elapsed().as_nanos() as u64 + 1_000_000,
-            Ordering::Release,
-        );
-        let wall0 = Instant::now();
-        go.store(true, Ordering::Release);
-        for h in hs {
-            h.join().unwrap();
-        }
-        let wall = wall0.elapsed().as_secs_f64() - 0.001; // minus the 1ms gate offset
-        let achieved = arrivals.len() as f64 / wall.max(1e-9);
-
-        let (mut lane_promotes, mut lane_pushes) = (0u64, 0u64);
-        for si in 0..SHARDS {
-            let s = group.shard(si).stats();
-            lane_promotes += s.lane_promotes();
-            lane_pushes += s.lane_pushes();
-        }
-        let res = RunResult {
-            offered,
-            achieved,
-            p50_ns: hist.percentile(50.0),
-            p99_ns: hist.percentile(99.0),
-            p999_ns: hist.percentile(99.9),
-            mean_ns: hist.mean(),
-            max_ns: hist.max(),
-            lane_promotes,
-            lane_pushes,
-        };
-        group.shutdown();
-        rt.shutdown();
-        res
-    }
-
-    /// Calibrate saturation by running the very same open-loop machinery
-    /// at an unattainable offered rate: every arrival is due immediately,
-    /// the dispatchers degenerate to closed loops, and the achieved rate
-    /// *is* the sustainable capacity of this topology on this machine —
-    /// dispatch instrumentation, skewed shard mix, shared CPU and all.
-    fn estimate_saturation(cdf: &[f64], probe_n: usize) -> f64 {
-        let mut rng = Rng::new(0x5EED_CA11);
-        let arrivals = schedule(&mut rng, cdf, 100.0e6, probe_n, false);
-        run_once(true, true, &arrivals, 100.0e6).achieved
-    }
-
-    pub fn run(smoke: bool) {
-        let cdf = zipf_cdf(KEYS, ZIPF_S);
-        let probe_n = if smoke { 2_000 } else { 20_000 };
-        let sat = estimate_saturation(&cdf, probe_n);
-        println!("traffic: estimated saturation ≈ {sat:.0} offered ops/s");
-
-        // Offered-load sweep as fractions of estimated saturation —
-        // deliberately past 1.0 so the tail blowup is on the record.
-        let fractions: &[f64] = if smoke {
-            &[0.5, 2.0]
-        } else {
-            &[0.5, 0.8, 1.2, 2.0]
-        };
-        let dur_s = if smoke { 0.05 } else { 0.5 };
-        let processes: &[(&str, bool)] = if smoke {
-            &[("poisson", false)]
-        } else {
-            &[("poisson", false), ("bursty", true)]
-        };
-        let configs: [(&str, bool, bool); 2] = [
-            ("pr5_defaults", false, false),
-            ("lane_affinity", true, true),
-        ];
-
-        let mut json = String::from("{\n  \"bench\": \"traffic\",\n");
-        // The pr5_defaults configuration is the comparison baseline,
-        // swept in this same run.
-        json.push_str("  \"baseline_remeasured\": true,\n");
-        json.push_str(
-            "  \"unit\": {\"latency_ns\": \"completion minus intended arrival (open-loop: dispatcher lateness included)\", \"offered_ops_per_sec\": \"scheduled arrival rate\", \"achieved_ops_per_sec\": \"completions over wall time\"},\n",
-        );
-        json.push_str(&format!(
-            "  \"workload\": {{\"shards\": {SHARDS}, \"keys\": {KEYS}, \"zipf_s\": {ZIPF_S}, \"executor\": \"thread_pool({})\", \"supervised\": \"RestartTransient(3, 1e6 ticks)\", \"body\": \"~200-iteration CPU spin + echo\", \"dispatchers\": \"one per shard (single dominant producer)\"}},\n",
-            workers()
-        ));
-        json.push_str(&format!(
-            "  \"estimated_saturation_ops_per_sec\": {sat:.0},\n"
-        ));
-
-        // Per-config Poisson results at every fraction, for the headline
-        // A/B comparison: (config, fraction, p50, p99, achieved).
-        let mut headline: Vec<(&str, f64, u64, u64, f64)> = Vec::new();
-
-        for (cname, lane, affinity) in configs.iter() {
-            println!("{cname}:");
-            json.push_str(&format!("  \"{cname}\": {{\n"));
-            for (pi, (pname, bursty)) in processes.iter().enumerate() {
-                json.push_str(&format!("    \"{pname}\": {{\n"));
-                for (fi, f) in fractions.iter().enumerate() {
-                    let offered = sat * f;
-                    let n = ((offered * dur_s) as usize).clamp(200, 300_000);
-                    // Same seed for every config at a given (process,
-                    // load): both sides replay the identical schedule.
-                    let mut rng = Rng::new(0x5EED_0000 ^ ((pi as u64) << 8) ^ fi as u64);
-                    let arrivals = schedule(&mut rng, &cdf, offered, n, *bursty);
-                    let r = run_once(*lane, *affinity, &arrivals, offered);
-                    println!(
-                        "  {pname}/load_{f:.2}: offered {offered:.0}/s achieved {:.0}/s p50 {} p99 {} p999 {} (lane promotes {}, pushes {})",
-                        r.achieved, r.p50_ns, r.p99_ns, r.p999_ns, r.lane_promotes, r.lane_pushes
-                    );
-                    if *pname == "poisson" {
-                        headline.push((cname, *f, r.p50_ns, r.p99_ns, r.achieved));
-                    }
-                    json.push_str(&format!(
-                        "      \"load_{f:.2}\": {{\"offered_ops_per_sec\": {:.0}, \"achieved_ops_per_sec\": {:.0}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"mean_ns\": {:.0}, \"max_ns\": {}, \"arrivals\": {}, \"lane_promotes\": {}, \"lane_pushes\": {}}}{}\n",
-                        r.offered,
-                        r.achieved,
-                        r.p50_ns,
-                        r.p99_ns,
-                        r.p999_ns,
-                        r.mean_ns,
-                        r.max_ns,
-                        n,
-                        r.lane_promotes,
-                        r.lane_pushes,
-                        if fi + 1 == fractions.len() { "" } else { "," }
-                    ));
-                }
-                json.push_str(&format!(
-                    "    }}{}\n",
-                    if pi + 1 == processes.len() { "" } else { "," }
-                ));
-            }
-            // A comma either way: the `headline` object follows the last
-            // config block.
-            json.push_str("  },\n");
-        }
-
-        // Headline: per-load p99 ratios (nothing cherry-picked), plus
-        // the two figures that summarize the warm-path story — the
-        // median at the lowest load (the per-call fast-path win, where
-        // ms-scale scheduler noise has not swamped the signal) and
-        // tail + sustained throughput at the top load (whether the
-        // system bends or collapses past saturation).
-        let pick = |cfg: &str, f: f64| {
-            headline
-                .iter()
-                .find(|(n, hf, ..)| *n == cfg && (*hf - f).abs() < 1e-9)
-                .map(|&(_, _, p50, p99, ach)| (p50, p99, ach))
-                .unwrap_or((0, 0, 0.0))
-        };
-        let ratio = |pr5: u64, new: u64| {
-            if new > 0 {
-                pr5 as f64 / new as f64
-            } else {
-                0.0
-            }
-        };
-        let by_load: Vec<String> = fractions
-            .iter()
-            .map(|f| {
-                let (_, p99_a, _) = pick("pr5_defaults", *f);
-                let (_, p99_b, _) = pick("lane_affinity", *f);
-                format!(
-                    "{{\"load\": {f:.2}, \"pr5_p99_ns\": {p99_a}, \"lane_affinity_p99_ns\": {p99_b}, \"p99_ratio\": {:.2}}}",
-                    ratio(p99_a, p99_b)
-                )
-            })
-            .collect();
-        let lo = fractions[0];
-        let hi = *fractions.last().unwrap();
-        let (lo_p50_a, _, _) = pick("pr5_defaults", lo);
-        let (lo_p50_b, _, _) = pick("lane_affinity", lo);
-        let (_, hi_p99_a, hi_ach_a) = pick("pr5_defaults", hi);
-        let (_, hi_p99_b, hi_ach_b) = pick("lane_affinity", hi);
-        let ach_ratio = if hi_ach_a > 0.0 {
-            hi_ach_b / hi_ach_a
-        } else {
-            0.0
-        };
-        json.push_str(&format!(
-            "  \"headline\": {{\"note\": \"poisson, pr5_defaults over lane_affinity (ratios > 1 favor the lane+affinity path)\", \"p99_ratio_by_load\": [{}], \"p50_ratio_at_{lo:.2}x\": {:.2}, \"p99_ratio_at_{hi:.2}x\": {:.2}, \"achieved_ratio_at_{hi:.2}x\": {ach_ratio:.2}}}\n}}\n",
-            by_load.join(", "),
-            ratio(lo_p50_a, lo_p50_b),
-            ratio(hi_p99_a, hi_p99_b),
-        ));
-        std::fs::write("BENCH_traffic.json", &json).expect("write BENCH_traffic.json");
-        println!(
-            "poisson headline: p50 @ {lo:.2}x pr5 {lo_p50_a} vs lane {lo_p50_b} ({:.2}x); p99 @ {hi:.2}x pr5 {hi_p99_a} vs lane {hi_p99_b} ({:.2}x); achieved @ {hi:.2}x {hi_ach_a:.0}/s vs {hi_ach_b:.0}/s ({ach_ratio:.2}x)",
-            ratio(lo_p50_a, lo_p50_b),
-            ratio(hi_p99_a, hi_p99_b),
-        );
-        println!("wrote BENCH_traffic.json");
     }
 }
 

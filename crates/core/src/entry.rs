@@ -68,7 +68,6 @@ pub struct EntryDef {
     pub(crate) local: bool,
     pub(crate) intercept: Option<Intercept>,
     pub(crate) body: Option<EntryBody>,
-    pub(crate) fast_lane: bool,
 }
 
 impl fmt::Debug for EntryDef {
@@ -101,7 +100,6 @@ impl EntryDef {
             local: false,
             intercept: None,
             body: None,
-            fast_lane: true,
         }
     }
 
@@ -170,19 +168,6 @@ impl EntryDef {
     /// Intercept the first `k` results (implies interception).
     pub fn intercept_results(mut self, k: usize) -> Self {
         self.intercept.get_or_insert(Intercept::default()).results = k;
-        self
-    }
-
-    /// Allow or forbid calls to this entry to travel over the object's
-    /// adaptive SPSC fast lane (on by default). A dominant caller that
-    /// keeps invoking fast-lane entries is promoted to a private
-    /// single-producer queue that bypasses the shared intake ring's CAS
-    /// loop. Disable for entries whose calls must interleave with other
-    /// entries' in strict shared-ring arrival order for observability
-    /// (the lane preserves per-caller FIFO and linearizability either
-    /// way).
-    pub fn fast_lane(mut self, enabled: bool) -> Self {
-        self.fast_lane = enabled;
         self
     }
 

@@ -82,7 +82,6 @@
 
 mod entry;
 mod error;
-mod lane;
 mod manager;
 mod object;
 mod pool;

@@ -54,7 +54,6 @@ use parking_lot::Mutex;
 
 use crate::entry::EntryDef;
 use crate::error::{AlpsError, Result};
-use crate::lane::{LaneOwner, Release, SpscLane};
 use crate::manager::ManagerCtx;
 use crate::pool::{Job, Pool, PoolMode};
 use crate::proc_ctx::ProcCtx;
@@ -423,39 +422,16 @@ pub(crate) struct ObjectInner {
     /// Serializes ring consumers (manager drain, shutdown sweep, a
     /// producer's post-close self-sweep) so each cell has one completer.
     intake_drain: Mutex<()>,
-    /// The adaptive SPSC fast lane (see [`crate::lane`]): a private
-    /// single-producer queue for the one caller currently holding
-    /// `lane_owner`. The drain loop empties it *before* the shared ring
-    /// on every pass; `in_ring` accounting covers lane residents too, so
-    /// `#P` and shutdown semantics are identical on both routes.
-    pub(crate) lane: SpscLane<(u32, Arc<CallCell>)>,
-    /// Ownership word of the fast lane — who may push, and the mutual
-    /// exclusion between a push in progress and a demotion.
-    pub(crate) lane_owner: LaneOwner,
-    /// Streak bookkeeping driving promotion, written only by the drain
-    /// loop (under `intake_drain`): the last ring producer seen, stored
-    /// as `pid + 1` (0 = none), and how many consecutive ring pops it
-    /// has supplied.
-    lane_last_producer: AtomicU64,
-    lane_streak: AtomicU32,
-    /// Consecutive manager passes that reached the pre-park path with an
-    /// active-but-empty lane; at [`tuning::LANE_IDLE_DEMOTE_PASSES`] the
-    /// lane is released (see `wait_for_work`).
-    pub(crate) lane_dry: AtomicU32,
-    /// Promotion threshold ([`ObjectBuilder::lane_promote_after`];
-    /// default [`tuning::LANE_PROMOTE_STREAK`], `u32::MAX` disables).
-    lane_promote_streak: u32,
     /// True while the manager is between wakeup and its pre-park
     /// condition re-check; callers use it to decide whether yielding (the
     /// manager will service the ring soon) beats parking (it will not).
     pub(crate) mgr_active: AtomicBool,
-    /// Storm mode: the manager yield-polls the intake ring instead of
+    /// Poll mode: the manager yield-polls the intake ring instead of
     /// parking, so the whole submit→serve→reply cycle runs on scheduler
-    /// rotation with no futex traffic. Set by `drain_intake` whenever a
-    /// drain finds ≥ 2 cells — two calls physically queued at once proves
-    /// concurrent callers, which a lone synchronous caller (never more
-    /// than one call in flight) cannot fake — and cleared after a dry
-    /// poll budget in `wait_for_work`.
+    /// rotation with no futex traffic. Set by `drain_intake` after any
+    /// non-empty drain — a caller that was just served is the likeliest
+    /// source of the next call, whether it is alone or one of a storm —
+    /// and cleared after a dry poll budget in `wait_for_work`.
     pub(crate) mgr_poll: AtomicBool,
     /// Restart generation: bumped at the start of every supervised
     /// restart, *before* the in-flight sweep. Manager primitives capture
@@ -923,63 +899,23 @@ impl ObjectInner {
         }
     }
 
-    /// Whether any submitted call is awaiting drain — in the shared
-    /// intake ring *or* the SPSC fast lane. Every manager-side "is there
-    /// work" check (pre-park re-check, poll loop, drain early-out) must
-    /// use this rather than `intake.is_empty()` alone, or a lane push
-    /// could be parked past and lost.
-    pub(crate) fn has_intake_work(&self) -> bool {
-        !self.intake.is_empty() || !self.lane.is_empty()
-    }
-
-    /// Submit an intercepted call: over the private SPSC lane when this
-    /// caller currently owns it, otherwise the shared MPSC intake ring.
-    /// The lane path is the tail-shaving fast route — no CAS retry loop,
-    /// no admission machinery — and is correct because `begin_push`
-    /// fails the instant ownership is lost, falling back to the ring.
-    fn submit_call(&self, entry: usize, call: &Arc<CallCell>) -> Result<()> {
-        let me = call.caller.as_u64();
-        if self.entries[entry].fast_lane && self.lane_owner.is(me) && self.lane_owner.begin_push(me)
-        {
-            let sync = &self.estates[entry];
-            sync.in_ring.fetch_add(1, Ordering::SeqCst);
-            match self.lane.push((entry as u32, Arc::clone(call))) {
-                Ok(was_empty) => {
-                    self.lane_owner.end_push(me);
-                    self.stats.on_lane_push();
-                    if was_empty {
-                        self.notifier.notify(&self.rt);
-                    }
-                    return Ok(());
-                }
-                Err(_) => {
-                    // Lane full — only reachable when this caller
-                    // abandoned earlier calls on deadline while the
-                    // manager stalled. Demote ourselves *before* the
-                    // ring fallback: the drain empties the lane first,
-                    // so our older lane items still replay before this
-                    // one and per-caller FIFO holds.
-                    sync.in_ring.fetch_sub(1, Ordering::SeqCst);
-                    self.lane_owner.end_push(me);
-                    if matches!(self.lane_owner.try_release(), Release::Released(_)) {
-                        self.stats.on_lane_demote();
-                        // Commit point (no locks held): the self-demote
-                        // races the manager's drain-side lane control.
-                        self.rt.sim_point(CommitPoint::LaneSwitch);
-                    }
-                }
-            }
-        }
-        self.push_intake(entry, call)
-    }
-
     /// The full blocking call protocol: validate, attach or queue, wait
     /// for the reply.
+    ///
+    /// `deadline` bounds the reply wait to that many virtual
+    /// microseconds. On expiry the caller claims its cell back
+    /// (`CALL_WAITING → CALL_CANCELLED`), proactively removes it from the
+    /// wait queue or an `Attached` slot if it is still reachable there,
+    /// and returns [`AlpsError::Timeout`]; a cell the manager already owns
+    /// — in the intake ring, `Accepted`, or `Started` — is reclaimed
+    /// lazily by whichever holder touches it next (drain tombstone, losing
+    /// `finish` CAS, shutdown sweep).
     pub(crate) fn call_protocol(
         self: &Arc<Self>,
         entry: usize,
         args: ValVec,
         external: bool,
+        deadline: Option<u64>,
     ) -> Result<ValVec> {
         let def = &self.entries[entry];
         if external && def.local {
@@ -1000,13 +936,15 @@ impl ObjectInner {
         }
         self.stats.on_call();
         let t_call = self.rt.now();
+        let intercepted = def.intercept.is_some();
 
         // Fast path: an implicit (non-intercepted) entry with a free slot
         // runs its body inline in this process — the caller would block
         // for the result anyway, so this is observationally the same
         // rendezvous minus the pool hand-off and two park/unpark pairs,
-        // and it touches no heap at all.
-        if def.intercept.is_none() {
+        // and it touches no heap at all. A deadline bounds *waiting*,
+        // never execution already underway, so it plays no part here.
+        if !intercepted {
             let claimed = {
                 let mut es = self.estates[entry].st.lock();
                 if self.is_closed() {
@@ -1028,23 +966,30 @@ impl ObjectInner {
         // Slow path: rendezvous through a (recycled) call cell.
         let call = self.acquire_cell(args, self.rt.current(), t_call);
 
-        if def.intercept.is_some() {
-            // Intercepted entries submit through the lock-free intake
-            // ring; the manager drains it in batches. Only the push that
-            // flips the ring empty→non-empty notifies — that producer is
-            // the one the (possibly parked) manager is owed a wakeup by.
-            if self.rt.fault_point("intake_push") {
-                // Injected lost submission: the cell is never published.
-                // A deadline-bounded caller recovers via Timeout; a plain
-                // caller hangs — in simulation, as a detected deadlock.
-                let r = self.wait_for_reply(&call, true);
-                self.release_cell(call);
-                return r;
+        if !intercepted {
+            // Implicit entry, all slots busy: queue directly under the
+            // entry lock (no manager exists to drain a ring for us).
+            let dispatch = {
+                let mut es = self.estates[entry].st.lock();
+                if self.is_closed() {
+                    return Err(self.closed_err());
+                }
+                self.attach_or_queue(&mut es, entry, Arc::clone(&call))
+            };
+            if let Some((i, params)) = dispatch {
+                self.dispatch_body(entry, i, params);
             }
+        } else if !self.rt.fault_point("intake_push") {
+            // Intercepted entries submit through the lock-free intake
+            // ring; the manager drains it in batches. (An injected
+            // `intake_push` fault skips this: the cell is never published,
+            // so a deadline-bounded caller recovers via Timeout and a
+            // plain caller hangs — in simulation, as a detected deadlock.)
+            //
             // Commit point: the next step publishes this call into the
-            // lane/ring, racing the manager's drain. No locks held.
+            // ring, racing the manager's drain. No locks held.
             self.rt.sim_point(CommitPoint::IntakePush);
-            if let Err(e) = self.submit_call(entry, &call) {
+            if let Err(e) = self.push_intake(entry, &call) {
                 self.release_cell(call);
                 return Err(e);
             }
@@ -1058,24 +1003,13 @@ impl ObjectInner {
             if self.is_closed() {
                 self.sweep_intake();
             }
-            let r = self.wait_for_reply(&call, true);
-            self.release_cell(call);
-            return r;
         }
-
-        // Implicit entry, all slots busy: queue directly under the entry
-        // lock (no manager exists to drain a ring for us).
-        let dispatch = {
-            let mut es = self.estates[entry].st.lock();
-            if self.is_closed() {
-                return Err(self.closed_err());
+        let r = match deadline {
+            None => self.wait_for_reply(&call, intercepted),
+            Some(ticks) => {
+                self.wait_for_reply_deadline(&call, entry, t_call.saturating_add(ticks), ticks)
             }
-            self.attach_or_queue(&mut es, entry, Arc::clone(&call))
         };
-        if let Some((i, params)) = dispatch {
-            self.dispatch_body(entry, i, params);
-        }
-        let r = self.wait_for_reply(&call, false);
         self.release_cell(call);
         r
     }
@@ -1122,107 +1056,6 @@ impl ObjectInner {
             }
             self.rt.park();
         }
-    }
-
-    /// Deadline-bounded variant of [`call_protocol`](Self::call_protocol):
-    /// the same protocol, but the reply wait is bounded by `ticks` virtual
-    /// microseconds. On expiry the caller claims its cell back
-    /// (`CALL_WAITING → CALL_CANCELLED`), proactively removes it from the
-    /// wait queue or an `Attached` slot if it is still reachable there,
-    /// and returns [`AlpsError::Timeout`]; a cell the manager already owns
-    /// — in the intake ring, `Accepted`, or `Started` — is reclaimed
-    /// lazily by whichever holder touches it next (drain tombstone, losing
-    /// `finish` CAS, shutdown sweep).
-    ///
-    /// Kept as a separate function rather than an `Option<deadline>`
-    /// parameter so the no-deadline warm path carries zero extra loads or
-    /// branches.
-    pub(crate) fn call_protocol_deadline(
-        self: &Arc<Self>,
-        entry: usize,
-        args: ValVec,
-        external: bool,
-        ticks: u64,
-    ) -> Result<ValVec> {
-        let def = &self.entries[entry];
-        if external && def.local {
-            return Err(AlpsError::LocalEntryCalled {
-                object: self.name.clone(),
-                entry: def.name.clone(),
-            });
-        }
-        check_types_lazy(&def.params, &args, || {
-            format!("call {}.{}", self.name, def.name)
-        })?;
-        if self.is_closed() {
-            return Err(self.closed_err());
-        }
-        if self.is_poisoned() {
-            self.stats.on_poison_reject();
-            return Err(self.poison_reject());
-        }
-        self.stats.on_call();
-        let t_call = self.rt.now();
-        let deadline = t_call.saturating_add(ticks);
-
-        if def.intercept.is_none() {
-            // Inline fast path: once the body starts, it runs to
-            // completion in this very process — the deadline bounds
-            // *waiting*, never execution already underway.
-            let claimed = {
-                let mut es = self.estates[entry].st.lock();
-                if self.is_closed() {
-                    return Err(self.closed_err());
-                }
-                match es.slots.iter().position(|s| matches!(s, Slot::Free)) {
-                    Some(i) => {
-                        es.slots[i] = Slot::InlineBusy;
-                        Some(i)
-                    }
-                    None => None,
-                }
-            };
-            if let Some(i) = claimed {
-                return self.run_inline(entry, i, args, t_call);
-            }
-            let call = self.acquire_cell(args, self.rt.current(), t_call);
-            let dispatch = {
-                let mut es = self.estates[entry].st.lock();
-                if self.is_closed() {
-                    return Err(self.closed_err());
-                }
-                self.attach_or_queue(&mut es, entry, Arc::clone(&call))
-            };
-            if let Some((i, params)) = dispatch {
-                self.dispatch_body(entry, i, params);
-            }
-            let r = self.wait_for_reply_deadline(&call, entry, deadline, ticks);
-            self.release_cell(call);
-            return r;
-        }
-
-        // Intercepted: same ring submission as the no-deadline path.
-        let call = self.acquire_cell(args, self.rt.current(), t_call);
-        if self.rt.fault_point("intake_push") {
-            // Injected lost submission; the deadline converts the hang
-            // into a Timeout.
-            let r = self.wait_for_reply_deadline(&call, entry, deadline, ticks);
-            self.release_cell(call);
-            return r;
-        }
-        // Commit point: publish into the lane/ring (see call_protocol).
-        self.rt.sim_point(CommitPoint::IntakePush);
-        if let Err(e) = self.submit_call(entry, &call) {
-            self.release_cell(call);
-            return Err(e);
-        }
-        std::sync::atomic::fence(Ordering::SeqCst);
-        if self.is_closed() {
-            self.sweep_intake();
-        }
-        let r = self.wait_for_reply_deadline(&call, entry, deadline, ticks);
-        self.release_cell(call);
-        r
     }
 
     /// Deadline-bounded reply wait. No spin/yield phase: a caller that
@@ -1309,18 +1142,8 @@ impl ObjectInner {
         }
     }
 
-    /// Drain the intake ring: classify every published cell into its
-    /// entry's slot array or wait queue. Called by the manager at the top
-    /// of each select pass, so one wakeup amortizes over the whole batch.
-    ///
-    /// Classification is *silent* (no notifier bump): the manager is the
-    /// only waiter on the object notifier and it evaluates its guards
-    /// right after draining. Per-entry FIFO holds because ring pop order
-    /// is ring push order and a cell is queued — never slot-attached —
-    /// whenever earlier cells of its entry are still queued.
-    /// Classify one popped intake item — from the shared ring or the
-    /// fast lane, the protocol is identical — into its entry's slot
-    /// array or wait queue. Runs under the `intake_drain` lock.
+    /// Classify one popped intake item into its entry's slot array or
+    /// wait queue. Runs under the `intake_drain` lock.
     fn drain_classify(&self, now: u64, eidx: u32, call: Arc<CallCell>) {
         let entry = eidx as usize;
         let sync = &self.estates[entry];
@@ -1375,8 +1198,17 @@ impl ObjectInner {
         sync.in_ring.fetch_sub(1, Ordering::SeqCst);
     }
 
+    /// Drain the intake ring: classify every published cell into its
+    /// entry's slot array or wait queue. Called by the manager at the top
+    /// of each select pass, so one wakeup amortizes over the whole batch.
+    ///
+    /// Classification is *silent* (no notifier bump): the manager is the
+    /// only waiter on the object notifier and it evaluates its guards
+    /// right after draining. Per-entry FIFO holds because ring pop order
+    /// is ring push order and a cell is queued — never slot-attached —
+    /// whenever earlier cells of its entry are still queued.
     pub(crate) fn drain_intake(&self) {
-        if !self.has_intake_work() {
+        if self.intake.is_empty() {
             return;
         }
         // Commit point: work was observed but the drain lock is not yet
@@ -1388,62 +1220,9 @@ impl ObjectInner {
         let _g = self.intake_drain.lock();
         let now = self.rt.now();
         let mut drained = 0u64;
-        // Lane first, ring second — always. An owner that overflowed to
-        // the ring demoted itself *before* its ring push, so emptying
-        // the lane here keeps that caller's items in push order.
-        while let Some((eidx, call)) = self.lane.pop() {
-            drained += 1;
-            self.lane_dry.store(0, Ordering::SeqCst);
-            self.drain_classify(now, eidx, call);
-        }
-        let mut foreign_ring_pop = false;
         while let Some((eidx, call)) = self.intake.pop() {
             drained += 1;
-            // Same-producer streak tracking drives lane promotion; any
-            // ring traffic while the lane is active means a competing
-            // producer (the owner itself never uses the ring while it
-            // holds the lane, except after self-demoting).
-            if self.lane_owner.is_active() {
-                foreign_ring_pop = true;
-            } else if self.entries[eidx as usize].fast_lane {
-                let tag = call.caller.as_u64().wrapping_add(1);
-                if self.lane_last_producer.load(Ordering::Relaxed) == tag {
-                    let s = self.lane_streak.load(Ordering::Relaxed).saturating_add(1);
-                    self.lane_streak.store(s, Ordering::Relaxed);
-                } else {
-                    self.lane_last_producer.store(tag, Ordering::Relaxed);
-                    self.lane_streak.store(1, Ordering::Relaxed);
-                }
-            } else {
-                self.lane_last_producer.store(0, Ordering::Relaxed);
-                self.lane_streak.store(0, Ordering::Relaxed);
-            }
             self.drain_classify(now, eidx, call);
-        }
-        // Lane control, still under the drain lock so promote/demote
-        // have a single serialized site.
-        let mut lane_switched = false;
-        if foreign_ring_pop {
-            // Competition detected: fall back to the one shared queue.
-            // `Busy` (owner mid-push) just retries on the next pass —
-            // the competitor keeps pushing, so another pass is coming.
-            if matches!(self.lane_owner.try_release(), Release::Released(_)) {
-                self.stats.on_lane_demote();
-                lane_switched = true;
-            }
-            self.lane_last_producer.store(0, Ordering::Relaxed);
-            self.lane_streak.store(0, Ordering::Relaxed);
-        } else if !self.lane_owner.is_active()
-            && !self.is_closed()
-            && self.lane_streak.load(Ordering::Relaxed) >= self.lane_promote_streak
-        {
-            let tag = self.lane_last_producer.load(Ordering::Relaxed);
-            if tag != 0 && self.lane_owner.promote(tag - 1) {
-                self.stats.on_lane_promote();
-                self.lane_streak.store(0, Ordering::Relaxed);
-                self.lane_dry.store(0, Ordering::SeqCst);
-                lane_switched = true;
-            }
         }
         if drained > 0 {
             self.stats.on_drain(drained);
@@ -1455,21 +1234,17 @@ impl ObjectInner {
                     self.mgr_overloaded.store(false, Ordering::SeqCst);
                 }
             }
-        }
-        // A batch of ≥ 2 is proof of concurrent callers: promote the
-        // manager to storm mode (yield-poll instead of park, see
-        // `wait_for_work`) so the whole group is served on scheduler
-        // rotation without futex traffic. A lone synchronous caller never
-        // has two calls in flight and thus never triggers this.
-        if drained >= 2 {
-            self.mgr_poll.store(true, Ordering::SeqCst);
-        }
-        drop(_g);
-        // Commit point, *after* releasing the drain lock: the lane just
-        // changed hands and the old/new owner's next push races the
-        // manager observing the switch.
-        if lane_switched {
-            self.rt.sim_point(CommitPoint::LaneSwitch);
+            // Poll after any drain (yield-poll instead of park, see
+            // `wait_for_work`): whoever was just served — a lone
+            // synchronous caller or a whole storm — is about to wake and
+            // resubmit, and serving that on scheduler rotation costs no
+            // futex traffic. One dry `MGR_POLL_BUDGET` parks again.
+            // Load first: in steady state the flag is already set, and
+            // the SeqCst store is a full fence on every drain
+            // (`call_solo` p50 2.73 → 2.59 µs over 6 alternating runs).
+            if !self.mgr_poll.load(Ordering::SeqCst) {
+                self.mgr_poll.store(true, Ordering::SeqCst);
+            }
         }
     }
 
@@ -1478,13 +1253,6 @@ impl ObjectInner {
     pub(crate) fn sweep_intake(&self) {
         let _g = self.intake_drain.lock();
         let mut popped = false;
-        while let Some((eidx, call)) = self.lane.pop() {
-            self.estates[eidx as usize]
-                .in_ring
-                .fetch_sub(1, Ordering::SeqCst);
-            self.complete(&call, Err(self.closed_err()));
-            popped = true;
-        }
         while let Some((eidx, call)) = self.intake.pop() {
             self.estates[eidx as usize]
                 .in_ring
@@ -1492,11 +1260,6 @@ impl ObjectInner {
             self.complete(&call, Err(self.closed_err()));
             popped = true;
         }
-        // The lane will never be drained again; best-effort release so
-        // ownership state doesn't outlive the object's service life. A
-        // `Busy` owner mid-push is fine: it observes `closed` after its
-        // own fence and re-enters this sweep for its item.
-        let _ = self.lane_owner.try_release();
         if popped {
             // Backpressured producers must not stay parked on a ring that
             // will never drain again.
@@ -1586,19 +1349,6 @@ impl ObjectInner {
         let fail_unseen = matches!(on, OnRestart::FailInFlight);
         if fail_unseen {
             let _g = self.intake_drain.lock();
-            while let Some((eidx, call)) = self.lane.pop() {
-                self.estates[eidx as usize]
-                    .in_ring
-                    .fetch_sub(1, Ordering::SeqCst);
-                if call.is_cancelled() {
-                    if call.claim_tombstone() {
-                        self.stats.on_reap();
-                    }
-                    self.release_cell(call);
-                } else {
-                    self.complete(&call, Err(self.restarting_err()));
-                }
-            }
             while let Some((eidx, call)) = self.intake.pop() {
                 self.estates[eidx as usize]
                     .in_ring
@@ -1612,11 +1362,6 @@ impl ObjectInner {
                     self.complete(&call, Err(self.restarting_err()));
                 }
             }
-            // Demote across the restart: the post-restart world starts
-            // from the plain MPSC route and re-earns the lane. A `Busy`
-            // owner's straggler push linearizes after the restart and is
-            // classified by the new generation's first drain.
-            let _ = self.lane_owner.try_release();
         }
         for (entry, sync) in self.estates.iter().enumerate() {
             let mut victims: Vec<Arc<CallCell>> = Vec::new();
@@ -1852,7 +1597,6 @@ pub struct ObjectBuilder {
     admission: AdmissionPolicy,
     intake_capacity: Option<usize>,
     affinity_hint: Option<usize>,
-    lane_promote_after: Option<u32>,
 }
 
 impl fmt::Debug for ObjectBuilder {
@@ -1882,7 +1626,6 @@ impl ObjectBuilder {
             admission: AdmissionPolicy::default(),
             intake_capacity: None,
             affinity_hint: None,
-            lane_promote_after: None,
         }
     }
 
@@ -1892,28 +1635,20 @@ impl ObjectBuilder {
     /// A *soft* hint: the processes land in that worker's deque instead
     /// of the global injector — keeping a shard's manager and entry
     /// bodies on one worker's cache — but remain fully stealable.
-    /// Ignored by the threaded and simulation executors.
+    /// Ignored by the threaded and simulation executors. Its worth is
+    /// unresolved: a 3-pair on/off ablation on `kv_storm` and `kv_open`
+    /// (2 cores) had no consistent sign, so it is neither claimed as a
+    /// win nor deleted.
     pub fn affinity_hint(mut self, worker: usize) -> Self {
         self.affinity_hint = Some(worker);
         self
     }
 
     /// Set the affinity hint only when the user did not choose one —
-    /// `ShardedBuilder` spreads shard `i` onto worker `i % K` by
-    /// default, but an explicit per-shard choice from the factory wins.
+    /// `ShardedBuilder` spreads shard `i` onto worker `i % K`, but an
+    /// explicit per-shard choice from the factory wins.
     pub(crate) fn default_affinity_hint(mut self, worker: usize) -> Self {
         self.affinity_hint.get_or_insert(worker);
-        self
-    }
-
-    /// Override how many consecutive intake-ring pushes from the same
-    /// producer promote that caller to the private SPSC fast lane
-    /// (default [`tuning::LANE_PROMOTE_STREAK`]). Tests use small values
-    /// to force promotion deterministically; `u32::MAX` disables the
-    /// lane for the whole object. See also [`EntryDef::fast_lane`] for
-    /// the per-entry switch.
-    pub fn lane_promote_after(mut self, streak: u32) -> Self {
-        self.lane_promote_after = Some(streak);
         self
     }
 
@@ -2124,14 +1859,6 @@ impl ObjectBuilder {
                     .unwrap_or_else(|| (total * 8).next_power_of_two().clamp(64, 1024)),
             ),
             intake_drain: Mutex::new(()),
-            lane: SpscLane::with_capacity(tuning::LANE_CAP),
-            lane_owner: LaneOwner::new(),
-            lane_last_producer: AtomicU64::new(0),
-            lane_streak: AtomicU32::new(0),
-            lane_dry: AtomicU32::new(0),
-            lane_promote_streak: self
-                .lane_promote_after
-                .unwrap_or(tuning::LANE_PROMOTE_STREAK),
             mgr_active: AtomicBool::new(true),
             mgr_poll: AtomicBool::new(false),
             generation: AtomicU64::new(0),
@@ -2304,7 +2031,7 @@ impl ObjectHandle {
                 object: inner.name.clone(),
             });
         }
-        inner.call_protocol(id.idx as usize, args.into(), true)
+        inner.call_protocol(id.idx as usize, args.into(), true, None)
     }
 
     /// Like [`call`](Self::call), but give up after `ticks` virtual
@@ -2343,7 +2070,7 @@ impl ObjectHandle {
                 object: inner.name.clone(),
             });
         }
-        inner.call_protocol_deadline(id.idx as usize, args.into(), true, ticks)
+        inner.call_protocol(id.idx as usize, args.into(), true, Some(ticks))
     }
 
     /// Like [`call_deadline`](Self::call_deadline), but retry *transient*
@@ -2412,7 +2139,7 @@ impl ObjectHandle {
             // register as a waiter below, the epoch has already moved and
             // the wait returns immediately — no lost wakeup.
             let seen = inner.notifier.epoch();
-            match inner.call_protocol_deadline(id.idx as usize, args.clone(), true, per) {
+            match inner.call_protocol(id.idx as usize, args.clone(), true, Some(per)) {
                 Ok(r) => return Ok(r),
                 // The transient taxonomy is owned by `AlpsError::is_retryable`
                 // so the remote proxy's retry loop and this one can never
@@ -2485,7 +2212,9 @@ impl ObjectHandle {
     pub fn call_from_inside(&self, entry: &str, args: Vec<Value>) -> Result<Vec<Value>> {
         let inner = &self.core.inner;
         let idx = inner.entry_idx(entry)?;
-        inner.call_protocol(idx, args.into(), false).map(Vec::from)
+        inner
+            .call_protocol(idx, args.into(), false, None)
+            .map(Vec::from)
     }
 
     /// [`call_from_inside`](Self::call_from_inside) through an interned
@@ -2503,7 +2232,7 @@ impl ObjectHandle {
                 object: inner.name.clone(),
             });
         }
-        inner.call_protocol(id.idx as usize, args.into(), false)
+        inner.call_protocol(id.idx as usize, args.into(), false, None)
     }
 
     /// `#P` for an entry: calls attached-but-unaccepted plus queued

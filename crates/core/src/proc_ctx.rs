@@ -84,7 +84,7 @@ impl ProcCtx {
         let idx = self.obj.entry_idx(name)?;
         let def = &self.obj.entries[idx];
         if def.intercept.is_some() {
-            return self.obj.call_protocol(idx, args, false);
+            return self.obj.call_protocol(idx, args, false, None);
         }
         // Inline execution in the calling process.
         check_types_lazy(&def.params, &args, || {

@@ -690,7 +690,7 @@ pub(crate) fn run_select_deadline(
 /// Deadline-bounded wrapper around [`wait_for_work`]: without a deadline
 /// it is exactly `wait_for_work`; with one, the park is timer-bounded and
 /// an expiry with no epoch movement fails the select with
-/// [`AlpsError::Timeout`]. The storm-mode poll loop is skipped — a
+/// [`AlpsError::Timeout`]. The poll-mode yield loop is skipped — a
 /// deadline wait is a latency-tolerant cold path by definition.
 fn wait_for_work_deadline(
     obj: &ObjectInner,
@@ -710,7 +710,7 @@ fn wait_for_work_deadline(
     }
     // Same lost-wakeup handshake as `wait_for_work` (see its comment).
     obj.mgr_active.store(false, Ordering::SeqCst);
-    if obj.has_intake_work() {
+    if !obj.intake.is_empty() {
         obj.mgr_active.store(true, Ordering::SeqCst);
         obj.rt.yield_now();
         return Ok(());
@@ -822,8 +822,8 @@ fn fused_single(obj: &Arc<ObjectInner>, g: &Guard<'_>, entry: usize, gen: u64) -
 /// *claimed but not yet published* a slot (such a producer owes no
 /// notify), so the manager must not sleep — it yields and retries.
 fn wait_for_work(obj: &ObjectInner, epoch: u64) {
-    // Storm mode (promoted by `drain_intake` on a batch of ≥ 2): several
-    // callers are concurrently in their wake-and-resubmit window. Parking
+    // Poll mode (entered by `drain_intake` after any non-empty drain): the
+    // callers just served are in their wake-and-resubmit window. Parking
     // now would convoy them — each would find `mgr_active` false, park in
     // turn, and pay a futex round trip per call while the ring never
     // accumulates a real batch. Instead, yield-poll the ring: every yield
@@ -833,13 +833,9 @@ fn wait_for_work(obj: &ObjectInner, epoch: u64) {
     // work after `tuning::MGR_POLL_BUDGET` yields — demotes back to
     // parking. Pointless in simulation, where only one process runs at a
     // time.
-    // An active SPSC lane keeps the manager in poll mode too: the lane
-    // exists precisely so a lone dominant caller (which never produces
-    // the ≥ 2 batches storm mode keys on) gets the same futex-free
-    // submit→serve→reply rotation.
-    if (obj.mgr_poll.load(Ordering::SeqCst) || obj.lane_owner.is_active()) && !obj.rt.is_sim() {
+    if obj.mgr_poll.load(Ordering::SeqCst) && !obj.rt.is_sim() {
         for _ in 0..tuning::MGR_POLL_BUDGET {
-            if obj.has_intake_work() || obj.notifier.epoch() != epoch {
+            if !obj.intake.is_empty() || obj.notifier.epoch() != epoch {
                 obj.stats.on_mgr_wakeup();
                 obj.stats.on_spin_resolved();
                 return;
@@ -848,31 +844,8 @@ fn wait_for_work(obj: &ObjectInner, epoch: u64) {
         }
         obj.mgr_poll.store(false, Ordering::SeqCst);
     }
-    // Lane idle accounting: reaching this point means a full dry poll
-    // budget (or, in simulation, a drain that found nothing). An owner
-    // that lets the manager get this far has gone quiet; after
-    // `tuning::LANE_IDLE_DEMOTE_PASSES` consecutive dry passes the lane
-    // is released so the object parks like a plain MPSC object again. A
-    // `Busy` release (owner mid-push) or a non-empty lane resets the
-    // count — work is coming.
-    if obj.lane_owner.is_active() {
-        if obj.lane.is_empty() {
-            let dry = obj.lane_dry.fetch_add(1, Ordering::SeqCst) + 1;
-            if dry >= tuning::LANE_IDLE_DEMOTE_PASSES {
-                obj.lane_dry.store(0, Ordering::SeqCst);
-                if matches!(
-                    obj.lane_owner.try_release(),
-                    crate::lane::Release::Released(_)
-                ) {
-                    obj.stats.on_lane_demote();
-                }
-            }
-        } else {
-            obj.lane_dry.store(0, Ordering::SeqCst);
-        }
-    }
     obj.mgr_active.store(false, Ordering::SeqCst);
-    if obj.has_intake_work() {
+    if !obj.intake.is_empty() {
         obj.mgr_active.store(true, Ordering::SeqCst);
         obj.rt.yield_now();
         return;

@@ -12,10 +12,11 @@
 //!
 //! Three call shapes are offered:
 //!
-//! * **Routed calls** — [`ShardedHandle::call`] (and the `_key`,
-//!   `_deadline`, `_retry` variants) pick one shard by a stable hash of
-//!   the arguments, or an explicit caller-supplied key, and delegate to
-//!   the ordinary [`ObjectHandle`] protocol.
+//! * **Routed calls** — [`ShardedHandle::call`] (and the `_deadline`,
+//!   `_retry` variants) pick one shard by a stable hash of the
+//!   arguments, [`ShardedHandle::call_key`] by an explicit
+//!   caller-supplied key, and delegate to the ordinary [`ObjectHandle`]
+//!   protocol.
 //! * **Scatter-gather** — [`ShardedHandle::call_all`] invokes an entry
 //!   on *every* shard concurrently and gathers the per-shard results
 //!   (e.g. "search all partitions of the dictionary").
@@ -174,6 +175,14 @@ impl ShardedInner {
         }
         Ok(Arc::clone(&self.tables.lock()[id.slot as usize]))
     }
+
+    /// The shard a `(entry, key)` pair routes to, and that shard's own
+    /// interned id for the entry.
+    fn route(&self, id: ShardEntryId, key: u64) -> Result<(&ObjectHandle, EntryId)> {
+        let table = self.table(id)?;
+        let shard = spread(key, table.len());
+        Ok((&self.shards[shard], table[shard]))
+    }
 }
 
 /// Ensures a combining leader always clears its map slot and answers
@@ -233,7 +242,6 @@ impl Drop for LeaderGuard<'_> {
 pub struct ShardedBuilder {
     name: String,
     shards: usize,
-    spread_affinity: bool,
 }
 
 impl ShardedBuilder {
@@ -242,17 +250,7 @@ impl ShardedBuilder {
         ShardedBuilder {
             name: name.into(),
             shards: shards.max(1),
-            spread_affinity: true,
         }
-    }
-
-    /// Whether each shard gets a soft worker-affinity hint of its own
-    /// index (on by default). Disable to reproduce the unhinted
-    /// placement — every task through the work-stealing injector — e.g.
-    /// for A/B latency measurements.
-    pub fn spread_affinity(mut self, enabled: bool) -> ShardedBuilder {
-        self.spread_affinity = enabled;
-        self
     }
 
     /// Spawn the replicas. `factory(i)` builds shard `i`'s
@@ -276,13 +274,7 @@ impl ShardedBuilder {
             // deque (and cache) instead of bouncing through the global
             // injector. Soft: tasks stay stealable under imbalance, and
             // a factory that set its own hint keeps it.
-            let b = factory(i);
-            let b = if self.spread_affinity {
-                b.default_affinity_hint(i)
-            } else {
-                b
-            };
-            match b.spawn(rt) {
+            match factory(i).default_affinity_hint(i).spawn(rt) {
                 Ok(h) => shards.push(h),
                 Err(e) => {
                     for h in &shards {
@@ -445,9 +437,8 @@ impl ShardedHandle {
         key: u64,
         args: impl Into<ValVec>,
     ) -> Result<ValVec> {
-        let table = self.inner.table(id)?;
-        let shard = spread(key, table.len());
-        self.inner.shards[shard].call_id(table[shard], args)
+        let (shard, eid) = self.inner.route(id, key)?;
+        shard.call_id(eid, args)
     }
 
     /// Deadline-bounded routed call (argument-hash routing); see
@@ -459,32 +450,8 @@ impl ShardedHandle {
     pub fn call_deadline(&self, entry: &str, args: Vec<Value>, ticks: u64) -> Result<Vec<Value>> {
         let id = self.entry_id(entry)?;
         let args: ValVec = args.into();
-        let key = hash_values(&args);
-        let table = self.inner.table(id)?;
-        let shard = spread(key, table.len());
-        self.inner.shards[shard]
-            .call_id_deadline(table[shard], args, ticks)
-            .map(Vec::from)
-    }
-
-    /// Deadline-bounded routed call with an explicit key.
-    ///
-    /// # Errors
-    ///
-    /// As [`call_deadline`](Self::call_deadline).
-    pub fn call_key_deadline(
-        &self,
-        key: u64,
-        entry: &str,
-        args: Vec<Value>,
-        ticks: u64,
-    ) -> Result<Vec<Value>> {
-        let id = self.entry_id(entry)?;
-        let table = self.inner.table(id)?;
-        let shard = spread(key, table.len());
-        self.inner.shards[shard]
-            .call_id_deadline(table[shard], args, ticks)
-            .map(Vec::from)
+        let (shard, eid) = self.inner.route(id, hash_values(&args))?;
+        shard.call_id_deadline(eid, args, ticks).map(Vec::from)
     }
 
     /// Retrying routed call (argument-hash routing); see
@@ -501,32 +468,8 @@ impl ShardedHandle {
     ) -> Result<Vec<Value>> {
         let id = self.entry_id(entry)?;
         let args: ValVec = args.into();
-        let key = hash_values(&args);
-        let table = self.inner.table(id)?;
-        let shard = spread(key, table.len());
-        self.inner.shards[shard]
-            .call_id_retry(table[shard], args, policy)
-            .map(Vec::from)
-    }
-
-    /// Retrying routed call with an explicit key.
-    ///
-    /// # Errors
-    ///
-    /// As [`call_retry`](Self::call_retry).
-    pub fn call_key_retry(
-        &self,
-        key: u64,
-        entry: &str,
-        args: Vec<Value>,
-        policy: RetryPolicy,
-    ) -> Result<Vec<Value>> {
-        let id = self.entry_id(entry)?;
-        let table = self.inner.table(id)?;
-        let shard = spread(key, table.len());
-        self.inner.shards[shard]
-            .call_id_retry(table[shard], args, policy)
-            .map(Vec::from)
+        let (shard, eid) = self.inner.route(id, hash_values(&args))?;
+        shard.call_id_retry(eid, args, policy).map(Vec::from)
     }
 
     /// Scatter-gather: invoke `entry(args)` on **every** shard
@@ -600,9 +543,9 @@ impl ShardedHandle {
     /// [`AlpsError::ForeignEntryId`].
     pub fn call_id_combined(&self, id: ShardEntryId, args: impl Into<ValVec>) -> Result<ValVec> {
         let inner = &self.inner;
-        let table = inner.table(id)?;
         let args: ValVec = args.into();
         let key = hash_values(&args);
+        let (shard, eid) = inner.route(id, key)?;
         let follow = {
             let mut map = inner.combine.lock();
             match map.entry((id.slot, key)) {
@@ -642,8 +585,7 @@ impl ShardedHandle {
             ),
             published: false,
         };
-        let shard = spread(key, table.len());
-        let res = inner.shards[shard].call_id(table[shard], args);
+        let res = shard.call_id(eid, args);
         guard.publish(res.clone());
         res
     }

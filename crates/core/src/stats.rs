@@ -41,9 +41,6 @@ struct StatsInner {
     sheds: Counter,
     retries: Counter,
     overload_flips: Counter,
-    lane_pushes: Counter,
-    lane_promotes: Counter,
-    lane_demotes: Counter,
     /// EWMA of service time in ticks (α = 1/8). Updated with a Relaxed
     /// CAS loop: pooled bodies finish concurrently, so the RMW must be
     /// atomic, but the value is advisory and orders nothing.
@@ -169,19 +166,13 @@ impl ObjectStats {
     pub fn overload_flips(&self) -> u64 {
         self.inner.overload_flips.get()
     }
-    /// Calls submitted over the SPSC fast lane instead of the shared
-    /// intake ring (a dominant caller was holding the lane).
+    /// Always 0. The SPSC fast lane this counted pushes over was deleted
+    /// (an ablation showed the manager's polling, not the second queue,
+    /// paid for its numbers); the accessor remains only because the frozen
+    /// benchmark adapter (`crates/benchmark/src/sut.rs`) reads it for its
+    /// `core.lane_push_share` layer metric. Remove both together.
     pub fn lane_pushes(&self) -> u64 {
-        self.inner.lane_pushes.get()
-    }
-    /// Times the drain loop promoted a dominant caller to the fast lane.
-    pub fn lane_promotes(&self) -> u64 {
-        self.inner.lane_promotes.get()
-    }
-    /// Times an active lane was released — a second producer appeared,
-    /// the owner went idle, it overflowed, or a restart swept it.
-    pub fn lane_demotes(&self) -> u64 {
-        self.inner.lane_demotes.get()
+        0
     }
     /// Exponentially weighted moving average of entry service time in
     /// ticks (α = 1/8) — the signal the adaptive spin budgets are tuned
@@ -272,15 +263,6 @@ impl ObjectStats {
     pub(crate) fn on_overload_flip(&self) {
         self.inner.overload_flips.incr();
     }
-    pub(crate) fn on_lane_push(&self) {
-        self.inner.lane_pushes.incr();
-    }
-    pub(crate) fn on_lane_promote(&self) {
-        self.inner.lane_promotes.incr();
-    }
-    pub(crate) fn on_lane_demote(&self) {
-        self.inner.lane_demotes.incr();
-    }
 }
 
 impl fmt::Display for ObjectStats {
@@ -290,8 +272,7 @@ impl fmt::Display for ObjectStats {
             "calls={} accepts={} starts={} finishes={} combines={} implicit={} failures={} \
              p50_latency={} p99_latency={} p999_latency={} wakeups={} mean_batch={:.1} \
              max_batch={} spin_resolved={} park_resolved={} timeouts={} cancels={} reaps={} \
-             poison_rejects={} restarts={} sheds={} retries={} overload_flips={} \
-             lane_pushes={} lane_promotes={} lane_demotes={}",
+             poison_rejects={} restarts={} sheds={} retries={} overload_flips={}",
             self.calls(),
             self.accepts(),
             self.starts(),
@@ -315,9 +296,6 @@ impl fmt::Display for ObjectStats {
             self.sheds(),
             self.retries(),
             self.overload_flips(),
-            self.lane_pushes(),
-            self.lane_promotes(),
-            self.lane_demotes(),
         )
     }
 }
@@ -411,21 +389,6 @@ mod tests {
         assert!(shown.contains("sheds=2"), "{shown}");
         assert!(shown.contains("retries=3"), "{shown}");
         assert!(shown.contains("overload_flips=1"), "{shown}");
-    }
-
-    #[test]
-    fn lane_counters_accumulate() {
-        let s = ObjectStats::new();
-        s.on_lane_push();
-        s.on_lane_push();
-        s.on_lane_promote();
-        s.on_lane_demote();
-        assert_eq!(s.lane_pushes(), 2);
-        assert_eq!(s.lane_promotes(), 1);
-        assert_eq!(s.lane_demotes(), 1);
-        let shown = s.to_string();
-        assert!(shown.contains("lane_pushes=2"), "{shown}");
-        assert!(shown.contains("lane_promotes=1"), "{shown}");
         assert!(shown.contains("p999_latency=0"), "{shown}");
     }
 

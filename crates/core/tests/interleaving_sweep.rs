@@ -1,6 +1,6 @@
 //! Seeded-interleaving sweep: the call protocol, deadline/cancellation
-//! machinery, select semantics, restart sweeps, and lane handoffs under
-//! the strategy-driven schedule explorer (`alps_runtime::explore`).
+//! machinery, select semantics, and restart sweeps under the
+//! strategy-driven schedule explorer (`alps_runtime::explore`).
 //!
 //! Every scenario runs once per (seed, strategy) cell; seeds are split
 //! round-robin across the strategy matrix (`random`, `rr`, `pct`,
@@ -29,6 +29,9 @@ use alps_core::{
 };
 use alps_runtime::explore::{for_each_policy, sweep_explore};
 use alps_runtime::{FaultPlan, SimRuntime, Spawn};
+
+#[path = "common/intake_scenarios.rs"]
+mod intake_scenarios;
 
 /// The canonical protocol scenario: several callers race deadline-bounded
 /// and plain calls against a combining-capable manager. Returns a trace
@@ -563,261 +566,19 @@ fn shed_under_storm_bounds_intake_across_seeds() {
 }
 
 #[test]
-fn lane_promotion_races_a_second_producer_across_seeds() {
-    // Acceptance scenario for the SPSC fast lane: two callers hammer a
-    // lane-eligible entry from the very first call with the promotion
-    // threshold at 1, so every drain pass is a promotion opportunity and
-    // every pop of the non-owner is a demotion trigger. Under EVERY
-    // schedule: all calls complete with the right result, at least one
-    // promotion happens (the first non-empty drain pass promotes whoever
-    // it popped last), and the owner word never leaks — promotions and
-    // demotions stay balanced to within the one lane that may still be
-    // held at the end.
-    sweep_explore("lane-promotion-race", |sim| {
-        sim.run(move |rt| {
-            let obj = ObjectBuilder::new("LaneRace")
-                .entry(
-                    EntryDef::new("P")
-                        .params([Ty::Int])
-                        .results([Ty::Int])
-                        .intercepted()
-                        .body(|ctx, args| {
-                            let v = args[0].as_int()?;
-                            // Spread service times so seeds shuffle how
-                            // many of each caller's pushes share a drain
-                            // batch with the rival's.
-                            ctx.sleep(5 + (v as u64 % 3) * 10);
-                            Ok(vec![Value::Int(v * 2)])
-                        }),
-                )
-                .manager(|mgr| loop {
-                    let acc = mgr.accept("P")?;
-                    mgr.execute(acc)?;
-                })
-                .lane_promote_after(1)
-                .spawn(rt)
-                .unwrap();
-            let mut joins = Vec::new();
-            for i in 0..2i64 {
-                let o2 = obj.clone();
-                joins.push(rt.spawn_with(Spawn::new(format!("producer{i}")), move || {
-                    for k in 0..8i64 {
-                        let v = i * 100 + k;
-                        let r = o2.call("P", vals![v]).unwrap();
-                        assert_eq!(r[0].as_int().unwrap(), v * 2, "producer {i} call {k}");
-                    }
-                }));
-            }
-            for j in joins {
-                j.join().unwrap();
-            }
-            let stats = obj.stats();
-            assert_eq!(stats.calls(), 16);
-            assert_eq!(
-                stats.finishes(),
-                16,
-                "no call lost across the lane handoffs"
-            );
-            assert!(
-                stats.lane_promotes() >= 1,
-                "threshold 1 must promote on the first drained call"
-            );
-            // Demotion is the only way the owner word frees before
-            // shutdown, so the two counters bound each other: every
-            // demote released a promoted lane, and at most one
-            // promotion can still be outstanding.
-            assert!(stats.lane_demotes() <= stats.lane_promotes());
-            assert!(stats.lane_promotes() <= stats.lane_demotes() + 1);
-        })
-        .unwrap();
-    });
+fn solo_caller_joined_by_a_rival_keeps_every_call_across_seeds() {
+    sweep_explore(
+        "solo-joined-by-rival",
+        intake_scenarios::solo_joined_by_rival,
+    );
 }
 
 #[test]
-fn lane_demotion_during_drain_keeps_every_call_across_seeds() {
-    // Acceptance scenario: a solo caller earns the lane (phase 1), then
-    // keeps streaming while a competitor storms the shared ring (phase
-    // 2). The drain loop must detect the competition mid-stream —
-    // possibly with the owner's next push already in the lane — release
-    // the lane, and serve both queues without losing, duplicating, or
-    // reordering anyone's calls. Under EVERY schedule: phase 1 promotes,
-    // phase 2 demotes at least once, every call completes correctly, and
-    // the object still serves after the storm.
-    sweep_explore("lane-demotion-during-drain", |sim| {
-        sim.run(move |rt| {
-            let obj = ObjectBuilder::new("LaneDemote")
-                .entry(
-                    EntryDef::new("P")
-                        .params([Ty::Int])
-                        .results([Ty::Int])
-                        .intercepted()
-                        .body(|ctx, args| {
-                            let v = args[0].as_int()?;
-                            ctx.sleep(5 + (v as u64 % 3) * 10);
-                            Ok(vec![Value::Int(v * 2)])
-                        }),
-                )
-                .manager(|mgr| loop {
-                    let acc = mgr.accept("P")?;
-                    mgr.execute(acc)?;
-                })
-                .lane_promote_after(1)
-                .spawn(rt)
-                .unwrap();
-            // One task plays the owner through both phases so its pid —
-            // the one the warmup promoted — is the pid still pushing
-            // (now through the lane) when the rival's ring traffic
-            // forces the demotion.
-            let warmed = Arc::new(AtomicU64::new(0));
-            let mut joins = Vec::new();
-            {
-                let (o2, w2) = (obj.clone(), Arc::clone(&warmed));
-                joins.push(rt.spawn_with(Spawn::new("owner".to_string()), move || {
-                    // Phase 1 (solo): the drain pass that classifies the
-                    // first call already sees a streak of 1 and
-                    // promotes, so the lane is earned before the flag.
-                    for k in 0..4i64 {
-                        let r = o2.call("P", vals![k]).unwrap();
-                        assert_eq!(r[0].as_int().unwrap(), k * 2);
-                    }
-                    w2.store(1, Ordering::SeqCst);
-                    // Phase 2: keep streaming over the earned lane.
-                    for k in 0..8i64 {
-                        let v = 1000 + k;
-                        let r = o2.call("P", vals![v]).unwrap();
-                        assert_eq!(r[0].as_int().unwrap(), v * 2, "owner call {k}");
-                    }
-                }));
-            }
-            {
-                let (o2, w2, rt2) = (obj.clone(), Arc::clone(&warmed), rt.clone());
-                joins.push(rt.spawn_with(Spawn::new("rival".to_string()), move || {
-                    // Virtual sleep, not yield: a yield-spinner is always
-                    // runnable, and the sim clock only advances when
-                    // nothing is — the bodies' sleeps would never fire.
-                    while w2.load(Ordering::SeqCst) == 0 {
-                        rt2.sleep(7);
-                    }
-                    for k in 0..8i64 {
-                        let v = 2000 + k;
-                        let r = o2.call("P", vals![v]).unwrap();
-                        assert_eq!(r[0].as_int().unwrap(), v * 2, "rival call {k}");
-                    }
-                }));
-            }
-            for j in joins {
-                j.join().unwrap();
-            }
-            assert!(
-                obj.stats().lane_promotes() >= 1,
-                "solo streak with threshold 1 must have promoted"
-            );
-            let stats = obj.stats();
-            assert_eq!(stats.calls(), 20);
-            assert_eq!(stats.finishes(), 20, "competition never loses a call");
-            // The rival's ring pops either found the lane held (foreign
-            // pop → demote) or found it already released by an idle
-            // sweep — and both paths count a demotion.
-            assert!(
-                stats.lane_demotes() >= 1,
-                "a competing producer must force at least one demotion"
-            );
-            assert!(stats.lane_demotes() <= stats.lane_promotes());
-            assert!(stats.lane_promotes() <= stats.lane_demotes() + 1);
-            // The object is in a servable state whoever holds the lane.
-            let r = obj.call("P", vals![7i64]).unwrap();
-            assert_eq!(r[0].as_int().unwrap(), 14);
-        })
-        .unwrap();
-    });
-}
-
-#[test]
-fn restart_sweep_fails_lane_held_cells_across_seeds() {
-    // Acceptance scenario: a supervised object whose dominant caller owns
-    // the fast lane is killed by an injected body panic while both it and
-    // a rival have calls in flight — so at sweep time the lane may hold a
-    // pushed-but-undrained cell. The restart sweep must fail lane-held
-    // cells exactly like ring-held ones (transient, retryable) and
-    // release the owner word so the post-restart world re-earns the lane
-    // from scratch. Under EVERY schedule: every caller eventually
-    // succeeds through its retry policy, the object restarts exactly
-    // once, and a sequential caller can re-earn the lane afterwards.
-    sweep_explore("restart-sweeps-lane", |sim| {
-        // Bodies 1-4 are the warmup; the 6th body execution lands inside
-        // the concurrent phase, with the rival's or the owner's next
-        // call possibly sitting in the lane or ring.
-        sim.set_fault_plan(FaultPlan::new().panic_at("body", 6));
-        sim.run(move |rt| {
-            let obj = ObjectBuilder::new("LaneRestart")
-                .entry(
-                    EntryDef::new("P")
-                        .params([Ty::Int])
-                        .results([Ty::Int])
-                        .intercepted()
-                        .body(|ctx, args| {
-                            let v = args[0].as_int()?;
-                            ctx.sleep(5 + (v as u64 % 4) * 10);
-                            Ok(vec![Value::Int(v * 2)])
-                        }),
-                )
-                .manager(|mgr| loop {
-                    let acc = mgr.accept("P")?;
-                    mgr.execute(acc)?;
-                })
-                .supervise(RestartPolicy::AlwaysFresh)
-                .lane_promote_after(1)
-                .spawn(rt)
-                .unwrap();
-            // Warmup: the owner earns the lane before the fault window.
-            let o2 = obj.clone();
-            rt.spawn_with(Spawn::new("owner-warmup".to_string()), move || {
-                for k in 0..4i64 {
-                    let r = o2.call("P", vals![k]).unwrap();
-                    assert_eq!(r[0].as_int().unwrap(), k * 2);
-                }
-            })
-            .join()
-            .unwrap();
-            assert!(obj.stats().lane_promotes() >= 1);
-            // Concurrent phase: the 6th body panic fires somewhere in
-            // here. Retry absorbs the transient restart failures —
-            // including a cell the sweep pulled straight out of the lane.
-            let mut joins = Vec::new();
-            for (name, base) in [("owner", 1000i64), ("rival", 2000i64)] {
-                let o2 = obj.clone();
-                joins.push(rt.spawn_with(Spawn::new(name.to_string()), move || {
-                    for k in 0..4i64 {
-                        let v = base + k;
-                        let r = o2
-                            .call_retry("P", vals![v], RetryPolicy::new(12, 400_000))
-                            .unwrap_or_else(|e| panic!("{name} call {k}: {e:?}"));
-                        assert_eq!(r[0].as_int().unwrap(), v * 2, "{name} call {k}");
-                    }
-                }));
-            }
-            for j in joins {
-                j.join().unwrap();
-            }
-            let stats = obj.stats();
-            assert_eq!(stats.restarts(), 1, "exactly the injected panic restarted");
-            assert_eq!(obj.generation(), 1);
-            // The sweep released the owner word, so a sequential caller
-            // can re-earn the lane in the new generation: with threshold
-            // 1 the second call promotes even if the first pop still had
-            // to demote a stale pre-restart owner.
-            let before = stats.lane_promotes();
-            for k in 0..3i64 {
-                let r = obj.call("P", vals![500 + k]).unwrap();
-                assert_eq!(r[0].as_int().unwrap(), (500 + k) * 2);
-            }
-            assert!(
-                obj.stats().lane_promotes() > before.max(1),
-                "the post-restart generation re-earns the lane"
-            );
-        })
-        .unwrap();
-    });
+fn restart_sweep_fails_ring_held_cells_of_solo_and_rival_across_seeds() {
+    sweep_explore(
+        "restart-sweeps-solo-and-rival",
+        intake_scenarios::restart_sweeps_solo_and_rival,
+    );
 }
 
 #[test]

@@ -16,9 +16,9 @@ use alps_runtime::explore::{policy_for, shrink_preemptions, STRATEGY_MATRIX};
 use alps_runtime::{FaultPlan, SchedPolicy, SimRuntime, Spawn, TraceSpec};
 
 /// A commit-point-churning scenario: three same-priority callers (one
-/// deadline-bounded) drive intake pushes, ring drains, finish/cancel
-/// CASes, and lane promotions. Small enough to run hundreds of times,
-/// racy enough that schedules actually differ.
+/// deadline-bounded) drive intake pushes, ring drains and finish/cancel
+/// CASes. Small enough to run hundreds of times, racy enough that
+/// schedules actually differ.
 fn churn(sim: SimRuntime) -> (u64, u64) {
     let probe = sim.probe();
     sim.run(|rt| {
@@ -38,7 +38,6 @@ fn churn(sim: SimRuntime) -> (u64, u64) {
                 let acc = mgr.accept("P")?;
                 mgr.execute(acc)?;
             })
-            .lane_promote_after(2)
             .spawn(rt)
             .unwrap();
         let mut joins = Vec::new();

@@ -18,8 +18,8 @@
 //!
 //! Emitted objects are ordinary `ObjectBuilder` products: supervision,
 //! deadlines/retry (`call_id_deadline`/`call_id_retry` on
-//! [`Compiled::handle`]), `ShardedBuilder` spread, and the SPSC lane all
-//! apply unchanged.
+//! [`Compiled::handle`]) and `ShardedBuilder` spread all apply
+//! unchanged.
 //!
 //! Observable behaviour (print output, error positions, channel and
 //! default-value semantics) matches the interpreter; the equivalence is

@@ -31,7 +31,7 @@ use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use alps_core::{hash_values, spread, AlpsError, Backoff, Result, RetryPolicy, ValVec, Value};
+use alps_core::{AlpsError, Backoff, Result, RetryPolicy, ValVec, Value};
 use alps_runtime::metrics::Counter;
 use alps_runtime::{Chan, Notifier, Runtime, Spawn};
 use parking_lot::Mutex;
@@ -191,18 +191,6 @@ pub struct RemoteStats {
     pub reconnects: Counter,
     /// Retries performed by `call_retry`-family methods.
     pub retries: Counter,
-}
-
-impl RemoteStats {
-    /// Fold another handle's counters into this snapshot (saturating,
-    /// like every multi-process stat fold in this workspace).
-    fn absorb(&self, other: &RemoteStats) {
-        self.sent.add(other.sent.get());
-        self.replies.add(other.replies.get());
-        self.link_losses.add(other.link_losses.get());
-        self.reconnects.add(other.reconnects.get());
-        self.retries.add(other.retries.get());
-    }
 }
 
 /// Connection state machine. All transitions happen under the one
@@ -827,86 +815,4 @@ enum DialError {
     Io,
     /// The server refused the handshake: terminal.
     Refused(AlpsError),
-}
-
-/// A set of [`RemoteHandle`]s routed by key — the cross-process analogue
-/// of [`ShardedHandle`](alps_core::ShardedHandle), using the same
-/// [`spread`]/[`hash_values`] routing so a sharded object can be split
-/// across processes without changing which shard owns which key.
-pub struct RemoteGroup {
-    handles: Vec<RemoteHandle>,
-}
-
-impl RemoteGroup {
-    /// Group over `handles` (one per remote shard, in shard order).
-    ///
-    /// # Panics
-    ///
-    /// When `handles` is empty.
-    pub fn new(handles: Vec<RemoteHandle>) -> RemoteGroup {
-        assert!(
-            !handles.is_empty(),
-            "a RemoteGroup needs at least one handle"
-        );
-        RemoteGroup { handles }
-    }
-
-    /// Number of remote shards.
-    pub fn len(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Whether the group is empty (never true — construction requires
-    /// at least one handle).
-    pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
-    }
-
-    /// The handle that owns `key`.
-    pub fn shard_for(&self, key: u64) -> &RemoteHandle {
-        &self.handles[spread(key, self.handles.len())]
-    }
-
-    /// Route by explicit key.
-    ///
-    /// # Errors
-    ///
-    /// As [`RemoteHandle::call`].
-    pub fn call_key(&self, key: u64, entry: &str, args: Vec<Value>) -> Result<Vec<Value>> {
-        self.shard_for(key).call(entry, args)
-    }
-
-    /// Route by explicit key with retry.
-    ///
-    /// # Errors
-    ///
-    /// As [`RemoteHandle::call_retry`].
-    pub fn call_key_retry(
-        &self,
-        key: u64,
-        entry: &str,
-        args: Vec<Value>,
-        policy: RetryPolicy,
-    ) -> Result<Vec<Value>> {
-        self.shard_for(key).call_retry(entry, args, policy)
-    }
-
-    /// Route by hashing the argument values (the same hash the
-    /// in-process sharded router uses).
-    ///
-    /// # Errors
-    ///
-    /// As [`RemoteHandle::call`].
-    pub fn call(&self, entry: &str, args: Vec<Value>) -> Result<Vec<Value>> {
-        self.call_key(hash_values(&args), entry, args)
-    }
-
-    /// Summed counters across the group's handles.
-    pub fn stats(&self) -> RemoteStats {
-        let total = RemoteStats::default();
-        for h in &self.handles {
-            total.absorb(&h.stats());
-        }
-        total
-    }
 }

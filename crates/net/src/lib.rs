@@ -37,8 +37,8 @@ pub mod wire;
 #[cfg(unix)]
 pub use client::UnixConnector;
 pub use client::{
-    Connector, MemConnector, ReconnectPolicy, RemoteEntryId, RemoteGroup, RemoteHandle,
-    RemoteStats, TcpConnector,
+    Connector, MemConnector, ReconnectPolicy, RemoteEntryId, RemoteHandle, RemoteStats,
+    TcpConnector,
 };
 pub use fault::{NetFault, NetFaultPlan, RecvPlan, SendPlan};
 #[cfg(unix)]

@@ -4,7 +4,7 @@
 //! [`SchedPolicy::PriorityRandom`]. Following "Process algebra with
 //! strategic interleaving" (PAPERS.md), this module makes the sim
 //! scheduler *strategy pluggable* and perturbs schedules around the
-//! protocol's **commit points** — the five places the call protocol
+//! protocol's **commit points** — the four places the call protocol
 //! actually commits a racy decision (see [`CommitPoint`]).
 //!
 //! Three layers live here:
@@ -34,7 +34,7 @@ use std::panic::AssertUnwindSafe;
 
 use crate::executor::{SchedPolicy, SimRuntime};
 
-/// The five places the call protocol commits a racy decision. Annotated
+/// The four places the call protocol commits a racy decision. Annotated
 /// in `alps-core` via [`Runtime::sim_point`](crate::Runtime::sim_point)
 /// — a no-op on real executors, one branch on the sim executor, where a
 /// strategy may inject a bounded virtual delay to perturb the schedule
@@ -47,10 +47,10 @@ use crate::executor::{SchedPolicy, SimRuntime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum CommitPoint {
-    /// A caller is about to publish a call into the intake ring or the
-    /// SPSC fast lane (`submit_call`).
+    /// A caller is about to publish a call into the intake ring
+    /// (`push_intake`).
     IntakePush = 1,
-    /// The manager is about to drain the lane + intake ring
+    /// The manager is about to drain the intake ring
     /// (`drain_intake`, before taking the drain lock).
     RingDrain = 2,
     /// The finish-vs-cancel CAS on a call cell: annotated on both sides
@@ -60,19 +60,15 @@ pub enum CommitPoint {
     /// A supervised restart is about to sweep in-flight calls
     /// (`handle_body_panic`, before the restart bookkeeping).
     RestartSweep = 4,
-    /// The SPSC fast lane just changed hands: a promote or demote
-    /// decision was published (after the drain lock is released).
-    LaneSwitch = 5,
 }
 
 impl CommitPoint {
     /// Every commit point, in code order.
-    pub const ALL: [CommitPoint; 5] = [
+    pub const ALL: [CommitPoint; 4] = [
         CommitPoint::IntakePush,
         CommitPoint::RingDrain,
         CommitPoint::FinishCas,
         CommitPoint::RestartSweep,
-        CommitPoint::LaneSwitch,
     ];
 
     /// Stable numeric code, folded into coverage/decision hashes.
@@ -87,7 +83,6 @@ impl CommitPoint {
             CommitPoint::RingDrain => "ring-drain",
             CommitPoint::FinishCas => "finish-cas",
             CommitPoint::RestartSweep => "restart-sweep",
-            CommitPoint::LaneSwitch => "lane-switch",
         }
     }
 }
@@ -521,10 +516,14 @@ pub fn strategies_from_env() -> Vec<&'static str> {
     parse_strategies(&std::env::var("SIM_STRATEGY").unwrap_or_else(|_| "all".to_string()))
 }
 
+/// Seeds a sweep covers when `SIM_SEED` / `SIM_SWEEP_SEEDS` are unset: a
+/// smoke test's worth, 4 per strategy of the default matrix.
+pub const DEFAULT_SWEEP_SEEDS: u64 = 16;
+
 /// Seeds to sweep: `SIM_SEED=<n>` replays exactly one seed;
-/// `SIM_SWEEP_SEEDS=<n>` sweeps `0..n` (default 16 as a smoke test; CI
+/// `SIM_SWEEP_SEEDS=<n>` sweeps `0..n` (`default_seeds` when unset; CI
 /// sets 64 per strategy-matrix job).
-pub fn seeds_from_env() -> Vec<u64> {
+pub fn seeds_from_env(default_seeds: u64) -> Vec<u64> {
     if let Ok(s) = std::env::var("SIM_SEED") {
         let seed: u64 = s.parse().expect("SIM_SEED must be an integer");
         return vec![seed];
@@ -532,7 +531,7 @@ pub fn seeds_from_env() -> Vec<u64> {
     let n: u64 = std::env::var("SIM_SWEEP_SEEDS")
         .ok()
         .map(|s| s.parse().expect("SIM_SWEEP_SEEDS must be an integer"))
-        .unwrap_or(16);
+        .unwrap_or(default_seeds);
     (0..n).collect()
 }
 
@@ -563,6 +562,12 @@ fn payload_msg(payload: Box<dyn std::any::Any + Send>) -> String {
 /// * `SIM_SEED` / `SIM_SWEEP_SEEDS` — see [`seeds_from_env`].
 /// * `SIM_STRATEGY` — see [`strategies_from_env`].
 pub fn sweep_explore(name: &str, scenario: impl Fn(SimRuntime)) {
+    sweep_explore_seeds(name, DEFAULT_SWEEP_SEEDS, scenario)
+}
+
+/// [`sweep_explore`] with the caller's own default seed count (the
+/// environment still overrides it).
+pub fn sweep_explore_seeds(name: &str, default_seeds: u64, scenario: impl Fn(SimRuntime)) {
     if let Ok(trace) = std::env::var("SIM_TRACE") {
         let spec = TraceSpec::parse(&trace)
             .unwrap_or_else(|e| panic!("SIM_TRACE `{trace}` did not parse: {e}"));
@@ -571,7 +576,7 @@ pub fn sweep_explore(name: &str, scenario: impl Fn(SimRuntime)) {
         return;
     }
     let strategies = strategies_from_env();
-    let seeds = seeds_from_env();
+    let seeds = seeds_from_env(default_seeds);
     let mut coverage: HashMap<&str, HashSet<u64>> = HashMap::new();
     let mut runs: HashMap<&str, u64> = HashMap::new();
     for (i, &seed) in seeds.iter().enumerate() {
@@ -666,7 +671,7 @@ fn shrink_and_panic(
 /// runs, not within one schedule.
 pub fn for_each_policy(name: &str, f: impl Fn(&'static str, SchedPolicy, u64)) {
     let strategies = strategies_from_env();
-    for (i, &seed) in seeds_from_env().iter().enumerate() {
+    for (i, &seed) in seeds_from_env(DEFAULT_SWEEP_SEEDS).iter().enumerate() {
         let strategy = strategies[i % strategies.len()];
         let policy = policy_for(strategy, seed);
         if let Err(payload) =

@@ -10,12 +10,14 @@
 //! idle parker reuses the measured defaults instead of inventing a third
 //! set.
 //!
-//! All constants were tuned on the benchmark machine via
-//! `experiments bench-json` (see `BENCH_manager_batch.json`): the spin
-//! budgets are sized so an uncontended reply (~6–7 µs round trip) is
-//! usually caught in the yield phase without paying a futex round trip,
-//! while a cold wait degrades to a park after at most a few microseconds
-//! of CPU.
+//! The figures the budgets are sized against come from the repo
+//! benchmark (`BENCHMARK.json`, 2-core box): a managed `execute` round
+//! trip with one closed-loop caller (`call_solo`) has a p50 of ~2.45 µs
+//! at ~5.6 µs of CPU per call while caller and manager both stay in their
+//! yield phases, and ~5 µs / ~13 µs once either side parks per call. The
+//! spin budgets keep the uncontended reply inside the yield phase, while
+//! a cold wait degrades to a park after at most a few microseconds of
+//! CPU.
 
 /// Pure-spin rounds a caller burns before judging whether to yield or
 /// park while waiting for its reply ([`SpinWait`](crate::SpinWait)
@@ -44,12 +46,17 @@ pub fn caller_yield_budget(ewma_ticks: u64) -> u64 {
         .min(CALLER_YIELD_MAX)
 }
 
-/// Yield-poll budget of a manager in *storm mode* (a drain batch ≥ 2
-/// proved concurrent callers): the manager polls the intake ring this
-/// many yields before demoting itself back to parking.
+/// Yield-poll budget of a manager in *poll mode* (entered after any
+/// non-empty intake drain): the manager polls the intake ring this many
+/// yields before demoting itself back to parking.
+///
+/// Measured worth (PR 12 ablation, `call_solo`, 2 cores): with a lone
+/// caller's manager parking after each drain instead of polling,
+/// `lat_p50_us` reads 4.75–5.35 against 2.43–2.61 with the poll, and
+/// `cpu_us_per_op` 12.6–14.0 against 5.4–6.3.
 pub const MGR_POLL_BUDGET: u32 = 64;
 
-/// Pure-spin rounds of an idle (non-storm) manager inside
+/// Pure-spin rounds of an idle (not polling) manager inside
 /// [`Notifier::wait_past_spin`](crate::Notifier::wait_past_spin) before
 /// it registers as a waiter and parks.
 pub const MGR_IDLE_SPIN_ROUNDS: u32 = 6;
@@ -65,32 +72,12 @@ pub const POOL_SLOT_SPIN_ROUNDS: u32 = 4;
 /// "nothing locally, maybe a producer is mid-publish" waits.
 pub const WORKER_IDLE_SPIN_ROUNDS: u32 = 6;
 
-/// Consecutive intake-ring pushes from the *same* producer before the
-/// manager promotes that producer to the private SPSC fast lane. High
-/// enough that a transient solo burst from a multi-caller workload does
-/// not thrash promote/demote; low enough that a steady single caller is
-/// promoted within a few microseconds of warming up.
-pub const LANE_PROMOTE_STREAK: u32 = 32;
-
-/// Consecutive *empty* manager drain passes (lane and ring both dry,
-/// manager about to park) before an active lane is demoted back to the
-/// shared ring. A parked owner costs nothing while the lane is held, but
-/// holding it keeps the manager in poll mode, so idle lanes are released
-/// quickly.
-pub const LANE_IDLE_DEMOTE_PASSES: u32 = 2;
-
-/// Capacity of the SPSC fast lane. Small by design: the lane exists for
-/// a synchronous dominant caller (≤ 1 call in flight per producer), so
-/// depth beyond a handful of slots only delays the overflow-to-ring
-/// fallback that signals real concurrency.
-pub const LANE_CAP: usize = 8;
-
 /// Default preemption budget for
 /// [`SchedPolicy::PreemptionBounded`](crate::SchedPolicy) when selected
 /// via `SIM_STRATEGY=pct`. The PCT argument: a bug of preemption depth
 /// *d* is found with probability ≥ 1/(n·k^(d−1)) per schedule, and the
-/// protocol races shipped so far (finish-vs-cancel, restart-vs-drain,
-/// lane handoff) all have depth ≤ 3 — a small budget keeps each run
+/// protocol races shipped so far (finish-vs-cancel, restart-vs-drain)
+/// all have depth ≤ 3 — a small budget keeps each run
 /// close to the default schedule while still crossing those windows.
 pub const PCT_DEFAULT_BOUND: u32 = 8;
 
