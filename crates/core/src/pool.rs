@@ -30,7 +30,14 @@ use crate::value::ValVec;
 /// How entry executions are mapped onto runtime processes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PoolMode {
-    /// Spawn a fresh process per started call.
+    /// Spawn a fresh process per started call. The paper's "expensive"
+    /// is the executor's price of a process, and it has a number on each
+    /// (spawn + join of an empty process, 2-core box, best case): about
+    /// 3 µs for a green task on `Runtime::thread_pool`, and 3.4 µs on
+    /// `Runtime::threaded` now that OS threads are recycled between
+    /// processes, against the 14–16 µs of the fresh OS thread each
+    /// process used to cost there (`tuning::THREAD_KEEP_ALIVE_MS` has the
+    /// slow-mode and in-flight figures; DESIGN.md §11.8 the consequence).
     PerCall,
     /// One preallocated worker per procedure-array slot (1:1).
     #[default]

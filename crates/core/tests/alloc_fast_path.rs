@@ -8,27 +8,41 @@
 //! a burst of warm implicit `call_id` invocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use alps_core::{argv, EntryDef, ObjectBuilder, RetryPolicy, Value};
 use alps_runtime::Runtime;
 
-/// The `COUNTING` flag is process-global, so concurrently running tests
-/// would count each other's allocations. Each test holds this for its
-/// whole body.
-static SERIAL: Mutex<()> = Mutex::new(());
-
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    // Per thread, not per process: the measured paths run entirely in the
+    // calling thread, while libtest's main thread, sibling tests and the
+    // unwinding processes of a test that just shut down allocate at
+    // times of their own. Const-initialised and without destructors, so
+    // the allocator may read them at any point of a thread's life.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_alloc() {
+    if COUNTING.get() {
+        ALLOCS.set(ALLOCS.get() + 1);
+    }
+}
+
+/// Allocations the calling thread makes while it runs `f`.
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    ALLOCS.set(0);
+    COUNTING.set(true);
+    f();
+    COUNTING.set(false);
+    ALLOCS.get()
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.alloc(layout)
     }
 
@@ -37,9 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -48,8 +60,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static A: CountingAlloc = CountingAlloc;
 
 #[test]
+fn the_counter_sees_the_calling_threads_allocations() {
+    let n = allocations_during(|| drop(std::hint::black_box(vec![0u8; 64])));
+    assert_eq!(n, 1);
+}
+
+#[test]
 fn warm_implicit_call_id_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let rt = Runtime::threaded();
     let obj = ObjectBuilder::new("Plain")
         .entry(
@@ -69,14 +86,12 @@ fn warm_implicit_call_id_allocates_nothing() {
         assert_eq!(r[0], Value::Int(7));
     }
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    for _ in 0..1000 {
-        let r = obj.call_id(id, argv![7i64]).unwrap();
-        assert_eq!(r[0], Value::Int(7));
-    }
-    COUNTING.store(false, Ordering::SeqCst);
-    let n = ALLOCS.load(Ordering::SeqCst);
+    let n = allocations_during(|| {
+        for _ in 0..1000 {
+            let r = obj.call_id(id, argv![7i64]).unwrap();
+            assert_eq!(r[0], Value::Int(7));
+        }
+    });
 
     assert_eq!(
         n, 0,
@@ -89,7 +104,6 @@ fn warm_implicit_call_id_allocates_nothing() {
 
 #[test]
 fn warm_call_id_deadline_happy_path_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let rt = Runtime::threaded();
     let obj = ObjectBuilder::new("Deadline")
         .entry(
@@ -107,14 +121,12 @@ fn warm_call_id_deadline_happy_path_allocates_nothing() {
         assert_eq!(r[0], Value::Int(7));
     }
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    for _ in 0..1000 {
-        let r = obj.call_id_deadline(id, argv![7i64], 1_000_000).unwrap();
-        assert_eq!(r[0], Value::Int(7));
-    }
-    COUNTING.store(false, Ordering::SeqCst);
-    let n = ALLOCS.load(Ordering::SeqCst);
+    let n = allocations_during(|| {
+        for _ in 0..1000 {
+            let r = obj.call_id_deadline(id, argv![7i64], 1_000_000).unwrap();
+            assert_eq!(r[0], Value::Int(7));
+        }
+    });
 
     assert_eq!(
         n, 0,
@@ -128,7 +140,6 @@ fn warm_call_id_deadline_happy_path_allocates_nothing() {
 
 #[test]
 fn warm_call_id_retry_happy_path_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let rt = Runtime::threaded();
     let obj = ObjectBuilder::new("Retry")
         .entry(
@@ -150,14 +161,12 @@ fn warm_call_id_retry_happy_path_allocates_nothing() {
         assert_eq!(r[0], Value::Int(7));
     }
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    for _ in 0..1000 {
-        let r = obj.call_id_retry(id, argv![7i64], policy).unwrap();
-        assert_eq!(r[0], Value::Int(7));
-    }
-    COUNTING.store(false, Ordering::SeqCst);
-    let n = ALLOCS.load(Ordering::SeqCst);
+    let n = allocations_during(|| {
+        for _ in 0..1000 {
+            let r = obj.call_id_retry(id, argv![7i64], policy).unwrap();
+            assert_eq!(r[0], Value::Int(7));
+        }
+    });
 
     assert_eq!(
         n, 0,

@@ -119,51 +119,6 @@ fn concurrent_green_callers_hammer_one_object() {
     rt.shutdown();
 }
 
-/// Reads `Threads:` from /proc/self/status (Linux); None elsewhere.
-fn os_thread_count() -> Option<u64> {
-    let s = std::fs::read_to_string("/proc/self/status").ok()?;
-    s.lines()
-        .find(|l| l.starts_with("Threads:"))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()
-}
-
-/// The ISSUE-5 thread-budget bound: 64 trivial objects — each of which
-/// would cost at least one manager thread (plus pool workers) on the
-/// threaded executor — run on K workers + 1 timer, and the *process*
-/// thread count does not grow with the object count.
-#[test]
-fn sixty_four_objects_fit_in_the_worker_budget() {
-    let rt = Runtime::thread_pool(4);
-    assert_eq!(rt.os_threads(), Some(5)); // 4 workers + 1 timer
-    let before = os_thread_count();
-    let objs: Vec<ObjectHandle> = (0..64)
-        .map(|i| echo_object(&rt, &format!("Echo{i}")))
-        .collect();
-    for (i, obj) in objs.iter().enumerate() {
-        let v = obj.call("Echo", vals![i as i64]).unwrap()[0]
-            .as_int()
-            .unwrap();
-        assert_eq!(v, i as i64);
-    }
-    // Executor-level bound is exact…
-    assert_eq!(rt.os_threads(), Some(5));
-    // …and the real process thread count must not have grown with the
-    // 64 managers (allow a small constant for harness noise).
-    if let (Some(b), Some(a)) = (before, os_thread_count()) {
-        assert!(
-            a <= b + 2,
-            "spawning 64 objects grew the process from {b} to {a} OS threads"
-        );
-    }
-    for obj in &objs {
-        obj.shutdown();
-    }
-    rt.shutdown();
-}
-
 /// Injector fairness: green tasks stuck in a yield loop keep every
 /// worker's local deque non-empty, and the wake cascade's halving grabs
 /// can leave a late spawn behind in the global injector — without the

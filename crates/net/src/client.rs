@@ -25,6 +25,17 @@
 //! moment of death are swept with `LinkLost` — they never hang on a
 //! connection that no longer exists, mirroring how a supervised
 //! restart sweeps its in-flight calls with `ObjectRestarting`.
+//!
+//! # Who wakes whom
+//!
+//! A caller waiting for its reply parks on nothing but itself: its reply
+//! slot records its [`ProcId`], and whoever fills the slot — the reader
+//! with the reply, or the link-death sweep with `LinkLost` — unparks
+//! that one process. Filling and giving up (the caller's timeout) are
+//! decided under the slot's own lock, so a caller that has left is never
+//! unparked: the rule the in-process call cell follows. The notifier is
+//! a broadcast and is used only for the one condition that is one:
+//! the connection leaving `Connecting`.
 
 use std::collections::{BTreeSet, HashMap};
 use std::io;
@@ -33,7 +44,7 @@ use std::sync::Arc;
 
 use alps_core::{AlpsError, Backoff, Result, RetryPolicy, ValVec, Value};
 use alps_runtime::metrics::Counter;
-use alps_runtime::{Chan, Notifier, Runtime, Spawn};
+use alps_runtime::{Chan, Notifier, ProcId, Runtime, Spawn};
 use parking_lot::Mutex;
 
 use crate::fault::{NetFault, NetFaultPlan};
@@ -191,6 +202,9 @@ pub struct RemoteStats {
     pub reconnects: Counter,
     /// Retries performed by `call_retry`-family methods.
     pub retries: Counter,
+    /// Times a caller returned from the park in which it waits for its
+    /// reply. Each reply, link loss and timeout accounts for at most one.
+    pub wakeups: Counter,
 }
 
 /// Connection state machine. All transitions happen under the one
@@ -210,9 +224,35 @@ enum Conn {
     },
 }
 
-/// A caller parked on a reply slot.
+/// One wire attempt's reply slot.
 struct PendingCall {
-    result: Mutex<Option<std::result::Result<ValVec, AlpsError>>>,
+    /// The process to unpark when the slot is filled.
+    caller: ProcId,
+    reply: Mutex<Reply>,
+}
+
+enum Reply {
+    Waiting,
+    Ready(std::result::Result<ValVec, AlpsError>),
+    /// The caller took its result or timed out; later writers do nothing.
+    Left,
+}
+
+impl PendingCall {
+    /// Fill the slot and wake its caller — first writer wins, so a
+    /// duplicated reply frame (or a replay racing the original) cannot
+    /// clobber a result the caller is about to read. The unpark happens
+    /// under the slot lock: a caller that then finds the slot `Waiting`
+    /// at its deadline can leave knowing no wake is on its way.
+    fn fill(&self, rt: &Runtime, result: std::result::Result<ValVec, AlpsError>) -> bool {
+        let mut reply = self.reply.lock();
+        if !matches!(*reply, Reply::Waiting) {
+            return false;
+        }
+        *reply = Reply::Ready(result);
+        rt.unpark(self.caller);
+        true
+    }
 }
 
 struct RemoteInner {
@@ -544,7 +584,8 @@ impl RemoteInner {
         .map_err(|e| AlpsError::Custom(format!("unsendable arguments: {e}")))?;
 
         let slot = Arc::new(PendingCall {
-            result: Mutex::new(None),
+            caller: self.rt.current(),
+            reply: Mutex::new(Reply::Waiting),
         });
         self.pending.lock().insert(wire_id, Arc::clone(&slot));
 
@@ -560,41 +601,39 @@ impl RemoteInner {
         // epoch has moved on, nobody will ever fill our slot: resolve it
         // ourselves.
         if self.conn_epoch.load(Ordering::Acquire) != epoch {
-            let mut r = slot.result.lock();
-            if r.is_none() {
-                *r = Some(Err(self.link_lost()));
+            let mut reply = slot.reply.lock();
+            if matches!(*reply, Reply::Waiting) {
+                *reply = Reply::Ready(Err(self.link_lost()));
             }
         }
 
         loop {
-            let seen = self.notifier.epoch();
-            if let Some(result) = slot.result.lock().take() {
-                self.pending.lock().remove(&wire_id);
-                if result.is_ok() {
-                    self.stats.replies.incr();
-                }
-                return result;
-            }
-            match deadline {
-                None => self.notifier.wait_past(&self.rt, seen),
-                Some(d) => {
-                    if self.rt.now() >= d {
-                        self.pending.lock().remove(&wire_id);
-                        return Err(AlpsError::Timeout {
-                            what: entry.to_string(),
-                            ticks: d.saturating_sub(self.rt.now()),
-                        });
-                    }
-                    self.notifier.wait_past_deadline(&self.rt, seen, d);
-                    if self.rt.now() >= d && slot.result.lock().is_none() {
-                        self.pending.lock().remove(&wire_id);
-                        return Err(AlpsError::Timeout {
+            {
+                let mut reply = slot.reply.lock();
+                let expired = deadline.is_some_and(|d| self.rt.now() >= d);
+                if expired || matches!(*reply, Reply::Ready(_)) {
+                    let left = std::mem::replace(&mut *reply, Reply::Left);
+                    drop(reply);
+                    self.pending.lock().remove(&wire_id);
+                    return match left {
+                        Reply::Ready(result) => {
+                            if result.is_ok() {
+                                self.stats.replies.incr();
+                            }
+                            result
+                        }
+                        _ => Err(AlpsError::Timeout {
                             what: entry.to_string(),
                             ticks: 0,
-                        });
-                    }
+                        }),
+                    };
                 }
             }
+            match deadline {
+                None => self.rt.park(),
+                Some(d) => self.rt.park_timeout(d.saturating_sub(self.rt.now())),
+            }
+            self.stats.wakeups.incr();
         }
     }
 
@@ -761,19 +800,12 @@ impl RemoteInner {
         while let Ok(bytes) = link.recv() {
             match decode_frame(&bytes) {
                 Ok((Frame::Reply { call, result }, _)) => {
-                    let mapped = result.map_err(|w| wire_to_err(&w));
-                    if let Some(slot) = self.pending.lock().get(&call).cloned() {
-                        let mut r = slot.result.lock();
-                        // First writer wins: a duplicated reply frame (or
-                        // a replay racing the original) must not clobber
-                        // a result the caller is about to read.
-                        if r.is_none() {
-                            *r = Some(mapped);
-                        }
-                    }
                     // Unknown call id: a reply for a caller that already
                     // timed out and left. Dropped on the floor by design.
-                    self.notifier.notify(&self.rt);
+                    let slot = self.pending.lock().get(&call).cloned();
+                    if let Some(slot) = slot {
+                        slot.fill(&self.rt, result.map_err(|w| wire_to_err(&w)));
+                    }
                 }
                 Ok(_) => break,  // protocol breach
                 Err(_) => break, // corruption: the stream is untrustworthy
@@ -792,21 +824,15 @@ impl RemoteInner {
                 *conn = Conn::Down;
             }
         }
-        let mut lost = 0u64;
-        {
-            let pending = self.pending.lock();
-            for slot in pending.values() {
-                let mut r = slot.result.lock();
-                if r.is_none() {
-                    *r = Some(Err(self.link_lost()));
-                    lost += 1;
-                }
-            }
-        }
+        let lost = self
+            .pending
+            .lock()
+            .values()
+            .filter(|slot| slot.fill(&self.rt, Err(self.link_lost())))
+            .count() as u64;
         if lost > 0 {
             self.stats.link_losses.add(lost);
         }
-        self.notifier.notify(&self.rt);
     }
 }
 

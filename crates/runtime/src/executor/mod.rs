@@ -5,8 +5,9 @@
 //! tasks/threads). We provide two interchangeable executors behind the
 //! [`Runtime`] handle:
 //!
-//! * [`Runtime::threaded`] — each process is an OS thread; real
-//!   parallelism; priorities are advisory (the OS schedules).
+//! * [`Runtime::threaded`] — each live process has an OS thread (threads
+//!   are recycled between processes); real parallelism; priorities are
+//!   advisory (the OS schedules).
 //! * [`SimRuntime`] — deterministic cooperative simulation: exactly one
 //!   process runs at a time, scheduling points are explicit
 //!   (`park`/`unpark`/`yield_now`/`sleep`), priorities are honoured
@@ -48,6 +49,13 @@ pub(crate) trait ExecutorCore: Send + Sync {
     fn sleep(&self, self_arc: &Arc<dyn ExecutorCore>, ticks: u64);
     fn now(&self) -> u64;
     fn join(&self, self_arc: &Arc<dyn ExecutorCore>, id: ProcId) -> Result<(), RuntimeError>;
+    /// The process's [`ProcHandle`] is gone, so nobody can join it: the
+    /// executor may forget the process once it has exited (at once if it
+    /// already has). The default keeps it — the simulator wants every
+    /// process for its deadlock report.
+    fn detach(&self, id: ProcId) {
+        let _ = id;
+    }
     fn shutdown(&self);
     fn is_sim(&self) -> bool;
     fn proc_name(&self, id: ProcId) -> Option<String>;
@@ -122,6 +130,17 @@ pub(crate) fn set_current(core_token: usize, id: ProcId) {
     CURRENT.with(|c| c.borrow_mut().push((core_token, id)));
 }
 
+/// Depth of the calling thread's registration stack; with
+/// [`truncate_current`], brackets a process on a recycled OS thread.
+pub(crate) fn current_depth() -> usize {
+    CURRENT.with(|c| c.borrow().len())
+}
+
+/// Drop every registration made since the stack was `depth` deep.
+pub(crate) fn truncate_current(depth: usize) {
+    CURRENT.with(|c| c.borrow_mut().truncate(depth));
+}
+
 pub(crate) fn clear_current(core_token: usize, id: ProcId) {
     CURRENT.with(|c| {
         let mut v = c.borrow_mut();
@@ -129,6 +148,16 @@ pub(crate) fn clear_current(core_token: usize, id: ProcId) {
             v.remove(pos);
         }
     });
+}
+
+/// Test helper: poll `cond` for up to 10 s.
+#[cfg(test)]
+pub(crate) fn eventually(what: &str, cond: impl Fn() -> bool) {
+    let t0 = std::time::Instant::now();
+    while !cond() {
+        assert!(t0.elapsed().as_secs() < 10, "timed out: {what}");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
 }
 
 /// Handle to a runtime. Cloning is cheap (an `Arc`); all clones refer to
@@ -158,10 +187,14 @@ impl std::fmt::Debug for Runtime {
 }
 
 impl Runtime {
-    /// Create a threaded runtime: every spawned process is an OS thread.
+    /// Create a threaded runtime: every live process has an OS thread of
+    /// its own. Threads are recycled — one whose process has returned
+    /// runs the next spawned process, and exits after a short idle
+    /// period — so OS thread names are generic; use
+    /// [`proc_name`](Runtime::proc_name) to identify a process.
     pub fn threaded() -> Runtime {
         Runtime {
-            core: Arc::new(thread::ThreadCore::new()),
+            core: thread::ThreadCore::new(),
         }
     }
 
@@ -352,6 +385,8 @@ impl Runtime {
 }
 
 /// Handle to a spawned process; join to retrieve the closure's result.
+/// Dropping the handle detaches the process: it keeps running, and the
+/// runtime forgets it when it exits.
 #[derive(Debug)]
 pub struct ProcHandle<R> {
     rt: Runtime,
@@ -380,5 +415,11 @@ impl<R: Send + 'static> ProcHandle<R> {
                 .proc_name(self.id)
                 .unwrap_or_else(|| "unknown".to_string()),
         })
+    }
+}
+
+impl<R> Drop for ProcHandle<R> {
+    fn drop(&mut self) {
+        self.rt.core.detach(self.id);
     }
 }

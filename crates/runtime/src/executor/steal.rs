@@ -1,13 +1,13 @@
 //! Work-stealing shared executor: processes as stackful green tasks on
 //! K long-lived OS workers.
 //!
-//! The threaded executor spends one OS thread per process, so a system of
-//! 64 objects — each with a manager loop plus pool workers plus callers —
-//! costs hundreds of threads before any work is done. This executor keeps
-//! the *exact same* [`ExecutorCore`] contract (buffered-permit park,
-//! `park_timeout`, abort-on-shutdown unwinding, lazily registered foreign
-//! threads) but multiplexes all spawned processes onto a fixed worker
-//! pool:
+//! The threaded executor spends one OS thread per live process, so a
+//! system of 64 objects — each with a manager loop plus pool workers plus
+//! callers — costs hundreds of threads before any work is done. This
+//! executor keeps the *exact same* [`ExecutorCore`] contract
+//! (buffered-permit park, `park_timeout`, abort-on-shutdown unwinding,
+//! lazily registered foreign threads) but multiplexes all spawned
+//! processes onto a fixed worker pool:
 //!
 //! * Every spawned process is a **stackful coroutine** (own 1 MiB lazily
 //!   committed stack, callee-saved registers switched in ~20 ns of inline
@@ -53,8 +53,9 @@
 //!
 //! * Dropping the last `Runtime` clone shuts the pool down (aborting
 //!   still-parked daemon tasks) and joins the workers; the threaded
-//!   executor just leaks its threads. In-repo teardown already parks
-//!   orderly, so this only changes leak behaviour.
+//!   executor leaves its blocked threads behind (idle ones exit by
+//!   their keep-alive). In-repo teardown already parks orderly, so this
+//!   only changes leak behaviour.
 //! * Spawning after `shutdown` records the process as immediately
 //!   panicked instead of running it.
 //! * Green stacks are 1 MiB with no guard page; deep recursion in a
@@ -157,9 +158,9 @@ unsafe extern "C" fn task_boot() {
 /// `catch_unwind` (an [`Aborted`] unwind is orderly shutdown, not a
 /// panic), then hand control back to the scheduler for good.
 unsafe extern "C" fn task_entry(task: *const Task) -> ! {
-    // The `Arc<Task>` in the procs registry (pruned only by `join`) and
-    // the scheduler's `current` slot keep `*task` alive for the whole
-    // run, including this final switch-out.
+    // The scheduler's `current` slot (and `run_task`'s own `Arc`) keep
+    // `*task` alive for the whole run, including this final switch-out;
+    // the registry entry may already be gone (`detach`).
     let f = unsafe { (*task).closure.lock().take() }.expect("green task started twice");
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
     let panicked = match &outcome {
@@ -242,6 +243,8 @@ const DONE: u8 = 5;
 struct JoinSt {
     done: bool,
     panicked: bool,
+    /// The task's handle is gone: `finish_task` prunes the registry.
+    detached: bool,
     /// Green tasks parked in `join`; unparked by `finish_task`.
     waiters: Vec<ProcId>,
 }
@@ -681,13 +684,16 @@ impl PoolInner {
                 pool.push(stack);
             }
         }
-        let waiters = {
+        let (waiters, detached) = {
             let mut j = task.join.lock();
             j.done = true;
             j.panicked = panicked;
-            std::mem::take(&mut j.waiters)
+            (std::mem::take(&mut j.waiters), j.detached)
         };
         task.done_cv.notify_all();
+        if detached {
+            self.procs.lock().remove(&task.id);
+        }
         for wid in waiters {
             self.unpark_id(wid);
         }
@@ -1107,6 +1113,7 @@ impl ExecutorCore for StealCore {
             join: Mutex::new(JoinSt {
                 done: false,
                 panicked: false,
+                detached: false,
                 waiters: Vec::new(),
             }),
             done_cv: Condvar::new(),
@@ -1207,7 +1214,7 @@ impl ExecutorCore for StealCore {
     fn join(&self, _self_arc: &Arc<dyn ExecutorCore>, id: ProcId) -> Result<(), RuntimeError> {
         let slot = self.inner.procs.lock().get(&id).cloned();
         let Some(slot) = slot else {
-            return Ok(()); // already exited and pruned
+            return Ok(()); // not a process of this pool
         };
         let t = match slot {
             Slot::Green(t) => t,
@@ -1232,7 +1239,7 @@ impl ExecutorCore for StealCore {
                 t.done_cv.wait(&mut j);
             }
         }
-        self.inner.procs.lock().remove(&id);
+        // The entry stays until the handle drops (`detach`).
         let j = t.join.lock();
         if j.panicked {
             Err(RuntimeError::ProcPanicked {
@@ -1240,6 +1247,25 @@ impl ExecutorCore for StealCore {
             })
         } else {
             Ok(())
+        }
+    }
+
+    fn detach(&self, id: ProcId) {
+        let mut procs = self.inner.procs.lock();
+        let Some(Slot::Green(t)) = procs.get(&id) else {
+            return;
+        };
+        // The join lock orders this against `finish_task`: either the
+        // task is done and we prune, or it sees `detached`. A live task
+        // must stay registered — a parked one is reachable from nowhere
+        // else.
+        let done = {
+            let mut j = t.join.lock();
+            j.detached = true;
+            j.done
+        };
+        if done {
+            procs.remove(&id);
         }
     }
 
@@ -1267,6 +1293,7 @@ impl ExecutorCore for StealCore {
 
 #[cfg(test)]
 mod tests {
+    use super::super::eventually;
     use crate::process::Priority;
     use crate::{Runtime, Spawn};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1587,6 +1614,39 @@ mod tests {
         for h in hs {
             h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn dropped_handles_leave_nothing_in_the_registry() {
+        let core = Arc::new(super::StealCore::new(2));
+        let rt = Runtime { core: core.clone() };
+        let registered = || core.inner.procs.lock().len();
+        let before = registered();
+        let finished = Arc::new(AtomicUsize::new(0));
+        for spawned in 0..10_000 {
+            // Bound the tasks in flight, and so the green stacks.
+            while spawned - finished.load(Ordering::SeqCst) >= 16 {
+                std::thread::yield_now();
+            }
+            let f = Arc::clone(&finished);
+            drop(rt.spawn(move || {
+                f.fetch_add(1, Ordering::SeqCst);
+            }));
+        }
+        eventually("registry drained", || registered() == before);
+        // A joined task is forgotten too, once its handle is gone; a
+        // parked one stays reachable after its handle is dropped.
+        let h = rt.spawn(|| 1);
+        assert_eq!(registered(), before + 1);
+        assert_eq!(h.join().unwrap(), 1);
+        assert_eq!(registered(), before);
+        let rt2 = rt.clone();
+        let h = rt.spawn(move || rt2.park());
+        let id = h.id();
+        drop(h);
+        assert_eq!(registered(), before + 1);
+        rt.unpark(id);
+        eventually("woken and forgotten", || registered() == before);
     }
 
     #[test]

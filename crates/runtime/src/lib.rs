@@ -6,7 +6,8 @@
 //! an epoch [`Notifier`] for building `select`, and two interchangeable
 //! executors:
 //!
-//! * [`Runtime::threaded`] — one OS thread per process, real parallelism;
+//! * [`Runtime::threaded`] — one OS thread per live process (recycled
+//!   between processes), real parallelism;
 //! * [`SimRuntime`] — deterministic cooperative simulation with strict
 //!   priorities, virtual time, reproducible schedules, and deadlock
 //!   detection.

@@ -72,6 +72,27 @@ pub const POOL_SLOT_SPIN_ROUNDS: u32 = 4;
 /// "nothing locally, maybe a producer is mid-publish" waits.
 pub const WORKER_IDLE_SPIN_ROUNDS: u32 = 6;
 
+/// How long an OS thread of the threaded executor stays on the idle list
+/// after its process returned, waiting to run the next spawned process,
+/// before it exits.
+///
+/// What recycling buys (2-core box, spawn + join of an empty process;
+/// the box has a fast mode, where a wake lands on a running core, and a
+/// slow one, where it has to rouse an idle core): a fresh `std::thread`
+/// costs 14–16 µs fast and 55–60 µs slow, 17–32 µs each with eight in
+/// flight; a recycled thread 3.4 µs fast and 39 µs slow (two wakes of a
+/// sleeping thread, there and back), 2.4–2.7 µs each with eight in
+/// flight, and 2.5–3.5 µs on the spawner's side when nobody joins. On
+/// `remote_call`, where the server runs one process per call, it is most
+/// of a halved `lat_p50_us` and `cpu_us_per_op` (CHANGES.md, PR 16, has
+/// every run).
+///
+/// The value only has to outlast the gap between two processes of a busy
+/// runtime — microseconds — and bounds how long an idle runtime keeps
+/// threads beyond its long-lived processes. 50 ms is far above the first
+/// and still well under human notice; it is a constant, not an option.
+pub const THREAD_KEEP_ALIVE_MS: u64 = 50;
+
 /// Default preemption budget for
 /// [`SchedPolicy::PreemptionBounded`](crate::SchedPolicy) when selected
 /// via `SIM_STRATEGY=pct`. The PCT argument: a bug of preemption depth
