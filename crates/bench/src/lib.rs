@@ -7,8 +7,8 @@
 //! cargo run -p alps-bench --release --bin experiments -- e3   # one
 //! ```
 //!
-//! Criterion micro-benchmarks for the core primitives live under
-//! `benches/`.
+//! E1–E9 run in deterministic virtual time. Wall-clock measurement is not
+//! this crate's job: that is `crates/benchmark` (`BENCHMARK.json`).
 
 #![warn(missing_docs)]
 

@@ -58,7 +58,7 @@ use crate::manager::ManagerCtx;
 use crate::pool::{Job, Pool, PoolMode};
 use crate::proc_ctx::ProcCtx;
 use crate::stats::ObjectStats;
-use crate::supervise::{AdmissionPolicy, Backoff, OnRestart, RestartPolicy, RetryPolicy};
+use crate::supervise::{AdmissionPolicy, OnRestart, RestartPolicy, RetryPolicy};
 use crate::value::{check_types_lazy, Ty, ValVec};
 
 /// The manager process body. It runs once, typically an endless
@@ -1596,7 +1596,6 @@ pub struct ObjectBuilder {
     state_init: Option<Box<dyn Fn() + Send + Sync + 'static>>,
     admission: AdmissionPolicy,
     intake_capacity: Option<usize>,
-    affinity_hint: Option<usize>,
 }
 
 impl fmt::Debug for ObjectBuilder {
@@ -1625,31 +1624,7 @@ impl ObjectBuilder {
             state_init: None,
             admission: AdmissionPolicy::default(),
             intake_capacity: None,
-            affinity_hint: None,
         }
-    }
-
-    /// Prefer scheduling this object's manager and pool workers on
-    /// worker `worker % K` of a work-stealing runtime
-    /// ([`Runtime::thread_pool`](alps_runtime::Runtime::thread_pool)).
-    /// A *soft* hint: the processes land in that worker's deque instead
-    /// of the global injector — keeping a shard's manager and entry
-    /// bodies on one worker's cache — but remain fully stealable.
-    /// Ignored by the threaded and simulation executors. Its worth is
-    /// unresolved: a 3-pair on/off ablation on `kv_storm` and `kv_open`
-    /// (2 cores) had no consistent sign, so it is neither claimed as a
-    /// win nor deleted.
-    pub fn affinity_hint(mut self, worker: usize) -> Self {
-        self.affinity_hint = Some(worker);
-        self
-    }
-
-    /// Set the affinity hint only when the user did not choose one —
-    /// `ShardedBuilder` spreads shard `i` onto worker `i % K`, but an
-    /// explicit per-shard choice from the factory wins.
-    pub(crate) fn default_affinity_hint(mut self, worker: usize) -> Self {
-        self.affinity_hint.get_or_insert(worker);
-        self
     }
 
     /// Poison the object when an entry body panics: subsequent calls fail
@@ -1820,13 +1795,7 @@ impl ObjectBuilder {
             .map(|e| EntrySync::new(e.array))
             .collect();
         let full_results: Vec<Vec<Ty>> = self.entries.iter().map(|e| e.full_results()).collect();
-        let pool = Pool::new(
-            rt.clone(),
-            self.name.clone(),
-            self.pool,
-            total,
-            self.affinity_hint,
-        );
+        let pool = Pool::new(rt.clone(), self.name.clone(), self.pool, total);
         let supervise = self.supervise.map(|policy| SuperviseCfg {
             policy,
             on_restart: self.on_restart,
@@ -1876,12 +1845,9 @@ impl ObjectBuilder {
             // restart simply re-enters it from the top with a fresh
             // generation-tagged context — its closure-local state (counts,
             // free lists, …) rebuilds naturally.
-            let mut opts = Spawn::new(format!("{}:manager", self.name))
+            let opts = Spawn::new(format!("{}:manager", self.name))
                 .prio(self.manager_prio)
                 .daemon(true);
-            if let Some(a) = self.affinity_hint {
-                opts = opts.affinity(a);
-            }
             rt.spawn_with(opts, move || loop {
                 let mut ctx = ManagerCtx::new(Arc::clone(&mgr_inner));
                 match body(&mut ctx) {
@@ -2084,8 +2050,8 @@ impl ObjectHandle {
     /// The policy's `budget_ticks` bounds the whole affair — attempts plus
     /// backoff sleeps; each attempt's deadline is the remaining budget
     /// split evenly over the remaining attempts. With
-    /// [`Backoff::ExpJitter`], delays are drawn from the runtime's
-    /// deterministic random stream
+    /// [`Backoff::ExpJitter`](crate::Backoff::ExpJitter), delays are drawn
+    /// from the runtime's deterministic random stream
     /// ([`Runtime::rand_u64`](alps_runtime::Runtime::rand_u64)), so a
     /// seeded simulation replays the "random" backoff bit-for-bit.
     ///
@@ -2131,9 +2097,7 @@ impl ObjectHandle {
             if remaining == 0 {
                 break;
             }
-            // Split the remaining budget evenly over the remaining
-            // attempts so one slow attempt cannot starve the rest.
-            let per = (remaining / u64::from(attempts - k)).max(1);
+            let per = policy.attempt_budget(k, remaining);
             // Epoch read BEFORE the attempt: if the attempt fails with
             // ObjectRestarting and the restart completes before we
             // register as a waiter below, the epoch has already moved and
@@ -2151,20 +2115,7 @@ impl ObjectHandle {
                         break;
                     }
                     inner.stats.on_retry();
-                    let delay = match policy.backoff {
-                        Backoff::None => 0,
-                        Backoff::Fixed(t) => t,
-                        Backoff::ExpJitter { base, cap } => {
-                            let d = base.checked_shl(k).unwrap_or(u64::MAX).min(cap);
-                            // Uniform in [d/2, d].
-                            let lo = d / 2;
-                            lo + if d > lo {
-                                inner.rt.rand_u64() % (d - lo + 1)
-                            } else {
-                                0
-                            }
-                        }
-                    };
+                    let delay = policy.backoff.delay(k, &inner.rt);
                     let sleep = delay.min(deadline.saturating_sub(inner.rt.now()));
                     if sleep > 0 {
                         inner.rt.sleep(sleep);

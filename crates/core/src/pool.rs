@@ -131,24 +131,13 @@ pub(crate) struct Pool {
     spawned: Counter,
     executed: Counter,
     closed: AtomicBool,
-    /// Soft worker-affinity hint applied to every worker this pool
-    /// spawns, so an object's entry bodies prefer the same
-    /// work-stealing worker as its manager
-    /// ([`crate::ObjectBuilder::affinity_hint`]).
-    affinity: Option<usize>,
 }
 
 impl Pool {
     /// Create the pool and eagerly spawn preallocated workers.
     /// `total_slots` is the sum of all procedure-array sizes of the object
     /// (used by [`PoolMode::PerSlot`]).
-    pub(crate) fn new(
-        rt: Runtime,
-        name: String,
-        mode: PoolMode,
-        total_slots: usize,
-        affinity: Option<usize>,
-    ) -> Pool {
+    pub(crate) fn new(rt: Runtime, name: String, mode: PoolMode, total_slots: usize) -> Pool {
         let mut pool = Pool {
             rt,
             name,
@@ -158,7 +147,6 @@ impl Pool {
             spawned: Counter::new(),
             executed: Counter::new(),
             closed: AtomicBool::new(false),
-            affinity,
         };
         match mode {
             PoolMode::PerCall => {}
@@ -184,27 +172,17 @@ impl Pool {
         pool
     }
 
-    /// Spawn options for a pool worker: daemon, plus the pool's affinity
-    /// hint when one is configured.
-    fn worker_opts(&self, name: String) -> Spawn {
-        let mut opts = Spawn::new(name).daemon(true);
-        if let Some(a) = self.affinity {
-            opts = opts.affinity(a);
-        }
-        opts
-    }
-
     fn spawn_slot_worker(&self, key: usize, sb: Arc<SlotBox>) {
         self.spawned.incr();
         let rt = self.rt.clone();
         let executed = self.executed.clone();
-        let name = format!("{}:worker[{key}]", self.name);
+        let opts = Spawn::new(format!("{}:worker[{key}]", self.name)).daemon(true);
         let spin_rounds = if self.rt.is_sim() {
             0
         } else {
             tuning::POOL_SLOT_SPIN_ROUNDS
         };
-        self.rt.spawn_with(self.worker_opts(name), move || loop {
+        self.rt.spawn_with(opts, move || loop {
             // Brief spin for a job dispatched while the previous one
             // was winding down — skips a park/unpark round trip when
             // the manager restarts this slot back-to-back.
@@ -244,8 +222,8 @@ impl Pool {
         self.spawned.incr();
         let rt = self.rt.clone();
         let executed = self.executed.clone();
-        let name = format!("{}:pool[{i}]", self.name);
-        self.rt.spawn_with(self.worker_opts(name), move || loop {
+        let opts = Spawn::new(format!("{}:pool[{i}]", self.name)).daemon(true);
+        self.rt.spawn_with(opts, move || loop {
             let job = {
                 let mut st = q.q.lock();
                 match st.jobs.pop_front() {
@@ -284,9 +262,8 @@ impl Pool {
             PoolMode::PerCall => {
                 self.spawned.incr();
                 self.executed.incr();
-                let name = format!("{}:call", self.name);
-                self.rt
-                    .spawn_with(self.worker_opts(name), move || job.run());
+                let opts = Spawn::new(format!("{}:call", self.name)).daemon(true);
+                self.rt.spawn_with(opts, move || job.run());
             }
             PoolMode::PerSlot => {
                 let sb = &self.per_slot[slot_key];
@@ -378,7 +355,7 @@ mod tests {
     fn run_jobs(mode: PoolMode, slots: usize, jobs: usize) -> (u64, u64) {
         let sim = SimRuntime::new();
         sim.run(move |rt| {
-            let pool = Pool::new(rt.clone(), "t".into(), mode, slots, None);
+            let pool = Pool::new(rt.clone(), "t".into(), mode, slots);
             let done = Arc::new(AtomicUsize::new(0));
             // Dispatch in waves of `slots`, mirroring the object layer's
             // guarantee that a slot is restarted only after its previous
@@ -438,7 +415,7 @@ mod tests {
     fn dispatch_after_shutdown_is_dropped() {
         let sim = SimRuntime::new();
         sim.run(|rt| {
-            let pool = Pool::new(rt.clone(), "t".into(), PoolMode::Shared(1), 1, None);
+            let pool = Pool::new(rt.clone(), "t".into(), PoolMode::Shared(1), 1);
             pool.shutdown();
             pool.dispatch(0, Job::Task(Box::new(|| panic!("must not run"))));
             rt.yield_now();

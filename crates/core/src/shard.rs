@@ -269,12 +269,7 @@ impl ShardedBuilder {
     ) -> Result<ShardedHandle> {
         let mut shards = Vec::with_capacity(self.shards);
         for i in 0..self.shards {
-            // Each shard prefers a distinct work-stealing worker, so a
-            // shard's manager and entry bodies share one worker's LIFO
-            // deque (and cache) instead of bouncing through the global
-            // injector. Soft: tasks stay stealable under imbalance, and
-            // a factory that set its own hint keeps it.
-            match factory(i).default_affinity_hint(i).spawn(rt) {
+            match factory(i).spawn(rt) {
                 Ok(h) => shards.push(h),
                 Err(e) => {
                     for h in &shards {

@@ -19,6 +19,8 @@
 //!   errors the two mechanisms above produce
 //!   ([`ObjectHandle::call_retry`](crate::ObjectHandle::call_retry)).
 
+use alps_runtime::Runtime;
+
 /// What a supervised object does when an entry body panics.
 ///
 /// Supervision implies poisoning semantics during the failure window: the
@@ -126,6 +128,27 @@ pub enum Backoff {
     },
 }
 
+impl Backoff {
+    /// The sleep before retry `k + 1`, in ticks. Draws from `rt` only for
+    /// a non-zero [`ExpJitter`](Backoff::ExpJitter) step, once.
+    pub fn delay(self, k: u32, rt: &Runtime) -> u64 {
+        match self {
+            Backoff::None => 0,
+            Backoff::Fixed(t) => t,
+            Backoff::ExpJitter { base, cap } => {
+                let d = base.checked_shl(k).unwrap_or(u64::MAX).min(cap);
+                // Uniform in [d/2, d].
+                let lo = d / 2;
+                lo + if d > lo {
+                    rt.rand_u64() % (d - lo + 1)
+                } else {
+                    0
+                }
+            }
+        }
+    }
+}
+
 /// Caller-side retry of transient failures, layered on
 /// [`call_deadline`](crate::ObjectHandle::call_deadline).
 ///
@@ -163,6 +186,13 @@ impl RetryPolicy {
     pub fn backoff(mut self, b: Backoff) -> RetryPolicy {
         self.backoff = b;
         self
+    }
+
+    /// Attempt `k`'s deadline budget when `remaining` ticks of the total
+    /// are left: an even share over the attempts still to come, at least
+    /// one tick.
+    pub fn attempt_budget(&self, k: u32, remaining: u64) -> u64 {
+        (remaining / u64::from(self.max_attempts.max(1) - k)).max(1)
     }
 }
 

@@ -219,6 +219,15 @@ fn supervised_restart_with_pooled_bodies_recovers() {
         }
     }
     assert!(served >= 6, "only {served}/8 calls served after restart");
+    // The crashing body's process counts the restart only after the
+    // panic hook returns. With `RUST_BACKTRACE=1` on a loaded box the
+    // hook can outlast the first attempt's 125 ms slice, so the crashed
+    // caller's retry (which no longer panics) and every sibling may be
+    // served before the restart has happened. Give it time to land.
+    let t0 = std::time::Instant::now();
+    while obj.stats().restarts() == 0 && t0.elapsed() < std::time::Duration::from_secs(10) {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     assert!(obj.stats().restarts() >= 1);
     // The object keeps serving on the bumped generation.
     assert_eq!(obj.call("Work", vals![7i64]).unwrap()[0], Value::Int(7));

@@ -224,6 +224,30 @@ enum Conn {
     },
 }
 
+/// A call's time bound: the instant it expires on this process's clock
+/// and the budget the caller gave, which is what its `Timeout` reports.
+#[derive(Clone, Copy)]
+struct Deadline {
+    at: u64,
+    ticks: u64,
+}
+
+impl Deadline {
+    fn after(rt: &Runtime, ticks: u64) -> Deadline {
+        Deadline {
+            at: rt.now().saturating_add(ticks.max(1)),
+            ticks,
+        }
+    }
+
+    fn timeout(self, what: &str) -> AlpsError {
+        AlpsError::Timeout {
+            what: what.to_string(),
+            ticks: self.ticks,
+        }
+    }
+}
+
 /// One wire attempt's reply slot.
 struct PendingCall {
     /// The process to unpark when the slot is filled.
@@ -409,7 +433,7 @@ impl RemoteHandle {
         args: impl Into<ValVec>,
         ticks: u64,
     ) -> Result<ValVec> {
-        let deadline = self.inner.rt.now().saturating_add(ticks.max(1));
+        let deadline = Deadline::after(&self.inner.rt, ticks);
         self.logical_call(id, args.into(), Some(deadline))
     }
 
@@ -458,10 +482,7 @@ impl RemoteHandle {
             if remaining == 0 {
                 break;
             }
-            // Same shape as the in-process loop: the remaining budget is
-            // split evenly over the remaining attempts.
-            let per = (remaining / u64::from(attempts - k)).max(1);
-            let attempt_deadline = inner.rt.now().saturating_add(per);
+            let attempt_deadline = Deadline::after(&inner.rt, policy.attempt_budget(k, remaining));
             match inner.attempt(wire_id, &id.name, args.clone(), Some(attempt_deadline)) {
                 Ok(r) => {
                     inner.release_call(wire_id);
@@ -473,19 +494,7 @@ impl RemoteHandle {
                         break;
                     }
                     inner.stats.retries.incr();
-                    let delay = match policy.backoff {
-                        Backoff::None => 0,
-                        Backoff::Fixed(t) => t,
-                        Backoff::ExpJitter { base, cap } => {
-                            let d = base.checked_shl(k).unwrap_or(u64::MAX).min(cap);
-                            let lo = d / 2;
-                            lo + if d > lo {
-                                inner.rt.rand_u64() % (d - lo + 1)
-                            } else {
-                                0
-                            }
-                        }
-                    };
+                    let delay = policy.backoff.delay(k, &inner.rt);
                     // Floor at one tick: with zero backoff a refused call
                     // (Overloaded/Restarting travels the wire in zero
                     // *virtual* time under the sim) would burn every
@@ -511,7 +520,7 @@ impl RemoteHandle {
         &self,
         id: &RemoteEntryId,
         args: ValVec,
-        deadline: Option<u64>,
+        deadline: Option<Deadline>,
     ) -> Result<ValVec> {
         let wire_id = self.inner.alloc_call();
         let r = self.inner.attempt(wire_id, &id.name, args, deadline);
@@ -545,7 +554,7 @@ impl RemoteInner {
         wire_id: u64,
         entry: &str,
         args: ValVec,
-        deadline: Option<u64>,
+        deadline: Option<Deadline>,
     ) -> Result<ValVec> {
         let (epoch, link, entries) = self.ensure_up(deadline)?;
         let Some(&entry_idx) = entries.get(entry) else {
@@ -557,12 +566,9 @@ impl RemoteInner {
         let budget = match deadline {
             None => NO_BUDGET,
             Some(d) => {
-                let rem = d.saturating_sub(self.rt.now());
+                let rem = d.at.saturating_sub(self.rt.now());
                 if rem == 0 {
-                    return Err(AlpsError::Timeout {
-                        what: entry.to_string(),
-                        ticks: 0,
-                    });
+                    return Err(d.timeout(entry));
                 }
                 rem
             }
@@ -610,7 +616,7 @@ impl RemoteInner {
         loop {
             {
                 let mut reply = slot.reply.lock();
-                let expired = deadline.is_some_and(|d| self.rt.now() >= d);
+                let expired = deadline.is_some_and(|d| self.rt.now() >= d.at);
                 if expired || matches!(*reply, Reply::Ready(_)) {
                     let left = std::mem::replace(&mut *reply, Reply::Left);
                     drop(reply);
@@ -622,16 +628,15 @@ impl RemoteInner {
                             }
                             result
                         }
-                        _ => Err(AlpsError::Timeout {
-                            what: entry.to_string(),
-                            ticks: 0,
-                        }),
+                        _ => Err(deadline
+                            .expect("only an expired deadline leaves without a reply")
+                            .timeout(entry)),
                     };
                 }
             }
             match deadline {
                 None => self.rt.park(),
-                Some(d) => self.rt.park_timeout(d.saturating_sub(self.rt.now())),
+                Some(d) => self.rt.park_timeout(d.at.saturating_sub(self.rt.now())),
             }
             self.stats.wakeups.incr();
         }
@@ -643,7 +648,7 @@ impl RemoteInner {
     #[allow(clippy::type_complexity)]
     fn ensure_up(
         self: &Arc<Self>,
-        deadline: Option<u64>,
+        deadline: Option<Deadline>,
     ) -> Result<(u64, Arc<dyn Link>, Arc<HashMap<String, u32>>)> {
         loop {
             let seen = self.notifier.epoch();
@@ -666,13 +671,10 @@ impl RemoteInner {
             // Somebody else is dialing; bounded park so a dead
             // reconnector (aborted process) cannot strand us forever.
             if let Some(d) = deadline {
-                if self.rt.now() >= d {
-                    return Err(AlpsError::Timeout {
-                        what: self.object.clone(),
-                        ticks: 0,
-                    });
+                if self.rt.now() >= d.at {
+                    return Err(d.timeout(&self.object));
                 }
-                self.notifier.wait_past_deadline(&self.rt, seen, d);
+                self.notifier.wait_past_deadline(&self.rt, seen, d.at);
             } else {
                 let bound = self
                     .rt
@@ -690,16 +692,13 @@ impl RemoteInner {
     #[allow(clippy::type_complexity)]
     fn reconnect_episode(
         self: &Arc<Self>,
-        deadline: Option<u64>,
+        deadline: Option<Deadline>,
     ) -> Result<(u64, Arc<dyn Link>, Arc<HashMap<String, u32>>)> {
         let attempts = self.reconnect.max_attempts.max(1);
         let mut outcome = Err(self.link_lost());
         for k in 0..attempts {
-            if deadline.is_some_and(|d| self.rt.now() >= d) {
-                outcome = Err(AlpsError::Timeout {
-                    what: self.object.clone(),
-                    ticks: 0,
-                });
+            if let Some(d) = deadline.filter(|d| self.rt.now() >= d.at) {
+                outcome = Err(d.timeout(&self.object));
                 break;
             }
             match self.dial_once() {
@@ -717,20 +716,11 @@ impl RemoteInner {
                     if k + 1 == attempts {
                         break;
                     }
-                    let d = self
-                        .reconnect
-                        .base_ticks
-                        .checked_shl(k)
-                        .unwrap_or(u64::MAX)
-                        .min(self.reconnect.cap_ticks);
-                    let lo = d / 2;
-                    let jittered = lo
-                        + if d > lo {
-                            self.rt.rand_u64() % (d - lo + 1)
-                        } else {
-                            0
-                        };
-                    self.rt.sleep(jittered.max(1));
+                    let backoff = Backoff::ExpJitter {
+                        base: self.reconnect.base_ticks,
+                        cap: self.reconnect.cap_ticks,
+                    };
+                    self.rt.sleep(backoff.delay(k, &self.rt).max(1));
                 }
             }
         }

@@ -56,15 +56,81 @@ fn eof() -> io::Error {
     io::Error::new(io::ErrorKind::UnexpectedEof, "link closed")
 }
 
-// ------------------------------------------------------------------ tcp
+// --------------------------------------------------------------- stream
 
-/// A [`Link`] over a TCP stream. Reader and writer sides are guarded by
-/// separate locks so a blocked `recv` never starves `send`.
-pub struct TcpLink {
-    reader: Mutex<std::net::TcpStream>,
-    writer: Mutex<std::net::TcpStream>,
-    peer: String,
+/// [`TcpLink`] and [`UnixLink`] are this one link over their two socket
+/// types; the module is private so only those names are reachable.
+mod stream {
+    use super::*;
+
+    /// The two socket operations [`io::Read`] and [`io::Write`] lack.
+    pub trait Stream: io::Read + io::Write + Send + Sized {
+        fn try_clone(&self) -> io::Result<Self>;
+        fn shutdown(&self, how: std::net::Shutdown) -> io::Result<()>;
+    }
+
+    impl Stream for std::net::TcpStream {
+        fn try_clone(&self) -> io::Result<Self> {
+            std::net::TcpStream::try_clone(self)
+        }
+        fn shutdown(&self, how: std::net::Shutdown) -> io::Result<()> {
+            std::net::TcpStream::shutdown(self, how)
+        }
+    }
+
+    #[cfg(unix)]
+    impl Stream for std::os::unix::net::UnixStream {
+        fn try_clone(&self) -> io::Result<Self> {
+            std::os::unix::net::UnixStream::try_clone(self)
+        }
+        fn shutdown(&self, how: std::net::Shutdown) -> io::Result<()> {
+            std::os::unix::net::UnixStream::shutdown(self, how)
+        }
+    }
+
+    /// A [`Link`] over a connected byte stream. Reader and writer sides
+    /// are guarded by separate locks so a blocked `recv` never starves
+    /// `send`.
+    pub struct StreamLink<S> {
+        reader: Mutex<S>,
+        writer: Mutex<S>,
+        peer: String,
+    }
+
+    impl<S: Stream> StreamLink<S> {
+        pub(super) fn with_peer(stream: S, peer: String) -> io::Result<Self> {
+            let writer = stream.try_clone()?;
+            Ok(StreamLink {
+                reader: Mutex::new(stream),
+                writer: Mutex::new(writer),
+                peer,
+            })
+        }
+    }
+
+    impl<S: Stream> Link for StreamLink<S> {
+        fn send(&self, frame: &[u8]) -> io::Result<()> {
+            let mut w = self.writer.lock();
+            w.write_all(frame)?;
+            w.flush()
+        }
+
+        fn recv(&self) -> io::Result<Vec<u8>> {
+            read_exact_frame(&mut *self.reader.lock())
+        }
+
+        fn shutdown(&self) {
+            let _ = self.writer.lock().shutdown(std::net::Shutdown::Both);
+        }
+
+        fn peer(&self) -> String {
+            self.peer.clone()
+        }
+    }
 }
+
+/// A [`Link`] over a TCP stream.
+pub type TcpLink = stream::StreamLink<std::net::TcpStream>;
 
 impl TcpLink {
     /// Wrap a connected stream.
@@ -78,12 +144,7 @@ impl TcpLink {
             .peer_addr()
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "tcp:?".into());
-        let writer = stream.try_clone()?;
-        Ok(TcpLink {
-            reader: Mutex::new(stream),
-            writer: Mutex::new(writer),
-            peer,
-        })
+        Self::with_peer(stream, peer)
     }
 }
 
@@ -105,36 +166,9 @@ fn read_exact_frame(r: &mut impl io::Read) -> io::Result<Vec<u8>> {
     Ok(frame)
 }
 
-impl Link for TcpLink {
-    fn send(&self, frame: &[u8]) -> io::Result<()> {
-        use io::Write;
-        let mut w = self.writer.lock();
-        w.write_all(frame)?;
-        w.flush()
-    }
-
-    fn recv(&self) -> io::Result<Vec<u8>> {
-        read_exact_frame(&mut *self.reader.lock())
-    }
-
-    fn shutdown(&self) {
-        let _ = self.writer.lock().shutdown(std::net::Shutdown::Both);
-    }
-
-    fn peer(&self) -> String {
-        self.peer.clone()
-    }
-}
-
-// ----------------------------------------------------------------- unix
-
 /// A [`Link`] over a Unix-domain socket.
 #[cfg(unix)]
-pub struct UnixLink {
-    reader: Mutex<std::os::unix::net::UnixStream>,
-    writer: Mutex<std::os::unix::net::UnixStream>,
-    peer: String,
-}
+pub type UnixLink = stream::StreamLink<std::os::unix::net::UnixStream>;
 
 #[cfg(unix)]
 impl UnixLink {
@@ -149,34 +183,7 @@ impl UnixLink {
             .ok()
             .and_then(|a| a.as_pathname().map(|p| p.display().to_string()))
             .unwrap_or_else(|| "unix:?".into());
-        let writer = stream.try_clone()?;
-        Ok(UnixLink {
-            reader: Mutex::new(stream),
-            writer: Mutex::new(writer),
-            peer,
-        })
-    }
-}
-
-#[cfg(unix)]
-impl Link for UnixLink {
-    fn send(&self, frame: &[u8]) -> io::Result<()> {
-        use io::Write;
-        let mut w = self.writer.lock();
-        w.write_all(frame)?;
-        w.flush()
-    }
-
-    fn recv(&self) -> io::Result<Vec<u8>> {
-        read_exact_frame(&mut *self.reader.lock())
-    }
-
-    fn shutdown(&self) {
-        let _ = self.writer.lock().shutdown(std::net::Shutdown::Both);
-    }
-
-    fn peer(&self) -> String {
-        self.peer.clone()
+        Self::with_peer(stream, peer)
     }
 }
 
@@ -404,5 +411,25 @@ mod tests {
         link.send(&hello()).unwrap();
         assert_eq!(link.recv().unwrap(), hello());
         t.join().unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn unix_link_round_trips_frames() {
+        let (a, b) = std::os::unix::net::UnixStream::pair().unwrap();
+        let t = std::thread::spawn(move || {
+            let link = UnixLink::new(b).unwrap();
+            let got = link.recv().unwrap();
+            link.send(&got).unwrap();
+        });
+        let link = UnixLink::new(a).unwrap();
+        link.send(&hello()).unwrap();
+        assert_eq!(link.recv().unwrap(), hello());
+        t.join().unwrap();
+        // The peer is gone: the next read is an orderly close.
+        assert_eq!(
+            link.recv().unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
     }
 }

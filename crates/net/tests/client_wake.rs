@@ -179,7 +179,10 @@ fn a_link_death_resolves_every_call_in_flight() {
             let links = Arc::clone(&tap.links);
             let client = RemoteHandle::new(rt, "Worker", tap);
             let quick = client.call_deadline("Work", vals![-1i64], 1).unwrap_err();
-            assert!(matches!(quick, AlpsError::Timeout { .. }), "{quick:?}");
+            assert!(
+                matches!(quick, AlpsError::Timeout { ticks: 1, .. }),
+                "{quick:?}"
+            );
             let s = client.stats();
             let (sent, wakeups) = (s.sent.get(), s.wakeups.get());
 
@@ -217,7 +220,10 @@ fn a_late_reply_does_not_wake_a_caller_that_gave_up() {
             let client = RemoteHandle::new(rt, "Worker", server.mem_connector());
 
             let err = client.call_deadline("Work", vals![1i64], 100).unwrap_err();
-            assert!(matches!(err, AlpsError::Timeout { .. }), "{err:?}");
+            assert!(
+                matches!(err, AlpsError::Timeout { ticks: 100, .. }),
+                "{err:?}"
+            );
             let t0 = rt.now();
             rt.park_timeout(5_000);
             assert_eq!(rt.now() - t0, 5_000, "woken by the late reply");

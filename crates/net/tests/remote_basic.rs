@@ -11,7 +11,7 @@ use alps_core::{
     vals, AlpsError, Backoff, EntryDef, ObjectBuilder, ObjectHandle, RestartPolicy, RetryPolicy,
     Ty, Value,
 };
-use alps_net::{NetFaultPlan, NetServer, ReconnectPolicy, RemoteHandle, TcpConnector};
+use alps_net::{Connector, NetFaultPlan, NetServer, ReconnectPolicy, RemoteHandle, TcpConnector};
 use alps_runtime::{Runtime, SimRuntime, Spawn};
 use parking_lot::Mutex;
 
@@ -298,19 +298,16 @@ fn concurrent_callers_share_one_session() {
         .unwrap();
 }
 
-/// Real TCP over loopback on the threaded runtime: the 2-process wire
-/// path minus the second process (covered by the bench's self-spawned
-/// child and CI's remote-smoke job).
-#[test]
-fn tcp_loopback_round_trip() {
+/// Eight bumps and a deadline-bounded read against a served counter on
+/// the threaded runtime, over whatever socket `listen` opens.
+fn socket_round_trip<C: Connector + 'static>(listen: impl FnOnce(&NetServer) -> C) {
     let rt = Runtime::threaded();
     let counts = Arc::new(Mutex::new(HashMap::new()));
     let obj = counter(&rt, &counts);
     let server = NetServer::new(&rt);
     server.register(&obj);
-    let addr = server.listen_tcp("127.0.0.1:0").unwrap();
 
-    let client = RemoteHandle::new(&rt, "Counter", TcpConnector::new(addr.to_string()));
+    let client = RemoteHandle::new(&rt, "Counter", listen(&server));
     let bump = client.entry_id("Bump");
     for i in 1..=8i64 {
         let r = client.call_id(&bump, vals![1i64]).unwrap();
@@ -323,4 +320,28 @@ fn tcp_loopback_round_trip() {
 
     server.shutdown();
     obj.shutdown();
+}
+
+/// Real TCP over loopback: the 2-process wire path minus the second
+/// process (covered by the repository benchmark's `remote_call`
+/// workload, which CI's benchmark-smoke job runs).
+#[test]
+fn tcp_loopback_round_trip() {
+    socket_round_trip(|server| {
+        let addr = server.listen_tcp("127.0.0.1:0").unwrap();
+        TcpConnector::new(addr.to_string())
+    });
+}
+
+/// The same through `listen_unix` and `UnixConnector`.
+#[cfg(unix)]
+#[test]
+fn unix_socket_round_trip() {
+    let path = std::env::temp_dir().join(format!("alps-remote-basic-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    socket_round_trip(|server| {
+        server.listen_unix(&path).unwrap();
+        alps_net::UnixConnector::new(&path)
+    });
+    std::fs::remove_file(&path).unwrap();
 }

@@ -252,9 +252,6 @@ struct JoinSt {
 struct Task {
     id: ProcId,
     name: String,
-    /// Soft affinity: preferred worker index (mod K) for every enqueue
-    /// of this task. The task stays stealable; see [`PoolInner::enqueue`].
-    affinity: Option<usize>,
     state: AtomicU8,
     /// Buffered unpark permit, exactly the `std::thread::park` token.
     permit: AtomicBool,
@@ -458,58 +455,20 @@ impl PoolInner {
         }
     }
 
-    /// Queue a RUNNABLE task. A task with an affinity hint goes to its
-    /// preferred worker's deque — from any thread — so a shard's manager
-    /// and its entry bodies keep re-meeting the same worker's cache. The
-    /// hint is *soft*: the deque is the normal steal target, so an
-    /// overloaded preferred worker sheds hinted tasks to idle peers, and
-    /// the injector-fairness valve is untouched (hinted tasks never cut
-    /// ahead of injected ones). Unhinted tasks keep the old routing:
-    /// local deque when enqueued from one of this pool's workers, else
-    /// the global injector. Finally wake a sleeping worker — the
-    /// preferred one when it is idle, any one otherwise.
+    /// Queue a RUNNABLE task: on the local deque when enqueued from one
+    /// of this pool's workers, else on the global injector. Then wake a
+    /// sleeping worker.
     fn enqueue(&self, task: Arc<Task>) {
-        let hint = task.affinity.map(|a| a % self.workers.len());
         let w = worker_ctx();
-        let local = if !w.is_null() && unsafe { (*w).token } == self.token {
-            Some(unsafe { (*w).index })
+        if !w.is_null() && unsafe { (*w).token } == self.token {
+            let ws = &self.workers[unsafe { (*w).index }];
+            let mut d = ws.deque.lock();
+            d.push_back(task);
+            ws.len.store(d.len(), SeqCst);
         } else {
-            None
-        };
-        match hint.or(local) {
-            Some(i) => {
-                let ws = &self.workers[i];
-                let mut d = ws.deque.lock();
-                d.push_back(task);
-                ws.len.store(d.len(), SeqCst);
-            }
-            None => {
-                let mut inj = self.injector.lock();
-                inj.push_back(task);
-                self.inj_len.store(inj.len(), SeqCst);
-            }
-        }
-        match hint {
-            Some(i) => self.wake_preferring(i),
-            None => self.wake_one(),
-        }
-    }
-
-    /// Wake worker `i` if it is idle, else fall back to [`wake_one`]
-    /// (Self::wake_one) so a hinted enqueue still guarantees *some*
-    /// worker is awake to run or steal the task.
-    fn wake_preferring(&self, i: usize) {
-        {
-            let mut idle = self.idle.lock();
-            if let Some(pos) = idle.iter().rposition(|&x| x == i) {
-                idle.remove(pos);
-                drop(idle);
-                let ws = &self.workers[i];
-                let mut p = ws.park.lock();
-                *p = true;
-                ws.cv.notify_all();
-                return;
-            }
+            let mut inj = self.injector.lock();
+            inj.push_back(task);
+            self.inj_len.store(inj.len(), SeqCst);
         }
         self.wake_one();
     }
@@ -1102,7 +1061,6 @@ impl ExecutorCore for StealCore {
         let task = Arc::new(Task {
             id,
             name: opts.name.clone(),
-            affinity: opts.affinity,
             state: AtomicU8::new(RUNNABLE),
             permit: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
@@ -1574,46 +1532,6 @@ mod tests {
         rt.shutdown();
         let h = rt.spawn(|| 3);
         assert!(h.join().is_err());
-    }
-
-    #[test]
-    fn affinity_hint_is_soft_tasks_are_stolen_from_a_busy_worker() {
-        use std::sync::atomic::AtomicBool;
-        let rt = pool(2);
-        // Occupy worker 0 with a spinner that never switches out, then
-        // hint 8 short tasks at the same worker. If the hint were hard
-        // pinning they would wait behind the spinner forever; the soft
-        // hint leaves them in worker 0's deque where worker 1 steals
-        // them.
-        let hold = Arc::new(AtomicBool::new(true));
-        let h2 = Arc::clone(&hold);
-        let hog = rt.spawn_with(crate::Spawn::new("hog").affinity(0), move || {
-            while h2.load(Ordering::SeqCst) {
-                std::hint::spin_loop();
-            }
-        });
-        let done = Arc::new(AtomicUsize::new(0));
-        let hs: Vec<_> = (0..8)
-            .map(|_| {
-                let d = Arc::clone(&done);
-                rt.spawn_with(crate::Spawn::new("hinted").affinity(0), move || {
-                    d.fetch_add(1, Ordering::SeqCst);
-                })
-            })
-            .collect();
-        let t0 = std::time::Instant::now();
-        while done.load(Ordering::SeqCst) < 8 {
-            assert!(
-                t0.elapsed() < std::time::Duration::from_secs(10),
-                "hinted tasks starved behind busy preferred worker"
-            );
-            std::thread::yield_now();
-        }
-        hold.store(false, Ordering::SeqCst);
-        hog.join().unwrap();
-        for h in hs {
-            h.join().unwrap();
-        }
     }
 
     #[test]

@@ -80,8 +80,6 @@ pub struct Spawn {
     pub(crate) daemon: bool,
     /// Marks the main process of a simulated run (crate-internal).
     pub(crate) main: bool,
-    /// Soft worker-affinity hint for the work-stealing executor.
-    pub(crate) affinity: Option<usize>,
 }
 
 impl Spawn {
@@ -93,25 +91,12 @@ impl Spawn {
             prio: Priority::NORMAL,
             daemon: false,
             main: false,
-            affinity: None,
         }
     }
 
     /// Set the scheduling priority.
     pub fn prio(mut self, prio: Priority) -> Self {
         self.prio = prio;
-        self
-    }
-
-    /// Prefer scheduling this process on worker `worker % K` of a
-    /// work-stealing pool. A *soft* hint: the task lands in the
-    /// preferred worker's deque instead of the global injector, keeping
-    /// related processes (a shard's manager and its entry bodies) on one
-    /// worker's cache — but it remains fully stealable, so an overloaded
-    /// preferred worker sheds the task to an idle peer. Ignored by the
-    /// threaded and simulation executors.
-    pub fn affinity(mut self, worker: usize) -> Self {
-        self.affinity = Some(worker);
         self
     }
 
@@ -136,11 +121,6 @@ impl Spawn {
     /// Whether the process is a daemon.
     pub fn is_daemon(&self) -> bool {
         self.daemon
-    }
-
-    /// The soft worker-affinity hint, if any.
-    pub fn affinity_hint(&self) -> Option<usize> {
-        self.affinity
     }
 }
 
@@ -252,15 +232,13 @@ mod tests {
 
     #[test]
     fn spawn_builder_round_trip() {
-        let s = Spawn::new("x").prio(Priority(3)).daemon(true).affinity(2);
+        let s = Spawn::new("x").prio(Priority(3)).daemon(true);
         assert_eq!(s.name(), "x");
         assert_eq!(s.priority(), Priority(3));
         assert!(s.is_daemon());
-        assert_eq!(s.affinity_hint(), Some(2));
         let d = Spawn::default();
         assert_eq!(d.name(), "proc");
         assert!(!d.is_daemon());
         assert_eq!(d.priority(), Priority::NORMAL);
-        assert_eq!(d.affinity_hint(), None);
     }
 }
