@@ -6,9 +6,10 @@
 //!
 //! Programs run on the deterministic simulator by default (virtual time,
 //! reproducible scheduling, deadlock detection); `--threaded` uses OS
-//! threads instead. `--compiled` lowers the program to direct core
-//! objects (interned entry ids, flat frames) instead of interpreting the
-//! AST — same observable behaviour, near-embedded speed.
+//! threads instead. Either way the program is lowered to one resolved IR
+//! (interned entry ids, flat frames) and that is what runs: by default
+//! under the naive reference walker, with `--compiled` under the
+//! optimised one — same observable behaviour, near-embedded speed.
 
 use std::process::ExitCode;
 use std::sync::Arc;

@@ -46,7 +46,7 @@ pub struct ObjInfo {
     pub impl_idx: usize,
 }
 
-/// A checked program, ready for the interpreter.
+/// A checked program, ready for [`lower`](crate::lower::lower).
 #[derive(Debug, Clone)]
 pub struct Checked {
     /// The syntax tree.

@@ -1,1439 +1,236 @@
-//! Tree-walking interpreter: executes a checked ALPS program by building
-//! `alps-core` objects (one per `object … implements`), translating each
-//! procedure body into an entry-body closure and the manager into a
-//! manager closure, then running the `main` block.
+//! The reference walker: the equivalence oracle for [`crate::compile`].
 //!
-//! Slot indices in source are 1-based (`P[1..N]`, `(i: 1..N)`), matching
-//! the paper; the core API is 0-based, so the interpreter converts at the
-//! boundary.
+//! It runs the same lowered IR ([`crate::ir`]) through the same linkage,
+//! frames, statements and `select` skeleton (`exec.rs`) as the
+//! optimised walker, and supplies the evaluation strategy in its most
+//! obvious form:
+//!
+//! * every expression evaluates to a `Vec<Value>`, and wherever one
+//!   value is needed the length is checked;
+//! * a list builtin reads a clone of the list, changes it and writes it
+//!   back;
+//! * assignment, call statements and `return` evaluate everything and
+//!   then copy;
+//! * every candidate of every guard gets its overlay built and its
+//!   `when` evaluated.
+//!
+//! No analysis of the IR decides anything here. This is separate code,
+//! not the optimised walker with its shortcuts switched off, so that a
+//! shortcut added there is checked against this by the equivalence
+//! tests without anyone remembering to.
 
-use std::collections::HashMap;
-use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use alps_core::{
-    AcceptedCall, AlpsError, ChanValue, EntryDef, EntryId, Guard, ManagerCtx, ObjectBuilder,
-    ObjectHandle, PoolMode, ReadyEntry, Selected, Ty, Value,
-};
+use alps_core::{AlpsError, Guard, GuardView, Value};
 use alps_runtime::Runtime;
-use parking_lot::Mutex;
 
-use crate::ast::*;
-use crate::check::{Checked, EntryInfo, ObjInfo};
-use crate::error::LangError;
+use crate::ast::BinOp;
+use crate::check::Checked;
+use crate::exec::{
+    binop, len_of, list_get, list_pop, list_push, list_remove, list_set, not_one, pending, unop,
+    Cand, Eval, Ex, Fr, Pd, Prog,
+};
+use crate::ir::{Builtin, CExpr, CGuardKind, CGuarded, VarRef};
 use crate::token::Pos;
 
-/// Where `print` output goes.
-#[derive(Clone)]
-pub enum Output {
-    /// Standard output.
-    Stdout,
-    /// An in-memory buffer (used by tests and the benchmarks).
-    Buffer(Arc<Mutex<String>>),
-}
+pub use crate::exec::{Output, RunError};
 
-impl fmt::Debug for Output {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Output::Stdout => write!(f, "Output::Stdout"),
-            Output::Buffer(_) => write!(f, "Output::Buffer"),
-        }
-    }
-}
+/// The strategy marker of the reference walker.
+pub(crate) struct Reference;
 
-impl Output {
-    /// New capture buffer.
-    pub fn buffer() -> (Output, Arc<Mutex<String>>) {
-        let b = Arc::new(Mutex::new(String::new()));
-        (Output::Buffer(Arc::clone(&b)), b)
-    }
-
-    pub(crate) fn line(&self, s: &str) {
-        match self {
-            Output::Stdout => println!("{s}"),
-            Output::Buffer(b) => {
-                let mut g = b.lock();
-                g.push_str(s);
-                g.push('\n');
-            }
-        }
-    }
-}
-
-/// Errors from running an ALPS program: front-end or runtime.
-#[derive(Debug)]
-pub enum RunError {
-    /// Lex/parse/check error.
-    Lang(LangError),
-    /// Runtime failure.
-    Run(AlpsError),
-}
-
-impl fmt::Display for RunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RunError::Lang(e) => write!(f, "{e}"),
-            RunError::Run(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for RunError {}
-
-impl From<LangError> for RunError {
-    fn from(e: LangError) -> Self {
-        RunError::Lang(e)
-    }
-}
-
-impl From<AlpsError> for RunError {
-    fn from(e: AlpsError) -> Self {
-        RunError::Run(e)
-    }
-}
-
-pub(crate) fn conv_ty(t: &TypeExpr) -> Ty {
-    match t {
-        TypeExpr::Int => Ty::Int,
-        TypeExpr::Bool => Ty::Bool,
-        TypeExpr::Float => Ty::Float,
-        TypeExpr::Str => Ty::Str,
-        TypeExpr::Chan(sig) => Ty::Chan(sig.iter().map(conv_ty).collect()),
-        TypeExpr::List(e) => Ty::List(Box::new(conv_ty(e))),
-    }
-}
-
-fn default_value(t: &TypeExpr, name: &str) -> Value {
-    match t {
-        TypeExpr::Int => Value::Int(0),
-        TypeExpr::Bool => Value::Bool(false),
-        TypeExpr::Float => Value::Float(0.0),
-        TypeExpr::Str => Value::str(""),
-        TypeExpr::Chan(sig) => Value::Chan(ChanValue::new(name, sig.iter().map(conv_ty).collect())),
-        TypeExpr::List(_) => Value::List(Vec::new()),
-    }
-}
-
-pub(crate) fn rerr(pos: Pos, msg: impl Into<String>) -> AlpsError {
-    AlpsError::Custom(format!("{pos}: {}", msg.into()))
-}
-
-/// Shared state of a running program.
-struct Vm {
-    checked: Arc<Checked>,
-    /// Spawned handles indexed by object index (`Checked::obj_idx` order).
-    /// A `OnceLock` read is a plain atomic load, so warm-path calls no
-    /// longer take a global mutex or hash the object name against a
-    /// `HashMap<String, ObjectHandle>` on every entry call.
-    objects: Vec<OnceLock<ObjectHandle>>,
-    /// Interned entry ids, flat over `flat_base[obj] + entry_index`;
-    /// filled right after each object spawns. Lets entry calls go through
-    /// `call_id` instead of re-hashing the entry name in the core.
-    entry_ids: Vec<OnceLock<EntryId>>,
-    flat_base: Vec<usize>,
-    envs: Vec<Arc<Mutex<HashMap<String, Value>>>>,
-    rt: Runtime,
-    out: Output,
-}
-
-/// How the current frame is borrowed during evaluation: guard closures
-/// evaluate read-only; statement execution evaluates with write access.
-enum FrameRef<'a> {
-    Mut(&'a mut HashMap<String, Value>),
-    Ref(&'a HashMap<String, Value>),
-}
-
-struct Scope<'a> {
-    frame: FrameRef<'a>,
-    overlay: Option<&'a HashMap<String, Value>>,
-}
-
-impl Scope<'_> {
-    fn read(&self, name: &str) -> Option<Value> {
-        if let Some(ov) = self.overlay {
-            if let Some(v) = ov.get(name) {
-                return Some(v.clone());
-            }
-        }
-        match &self.frame {
-            FrameRef::Mut(m) => m.get(name).cloned(),
-            FrameRef::Ref(m) => m.get(name).cloned(),
-        }
-    }
-}
-
-/// Source for `#P` evaluation.
-enum Pend<'a> {
-    None,
-    Mgr(&'a ManagerCtx),
-    View(&'a alps_core::GuardView<'a>),
-}
-
-/// Manager-side state: the primitive tokens keyed by (entry, 0-based
-/// slot).
-#[derive(Default)]
-struct Tokens {
-    accepted: HashMap<(usize, usize), AcceptedCall>,
-    ready: HashMap<(usize, usize), ReadyEntry>,
-}
-
-struct MgrEnv<'a> {
-    ctx: &'a ManagerCtx,
-    tokens: &'a Mutex<Tokens>,
-}
-
-enum Flow {
-    Normal,
-    Return(Vec<Value>),
-}
-
-struct Interp<'v> {
-    vm: &'v Vm,
-    cur_obj: Option<usize>,
-}
-
-impl<'v> Interp<'v> {
-    fn info(&self) -> Option<&ObjInfo> {
-        self.cur_obj.map(|i| &self.vm.checked.objects[i])
-    }
-
-    fn entry_info(&self, name: &str, pos: Pos) -> Result<&EntryInfo, AlpsError> {
-        let info = self.info().ok_or_else(|| rerr(pos, "no current object"))?;
-        info.entry_idx
-            .get(name)
-            .map(|i| &info.entries[*i])
-            .ok_or_else(|| rerr(pos, format!("unknown procedure `{name}`")))
-    }
-
-    fn object_env(&self) -> Option<&Arc<Mutex<HashMap<String, Value>>>> {
-        self.cur_obj.map(|i| &self.vm.envs[i])
-    }
-
-    fn handle_at(&self, oi: usize, pos: Pos) -> Result<&ObjectHandle, AlpsError> {
-        self.vm.objects[oi].get().ok_or_else(|| {
-            rerr(
-                pos,
-                format!(
-                    "object `{}` is not available",
-                    self.vm.checked.objects[oi].name
-                ),
-            )
-        })
-    }
-
-    /// Interned id of `obj.entry`; falls back to an error only before the
-    /// object has spawned (same availability rule as [`Interp::handle`]).
-    fn entry_id_of(&self, oi: usize, entry: &str, pos: Pos) -> Result<EntryId, AlpsError> {
-        let info = &self.vm.checked.objects[oi];
-        let ei = info
-            .entry_idx
-            .get(entry)
-            .copied()
-            .ok_or_else(|| rerr(pos, format!("unknown procedure `{}.{entry}`", info.name)))?;
-        self.vm.entry_ids[self.vm.flat_base[oi] + ei]
-            .get()
-            .copied()
-            .ok_or_else(|| rerr(pos, format!("object `{}` is not available", info.name)))
-    }
-
-    /// Resolve an `Obj.Entry` call target to its handle and interned id.
-    fn resolve_entry(
-        &self,
-        obj: &str,
-        entry: &str,
-        pos: Pos,
-    ) -> Result<(&ObjectHandle, EntryId), AlpsError> {
-        let oi = self
-            .vm
-            .checked
-            .obj_idx
-            .get(obj)
-            .copied()
-            .ok_or_else(|| rerr(pos, format!("object `{obj}` is not available")))?;
-        Ok((self.handle_at(oi, pos)?, self.entry_id_of(oi, entry, pos)?))
-    }
-
-    // ---- variables ----------------------------------------------------
-
-    fn read_var(&self, sc: &Scope<'_>, name: &str, pos: Pos) -> Result<Value, AlpsError> {
-        if let Some(v) = sc.read(name) {
-            return Ok(v);
-        }
-        if let Some(env) = self.object_env() {
-            if let Some(v) = env.lock().get(name) {
-                return Ok(v.clone());
-            }
-        }
-        Err(rerr(pos, format!("variable `{name}` not found")))
-    }
-
-    fn write_var(
-        &self,
-        sc: &mut Scope<'_>,
-        name: &str,
-        v: Value,
-        pos: Pos,
-    ) -> Result<(), AlpsError> {
-        match &mut sc.frame {
-            FrameRef::Mut(m) => {
-                if m.contains_key(name) {
-                    m.insert(name.to_string(), v);
-                    return Ok(());
-                }
-            }
-            FrameRef::Ref(m) => {
-                if m.contains_key(name) {
-                    return Err(rerr(
-                        pos,
-                        format!("cannot assign `{name}` inside a guard condition"),
-                    ));
-                }
-            }
-        }
-        if let Some(env) = self.object_env() {
-            let mut g = env.lock();
-            if g.contains_key(name) {
-                g.insert(name.to_string(), v);
-                return Ok(());
-            }
-        }
-        // Implicit declaration (guard binds in arm scope).
-        match &mut sc.frame {
-            FrameRef::Mut(m) => {
-                m.insert(name.to_string(), v);
-                Ok(())
-            }
-            FrameRef::Ref(_) => Err(rerr(pos, format!("variable `{name}` not found"))),
-        }
-    }
-
-    // ---- expressions ---------------------------------------------------
-
-    fn eval1(&self, sc: &mut Scope<'_>, pend: &Pend<'_>, e: &Expr) -> Result<Value, AlpsError> {
-        let vs = self.eval_multi(sc, pend, e)?;
-        match vs.len() {
-            1 => Ok(vs.into_iter().next().expect("len checked")),
-            n => Err(rerr(e.pos(), format!("expected one value, got {n}"))),
-        }
-    }
-
-    #[allow(clippy::too_many_lines)]
+impl Ex<'_, Reference> {
+    /// Evaluate an expression to its result list.
     fn eval_multi(
         &self,
-        sc: &mut Scope<'_>,
-        pend: &Pend<'_>,
-        e: &Expr,
+        fr: &mut Fr<'_>,
+        ov: Option<&[Value]>,
+        pd: &Pd<'_>,
+        e: &CExpr,
     ) -> Result<Vec<Value>, AlpsError> {
         Ok(match e {
-            Expr::Int(v, _) => vec![Value::Int(*v)],
-            Expr::Float(v, _) => vec![Value::Float(*v)],
-            Expr::Str(s, _) => vec![Value::str(s)],
-            Expr::Bool(b, _) => vec![Value::Bool(*b)],
-            Expr::Var(name, pos) => vec![self.read_var(sc, name, *pos)?],
-            Expr::Pending(entry, pos) => {
-                let n = match pend {
-                    Pend::Mgr(m) => m.pending(entry).map_err(|e| rerr(*pos, e.to_string()))?,
-                    Pend::View(v) => v.pending(entry),
-                    Pend::None => {
-                        return Err(rerr(*pos, "`#P` outside the manager"));
-                    }
-                };
-                vec![Value::Int(n as i64)]
+            CExpr::Const(v) => vec![v.clone()],
+            CExpr::Var(r, pos) => vec![self.read(fr, ov, *r, *pos)?],
+            CExpr::Pending(entry, pos) => vec![pending(pd, *entry, *pos)?],
+            CExpr::Unary(op, inner, pos) => {
+                vec![unop(*op, self.eval(fr, ov, pd, inner)?, *pos)?]
             }
-            Expr::Unary(op, inner, pos) => {
-                let v = self.eval1(sc, pend, inner)?;
-                vec![match (op, v) {
-                    (UnOp::Neg, Value::Int(i)) => Value::Int(-i),
-                    (UnOp::Neg, Value::Float(x)) => Value::Float(-x),
-                    (UnOp::Not, Value::Bool(b)) => Value::Bool(!b),
-                    (op, v) => return Err(rerr(*pos, format!("bad operand {v} for {op:?}"))),
-                }]
-            }
-            Expr::Binary(op, a, b, pos) => {
-                // Short-circuit booleans first.
-                if matches!(op, BinOp::And | BinOp::Or) {
-                    let va = self.eval1(sc, pend, a)?.as_bool()?;
-                    let short = match op {
-                        BinOp::And => !va,
-                        BinOp::Or => va,
-                        _ => unreachable!(),
-                    };
-                    if short {
-                        return Ok(vec![Value::Bool(va)]);
-                    }
-                    let vb = self.eval1(sc, pend, b)?.as_bool()?;
-                    return Ok(vec![Value::Bool(vb)]);
+            CExpr::Binary(op @ (BinOp::And | BinOp::Or), a, b, _) => {
+                let va = self.eval(fr, ov, pd, a)?.as_bool()?;
+                if va == matches!(op, BinOp::Or) {
+                    return Ok(vec![Value::Bool(va)]);
                 }
-                let va = self.eval1(sc, pend, a)?;
-                let vb = self.eval1(sc, pend, b)?;
+                vec![Value::Bool(self.eval(fr, ov, pd, b)?.as_bool()?)]
+            }
+            CExpr::Binary(op, a, b, pos) => {
+                let va = self.eval(fr, ov, pd, a)?;
+                let vb = self.eval(fr, ov, pd, b)?;
                 vec![binop(*op, va, vb, *pos)?]
             }
-            Expr::Call(target, args, pos) => self.eval_call(sc, pend, target, args, *pos)?,
+            CExpr::CallEntry {
+                obj,
+                flat,
+                args,
+                pos,
+            } => {
+                let vals: Vec<Value> = self.eval_all(fr, ov, pd, args)?;
+                let (h, id) = self.entry(*obj, *flat, *pos)?;
+                h.call_id(id, vals)?.into_iter().collect()
+            }
+            CExpr::CallSelf { flat, args, pos } => {
+                let vals: Vec<Value> = self.eval_all(fr, ov, pd, args)?;
+                let (h, id) = self.own_entry(*flat, *pos)?;
+                h.call_from_inside_id(id, vals)?.into_iter().collect()
+            }
+            CExpr::CallInline { entry, args, .. } => {
+                let vals = self.eval_all(fr, ov, pd, args)?;
+                self.run_inline(*entry, vals)?
+            }
+            CExpr::CallBuiltin(b, args, pos) => self.builtin(fr, ov, pd, b, args, *pos)?,
         })
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn eval_call(
+    fn builtin(
         &self,
-        sc: &mut Scope<'_>,
-        pend: &Pend<'_>,
-        target: &CallTarget,
-        args: &[Expr],
+        fr: &mut Fr<'_>,
+        ov: Option<&[Value]>,
+        pd: &Pd<'_>,
+        b: &Builtin,
+        args: &[CExpr],
         pos: Pos,
     ) -> Result<Vec<Value>, AlpsError> {
-        match target {
-            CallTarget::Entry(obj, entry) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval1(sc, pend, a)?);
-                }
-                let (h, id) = self.resolve_entry(obj, entry, pos)?;
-                Ok(h.call_id(id, vals)?.into_iter().collect())
+        let vals: Vec<Value> = self.eval_all(fr, ov, pd, args)?;
+        let mut vals = vals.into_iter();
+        let mut arg = || vals.next().expect("arity checked");
+        Ok(match b {
+            Builtin::Print => {
+                let line: String = vals.map(|v| v.to_string()).collect();
+                self.p.out.line(&line);
+                vec![]
             }
-            CallTarget::Plain(name) => {
-                if let Some(r) = self.eval_builtin(sc, pend, name, args, pos)? {
-                    return Ok(r);
-                }
-                // Sibling procedure of the current object.
-                let e = self.entry_info(name, pos)?;
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval1(sc, pend, a)?);
-                }
-                if e.intercept.is_some() {
-                    // Goes through the manager (paper §2.3: intercepting
-                    // local procedures).
-                    let oi = self.cur_obj.expect("entry_info succeeded");
-                    let h = self.handle_at(oi, pos)?;
-                    let id = self.entry_id_of(oi, name, pos)?;
-                    Ok(h.call_from_inside_id(id, vals)?.into_iter().collect())
-                } else {
-                    // Inline interpretation in the current process.
-                    self.run_proc_inline(name, vals, pos)
-                }
+            Builtin::Str => vec![Value::str(arg().to_string())],
+            Builtin::Len => vec![len_of(&arg(), pos)?],
+            Builtin::Get => {
+                let list = arg();
+                vec![list_get(&list, arg().as_int()?, pos)?]
             }
+            Builtin::Now => vec![Value::Int(self.p.rt.now() as i64)],
+            Builtin::Sleep => {
+                self.p.rt.sleep(arg().as_int()?.max(0) as u64);
+                vec![]
+            }
+            Builtin::Push(t) => {
+                let item = arg();
+                self.update(fr, ov, *t, pos, |list| list_push(list, item, pos))?;
+                vec![]
+            }
+            Builtin::Remove(t) => {
+                let i = arg().as_int()?;
+                vec![self.update(fr, ov, *t, pos, |list| list_remove(list, i, pos))?]
+            }
+            Builtin::Pop(t) => vec![self.update(fr, ov, *t, pos, |list| list_pop(list, pos))?],
+            Builtin::Set(t) => {
+                let i = arg().as_int()?;
+                let item = arg();
+                self.update(fr, ov, *t, pos, |list| list_set(list, i, item, pos))?;
+                vec![]
+            }
+        })
+    }
+
+    /// Apply `f` to a copy of the variable's value and write the copy
+    /// back.
+    fn update<R>(
+        &self,
+        fr: &mut Fr<'_>,
+        ov: Option<&[Value]>,
+        target: VarRef,
+        pos: Pos,
+        f: impl FnOnce(&mut Value) -> Result<R, AlpsError>,
+    ) -> Result<R, AlpsError> {
+        let mut v = self.read(fr, ov, target, pos)?;
+        let out = f(&mut v)?;
+        self.write(fr, target, v, pos)?;
+        Ok(out)
+    }
+}
+
+impl Eval for Ex<'_, Reference> {
+    fn eval(
+        &self,
+        fr: &mut Fr<'_>,
+        ov: Option<&[Value]>,
+        pd: &Pd<'_>,
+        e: &CExpr,
+    ) -> Result<Value, AlpsError> {
+        let mut vals = self.eval_multi(fr, ov, pd, e)?;
+        match vals.len() {
+            1 => Ok(vals.remove(0)),
+            n => Err(not_one(n, e.pos())),
         }
     }
 
-    fn run_proc_inline(
+    fn assign(
         &self,
-        name: &str,
-        args: Vec<Value>,
+        frame: &mut Vec<Value>,
+        pd: &Pd<'_>,
+        targets: &[VarRef],
+        e: &CExpr,
         pos: Pos,
+    ) -> Result<(), AlpsError> {
+        let vals = self.eval_multi(&mut Fr::Mut(frame), None, pd, e)?;
+        self.write_all(frame, targets, vals, pos)
+    }
+
+    fn effect(&self, frame: &mut Vec<Value>, pd: &Pd<'_>, e: &CExpr) -> Result<(), AlpsError> {
+        self.eval_multi(&mut Fr::Mut(frame), None, pd, e).map(drop)
+    }
+
+    fn ret(
+        &self,
+        frame: &mut Vec<Value>,
+        pd: &Pd<'_>,
+        args: &[CExpr],
     ) -> Result<Vec<Value>, AlpsError> {
-        let info = self.info().ok_or_else(|| rerr(pos, "no current object"))?;
-        let e = info.entry_idx[name];
-        let einfo = &info.entries[e];
-        let imp = &self.vm.checked.program.impls[info.impl_idx];
-        let p = &imp.procs[einfo.impl_idx];
-        let mut frame = HashMap::new();
-        for (prm, v) in p.header.params.iter().zip(args) {
-            frame.insert(prm.name.clone(), v);
-        }
-        for l in &p.vars {
-            frame.insert(l.name.clone(), default_value(&l.ty, &l.name));
-        }
-        let flow = self.exec_block(&mut frame, &p.body, None)?;
-        let expected = einfo.public_results.len() + einfo.hidden_results.len();
-        match flow {
-            Flow::Return(vals) => Ok(vals),
-            Flow::Normal if expected == 0 => Ok(vec![]),
-            Flow::Normal => Err(rerr(
-                p.header.pos,
-                format!("procedure `{name}` ended without returning {expected} value(s)"),
-            )),
-        }
+        self.eval_all(&mut Fr::Mut(frame), None, pd, args)
     }
 
-    fn eval_builtin(
-        &self,
-        sc: &mut Scope<'_>,
-        pend: &Pend<'_>,
-        name: &str,
-        args: &[Expr],
-        pos: Pos,
-    ) -> Result<Option<Vec<Value>>, AlpsError> {
-        match name {
-            "print" => {
-                let mut parts = Vec::new();
-                for a in args {
-                    parts.push(self.eval1(sc, pend, a)?.to_string());
-                }
-                self.vm.out.line(&parts.join(""));
-                Ok(Some(vec![]))
-            }
-            "str" => {
-                let v = self.eval1(sc, pend, &args[0])?;
-                Ok(Some(vec![Value::str(v.to_string())]))
-            }
-            "len" => {
-                let v = self.eval1(sc, pend, &args[0])?;
-                let n = match v {
-                    Value::List(xs) => xs.len(),
-                    Value::Str(s) => s.chars().count(),
-                    other => return Err(rerr(pos, format!("len of {other}"))),
-                };
-                Ok(Some(vec![Value::Int(n as i64)]))
-            }
-            "push" => {
-                let Expr::Var(var, vpos) = &args[0] else {
-                    return Err(rerr(pos, "`push` needs a list variable"));
-                };
-                let item = self.eval1(sc, pend, &args[1])?;
-                let mut list = self.read_var(sc, var, *vpos)?;
-                match &mut list {
-                    Value::List(xs) => xs.push(item),
-                    other => return Err(rerr(pos, format!("push to {other}"))),
-                }
-                self.write_var(sc, var, list, *vpos)?;
-                Ok(Some(vec![]))
-            }
-            "remove" => {
-                let Expr::Var(var, vpos) = &args[0] else {
-                    return Err(rerr(pos, "`remove` needs a list variable"));
-                };
-                let i = self.eval1(sc, pend, &args[1])?.as_int()?;
-                let mut list = self.read_var(sc, var, *vpos)?;
-                let out = match &mut list {
-                    Value::List(xs) => {
-                        let idx = usize::try_from(i)
-                            .ok()
-                            .filter(|&k| k < xs.len())
-                            .ok_or_else(|| {
-                                rerr(pos, format!("index {i} out of bounds (len {})", xs.len()))
-                            })?;
-                        xs.remove(idx)
-                    }
-                    other => return Err(rerr(pos, format!("remove from {other}"))),
-                };
-                self.write_var(sc, var, list, *vpos)?;
-                Ok(Some(vec![out]))
-            }
-            "pop" => {
-                let Expr::Var(var, vpos) = &args[0] else {
-                    return Err(rerr(pos, "`pop` needs a list variable"));
-                };
-                let mut list = self.read_var(sc, var, *vpos)?;
-                let out = match &mut list {
-                    Value::List(xs) => {
-                        if xs.is_empty() {
-                            return Err(rerr(pos, "pop from an empty list"));
-                        }
-                        xs.remove(0)
-                    }
-                    other => return Err(rerr(pos, format!("pop from {other}"))),
-                };
-                self.write_var(sc, var, list, *vpos)?;
-                Ok(Some(vec![out]))
-            }
-            "get" => {
-                let list = self.eval1(sc, pend, &args[0])?;
-                let i = self.eval1(sc, pend, &args[1])?.as_int()?;
-                match list {
-                    Value::List(xs) => {
-                        let idx = usize::try_from(i)
-                            .ok()
-                            .filter(|&k| k < xs.len())
-                            .ok_or_else(|| {
-                                rerr(pos, format!("index {i} out of bounds (len {})", xs.len()))
-                            })?;
-                        Ok(Some(vec![xs[idx].clone()]))
-                    }
-                    other => Err(rerr(pos, format!("get from {other}"))),
-                }
-            }
-            "set" => {
-                let Expr::Var(var, vpos) = &args[0] else {
-                    return Err(rerr(pos, "`set` needs a list variable"));
-                };
-                let i = self.eval1(sc, pend, &args[1])?.as_int()?;
-                let item = self.eval1(sc, pend, &args[2])?;
-                let mut list = self.read_var(sc, var, *vpos)?;
-                match &mut list {
-                    Value::List(xs) => {
-                        let idx = usize::try_from(i)
-                            .ok()
-                            .filter(|&k| k < xs.len())
-                            .ok_or_else(|| {
-                                rerr(pos, format!("index {i} out of bounds (len {})", xs.len()))
-                            })?;
-                        xs[idx] = item;
-                    }
-                    other => return Err(rerr(pos, format!("set on {other}"))),
-                }
-                self.write_var(sc, var, list, *vpos)?;
-                Ok(Some(vec![]))
-            }
-            "now" => Ok(Some(vec![Value::Int(self.vm.rt.now() as i64)])),
-            "sleep" => {
-                let t = self.eval1(sc, pend, &args[0])?.as_int()?;
-                self.vm.rt.sleep(t.max(0) as u64);
-                Ok(Some(vec![]))
-            }
-            _ => Ok(None),
-        }
-    }
-
-    // ---- statements ----------------------------------------------------
-
-    fn exec_block(
-        &self,
-        frame: &mut HashMap<String, Value>,
-        stmts: &[Stmt],
-        mgr: Option<&MgrEnv<'_>>,
-    ) -> Result<Flow, AlpsError> {
-        for s in stmts {
-            match self.exec_stmt(frame, s, mgr)? {
-                Flow::Normal => {}
-                ret => return Ok(ret),
-            }
-        }
-        Ok(Flow::Normal)
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn exec_stmt(
-        &self,
-        frame: &mut HashMap<String, Value>,
-        s: &Stmt,
-        mgr: Option<&MgrEnv<'_>>,
-    ) -> Result<Flow, AlpsError> {
-        fn pend_of<'a>(m: Option<&'a MgrEnv<'a>>) -> Option<&'a ManagerCtx> {
-            m.map(|m| m.ctx)
-        }
-        macro_rules! scope {
-            () => {
-                Scope {
-                    frame: FrameRef::Mut(frame),
-                    overlay: None,
-                }
-            };
-        }
-        macro_rules! pend {
-            () => {
-                match pend_of(mgr) {
-                    Some(c) => Pend::Mgr(c),
-                    None => Pend::None,
-                }
-            };
-        }
-        match s {
-            Stmt::Skip(_) => Ok(Flow::Normal),
-            Stmt::Assign(lvs, e, pos) => {
-                let vals = {
-                    let mut sc = scope!();
-                    self.eval_multi(&mut sc, &pend!(), e)?
-                };
-                if vals.len() != lvs.len() {
-                    return Err(rerr(
-                        *pos,
-                        format!("{} value(s) for {} target(s)", vals.len(), lvs.len()),
-                    ));
-                }
-                let mut sc = scope!();
-                for (lv, v) in lvs.iter().zip(vals) {
-                    let LValue::Var(name, vpos) = lv;
-                    self.write_var(&mut sc, name, v, *vpos)?;
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::Call(target, args, pos) => {
-                let mut sc = scope!();
-                let _ = self.eval_call(&mut sc, &pend!(), target, args, *pos)?;
-                Ok(Flow::Normal)
-            }
-            Stmt::If(arms, els, _) => {
-                for (c, body) in arms {
-                    let cond = {
-                        let mut sc = scope!();
-                        self.eval1(&mut sc, &pend!(), c)?.as_bool()?
-                    };
-                    if cond {
-                        return self.exec_block(frame, body, mgr);
-                    }
-                }
-                self.exec_block(frame, els, mgr)
-            }
-            Stmt::While(c, body, _) => loop {
-                let cond = {
-                    let mut sc = scope!();
-                    self.eval1(&mut sc, &pend!(), c)?.as_bool()?
-                };
-                if !cond {
-                    return Ok(Flow::Normal);
-                }
-                match self.exec_block(frame, body, mgr)? {
-                    Flow::Normal => {}
-                    ret => return Ok(ret),
-                }
-            },
-            Stmt::For(v, lo, hi, body, _) => {
-                let (a, b) = {
-                    let mut sc = scope!();
-                    (
-                        self.eval1(&mut sc, &pend!(), lo)?.as_int()?,
-                        self.eval1(&mut sc, &pend!(), hi)?.as_int()?,
-                    )
-                };
-                let had = frame.contains_key(v);
-                for i in a..=b {
-                    frame.insert(v.clone(), Value::Int(i));
-                    match self.exec_block(frame, body, mgr)? {
-                        Flow::Normal => {}
-                        ret => return Ok(ret),
-                    }
-                }
-                if !had {
-                    frame.remove(v);
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::Send(chan, args, pos) => {
-                let mut sc = scope!();
-                let c = self.eval1(&mut sc, &pend!(), chan)?;
-                let c = c
-                    .as_chan()
-                    .map_err(|_| rerr(*pos, "send on a non-channel"))?
-                    .clone();
-                let mut vals = Vec::new();
-                for a in args {
-                    vals.push(self.eval1(&mut sc, &pend!(), a)?);
-                }
-                c.send(&self.vm.rt, vals)?;
-                Ok(Flow::Normal)
-            }
-            Stmt::Receive(chan, binds, pos) => {
-                let c = {
-                    let mut sc = scope!();
-                    self.eval1(&mut sc, &pend!(), chan)?
-                        .as_chan()
-                        .map_err(|_| rerr(*pos, "receive on a non-channel"))?
-                        .clone()
-                };
-                let msg = match mgr {
-                    Some(m) => m.ctx.receive(&c)?,
-                    None => c.recv(&self.vm.rt)?,
-                };
-                let mut sc = scope!();
-                for (b, v) in binds.iter().zip(msg) {
-                    let LValue::Var(name, vpos) = b;
-                    self.write_var(&mut sc, name, v, *vpos)?;
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::Select(arms, pos) => {
-                let m = mgr.ok_or_else(|| rerr(*pos, "select outside manager"))?;
-                match self.run_select(frame, arms, m)? {
-                    SelectOutcome::Ran(flow) => Ok(flow),
-                    SelectOutcome::AllClosed => {
-                        Err(rerr(*pos, "select failed: every guard closed"))
-                    }
-                }
-            }
-            Stmt::Loop(arms, pos) => {
-                let m = mgr.ok_or_else(|| rerr(*pos, "loop outside manager"))?;
-                loop {
-                    match self.run_select(frame, arms, m)? {
-                        SelectOutcome::Ran(Flow::Normal) => {}
-                        SelectOutcome::Ran(ret) => return Ok(ret),
-                        SelectOutcome::AllClosed => return Ok(Flow::Normal),
-                    }
-                }
-            }
-            Stmt::Par(calls, pos) => {
-                let mut branches: Vec<Box<dyn FnOnce() -> Result<(), AlpsError> + Send>> =
-                    Vec::new();
-                for (target, args) in calls {
-                    let CallTarget::Entry(obj, entry) = target else {
-                        return Err(rerr(*pos, "par branches must be entry calls"));
-                    };
-                    let mut vals = Vec::new();
-                    {
-                        let mut sc = scope!();
-                        for a in args {
-                            vals.push(self.eval1(&mut sc, &pend!(), a)?);
-                        }
-                    }
-                    let (h, id) = self.resolve_entry(obj, entry, *pos)?;
-                    let h = h.clone();
-                    branches.push(Box::new(move || h.call_id(id, vals).map(|_| ())));
-                }
-                let results =
-                    alps_runtime::par(&self.vm.rt, branches).map_err(AlpsError::Runtime)?;
-                for r in results {
-                    r?;
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::ParFor(v, lo, hi, target, args, pos) => {
-                let CallTarget::Entry(obj, entry) = target else {
-                    return Err(rerr(*pos, "par branches must be entry calls"));
-                };
-                let (a, b) = {
-                    let mut sc = scope!();
-                    (
-                        self.eval1(&mut sc, &pend!(), lo)?.as_int()?,
-                        self.eval1(&mut sc, &pend!(), hi)?.as_int()?,
-                    )
-                };
-                let mut branches: Vec<Box<dyn FnOnce() -> Result<(), AlpsError> + Send>> =
-                    Vec::new();
-                for i in a..=b {
-                    // Bind the loop variable and evaluate the arguments.
-                    let mut overlay = HashMap::new();
-                    overlay.insert(v.clone(), Value::Int(i));
-                    let mut vals = Vec::new();
-                    {
-                        let mut sc = Scope {
-                            frame: FrameRef::Mut(frame),
-                            overlay: Some(&overlay),
-                        };
-                        for arg in args {
-                            vals.push(self.eval1(&mut sc, &pend!(), arg)?);
-                        }
-                    }
-                    let (h, id) = self.resolve_entry(obj, entry, *pos)?;
-                    let h = h.clone();
-                    branches.push(Box::new(move || h.call_id(id, vals).map(|_| ())));
-                }
-                let results =
-                    alps_runtime::par(&self.vm.rt, branches).map_err(AlpsError::Runtime)?;
-                for r in results {
-                    r?;
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::Return(args, _) => {
-                let mut vals = Vec::new();
-                let mut sc = scope!();
-                for a in args {
-                    vals.push(self.eval1(&mut sc, &pend!(), a)?);
-                }
-                Ok(Flow::Return(vals))
-            }
-            Stmt::Accept(slot, binds, pos) => {
-                let m = mgr.ok_or_else(|| rerr(*pos, "accept outside manager"))?;
-                let e = self.entry_info(&slot.entry, slot.pos)?;
-                let eidx = self.info().expect("checked").entry_idx[&e.name];
-                let acc = match &slot.index {
-                    Some(ix) => {
-                        let i = {
-                            let mut sc = scope!();
-                            self.eval1(&mut sc, &pend!(), ix)?.as_int()?
-                        };
-                        m.ctx.accept_slot(&slot.entry, to_slot0(i, *pos)?)?
-                    }
-                    None => m.ctx.accept(&slot.entry)?,
-                };
-                let mut sc = scope!();
-                for (b, v) in binds.iter().zip(acc.params().to_vec()) {
-                    let LValue::Var(name, vpos) = b;
-                    self.write_var(&mut sc, name, v, *vpos)?;
-                }
-                m.tokens.lock().accepted.insert((eidx, acc.slot()), acc);
-                Ok(Flow::Normal)
-            }
-            Stmt::AwaitStmt(slot, binds, pos) => {
-                let m = mgr.ok_or_else(|| rerr(*pos, "await outside manager"))?;
-                let e = self.entry_info(&slot.entry, slot.pos)?;
-                let eidx = self.info().expect("checked").entry_idx[&e.name];
-                let done = match &slot.index {
-                    Some(ix) => {
-                        let i = {
-                            let mut sc = scope!();
-                            self.eval1(&mut sc, &pend!(), ix)?.as_int()?
-                        };
-                        m.ctx.await_slot(&slot.entry, to_slot0(i, *pos)?)?
-                    }
-                    None => m.ctx.await_done(&slot.entry)?,
-                };
-                let mut vals = done.results().to_vec();
-                vals.extend(done.hidden().iter().cloned());
-                let mut sc = scope!();
-                for (b, v) in binds.iter().zip(vals) {
-                    let LValue::Var(name, vpos) = b;
-                    self.write_var(&mut sc, name, v, *vpos)?;
-                }
-                m.tokens.lock().ready.insert((eidx, done.slot()), done);
-                Ok(Flow::Normal)
-            }
-            Stmt::Start(slot, args, pos) => {
-                let m = mgr.ok_or_else(|| rerr(*pos, "start outside manager"))?;
-                let (eidx, s0) = self.resolve_token_slot(frame, mgr, slot, *pos, true, m)?;
-                let acc = m
-                    .tokens
-                    .lock()
-                    .accepted
-                    .remove(&(eidx, s0))
-                    .ok_or_else(|| rerr(*pos, format!("no accepted call on `{}`", slot.entry)))?;
-                let e = &self.info().expect("checked").entries[eidx];
-                if args.is_empty() {
-                    m.ctx.start_as_is(acc)
-                } else {
-                    let mut vals = Vec::new();
-                    {
-                        let mut sc = scope!();
-                        for a in args {
-                            vals.push(self.eval1(&mut sc, &pend!(), a)?);
-                        }
-                    }
-                    let k = e.intercept.map(|(p, _)| p).unwrap_or(0);
-                    let hidden = vals.split_off(k);
-                    m.ctx.start(acc, vals, hidden)
-                }
-                .map(|()| Flow::Normal)
-            }
-            Stmt::Finish(slot, args, pos) => {
-                let m = mgr.ok_or_else(|| rerr(*pos, "finish outside manager"))?;
-                let (eidx, s0) = self.resolve_token_slot(frame, mgr, slot, *pos, false, m)?;
-                let mut vals = Vec::new();
-                {
-                    let mut sc = scope!();
-                    for a in args {
-                        vals.push(self.eval1(&mut sc, &pend!(), a)?);
-                    }
-                }
-                let maybe_ready = m.tokens.lock().ready.remove(&(eidx, s0));
-                if let Some(done) = maybe_ready {
-                    if vals.is_empty() {
-                        m.ctx.finish_as_is(done)?;
-                    } else {
-                        m.ctx.finish(done, vals)?;
-                    }
-                    return Ok(Flow::Normal);
-                }
-                let maybe_acc = m.tokens.lock().accepted.remove(&(eidx, s0));
-                if let Some(acc) = maybe_acc {
-                    // Combining: answer without executing.
-                    m.ctx.finish_accepted(acc, vals)?;
-                    return Ok(Flow::Normal);
-                }
-                Err(rerr(
-                    *pos,
-                    format!("no awaited or accepted call on `{}` to finish", slot.entry),
-                ))
-            }
-            Stmt::Execute(slot, args, pos) => {
-                let m = mgr.ok_or_else(|| rerr(*pos, "execute outside manager"))?;
-                let (eidx, s0) = self.resolve_token_slot(frame, mgr, slot, *pos, true, m)?;
-                let acc = m
-                    .tokens
-                    .lock()
-                    .accepted
-                    .remove(&(eidx, s0))
-                    .ok_or_else(|| rerr(*pos, format!("no accepted call on `{}`", slot.entry)))?;
-                let e = &self.info().expect("checked").entries[eidx];
-                if args.is_empty() {
-                    m.ctx.execute(acc)?;
-                } else {
-                    let mut vals = Vec::new();
-                    {
-                        let mut sc = scope!();
-                        for a in args {
-                            vals.push(self.eval1(&mut sc, &pend!(), a)?);
-                        }
-                    }
-                    let k = e.intercept.map(|(p, _)| p).unwrap_or(0);
-                    let hidden = vals.split_off(k);
-                    m.ctx.execute_with(acc, vals, hidden)?;
-                }
-                Ok(Flow::Normal)
-            }
-        }
-    }
-
-    /// Resolve which (entry, 0-based slot) a `start/finish/execute P[i]`
-    /// refers to. Without an index, the token table must hold exactly one
-    /// token for the entry.
-    fn resolve_token_slot(
-        &self,
-        frame: &mut HashMap<String, Value>,
-        mgr: Option<&MgrEnv<'_>>,
-        slot: &SlotRef,
-        pos: Pos,
-        accepted_table: bool,
-        m: &MgrEnv<'_>,
-    ) -> Result<(usize, usize), AlpsError> {
-        let e = self.entry_info(&slot.entry, slot.pos)?;
-        let eidx = self.info().expect("checked").entry_idx[&e.name];
-        if let Some(ix) = &slot.index {
-            let i = {
-                let mut sc = Scope {
-                    frame: FrameRef::Mut(frame),
-                    overlay: None,
-                };
-                let pend = match mgr.map(|m| m.ctx) {
-                    Some(c) => Pend::Mgr(c),
-                    None => Pend::None,
-                };
-                self.eval1(&mut sc, &pend, ix)?.as_int()?
-            };
-            return Ok((eidx, to_slot0(i, pos)?));
-        }
-        let tokens = m.tokens.lock();
-        let keys: Vec<usize> = if accepted_table {
-            tokens
-                .accepted
-                .keys()
-                .filter(|(ei, _)| *ei == eidx)
-                .map(|(_, s)| *s)
-                .collect()
-        } else {
-            tokens
-                .ready
-                .keys()
-                .chain(tokens.accepted.keys())
-                .filter(|(ei, _)| *ei == eidx)
-                .map(|(_, s)| *s)
-                .collect()
+    fn conditions<'a>(&self, mut g: Guard<'a>, arm: &'a CGuarded, cand: Cand<'a>) -> Guard<'a>
+    where
+        Self: 'a,
+    {
+        let ex = *self;
+        let on_candidate = move |view: &GuardView<'_>, e: &CExpr| {
+            let ov = cand.overlay(view);
+            ex.eval(&mut Fr::Ref(cand.frame), Some(&ov), &Pd::View(view), e)
         };
-        match keys.as_slice() {
-            [one] => Ok((eidx, *one)),
-            [] => Err(rerr(pos, format!("no pending token for `{}`", slot.entry))),
-            _ => Err(rerr(
-                pos,
-                format!(
-                    "ambiguous `{}`: several array elements are in progress; write `{}[i]`",
-                    slot.entry, slot.entry
-                ),
-            )),
-        }
-    }
-
-    // ---- select --------------------------------------------------------
-
-    #[allow(clippy::too_many_lines)]
-    fn run_select(
-        &self,
-        frame: &mut HashMap<String, Value>,
-        arms: &[Guarded],
-        m: &MgrEnv<'_>,
-    ) -> Result<SelectOutcome, AlpsError> {
-        let info = self.info().expect("manager scope").clone();
-        // Pre-evaluate quantifier bounds, plain-guard conditions, and
-        // channel expressions (they may not depend on bound values).
-        struct ArmMeta {
-            bounds: Option<(i64, i64)>,
-            chan: Option<ChanValue>,
-            bind_names: Vec<String>,
-            quant_name: Option<String>,
-        }
-        let mut metas = Vec::with_capacity(arms.len());
-        let mut plain_conds = Vec::with_capacity(arms.len());
-        for arm in arms {
-            let bounds = match &arm.quantifier {
-                Some((_, lo, hi)) => {
-                    let mut sc = Scope {
-                        frame: FrameRef::Mut(frame),
-                        overlay: None,
-                    };
-                    let a = self.eval1(&mut sc, &Pend::Mgr(m.ctx), lo)?.as_int()?;
-                    let b = self.eval1(&mut sc, &Pend::Mgr(m.ctx), hi)?.as_int()?;
-                    Some((a, b))
-                }
-                None => None,
-            };
-            let chan = match &arm.kind {
-                GuardKind::Receive { chan, .. } => {
-                    let mut sc = Scope {
-                        frame: FrameRef::Mut(frame),
-                        overlay: None,
-                    };
-                    Some(
-                        self.eval1(&mut sc, &Pend::Mgr(m.ctx), chan)?
-                            .as_chan()
-                            .map_err(|_| rerr(chan.pos(), "receive on a non-channel"))?
-                            .clone(),
-                    )
-                }
-                _ => None,
-            };
-            let bind_names: Vec<String> = match &arm.kind {
-                GuardKind::Accept { binds, .. }
-                | GuardKind::Await { binds, .. }
-                | GuardKind::Receive { binds, .. } => {
-                    binds.iter().map(|LValue::Var(n, _)| n.clone()).collect()
-                }
-                GuardKind::Plain => Vec::new(),
-            };
-            let quant_name = arm.quantifier.as_ref().map(|(n, _, _)| n.clone());
-            let plain_cond = if matches!(arm.kind, GuardKind::Plain) {
-                let mut sc = Scope {
-                    frame: FrameRef::Mut(frame),
-                    overlay: None,
-                };
-                let w = arm.when.as_ref().expect("parser enforced");
-                self.eval1(&mut sc, &Pend::Mgr(m.ctx), w)?.as_bool()?
-            } else {
-                false
-            };
-            plain_conds.push(plain_cond);
-            metas.push(ArmMeta {
-                bounds,
-                chan,
-                bind_names,
-                quant_name,
+        if !matches!(arm.kind, CGuardKind::Plain) {
+            g = g.when(move |view| {
+                cand.in_bounds(view)
+                    && arm.when.as_ref().is_none_or(|w| {
+                        on_candidate(view, w)
+                            .and_then(|v| v.as_bool())
+                            .unwrap_or(false)
+                    })
             });
         }
-        // Build the guards, borrowing the frame read-only for the
-        // acceptance-condition closures.
-        let frame_ro: &HashMap<String, Value> = frame;
-        let mut guards: Vec<Guard<'_>> = Vec::with_capacity(arms.len());
-        for (arm, (meta, plain)) in arms.iter().zip(metas.iter().zip(&plain_conds)) {
-            let mk_overlay = |v: &alps_core::GuardView<'_>| -> HashMap<String, Value> {
-                let mut ov = HashMap::new();
-                if let Some(q) = &meta.quant_name {
-                    ov.insert(q.clone(), Value::Int(v.slot() as i64 + 1));
-                }
-                for (n, val) in meta.bind_names.iter().zip(v.values()) {
-                    ov.insert(n.clone(), val.clone());
-                }
-                ov
-            };
-            let eval_when = move |view: &alps_core::GuardView<'_>, when: &Expr| -> bool {
-                if let Some((lo, hi)) = meta.bounds {
-                    let i = view.slot() as i64 + 1;
-                    if i < lo || i > hi {
-                        return false;
-                    }
-                }
-                let ov = mk_overlay(view);
-                let sub = Interp {
-                    vm: self.vm,
-                    cur_obj: self.cur_obj,
-                };
-                let mut sc = Scope {
-                    frame: FrameRef::Ref(frame_ro),
-                    overlay: Some(&ov),
-                };
-                sub.eval1(&mut sc, &Pend::View(view), when)
-                    .and_then(|v| v.as_bool())
-                    .unwrap_or(false)
-            };
-            let bounds_only = move |view: &alps_core::GuardView<'_>| -> bool {
-                if let Some((lo, hi)) = meta.bounds {
-                    let i = view.slot() as i64 + 1;
-                    i >= lo && i <= hi
-                } else {
-                    true
-                }
-            };
-            let mut g = match &arm.kind {
-                GuardKind::Accept { slot, .. } => Guard::accept(&slot.entry),
-                GuardKind::Await { slot, .. } => Guard::await_done(&slot.entry),
-                GuardKind::Receive { .. } => {
-                    Guard::receive(meta.chan.as_ref().expect("receive meta"))
-                }
-                GuardKind::Plain => Guard::cond(*plain),
-            };
-            if !matches!(arm.kind, GuardKind::Plain) {
-                g = match &arm.when {
-                    Some(w) => g.when(move |view| eval_when(view, w)),
-                    None => g.when(bounds_only),
-                };
-            }
-            if let Some(pe) = &arm.pri {
-                let meta2: &ArmMeta = meta;
-                let pri_fn = move |view: &alps_core::GuardView<'_>| -> i64 {
-                    let mut ov = HashMap::new();
-                    if let Some(q) = &meta2.quant_name {
-                        ov.insert(q.clone(), Value::Int(view.slot() as i64 + 1));
-                    }
-                    for (n, val) in meta2.bind_names.iter().zip(view.values()) {
-                        ov.insert(n.clone(), val.clone());
-                    }
-                    let sub = Interp {
-                        vm: self.vm,
-                        cur_obj: self.cur_obj,
-                    };
-                    let mut sc = Scope {
-                        frame: FrameRef::Ref(frame_ro),
-                        overlay: Some(&ov),
-                    };
-                    sub.eval1(&mut sc, &Pend::View(view), pe)
-                        .and_then(|v| v.as_int())
-                        .unwrap_or(0)
-                };
-                g = g.pri(pri_fn);
-            }
-            guards.push(g);
+        if let Some(pe) = &arm.pri {
+            g = g.pri(move |view| on_candidate(view, pe).and_then(|v| v.as_int()).unwrap_or(0));
         }
-        let sel = match m.ctx.select(guards) {
-            Ok(s) => s,
-            Err(AlpsError::SelectFailed) => return Ok(SelectOutcome::AllClosed),
-            Err(e) => return Err(e),
-        };
-        // Commit: bind values, record tokens, run the arm body.
-        let gi = sel.guard_index();
-        let arm = &arms[gi];
-        let meta = &metas[gi];
-        match sel {
-            Selected::Accepted { call, .. } => {
-                if let Some(q) = &meta.quant_name {
-                    frame.insert(q.clone(), Value::Int(call.slot() as i64 + 1));
-                }
-                for (n, v) in meta.bind_names.iter().zip(call.params().to_vec()) {
-                    frame.insert(n.clone(), v);
-                }
-                let eidx = info.entry_idx[call.entry_name()];
-                m.tokens.lock().accepted.insert((eidx, call.slot()), call);
-            }
-            Selected::Ready { done, .. } => {
-                if let Some(q) = &meta.quant_name {
-                    frame.insert(q.clone(), Value::Int(done.slot() as i64 + 1));
-                }
-                let mut vals = done.results().to_vec();
-                vals.extend(done.hidden().iter().cloned());
-                for (n, v) in meta.bind_names.iter().zip(vals) {
-                    frame.insert(n.clone(), v);
-                }
-                let eidx = info.entry_idx[done.entry_name()];
-                m.tokens.lock().ready.insert((eidx, done.slot()), done);
-            }
-            Selected::Received { msg, .. } => {
-                for (n, v) in meta.bind_names.iter().zip(msg) {
-                    frame.insert(n.clone(), v);
-                }
-            }
-            Selected::Cond { .. } => {}
-        }
-        let flow = self.exec_block(frame, &arm.body, Some(m))?;
-        Ok(SelectOutcome::Ran(flow))
+        g
     }
 }
 
-enum SelectOutcome {
-    Ran(Flow),
-    AllClosed,
-}
-
-pub(crate) fn to_slot0(i: i64, pos: Pos) -> Result<usize, AlpsError> {
-    if i < 1 {
-        return Err(rerr(pos, format!("slot index {i} out of range (1-based)")));
-    }
-    Ok((i - 1) as usize)
-}
-
-pub(crate) fn binop(op: BinOp, a: Value, b: Value, pos: Pos) -> Result<Value, AlpsError> {
-    use BinOp::*;
-    Ok(match (op, &a, &b) {
-        (Add, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_add(*y)),
-        (Sub, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_sub(*y)),
-        (Mul, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_mul(*y)),
-        (Div, Value::Int(x), Value::Int(y)) => {
-            if *y == 0 {
-                return Err(rerr(pos, "division by zero"));
-            }
-            Value::Int(x / y)
-        }
-        (Mod, Value::Int(x), Value::Int(y)) => {
-            if *y == 0 {
-                return Err(rerr(pos, "modulo by zero"));
-            }
-            Value::Int(x.rem_euclid(*y))
-        }
-        (Add, Value::Float(x), Value::Float(y)) => Value::Float(x + y),
-        (Sub, Value::Float(x), Value::Float(y)) => Value::Float(x - y),
-        (Mul, Value::Float(x), Value::Float(y)) => Value::Float(x * y),
-        (Div, Value::Float(x), Value::Float(y)) => Value::Float(x / y),
-        (Add, Value::Str(x), Value::Str(y)) => Value::str(format!("{x}{y}")),
-        (Eq, _, _) => Value::Bool(a == b),
-        (Ne, _, _) => Value::Bool(a != b),
-        (Lt, Value::Int(x), Value::Int(y)) => Value::Bool(x < y),
-        (Le, Value::Int(x), Value::Int(y)) => Value::Bool(x <= y),
-        (Gt, Value::Int(x), Value::Int(y)) => Value::Bool(x > y),
-        (Ge, Value::Int(x), Value::Int(y)) => Value::Bool(x >= y),
-        (Lt, Value::Float(x), Value::Float(y)) => Value::Bool(x < y),
-        (Le, Value::Float(x), Value::Float(y)) => Value::Bool(x <= y),
-        (Gt, Value::Float(x), Value::Float(y)) => Value::Bool(x > y),
-        (Ge, Value::Float(x), Value::Float(y)) => Value::Bool(x >= y),
-        (Lt, Value::Str(x), Value::Str(y)) => Value::Bool(x < y),
-        (Le, Value::Str(x), Value::Str(y)) => Value::Bool(x <= y),
-        (Gt, Value::Str(x), Value::Str(y)) => Value::Bool(x > y),
-        (Ge, Value::Str(x), Value::Str(y)) => Value::Bool(x >= y),
-        (op, a, b) => return Err(rerr(pos, format!("bad operands {a} {op:?} {b}"))),
-    })
-}
-
-/// Run a checked program on the given runtime. Object managers and pool
-/// workers are daemons; the call returns when `main` finishes (or
-/// immediately after object setup when there is no `main`).
+/// Run a checked program on the given runtime with the reference
+/// walker. Object managers and pool workers are daemons; the call
+/// returns when `main` finishes (or immediately after object setup when
+/// there is no `main`).
 ///
 /// # Errors
 ///
 /// [`RunError::Run`] for runtime failures (body errors, shutdowns,
 /// protocol violations surfaced by the core).
 pub fn run_checked(rt: &Runtime, checked: &Arc<Checked>, out: Output) -> Result<(), RunError> {
-    run_checked_with_pool(rt, checked, out, PoolMode::PerSlot)
-}
-
-/// As [`run_checked`], with an explicit process-pool strategy (paper §3's
-/// compiler switch).
-///
-/// # Errors
-///
-/// As [`run_checked`].
-pub fn run_checked_with_pool(
-    rt: &Runtime,
-    checked: &Arc<Checked>,
-    out: Output,
-    pool: PoolMode,
-) -> Result<(), RunError> {
-    let flat_base: Vec<usize> = checked
-        .objects
-        .iter()
-        .scan(0usize, |acc, info| {
-            let base = *acc;
-            *acc += info.entries.len();
-            Some(base)
-        })
-        .collect();
-    let total_entries: usize = checked.objects.iter().map(|o| o.entries.len()).sum();
-    let vm = Arc::new(Vm {
-        checked: Arc::clone(checked),
-        objects: (0..checked.objects.len())
-            .map(|_| OnceLock::new())
-            .collect(),
-        entry_ids: (0..total_entries).map(|_| OnceLock::new()).collect(),
-        flat_base,
-        envs: checked
-            .objects
-            .iter()
-            .map(|info| {
-                let imp = &checked.program.impls[info.impl_idx];
-                let env: HashMap<String, Value> = imp
-                    .vars
-                    .iter()
-                    .map(|v| (v.name.clone(), default_value(&v.ty, &v.name)))
-                    .collect();
-                Arc::new(Mutex::new(env))
-            })
-            .collect(),
-        rt: rt.clone(),
-        out,
-    });
-    // Build and spawn every object.
-    for (oi, info) in checked.objects.iter().enumerate() {
-        let imp = &checked.program.impls[info.impl_idx];
-        // Run initialization code first (paper: "its initialization code
-        // is first executed and then its manager process is implicitly
-        // created").
-        {
-            let interp = Interp {
-                vm: &vm,
-                cur_obj: Some(oi),
-            };
-            let mut frame = HashMap::new();
-            interp
-                .exec_block(&mut frame, &imp.init, None)
-                .map_err(RunError::Run)?;
-        }
-        let mut builder = ObjectBuilder::new(&info.name).pool(pool);
-        for e in &info.entries {
-            let mut def = EntryDef::new(&e.name)
-                .params(e.public_params.iter().map(conv_ty))
-                .results(e.public_results.iter().map(conv_ty))
-                .hidden_params(e.hidden_params.iter().map(conv_ty))
-                .hidden_results(e.hidden_results.iter().map(conv_ty))
-                .array(e.array);
-            if e.local {
-                def = def.local();
-            }
-            if let Some((kp, kr)) = e.intercept {
-                def = def.intercept_params(kp).intercept_results(kr);
-            }
-            let vm2 = Arc::clone(&vm);
-            let impl_idx = e.impl_idx;
-            def = def.body(move |_ctx, args| {
-                let interp = Interp {
-                    vm: &vm2,
-                    cur_obj: Some(oi),
-                };
-                let info = &vm2.checked.objects[oi];
-                let imp = &vm2.checked.program.impls[info.impl_idx];
-                let p = &imp.procs[impl_idx];
-                let mut frame = HashMap::new();
-                for (prm, v) in p.header.params.iter().zip(args) {
-                    frame.insert(prm.name.clone(), v);
-                }
-                for l in &p.vars {
-                    frame.insert(l.name.clone(), default_value(&l.ty, &l.name));
-                }
-                let expected = p.header.results.len();
-                match interp.exec_block(&mut frame, &p.body, None)? {
-                    Flow::Return(vals) => Ok(vals),
-                    Flow::Normal if expected == 0 => Ok(vec![]),
-                    Flow::Normal => Err(rerr(
-                        p.header.pos,
-                        format!(
-                            "procedure `{}` ended without returning {expected} value(s)",
-                            p.header.name
-                        ),
-                    )),
-                }
-            });
-            builder = builder.entry(def);
-        }
-        if let Some(mgr_ast) = &imp.manager {
-            let vm2 = Arc::clone(&vm);
-            let mgr_vars: Vec<Param> = mgr_ast.vars.clone();
-            builder = builder.manager(move |mctx| {
-                let interp = Interp {
-                    vm: &vm2,
-                    cur_obj: Some(oi),
-                };
-                let info = &vm2.checked.objects[oi];
-                let imp = &vm2.checked.program.impls[info.impl_idx];
-                let mgr_ast = imp.manager.as_ref().expect("manager present");
-                let mut frame = HashMap::new();
-                for v in &mgr_vars {
-                    frame.insert(v.name.clone(), default_value(&v.ty, &v.name));
-                }
-                let tokens = Mutex::new(Tokens::default());
-                let env = MgrEnv {
-                    ctx: mctx,
-                    tokens: &tokens,
-                };
-                interp
-                    .exec_block(&mut frame, &mgr_ast.body, Some(&env))
-                    .map(|_| ())
-            });
-        }
-        let handle = builder.spawn(rt).map_err(RunError::Run)?;
-        // Intern the entry ids first: the handle `OnceLock` gates
-        // availability, so ids are always present once the handle is.
-        let base = vm.flat_base[oi];
-        for (ei, e) in info.entries.iter().enumerate() {
-            let id = handle.entry_id(&e.name).map_err(RunError::Run)?;
-            let _ = vm.entry_ids[base + ei].set(id);
-        }
-        let _ = vm.objects[oi].set(handle);
-    }
-    // Run main.
-    let result = if let Some(main) = &checked.program.main {
-        let interp = Interp {
-            vm: &vm,
-            cur_obj: None,
-        };
-        let mut frame: HashMap<String, Value> = main
-            .vars
-            .iter()
-            .map(|v| (v.name.clone(), default_value(&v.ty, &v.name)))
-            .collect();
-        interp
-            .exec_block(&mut frame, &main.body, None)
-            .map(|_| ())
-            .map_err(RunError::Run)
-    } else {
-        Ok(())
-    };
-    // Tear the objects down.
-    for slot in &vm.objects {
-        if let Some(h) = slot.get() {
-            h.shutdown();
-        }
-    }
-    result
+    Prog::<Reference>::run(rt, checked, out)
 }
 
 /// Parse, check, and run an ALPS source string.

@@ -1,16 +1,18 @@
 //! Resolved intermediate representation: the output of
-//! [`lower`](crate::lower::lower).
+//! [`lower`](crate::lower::lower) and the only program form that is
+//! executed.
 //!
 //! Every name in a checked program is resolved at lowering time —
 //! objects to indices, entries to `(object, entry)` index pairs with a
 //! precomputed position in the flat entry-id table, variables to frame
 //! slots (procedure/manager/main locals), environment slots (the object's
 //! shared data part) or overlay slots (guard-bound values inside
-//! `when`/`pri`). The compiled executor ([`crate::compile`]) therefore
-//! never hashes a string, never consults a `HashMap`, and never touches
-//! the AST on the warm path: an entry call is an interned
+//! `when`/`pri`). Neither walker ([`crate::interp`], the reference;
+//! [`crate::compile`], the optimised one) therefore hashes a string,
+//! consults a `HashMap` or touches the AST: an entry call is an interned
 //! `handle.call_id(entry_id, args)`, a variable access is a vector
-//! index.
+//! index. The [`VarRef::Env`] reads and writes of an entry body are its
+//! read/write set on the object's shared data.
 
 use alps_core::{Ty, Value};
 
@@ -23,8 +25,7 @@ pub enum VarRef {
     /// Slot in the current activation frame (procedure/manager/main
     /// locals, parameters, loop and guard bindings).
     Frame(usize),
-    /// Slot in the object's shared data part (locked per access, like the
-    /// interpreter's object environment).
+    /// Slot in the object's shared data part (locked per access).
     Env(usize),
     /// Slot in the guard-evaluation overlay: the quantifier value and the
     /// candidate's bound values. Only valid inside compiled `when`/`pri`
@@ -386,7 +387,7 @@ pub struct CObject {
     /// Initialization code, if any.
     pub init: Option<CProc>,
     /// Base of this object's token table: per entry, the running sum of
-    /// array sizes (compiled managers key accepted/ready tokens by
+    /// array sizes (managers key accepted/ready tokens by
     /// `tok_base[entry] + slot` into a flat vector).
     pub tok_base: Vec<usize>,
     /// Total token slots (sum of array sizes).

@@ -1,11 +1,16 @@
 //! # alps-lang — the ALPS language
 //!
-//! A frontend and interpreter for the ALPS notation of *"Synchronization
+//! A front end and two walkers for the ALPS notation of *"Synchronization
 //! and Scheduling in ALPS Objects"* (ICDCS 1988): lexer, recursive-descent
 //! parser, static checker (definitions vs implementations, hidden
 //! parameter/result derivation, intercepts validation, types, manager-only
-//! statements), and a tree-walking interpreter that maps objects onto
-//! [`alps_core`] and processes onto [`alps_runtime`].
+//! statements), and a lowering pass ([`mod@lower`]) that resolves every
+//! name into one IR ([`ir`]). That IR is all that runs: objects map onto
+//! [`alps_core`] and processes onto [`alps_runtime`] through one shared
+//! linkage and statement walker, under either of two evaluation
+//! strategies — the naive reference ([`interp`], [`run_checked`]) that
+//! exists to check the other, and the optimised one ([`compile`],
+//! [`run_compiled`]).
 //!
 //! The concrete grammar and its documented deviations from the paper's
 //! informal notation are in `GRAMMAR.md` next to this crate.
@@ -45,6 +50,7 @@ pub mod ast;
 pub mod check;
 pub mod compile;
 pub mod error;
+mod exec;
 pub mod interp;
 pub mod ir;
 pub mod lexer;

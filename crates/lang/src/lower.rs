@@ -1,20 +1,25 @@
-//! Lowering: checked AST → resolved IR ([`crate::ir`]).
+//! Lowering: checked AST → resolved IR ([`crate::ir`]), the one program
+//! form both walkers execute.
 //!
-//! Lowering performs every name resolution the interpreter pays for at
-//! run time, once, at compile time:
+//! This is the only place a name becomes an index:
 //!
 //! * object names → object indices (handle-table slots),
 //! * entry names → entry indices plus a position in the flat entry-id
-//!   table (so the backend calls `handle.call_id(id, …)`),
+//!   table (so a call is `handle.call_id(id, …)`),
 //! * variable names → frame slots, environment slots, or guard-overlay
 //!   slots.
 //!
-//! Frame-slot allocation mirrors the scoping rules of [`crate::check`]:
-//! parameters first, declared locals next, then a monotonically growing
-//! tail of slots for `for`/`par` loop variables and implicitly declared
-//! guard/receive bindings. Slots are never reused — the checker
-//! guarantees no out-of-scope reads, so a dead slot is merely a `Unit`
-//! cell in the activation frame.
+//! Nothing downstream — the shared statement walker, the reference
+//! walker ([`crate::interp`]), the optimised one ([`crate::compile`]) —
+//! sees a variable, entry or object name again, except to print it in an
+//! error message.
+//!
+//! Frame-slot allocation mirrors the scoping rules of
+//! [`mod@crate::check`]: parameters first, declared locals next, then a
+//! monotonically growing tail of slots for `for`/`par` loop variables
+//! and implicitly declared guard/receive bindings. Slots are never
+//! reused — the checker guarantees no out-of-scope reads, so a dead slot
+//! is merely a `Unit` cell in the activation frame.
 //!
 //! Lowering is infallible on checked programs; any name it cannot
 //! resolve is a checker bug and panics.
@@ -272,9 +277,9 @@ impl<'c> Cx<'c> {
         VarRef::Frame(self.declare(name))
     }
 
-    /// Loop-variable slot: reuse an existing frame slot (the interpreter
-    /// overwrites the live entry) or declare a fresh one in the current
-    /// (pushed) scope.
+    /// Loop-variable slot: an existing frame variable of that name is
+    /// the loop variable (and keeps its last value afterwards); otherwise
+    /// a fresh slot in the current (pushed) scope.
     fn loop_var_slot(&mut self, name: &str) -> usize {
         match self.frame_slot(name) {
             Some(s) => s,
@@ -354,8 +359,8 @@ impl<'c> Cx<'c> {
         }
     }
 
-    /// Builtins shadow sibling procedures, exactly as in the checker and
-    /// the interpreter. The mutating list builtins (`push`/`remove`/
+    /// Builtins shadow sibling procedures, exactly as in the checker.
+    /// The mutating list builtins (`push`/`remove`/
     /// `pop`/`set`) resolve their first argument to a write target.
     fn builtin(&mut self, name: &str, args: &[Expr], pos: crate::token::Pos) -> Option<CExpr> {
         let list_target = |cx: &Self, what: &str| -> VarRef {
@@ -449,9 +454,8 @@ impl<'c> Cx<'c> {
                 let lo = self.expr(lo);
                 let hi = self.expr(hi);
                 self.push_scope();
-                // The loop variable shadows like the interpreter's
-                // argument-evaluation overlay: always a fresh slot, the
-                // outer variable (if any) is untouched.
+                // The loop variable shadows: always a fresh slot, an
+                // outer variable of the same name is untouched.
                 let var = self.declare(v);
                 let branch = self.par_branch(t, args, *pos);
                 self.pop_scope();
@@ -617,8 +621,7 @@ impl<'c> Cx<'c> {
         };
         // `when`/`pri` see the candidate's values through the overlay:
         // slot 0 is the quantifier (if any), then the bind names in
-        // order. The overlay shadows frame and environment, like the
-        // interpreter's candidate-evaluation overlay.
+        // order. The overlay shadows frame and environment.
         let (when, pri) = if matches!(arm.kind, GuardKind::Plain) {
             // Plain guards have no bound values; `when` (pre-evaluated)
             // and `pri` resolve in the ordinary arm scope.

@@ -1,25 +1,39 @@
-//! End-to-end interpreter tests: ALPS source → output, on the
-//! deterministic simulator.
+//! End-to-end language tests: ALPS source → expected output, on the
+//! deterministic simulator, through both back ends.
 
 use std::sync::Arc;
 
-use alps_lang::check::check;
-use alps_lang::interp::{run_checked, Output};
-use alps_lang::parser::parse;
-use alps_runtime::SimRuntime;
+use alps_lang::{
+    check, parse, run_checked, run_compiled, spawn_compiled, Checked, Output, RunError,
+};
+use alps_runtime::{Runtime, SimRuntime};
+
+type Backend = fn(&Runtime, &Arc<Checked>, Output) -> Result<(), RunError>;
 
 /// Run a program on the simulator, returning captured output lines.
 fn run(src: &str) -> Vec<String> {
     try_run(src).unwrap_or_else(|e| panic!("program failed: {e}"))
 }
 
+/// Run a program through the reference walker and the optimised one.
+/// Their outputs — or their error strings, position included — must be
+/// equal; the tests then hold that one result against what is written
+/// down here, which also checks the lowering both walkers start from.
 fn try_run(src: &str) -> Result<Vec<String>, String> {
     let checked =
         Arc::new(check(parse(src).map_err(|e| e.to_string())?).map_err(|e| e.to_string())?);
+    let reference = run_on(&checked, run_checked);
+    let compiled = run_on(&checked, run_compiled);
+    assert_eq!(compiled, reference, "the back ends disagree");
+    reference
+}
+
+fn run_on(checked: &Arc<Checked>, backend: Backend) -> Result<Vec<String>, String> {
+    let checked = Arc::clone(checked);
     let (out, buf) = Output::buffer();
     let sim = SimRuntime::new();
     let inner: Result<(), String> = sim
-        .run(move |rt| run_checked(rt, &checked, out).map_err(|e| e.to_string()))
+        .run(move |rt| backend(rt, &checked, out).map_err(|e| e.to_string()))
         .map_err(|e| e.to_string())?;
     inner?;
     let text = buf.lock().clone();
@@ -188,6 +202,51 @@ fn manager_rewrites_intercepted_values() {
     "#);
     // caller 3 -> manager 4 -> body 40 -> manager 45
     assert_eq!(out, vec!["45"]);
+}
+
+/// An object whose manager binds the intercepted argument of `Put`
+/// straight into the object variable `Last`, which `Peek` returns.
+fn bind_into_object_variable(manager_body: &str) -> Vec<String> {
+    run(&format!(
+        r#"
+        object B defines
+          proc Put(v: int);
+          proc Peek() returns (int);
+        end B;
+        object B implements
+          var Last: int;
+          proc Put(v: int);
+          begin skip end Put;
+          proc Peek() returns (int);
+          begin return (Last) end Peek;
+          manager
+            intercepts Put(int);
+            begin
+              {manager_body}
+            end;
+        end B;
+        main var n: int; begin
+          B.Put(7);
+          n := B.Peek();
+          print(n)
+        end
+    "#
+    ))
+}
+
+#[test]
+fn statement_accept_binds_into_an_object_variable() {
+    let out =
+        bind_into_object_variable("while true do accept Put(Last); execute Put(Last) end while");
+    assert_eq!(out, vec!["7"]);
+}
+
+#[test]
+fn select_accept_binds_into_an_object_variable() {
+    // The guard form must write the same variable the statement form
+    // does (`lower.rs::resolve_bind`), not shadow it in the manager frame.
+    let out = bind_into_object_variable("loop accept Put(Last) => execute Put(Last) end loop");
+    assert_eq!(out, vec!["7"]);
 }
 
 #[test]
@@ -360,6 +419,67 @@ fn runtime_error_is_reported_with_position() {
 fn division_by_zero_reported() {
     let err = try_run(r#"main var x: int; begin x := 1 / (x - x) end"#).unwrap_err();
     assert!(err.contains("division by zero"), "{err}");
+}
+
+#[test]
+fn pop_from_an_empty_list_in_an_entry_body_is_reported() {
+    let err = try_run(
+        r#"
+        object Q defines
+          proc Take() returns (int);
+        end Q;
+        object Q implements
+          var Store: list(int);
+          proc Take() returns (int);
+          begin return (pop(Store)) end Take;
+        end Q;
+        main var v: int; begin
+          v := Q.Take()
+        end
+    "#,
+    )
+    .unwrap_err();
+    assert_eq!(err, "entry `Take` failed: 8:25: pop from an empty list");
+}
+
+#[test]
+fn start_without_an_accepted_call_fails_the_manager() {
+    let src = r#"
+        object X defines
+          proc P();
+        end X;
+        object X implements
+          proc P();
+          begin skip end P;
+          manager
+            intercepts P;
+            begin
+              start P
+            end;
+        end X;
+        main begin
+          X.P()
+        end
+    "#;
+    // A caller only learns that the manager is gone.
+    assert_eq!(try_run(src).unwrap_err(), "object `X` is closed");
+    // Why it went is on the handle.
+    let checked = Arc::new(check(parse(src).expect("parse")).expect("check"));
+    let (out, _buf) = Output::buffer();
+    let why = SimRuntime::new()
+        .run(move |rt| {
+            let c = spawn_compiled(rt, &checked, out).expect("spawn");
+            let x = c.handle("X").expect("object X");
+            let _ = x.call("P", vec![]);
+            let why = x.manager_error();
+            c.shutdown();
+            why
+        })
+        .expect("sim");
+    assert_eq!(
+        why.map(|e| e.to_string()).as_deref(),
+        Some("11:15: no pending token for `P`")
+    );
 }
 
 #[test]

@@ -1,7 +1,7 @@
-//! Run the paper's programs from actual ALPS source on the fast runtime:
-//! first through the tree-walking interpreter, then through the lowering
-//! compiler (`lower` → `compile`), which emits each object as a direct
-//! `ObjectBuilder` product with pre-resolved entry ids and flat frames.
+//! Run the paper's programs from actual ALPS source on the fast runtime.
+//! Each is lowered to one resolved IR (pre-resolved entry ids, flat
+//! frames) whose objects are direct `ObjectBuilder` products, and walked
+//! twice: by the naive reference walker, then by the optimised one.
 //!
 //! Equivalent to:
 //!
