@@ -15,27 +15,24 @@
 //! ran; the reply was lost) or executes it for the first time (the call
 //! was lost). Either way the body runs **at most once**.
 //!
-//! # Connection supervision
+//! # One call per link
 //!
-//! The handle supervises its connection the way the object layer
-//! supervises managers: a dead link moves the connection to `Down`, the
-//! next caller becomes the reconnector (seeded-jitter exponential
-//! backoff, bounded attempts), and everyone else parks on a
-//! [`Notifier`] until the connection resolves. In-flight calls at the
-//! moment of death are swept with `LinkLost` — they never hang on a
-//! connection that no longer exists, mirroring how a supervised
-//! restart sweeps its in-flight calls with `ObjectRestarting`.
+//! A link carries one call at a time, and the caller owns it for that
+//! time: it checks an idle, handshaken link out of the handle's stack
+//! (or dials one itself, with seeded-jitter exponential backoff and
+//! bounded attempts), sends its `Call`, blocks in *that link's* receive
+//! for the `Reply` carrying its wire id, and checks the link back in.
+//! Nothing stands between the socket and the caller — no reader process,
+//! no table of pending calls, nobody to wake — so a call costs the two
+//! wakes of a socket round trip, and N callers in flight hold N links.
+//! All links of a handle share its session, so the server's dedup cache
+//! and the `ack_below` watermark span them.
 //!
-//! # Who wakes whom
-//!
-//! A caller waiting for its reply parks on nothing but itself: its reply
-//! slot records its [`ProcId`], and whoever fills the slot — the reader
-//! with the reply, or the link-death sweep with `LinkLost` — unparks
-//! that one process. Filling and giving up (the caller's timeout) are
-//! decided under the slot's own lock, so a caller that has left is never
-//! unparked: the rule the in-process call cell follows. The notifier is
-//! a broadcast and is used only for the one condition that is one:
-//! the connection leaving `Connecting`.
+//! A link that may hold an unread or half-read frame is never reused: a
+//! timeout, a transport error and an undecodable frame all close it. A
+//! transport error also closes every idle link, since whatever killed
+//! this one (a server bounce) most likely killed those; the one caller
+//! that found out reports [`AlpsError::LinkLost`].
 
 use std::collections::{BTreeSet, HashMap};
 use std::io;
@@ -44,15 +41,15 @@ use std::sync::Arc;
 
 use alps_core::{AlpsError, Backoff, Result, RetryPolicy, ValVec, Value};
 use alps_runtime::metrics::Counter;
-use alps_runtime::{Chan, Notifier, ProcId, Runtime, Spawn};
+use alps_runtime::{Chan, Runtime};
 use parking_lot::Mutex;
 
 use crate::fault::{NetFault, NetFaultPlan};
 use crate::link::{FaultyLink, Link, MemLink, TcpLink};
 use crate::wire::{decode_frame, encode_frame, wire_to_err, Frame, NO_BUDGET, PROTO_VERSION};
 
-/// Dials one endpoint. The handle redials through this after every link
-/// death, so a connector must be reusable.
+/// Dials one endpoint. The handle dials through this whenever a caller
+/// finds no idle link, so a connector must be reusable.
 pub trait Connector: Send + Sync {
     /// Establish a fresh link.
     ///
@@ -150,11 +147,11 @@ impl Connector for MemConnector {
     }
 }
 
-/// Reconnect supervision: how hard an attempt chases a dead link before
-/// giving the caller [`AlpsError::LinkLost`].
+/// How hard a caller that needs a fresh link dials before it gives up
+/// with [`AlpsError::LinkLost`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReconnectPolicy {
-    /// Dial attempts per reconnect episode (`0` is treated as `1`).
+    /// Dial attempts per call attempt (`0` is treated as `1`).
     pub max_attempts: u32,
     /// First backoff delay in ticks (doubles per attempt, jittered to
     /// `[d/2, d]` from the runtime's deterministic random stream).
@@ -176,7 +173,8 @@ impl Default for ReconnectPolicy {
 /// An entry name interned for remote calling. Unlike an in-process
 /// [`EntryId`](alps_core::EntryId), the numeric index is per-connection
 /// (it comes from the handshake's entry table), so the interned form
-/// keeps the name and resolves it against the live table at call time.
+/// keeps the name and resolves it against the table of the link the
+/// call goes out on.
 #[derive(Debug, Clone)]
 pub struct RemoteEntryId {
     name: Arc<str>,
@@ -196,33 +194,22 @@ pub struct RemoteStats {
     pub sent: Counter,
     /// Replies received and delivered to callers.
     pub replies: Counter,
-    /// Link deaths observed (sweeps of in-flight calls).
+    /// Calls that lost their link in flight.
     pub link_losses: Counter,
-    /// Successful reconnect episodes.
+    /// Links dialed and handshaken.
     pub reconnects: Counter,
     /// Retries performed by `call_retry`-family methods.
     pub retries: Counter,
-    /// Times a caller returned from the park in which it waits for its
-    /// reply. Each reply, link loss and timeout accounts for at most one.
-    pub wakeups: Counter,
 }
 
-/// Connection state machine. All transitions happen under the one
-/// `conn` mutex, but the *work* (dialing, handshaking, backoff sleeps)
-/// happens outside it — holding a lock across a blocking operation
-/// would wedge the cooperative simulation executor.
-enum Conn {
-    /// No link; the next caller starts a reconnect episode.
-    Down,
-    /// Somebody is dialing; park on the notifier until it resolves.
-    Connecting,
-    /// Live link with its handshake-interned entry table.
-    Up {
-        epoch: u64,
-        link: Arc<dyn Link>,
-        entries: Arc<HashMap<String, u32>>,
-    },
+/// A handshaken link with the entry table its handshake interned.
+struct Established {
+    link: Arc<dyn Link>,
+    entries: HashMap<String, u32>,
 }
+
+/// Idle links kept per handle; one checked in beyond this is closed.
+const MAX_IDLE_LINKS: usize = 8;
 
 /// A call's time bound: the instant it expires on this process's clock
 /// and the budget the caller gave, which is what its `Timeout` reports.
@@ -248,62 +235,41 @@ impl Deadline {
     }
 }
 
-/// One wire attempt's reply slot.
-struct PendingCall {
-    /// The process to unpark when the slot is filled.
-    caller: ProcId,
-    reply: Mutex<Reply>,
-}
-
-enum Reply {
-    Waiting,
-    Ready(std::result::Result<ValVec, AlpsError>),
-    /// The caller took its result or timed out; later writers do nothing.
-    Left,
-}
-
-impl PendingCall {
-    /// Fill the slot and wake its caller — first writer wins, so a
-    /// duplicated reply frame (or a replay racing the original) cannot
-    /// clobber a result the caller is about to read. The unpark happens
-    /// under the slot lock: a caller that then finds the slot `Waiting`
-    /// at its deadline can leave knowing no wake is on its way.
-    fn fill(&self, rt: &Runtime, result: std::result::Result<ValVec, AlpsError>) -> bool {
-        let mut reply = self.reply.lock();
-        if !matches!(*reply, Reply::Waiting) {
-            return false;
-        }
-        *reply = Reply::Ready(result);
-        rt.unpark(self.caller);
-        true
-    }
+/// Wire ids of *logical* calls, one per call however often it is retried.
+struct WireIds {
+    next: u64,
+    /// Those still unresolved. The smallest is the `ack_below` watermark
+    /// sent with every call; holding the id for the whole retry loop (not
+    /// per attempt) is what stops the server from pruning a cached reply
+    /// this caller may still replay.
+    outstanding: BTreeSet<u64>,
 }
 
 struct RemoteInner {
     rt: Runtime,
     object: String,
     /// Client-chosen session id: the server keys its dedup cache on it,
-    /// which is what makes retry-after-reconnect at-most-once.
+    /// which is what makes a retry on another link at-most-once.
     session: u64,
     connector: Box<dyn Connector>,
     fault: Option<Arc<NetFault>>,
     reconnect: ReconnectPolicy,
-    conn: Mutex<Conn>,
-    conn_epoch: AtomicU64,
-    pending: Mutex<HashMap<u64, Arc<PendingCall>>>,
-    /// Wire ids of *logical* calls still unresolved. The smallest member
-    /// is the `ack_below` watermark sent with every call; holding the id
-    /// for the whole retry loop (not per attempt) is what stops the
-    /// server from pruning a cached reply this caller may still replay.
-    outstanding: Mutex<BTreeSet<u64>>,
-    next_call: AtomicU64,
-    notifier: Arc<Notifier>,
+    /// Links nobody is calling on, most recently used last.
+    idle: Mutex<Vec<Established>>,
+    ids: Mutex<WireIds>,
     stats: RemoteStats,
+}
+
+impl Drop for RemoteInner {
+    fn drop(&mut self) {
+        self.close_idle();
+    }
 }
 
 /// Proxy to an object served by a remote
 /// [`NetServer`](crate::server::NetServer). Clone to share; clones share
-/// the connection, session, and dedup watermark.
+/// the idle links, session, and dedup watermark. Dropping the last clone
+/// closes the idle links.
 ///
 /// See [`NetServer`](crate::server::NetServer) for a round-trip example.
 #[derive(Clone)]
@@ -312,8 +278,8 @@ pub struct RemoteHandle {
 }
 
 impl RemoteHandle {
-    /// A handle for `object` dialed through `connector`. Connection is
-    /// lazy: the first call (or a call after a link death) dials.
+    /// A handle for `object` dialed through `connector`. Dialing is lazy:
+    /// a call that finds no idle link dials one.
     pub fn new(
         rt: &Runtime,
         object: impl Into<String>,
@@ -331,18 +297,17 @@ impl RemoteHandle {
                 connector: Box::new(connector),
                 fault: None,
                 reconnect: ReconnectPolicy::default(),
-                conn: Mutex::new(Conn::Down),
-                conn_epoch: AtomicU64::new(0),
-                pending: Mutex::new(HashMap::new()),
-                outstanding: Mutex::new(BTreeSet::new()),
-                next_call: AtomicU64::new(1),
-                notifier: Arc::new(Notifier::new()),
+                idle: Mutex::new(Vec::new()),
+                ids: Mutex::new(WireIds {
+                    next: 1,
+                    outstanding: BTreeSet::new(),
+                }),
                 stats: RemoteStats::default(),
             }),
         }
     }
 
-    /// Replace the reconnect policy.
+    /// Replace the dial policy.
     #[must_use]
     pub fn with_reconnect(mut self, policy: ReconnectPolicy) -> RemoteHandle {
         Arc::get_mut(&mut self.inner)
@@ -354,7 +319,7 @@ impl RemoteHandle {
     /// Install a transport fault plan: every established link is wrapped
     /// in a [`FaultyLink`] driven by this seeded plan. Handshake frames
     /// are exempt (faults target calls in flight; an unbounded handshake
-    /// hang would just be a dial failure, already covered by reconnect).
+    /// hang would just be a dial failure, which the dial policy covers).
     #[must_use]
     pub fn with_fault(mut self, plan: NetFaultPlan) -> RemoteHandle {
         Arc::get_mut(&mut self.inner)
@@ -531,13 +496,18 @@ impl RemoteHandle {
 
 impl RemoteInner {
     fn alloc_call(&self) -> u64 {
-        let id = self.next_call.fetch_add(1, Ordering::Relaxed);
-        self.outstanding.lock().insert(id);
+        // Numbered and listed in one step: an id taken but not yet listed
+        // would let a rival's frame carry a watermark above it, and the
+        // server drops a call below the watermark unanswered.
+        let mut ids = self.ids.lock();
+        let id = ids.next;
+        ids.next += 1;
+        ids.outstanding.insert(id);
         id
     }
 
     fn release_call(&self, id: u64) {
-        self.outstanding.lock().remove(&id);
+        self.ids.lock().outstanding.remove(&id);
     }
 
     fn link_lost(&self) -> AlpsError {
@@ -546,18 +516,73 @@ impl RemoteInner {
         }
     }
 
-    /// One wire attempt: ensure a connection, send the call, wait for
-    /// the reply slot to fill (by the reader, or by the link-death
-    /// sweep), bounded by `deadline`.
+    /// One wire attempt on a link of its own: check one out, send the
+    /// call, receive until the reply with this wire id, check it back in.
     fn attempt(
-        self: &Arc<Self>,
+        &self,
         wire_id: u64,
         entry: &str,
         args: ValVec,
         deadline: Option<Deadline>,
     ) -> Result<ValVec> {
-        let (epoch, link, entries) = self.ensure_up(deadline)?;
-        let Some(&entry_idx) = entries.get(entry) else {
+        let up = self.checkout(deadline)?;
+        let frame = match self.call_frame(&up, wire_id, entry, args, deadline) {
+            Ok(frame) => frame,
+            Err(e) => {
+                self.checkin(up);
+                return Err(e);
+            }
+        };
+        if up.link.send(&frame).is_err() {
+            return Err(self.lose(&up));
+        }
+        self.stats.sent.incr();
+        loop {
+            let received = match deadline {
+                None => up.link.recv(),
+                Some(d) => match d.at.saturating_sub(self.rt.now()) {
+                    0 => Err(io::ErrorKind::TimedOut.into()),
+                    remaining => up.link.recv_deadline(remaining),
+                },
+            };
+            let bytes = match received {
+                Ok(bytes) => bytes,
+                Err(e) if e.kind() == io::ErrorKind::TimedOut => {
+                    // The reply may still come, and the server's end is
+                    // busy with this call until it does: close the link
+                    // instead of letting the next call queue behind it.
+                    up.link.shutdown();
+                    let d = deadline.expect("only a bounded receive times out");
+                    return Err(d.timeout(entry));
+                }
+                Err(_) => return Err(self.lose(&up)),
+            };
+            match decode_frame(&bytes) {
+                Ok((Frame::Reply { call, result }, _)) if call == wire_id => {
+                    self.checkin(up);
+                    if result.is_ok() {
+                        self.stats.replies.incr();
+                    }
+                    return result.map_err(|w| wire_to_err(&w));
+                }
+                // A second copy of the reply to an earlier call on this
+                // link, whose caller took the first: nobody's.
+                Ok((Frame::Reply { .. }, _)) => {}
+                // Protocol breach or corruption: the stream is untrustworthy.
+                _ => return Err(self.lose(&up)),
+            }
+        }
+    }
+
+    fn call_frame(
+        &self,
+        up: &Established,
+        wire_id: u64,
+        entry: &str,
+        args: ValVec,
+        deadline: Option<Deadline>,
+    ) -> Result<Vec<u8>> {
+        let Some(&entry_idx) = up.entries.get(entry) else {
             return Err(AlpsError::UnknownEntry {
                 object: self.object.clone(),
                 entry: entry.to_string(),
@@ -574,144 +599,71 @@ impl RemoteInner {
             }
         };
         let ack_below = self
-            .outstanding
+            .ids
             .lock()
-            .iter()
-            .next()
+            .outstanding
+            .first()
             .copied()
             .unwrap_or(wire_id);
-        let frame = encode_frame(&Frame::Call {
+        encode_frame(&Frame::Call {
             call: wire_id,
             ack_below,
             entry: entry_idx,
             budget,
             args,
         })
-        .map_err(|e| AlpsError::Custom(format!("unsendable arguments: {e}")))?;
+        .map_err(|e| AlpsError::Custom(format!("unsendable arguments: {e}")))
+    }
 
-        let slot = Arc::new(PendingCall {
-            caller: self.rt.current(),
-            reply: Mutex::new(Reply::Waiting),
-        });
-        self.pending.lock().insert(wire_id, Arc::clone(&slot));
-
-        if link.send(&frame).is_err() {
-            self.pending.lock().remove(&wire_id);
-            self.mark_down(epoch, &link);
-            return Err(self.link_lost());
-        }
-        self.stats.sent.incr();
-
-        // The reader may have died and swept `pending` *before* our
-        // insert (the sweep only sees slots present at death). If the
-        // epoch has moved on, nobody will ever fill our slot: resolve it
-        // ourselves.
-        if self.conn_epoch.load(Ordering::Acquire) != epoch {
-            let mut reply = slot.reply.lock();
-            if matches!(*reply, Reply::Waiting) {
-                *reply = Reply::Ready(Err(self.link_lost()));
-            }
-        }
-
-        loop {
-            {
-                let mut reply = slot.reply.lock();
-                let expired = deadline.is_some_and(|d| self.rt.now() >= d.at);
-                if expired || matches!(*reply, Reply::Ready(_)) {
-                    let left = std::mem::replace(&mut *reply, Reply::Left);
-                    drop(reply);
-                    self.pending.lock().remove(&wire_id);
-                    return match left {
-                        Reply::Ready(result) => {
-                            if result.is_ok() {
-                                self.stats.replies.incr();
-                            }
-                            result
-                        }
-                        _ => Err(deadline
-                            .expect("only an expired deadline leaves without a reply")
-                            .timeout(entry)),
-                    };
-                }
-            }
-            match deadline {
-                None => self.rt.park(),
-                Some(d) => self.rt.park_timeout(d.at.saturating_sub(self.rt.now())),
-            }
-            self.stats.wakeups.incr();
+    /// The most recently used idle link, or a freshly dialed one.
+    fn checkout(&self, deadline: Option<Deadline>) -> Result<Established> {
+        // Popped in a statement of its own: the guard must not live
+        // across the dial.
+        let idle = self.idle.lock().pop();
+        match idle {
+            Some(up) => Ok(up),
+            None => self.dial(deadline),
         }
     }
 
-    /// Get the live connection, dialing if necessary. The first caller
-    /// to find the connection `Down` becomes the reconnector; everyone
-    /// else parks on the notifier until the episode resolves.
-    #[allow(clippy::type_complexity)]
-    fn ensure_up(
-        self: &Arc<Self>,
-        deadline: Option<Deadline>,
-    ) -> Result<(u64, Arc<dyn Link>, Arc<HashMap<String, u32>>)> {
-        loop {
-            let seen = self.notifier.epoch();
-            {
-                let mut conn = self.conn.lock();
-                match &*conn {
-                    Conn::Up {
-                        epoch,
-                        link,
-                        entries,
-                    } => return Ok((*epoch, Arc::clone(link), Arc::clone(entries))),
-                    Conn::Connecting => {}
-                    Conn::Down => {
-                        *conn = Conn::Connecting;
-                        drop(conn);
-                        return self.reconnect_episode(deadline);
-                    }
-                }
-            }
-            // Somebody else is dialing; bounded park so a dead
-            // reconnector (aborted process) cannot strand us forever.
-            if let Some(d) = deadline {
-                if self.rt.now() >= d.at {
-                    return Err(d.timeout(&self.object));
-                }
-                self.notifier.wait_past_deadline(&self.rt, seen, d.at);
-            } else {
-                let bound = self
-                    .rt
-                    .now()
-                    .saturating_add(self.reconnect.cap_ticks.max(1_000));
-                self.notifier.wait_past_deadline(&self.rt, seen, bound);
-            }
+    fn checkin(&self, up: Established) {
+        let mut idle = self.idle.lock();
+        if idle.len() < MAX_IDLE_LINKS {
+            idle.push(up);
+        } else {
+            drop(idle);
+            up.link.shutdown();
         }
     }
 
-    /// Dial + handshake with seeded-jitter exponential backoff. Runs
-    /// with the connection in `Connecting` (never holding the lock
-    /// across blocking work); always resolves the state before
-    /// returning.
-    #[allow(clippy::type_complexity)]
-    fn reconnect_episode(
-        self: &Arc<Self>,
-        deadline: Option<Deadline>,
-    ) -> Result<(u64, Arc<dyn Link>, Arc<HashMap<String, u32>>)> {
+    /// A call lost `up` in flight: close it and every idle link.
+    fn lose(&self, up: &Established) -> AlpsError {
+        up.link.shutdown();
+        self.close_idle();
+        self.stats.link_losses.incr();
+        self.link_lost()
+    }
+
+    fn close_idle(&self) {
+        let idle = std::mem::take(&mut *self.idle.lock());
+        for up in idle {
+            up.link.shutdown();
+        }
+    }
+
+    /// Dial + handshake with seeded-jitter exponential backoff, bounded
+    /// by `deadline` and the policy's attempts.
+    fn dial(&self, deadline: Option<Deadline>) -> Result<Established> {
         let attempts = self.reconnect.max_attempts.max(1);
-        let mut outcome = Err(self.link_lost());
         for k in 0..attempts {
             if let Some(d) = deadline.filter(|d| self.rt.now() >= d.at) {
-                outcome = Err(d.timeout(&self.object));
-                break;
+                return Err(d.timeout(&self.object));
             }
             match self.dial_once() {
-                Ok(up) => {
-                    outcome = Ok(up);
-                    break;
-                }
-                Err(DialError::Refused(e)) => {
-                    // The server answered and said no (unknown object,
-                    // version skew): retrying cannot help.
-                    outcome = Err(e);
-                    break;
-                }
+                Ok(up) => return Ok(up),
+                // The server answered and said no (unknown object,
+                // version skew): retrying cannot help.
+                Err(DialError::Refused(e)) => return Err(e),
                 Err(DialError::Io) => {
                     if k + 1 == attempts {
                         break;
@@ -724,30 +676,13 @@ impl RemoteInner {
                 }
             }
         }
-        let mut conn = self.conn.lock();
-        match &outcome {
-            Ok((epoch, link, entries)) => {
-                *conn = Conn::Up {
-                    epoch: *epoch,
-                    link: Arc::clone(link),
-                    entries: Arc::clone(entries),
-                };
-            }
-            Err(_) => *conn = Conn::Down,
-        }
-        drop(conn);
-        self.notifier.notify(&self.rt);
-        outcome
+        Err(self.link_lost())
     }
 
-    /// One dial + handshake. The handshake runs on the *raw* link
-    /// (fault injection starts at steady state — see
-    /// [`RemoteHandle::with_fault`]); the reader daemon is spawned on
-    /// the possibly-faulty wrapped link.
-    #[allow(clippy::type_complexity)]
-    fn dial_once(
-        self: &Arc<Self>,
-    ) -> std::result::Result<(u64, Arc<dyn Link>, Arc<HashMap<String, u32>>), DialError> {
+    /// One dial + handshake. The handshake runs on the *raw* link (fault
+    /// injection starts at steady state — see
+    /// [`RemoteHandle::with_fault`]); calls go over the wrapped one.
+    fn dial_once(&self) -> std::result::Result<Established, DialError> {
         let raw = self.connector.connect().map_err(|_| DialError::Io)?;
         let hello = encode_frame(&Frame::Hello {
             version: PROTO_VERSION,
@@ -764,7 +699,6 @@ impl RemoteInner {
             }
             _ => return Err(DialError::Io),
         };
-        let table: Arc<HashMap<String, u32>> = Arc::new(entries.into_iter().collect());
         let link: Arc<dyn Link> = match &self.fault {
             Some(fault) => {
                 fault.revive();
@@ -772,57 +706,11 @@ impl RemoteInner {
             }
             None => raw,
         };
-        let epoch = self.conn_epoch.fetch_add(1, Ordering::AcqRel) + 1;
         self.stats.reconnects.incr();
-        let reader = Arc::clone(self);
-        let rlink = Arc::clone(&link);
-        self.rt.spawn_with(
-            Spawn::new(format!("net.reader.{epoch}")).daemon(true),
-            move || reader.read_loop(epoch, rlink),
-        );
-        Ok((epoch, link, table))
-    }
-
-    /// Per-connection reader: fills reply slots until the link dies,
-    /// then sweeps every still-empty slot with `LinkLost` — an in-flight
-    /// call never hangs on a connection that no longer exists.
-    fn read_loop(self: Arc<Self>, epoch: u64, link: Arc<dyn Link>) {
-        while let Ok(bytes) = link.recv() {
-            match decode_frame(&bytes) {
-                Ok((Frame::Reply { call, result }, _)) => {
-                    // Unknown call id: a reply for a caller that already
-                    // timed out and left. Dropped on the floor by design.
-                    let slot = self.pending.lock().get(&call).cloned();
-                    if let Some(slot) = slot {
-                        slot.fill(&self.rt, result.map_err(|w| wire_to_err(&w)));
-                    }
-                }
-                Ok(_) => break,  // protocol breach
-                Err(_) => break, // corruption: the stream is untrustworthy
-            }
-        }
-        self.mark_down(epoch, &link);
-    }
-
-    /// Move the connection to `Down` (if `epoch` is still current) and
-    /// sweep in-flight calls with `LinkLost`.
-    fn mark_down(&self, epoch: u64, link: &Arc<dyn Link>) {
-        link.shutdown();
-        {
-            let mut conn = self.conn.lock();
-            if matches!(&*conn, Conn::Up { epoch: e, .. } if *e == epoch) {
-                *conn = Conn::Down;
-            }
-        }
-        let lost = self
-            .pending
-            .lock()
-            .values()
-            .filter(|slot| slot.fill(&self.rt, Err(self.link_lost())))
-            .count() as u64;
-        if lost > 0 {
-            self.stats.link_losses.add(lost);
-        }
+        Ok(Established {
+            link,
+            entries: entries.into_iter().collect(),
+        })
     }
 }
 

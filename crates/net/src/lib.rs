@@ -15,12 +15,14 @@
 //! * [`server`] — [`NetServer`] exposes a runtime's objects over any
 //!   link, with per-session duplicate suppression making every call
 //!   **at-most-once-executed** no matter how the transport misbehaves.
+//!   The process that serves a connection runs each call it reads.
 //! * [`client`] — [`RemoteHandle`] speaks the `ObjectHandle` call
-//!   surface remotely, supervising its connection (seeded-backoff
-//!   reconnect) and sweeping in-flight calls with
-//!   [`AlpsError::LinkLost`](alps_core::AlpsError::LinkLost) when the
-//!   link dies — a *transient* error, safe to retry precisely because
-//!   of the server's dedup.
+//!   surface remotely, one call per link: a caller checks an idle link
+//!   out (or dials one, with seeded backoff), reads its own reply from
+//!   it and checks it back in. A link that dies under a call fails that
+//!   call with [`AlpsError::LinkLost`](alps_core::AlpsError::LinkLost) —
+//!   a *transient* error, safe to retry precisely because of the
+//!   server's dedup.
 //! * [`fault`] — [`NetFaultPlan`] extends deterministic fault injection
 //!   to the transport: seeded drops, delays, duplicates, corruption,
 //!   and disconnects at the send/receive points, sweepable across 256

@@ -16,6 +16,7 @@
 
 use std::io;
 use std::sync::Arc;
+use std::time::Duration;
 
 use alps_runtime::{Chan, Runtime};
 use parking_lot::Mutex;
@@ -26,8 +27,9 @@ use crate::wire::{HEADER_LEN, MAX_FRAME};
 /// A bidirectional whole-frame transport.
 ///
 /// `recv` blocks until a frame, EOF, or transport error; `shutdown` must
-/// unblock any blocked `recv` (that is how connection supervision tears a
-/// link down from outside).
+/// unblock any blocked `recv` (that is how a link is torn down from
+/// outside). One process receives on a link at a time: the client that
+/// checked it out, or the server process that serves it.
 pub trait Link: Send + Sync {
     /// Send one encoded frame.
     ///
@@ -45,6 +47,22 @@ pub trait Link: Send + Sync {
     /// on transport failure. Both mean the link is dead.
     fn recv(&self) -> io::Result<Vec<u8>>;
 
+    /// [`recv`](Link::recv) that gives up after `ticks`.
+    ///
+    /// The provided body ignores the bound, which is what a wrapper that
+    /// does not forward this method gets; every link of this crate
+    /// overrides it.
+    ///
+    /// # Errors
+    ///
+    /// As [`recv`](Link::recv), plus [`io::ErrorKind::TimedOut`] on
+    /// expiry. A stream link may have consumed part of a frame by then,
+    /// so the caller must not receive on it again.
+    fn recv_deadline(&self, ticks: u64) -> io::Result<Vec<u8>> {
+        let _ = ticks;
+        self.recv()
+    }
+
     /// Tear the link down, unblocking any blocked [`recv`](Link::recv).
     fn shutdown(&self);
 
@@ -56,6 +74,10 @@ fn eof() -> io::Error {
     io::Error::new(io::ErrorKind::UnexpectedEof, "link closed")
 }
 
+fn timed_out() -> io::Error {
+    io::Error::new(io::ErrorKind::TimedOut, "no frame within the bound")
+}
+
 // --------------------------------------------------------------- stream
 
 /// [`TcpLink`] and [`UnixLink`] are this one link over their two socket
@@ -63,10 +85,11 @@ fn eof() -> io::Error {
 mod stream {
     use super::*;
 
-    /// The two socket operations [`io::Read`] and [`io::Write`] lack.
+    /// The three socket operations [`io::Read`] and [`io::Write`] lack.
     pub trait Stream: io::Read + io::Write + Send + Sized {
         fn try_clone(&self) -> io::Result<Self>;
         fn shutdown(&self, how: std::net::Shutdown) -> io::Result<()>;
+        fn set_read_timeout(&self, bound: Option<Duration>) -> io::Result<()>;
     }
 
     impl Stream for std::net::TcpStream {
@@ -75,6 +98,9 @@ mod stream {
         }
         fn shutdown(&self, how: std::net::Shutdown) -> io::Result<()> {
             std::net::TcpStream::shutdown(self, how)
+        }
+        fn set_read_timeout(&self, bound: Option<Duration>) -> io::Result<()> {
+            std::net::TcpStream::set_read_timeout(self, bound)
         }
     }
 
@@ -86,22 +112,49 @@ mod stream {
         fn shutdown(&self, how: std::net::Shutdown) -> io::Result<()> {
             std::os::unix::net::UnixStream::shutdown(self, how)
         }
+        fn set_read_timeout(&self, bound: Option<Duration>) -> io::Result<()> {
+            std::os::unix::net::UnixStream::set_read_timeout(self, bound)
+        }
     }
 
     /// A [`Link`] over a connected byte stream. Reader and writer sides
     /// are guarded by separate locks so a blocked `recv` never starves
     /// `send`.
     pub struct StreamLink<S> {
-        reader: Mutex<S>,
+        reader: Mutex<Reader<S>>,
         writer: Mutex<S>,
         peer: String,
+    }
+
+    /// The read half with the read timeout its socket currently has, so
+    /// that unbounded receives in a row cost no `setsockopt`.
+    struct Reader<S> {
+        stream: S,
+        bound: Option<Duration>,
+    }
+
+    impl<S: Stream> Reader<S> {
+        fn read_frame(&mut self, bound: Option<Duration>) -> io::Result<Vec<u8>> {
+            if self.bound != bound {
+                self.stream.set_read_timeout(bound)?;
+                self.bound = bound;
+            }
+            read_exact_frame(&mut self.stream).map_err(|e| match e.kind() {
+                // What an expired SO_RCVTIMEO reads as on Unix.
+                io::ErrorKind::WouldBlock => timed_out(),
+                _ => e,
+            })
+        }
     }
 
     impl<S: Stream> StreamLink<S> {
         pub(super) fn with_peer(stream: S, peer: String) -> io::Result<Self> {
             let writer = stream.try_clone()?;
             Ok(StreamLink {
-                reader: Mutex::new(stream),
+                reader: Mutex::new(Reader {
+                    stream,
+                    bound: None,
+                }),
                 writer: Mutex::new(writer),
                 peer,
             })
@@ -116,7 +169,14 @@ mod stream {
         }
 
         fn recv(&self) -> io::Result<Vec<u8>> {
-            read_exact_frame(&mut *self.reader.lock())
+            self.reader.lock().read_frame(None)
+        }
+
+        fn recv_deadline(&self, ticks: u64) -> io::Result<Vec<u8>> {
+            // A tick is a microsecond on every runtime that has sockets;
+            // a zero timeout would mean "none" to the socket.
+            let bound = Duration::from_micros(ticks.max(1));
+            self.reader.lock().read_frame(Some(bound))
         }
 
         fn shutdown(&self) {
@@ -232,6 +292,15 @@ impl Link for MemLink {
         self.rx.recv(&self.rt).map_err(|_| eof())
     }
 
+    fn recv_deadline(&self, ticks: u64) -> io::Result<Vec<u8>> {
+        let deadline = self.rt.now().saturating_add(ticks);
+        match self.rx.recv_deadline(&self.rt, deadline) {
+            Ok(Some(frame)) => Ok(frame),
+            Ok(None) => Err(timed_out()),
+            Err(_) => Err(eof()),
+        }
+    }
+
     fn shutdown(&self) {
         // Closing both directions unblocks the peer's recv too.
         self.tx.close(&self.rt);
@@ -262,6 +331,27 @@ impl FaultyLink {
             inner,
             fault,
             rt: rt.clone(),
+        }
+    }
+
+    /// Receive until a frame survives the plan or the absolute tick
+    /// `deadline` passes; a dropped frame does not restart the bound.
+    fn recv_until(&self, deadline: Option<u64>) -> io::Result<Vec<u8>> {
+        loop {
+            let frame = match deadline {
+                None => self.inner.recv()?,
+                Some(at) => match at.saturating_sub(self.rt.now()) {
+                    0 => return Err(timed_out()),
+                    remaining => self.inner.recv_deadline(remaining)?,
+                },
+            };
+            match self.fault.on_recv() {
+                RecvPlan::Drop => continue,
+                RecvPlan::Deliver { delay_ticks } => {
+                    self.rt.sleep(delay_ticks);
+                    return Ok(frame);
+                }
+            }
         }
     }
 }
@@ -310,16 +400,11 @@ impl Link for FaultyLink {
     }
 
     fn recv(&self) -> io::Result<Vec<u8>> {
-        loop {
-            let frame = self.inner.recv()?;
-            match self.fault.on_recv() {
-                RecvPlan::Drop => continue,
-                RecvPlan::Deliver { delay_ticks } => {
-                    self.rt.sleep(delay_ticks);
-                    return Ok(frame);
-                }
-            }
-        }
+        self.recv_until(None)
+    }
+
+    fn recv_deadline(&self, ticks: u64) -> io::Result<Vec<u8>> {
+        self.recv_until(Some(self.rt.now().saturating_add(ticks)))
     }
 
     fn shutdown(&self) {
@@ -395,6 +480,35 @@ mod tests {
         server.recv().unwrap();
         server.recv().unwrap();
         assert!(server.recv().is_err());
+    }
+
+    #[test]
+    fn recv_deadline_gives_up_on_a_silent_peer() {
+        let rt = Runtime::threaded();
+        let (client, server) = MemLink::pair(&rt, "t");
+        let err = client.recv_deadline(2_000).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        server.send(&hello()).unwrap();
+        assert_eq!(client.recv_deadline(2_000).unwrap(), hello());
+
+        // A plan that drops every received frame: the bound still holds.
+        let mut plan = NetFaultPlan::seeded(3);
+        plan.drop_recv = 1.0;
+        let faulty = FaultyLink::new(&rt, client, Arc::new(NetFault::new(plan)));
+        server.send(&hello()).unwrap();
+        let err = faulty.recv_deadline(2_000).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let link = TcpLink::new(std::net::TcpStream::connect(addr).unwrap()).unwrap();
+        let (peer, _) = listener.accept().unwrap();
+        let peer = TcpLink::new(peer).unwrap();
+        let err = link.recv_deadline(2_000).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        // Unbounded again after a bounded receive.
+        peer.send(&hello()).unwrap();
+        assert_eq!(link.recv().unwrap(), hello());
     }
 
     #[test]

@@ -1,27 +1,44 @@
 //! The server side of distributed ALPS objects: expose a runtime's
 //! [`ObjectHandle`]s over any [`Link`] transport.
 //!
+//! # The connection process is the call process
+//!
+//! A link carries one call at a time (see [`client`](crate::client)), so
+//! the process that serves a connection runs each call it reads inline —
+//! prune, dedup, `call_id`, cache, reply — and answers on the link the
+//! call came in on. There is no process per call and no shared reply
+//! path; N calls in service are N connections, each blocked in its own
+//! `call_id` exactly as N local callers would be.
+//!
 //! # At-most-once execution
 //!
 //! The server's partial-failure contract is a per-session
-//! duplicate-suppression cache. Every call arrives with a session-scoped
-//! correlation id; the server tracks each id through
-//! `InFlight → Done(reply)` and
+//! duplicate-suppression cache, shared by all links of the session.
+//! Every call arrives with a session-scoped correlation id; the server
+//! tracks each id through `InFlight → Done(reply)` and
 //!
 //! * replays the cached reply when a **resolved** id is redelivered
-//!   (the client retried because the reply was lost, not the call), and
-//! * silently ignores an **in-flight** id (the client's retry raced the
-//!   original, e.g. a duplicated frame).
+//!   (the client retried because the reply was lost, not the call);
+//! * makes a redelivery of an **in-flight** id — a retry on a second
+//!   link while the first link's process still runs the original — wait
+//!   for the verdict, for at most the budget its own frame carries, then
+//!   replays it, or runs the call itself if the original resolved
+//!   retryably and so left no verdict;
+//! * ignores an id below the session's **watermark** (the largest
+//!   `ack_below` any link has carried): the client has vouched that the
+//!   call is resolved on its side, so this is a stray duplicate, and its
+//!   cached reply may already be pruned. Without this rule a duplicate
+//!   read on link A after link B advanced the watermark would find no
+//!   entry and run the body again.
 //!
 //! An entry body therefore runs at most once per call id no matter how
 //! often the transport redelivers the call — the property the 256-seed
 //! transport-fault sweep pins.
 //!
-//! The cache is pruned by the client's `ack_below` watermark (every id
-//! below it is resolved client-side), so a long-lived session does not
-//! grow the cache without bound. Only `Done` entries are pruned; an
-//! `InFlight` marker must survive until its dispatch resolves, or a
-//! duplicate could re-execute the body.
+//! The cache is pruned whenever the watermark moves, so a long-lived
+//! session does not grow it without bound. Only `Done` entries are
+//! pruned; an `InFlight` marker must survive until its dispatch
+//! resolves, or a duplicate could re-execute the body.
 //!
 //! # Error propagation
 //!
@@ -40,7 +57,7 @@ use std::sync::Arc;
 
 use alps_core::{AlpsError, EntryId, ObjectHandle, ValVec};
 use alps_runtime::metrics::Counter;
-use alps_runtime::{Chan, Runtime, Spawn};
+use alps_runtime::{Chan, Notifier, Runtime, Spawn};
 use parking_lot::Mutex;
 
 use crate::link::{Link, MemLink, TcpLink};
@@ -50,26 +67,34 @@ use crate::wire::{
 
 /// Where a tracked call id stands.
 enum CallState {
-    /// Dispatched; the entry body may be running. A duplicate of this id
-    /// is dropped — answering it will be the original dispatch's job.
+    /// Some connection's process is running the entry body. A duplicate
+    /// of this id on another link waits for it on [`Session::resolved`].
     InFlight,
     /// Resolved; redelivery replays this cached reply.
     Done(Result<ValVec, WireErr>),
 }
 
-/// One client session: the dedup cache plus the entry table, surviving
-/// reconnects (the session key is client-chosen, the connection is not).
+/// A session's dedup cache.
+#[derive(Default)]
+struct Calls {
+    states: HashMap<u64, CallState>,
+    /// The largest `ack_below` seen: every id below it is resolved on the
+    /// client.
+    acked: u64,
+}
+
+/// One client session: the dedup cache plus the entry table, shared by
+/// every link the client dials (the session key is client-chosen, the
+/// links are not).
 struct Session {
     object: ObjectHandle,
     /// Wire entry index → interned [`EntryId`], built once at first
     /// handshake (the wire analogue of resolving ids after spawn).
     entry_ids: Vec<EntryId>,
     entry_names: Vec<String>,
-    calls: Mutex<HashMap<u64, CallState>>,
-    /// The *current* connection's writer. Replies always go to the
-    /// newest link: a reply computed during a dead connection is cached,
-    /// and the client's retry replays it over the new one.
-    writer: Mutex<Option<Arc<dyn Link>>>,
+    calls: Mutex<Calls>,
+    /// Bumped each time an `InFlight` marker resolves.
+    resolved: Notifier,
 }
 
 /// Advisory counters for the server ([`NetServer::stats`]).
@@ -81,7 +106,8 @@ pub struct ServerStats {
     pub executed: Counter,
     /// Cached replies replayed for redelivered call ids.
     pub replayed: Counter,
-    /// Duplicate deliveries of in-flight call ids dropped.
+    /// Duplicate deliveries dropped unanswered: ids below the session's
+    /// watermark, and in-flight ids whose verdict did not come in time.
     pub suppressed: Counter,
     /// Connections killed by undecodable frames.
     pub frame_errors: Counter,
@@ -94,6 +120,16 @@ struct ServerInner {
     stats: ServerStats,
     shutdown: AtomicBool,
     conn_seq: AtomicU64,
+    /// What [`NetServer::shutdown`] must wake.
+    listeners: Mutex<Vec<Listener>>,
+}
+
+/// An accept loop, by the handle that can reach it from outside.
+enum Listener {
+    Tcp(std::net::SocketAddr),
+    #[cfg(unix)]
+    Unix(std::path::PathBuf),
+    Mem(Chan<Arc<MemLink>>),
 }
 
 /// Serves a set of objects over [`Link`]s. Clone to share.
@@ -137,6 +173,7 @@ impl NetServer {
                 stats: ServerStats::default(),
                 shutdown: AtomicBool::new(false),
                 conn_seq: AtomicU64::new(0),
+                listeners: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -158,6 +195,26 @@ impl NetServer {
     /// next frame; listeners wake and exit.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Relaxed);
+        // An accept loop blocked in `accept()` reads the flag only when a
+        // connection arrives: give it one.
+        for listener in std::mem::take(&mut *self.inner.listeners.lock()) {
+            match listener {
+                Listener::Tcp(mut addr) => {
+                    if addr.ip().is_unspecified() {
+                        addr.set_ip(match addr {
+                            std::net::SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                            std::net::SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+                        });
+                    }
+                    let _ = std::net::TcpStream::connect(addr);
+                }
+                #[cfg(unix)]
+                Listener::Unix(path) => {
+                    let _ = std::os::unix::net::UnixStream::connect(path);
+                }
+                Listener::Mem(accept) => accept.close(&self.inner.rt),
+            }
+        }
     }
 
     /// Serve one established link on a daemon process. Returns
@@ -181,6 +238,7 @@ impl NetServer {
     pub fn listen_tcp(&self, addr: &str) -> io::Result<std::net::SocketAddr> {
         let listener = std::net::TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
+        self.inner.listeners.lock().push(Listener::Tcp(local));
         let this = self.clone();
         self.inner
             .rt
@@ -207,6 +265,10 @@ impl NetServer {
     #[cfg(unix)]
     pub fn listen_unix(&self, path: &std::path::Path) -> io::Result<()> {
         let listener = std::os::unix::net::UnixListener::bind(path)?;
+        self.inner
+            .listeners
+            .lock()
+            .push(Listener::Unix(path.to_path_buf()));
         let this = self.clone();
         self.inner
             .rt
@@ -233,6 +295,10 @@ impl NetServer {
     /// exercise the full wire protocol deterministically.
     pub fn mem_connector(&self) -> crate::client::MemConnector {
         let accept: Chan<Arc<MemLink>> = Chan::unbounded("net.accept.mem");
+        self.inner
+            .listeners
+            .lock()
+            .push(Listener::Mem(accept.clone()));
         let this = self.clone();
         let rx = accept.clone();
         self.inner
@@ -252,20 +318,19 @@ impl NetServer {
 impl ServerInner {
     /// Handshake + frame loop for one connection. Any protocol breach —
     /// an undecodable frame, a non-`Hello` opener, a `Call` before
-    /// handshake — kills the connection; the client's supervision
-    /// reconnects and its dedup-protected retries resume.
-    fn serve_conn(self: Arc<Self>, link: Arc<dyn Link>) {
-        let session = match self.handshake(&link) {
-            Some(s) => s,
-            None => {
-                link.shutdown();
-                return;
-            }
+    /// handshake — kills the connection; the client dials another and
+    /// its dedup-protected retries resume there.
+    fn serve_conn(&self, link: Arc<dyn Link>) {
+        let Some(session) = self.handshake(&link) else {
+            link.shutdown();
+            return;
         };
         self.stats.connections.incr();
-        *session.writer.lock() = Some(Arc::clone(&link));
 
         while let Ok(bytes) = link.recv() {
+            if self.shutdown.load(Ordering::Relaxed) {
+                break;
+            }
             match decode_frame(&bytes) {
                 Ok((
                     Frame::Call {
@@ -276,7 +341,12 @@ impl ServerInner {
                         args,
                     },
                     _,
-                )) => self.on_call(&session, call, ack_below, entry, budget, args),
+                )) => {
+                    let answer = self.on_call(&session, call, ack_below, entry, budget, args);
+                    if let Some(result) = answer {
+                        self.reply(&link, call, result);
+                    }
+                }
                 Ok(_) => break, // protocol breach: only calls after handshake
                 Err(_) => {
                     // Corruption reached us (or framing desynced): the
@@ -288,12 +358,6 @@ impl ServerInner {
             }
         }
         link.shutdown();
-        // Forget this link as the session's reply path iff it is still
-        // the current one (a reconnect may already have replaced it).
-        let mut w = session.writer.lock();
-        if w.as_ref().is_some_and(|cur| Arc::ptr_eq(cur, &link)) {
-            *w = None;
-        }
     }
 
     /// Run the `Hello`/`HelloAck` exchange. Returns the (possibly
@@ -364,67 +428,92 @@ impl ServerInner {
         link.send(&frame)
     }
 
-    /// Handle one `Call` frame: prune, dedup, dispatch.
+    /// Handle one `Call` frame on the connection's own process: prune,
+    /// dedup, run the entry body, cache. Returns what to answer on the
+    /// link the call came in on, `None` for a duplicate that gets no
+    /// answer.
     fn on_call(
-        self: &Arc<Self>,
-        session: &Arc<Session>,
+        &self,
+        session: &Session,
         call: u64,
         ack_below: u64,
         entry: u32,
         budget: u64,
         args: ValVec,
-    ) {
-        {
-            let mut calls = session.calls.lock();
-            // The client vouches that every id below the watermark is
-            // resolved on its side; their cached replies can never be
-            // asked for again. InFlight markers stay — pruning one would
-            // let a late duplicate re-execute the body.
-            calls.retain(|&id, st| id >= ack_below || matches!(st, CallState::InFlight));
-            match calls.get(&call) {
-                Some(CallState::Done(cached)) => {
-                    let cached = cached.clone();
-                    drop(calls);
-                    self.stats.replayed.incr();
-                    self.reply(session, call, cached);
-                    return;
+    ) -> Option<Result<ValVec, WireErr>> {
+        // The budget crossed the wire as *remaining ticks*; re-anchor it
+        // on this process's clock (no shared clock exists).
+        let deadline = (budget != NO_BUDGET).then(|| self.rt.now().saturating_add(budget.max(1)));
+        loop {
+            let seen = session.resolved.epoch();
+            {
+                let mut calls = session.calls.lock();
+                if ack_below > calls.acked {
+                    // The client vouches that every id below the
+                    // watermark is resolved on its side; their cached
+                    // replies can never be asked for again. InFlight
+                    // markers stay — pruning one would let a late
+                    // duplicate re-execute the body.
+                    calls.acked = ack_below;
+                    calls
+                        .states
+                        .retain(|&id, st| id >= ack_below || matches!(st, CallState::InFlight));
                 }
-                Some(CallState::InFlight) => {
-                    // The original dispatch will answer; a second
-                    // execution is exactly what dedup exists to prevent.
+                if call < calls.acked {
                     self.stats.suppressed.incr();
-                    return;
+                    return None;
                 }
+                match calls.states.get(&call) {
+                    Some(CallState::Done(cached)) => {
+                        self.stats.replayed.incr();
+                        return Some(cached.clone());
+                    }
+                    // Another link's process is running this id: a second
+                    // execution is exactly what dedup exists to prevent.
+                    Some(CallState::InFlight) => {}
+                    None => {
+                        calls.states.insert(call, CallState::InFlight);
+                        break;
+                    }
+                }
+            }
+            let resolved = match deadline {
                 None => {
-                    calls.insert(call, CallState::InFlight);
+                    session.resolved.wait_past(&self.rt, seen);
+                    true
                 }
+                Some(at) => session.resolved.wait_past_deadline(&self.rt, seen, at),
+            };
+            if !resolved {
+                // The sender's own budget is spent: it has stopped
+                // listening, and the original will cache its verdict.
+                self.stats.suppressed.incr();
+                return None;
             }
         }
         self.stats.executed.incr();
-        let this = Arc::clone(self);
-        let session = Arc::clone(session);
-        self.rt.spawn_with(
-            Spawn::new(format!("net.call.{call}")).daemon(true),
-            move || {
-                let result = this.dispatch(&session, entry, budget, args);
-                let retryable = matches!(&result, Err(e) if wire_is_retryable(e));
-                {
-                    let mut calls = session.calls.lock();
-                    if retryable {
-                        // The body never ran (shed / restart sweep) or
-                        // timed out without an answer: drop the marker so
-                        // the client's retry of this id re-executes
-                        // rather than replaying a refusal.
-                        calls.remove(&call);
-                    } else {
-                        calls.insert(call, CallState::Done(result.clone()));
-                    }
-                }
-                // Cache first, send second: if the reply frame dies with
-                // the link, the client's retry finds the cached verdict.
-                this.reply(&session, call, result);
-            },
-        );
+        let budget = match deadline {
+            None => NO_BUDGET,
+            Some(at) => at.saturating_sub(self.rt.now()).max(1),
+        };
+        let result = self.dispatch(session, entry, budget, args);
+        let retryable = matches!(&result, Err(e) if wire_is_retryable(e));
+        {
+            let mut calls = session.calls.lock();
+            if retryable || call < calls.acked {
+                // Retryable: the body never ran (shed / restart sweep) or
+                // timed out without an answer, so the client's retry of
+                // this id must re-execute rather than replay a refusal.
+                // Below the watermark: nobody can ask for it again.
+                calls.states.remove(&call);
+            } else {
+                calls.states.insert(call, CallState::Done(result.clone()));
+            }
+        }
+        session.resolved.notify(&self.rt);
+        // Cached before it is sent: if the reply frame dies with the
+        // link, the client's retry finds the verdict.
+        Some(result)
     }
 
     /// Run the entry body, mapping every failure onto the wire taxonomy.
@@ -444,23 +533,15 @@ impl ServerInner {
         let r = if budget == NO_BUDGET {
             session.object.call_id(eid, args)
         } else {
-            // The budget crossed the wire as *remaining ticks*; re-anchor
-            // it on this process's clock (no shared clock exists).
-            session.object.call_id_deadline(eid, args, budget.max(1))
+            session.object.call_id_deadline(eid, args, budget)
         };
         r.map_err(|e| err_to_wire(&e))
     }
 
-    /// Send a reply over the session's current link, if any. A send
-    /// failure is deliberately ignored: the reply is already cached, and
-    /// the client's dedup-protected retry will replay it after
-    /// reconnecting.
-    fn reply(&self, session: &Session, call: u64, result: Result<ValVec, WireErr>) {
-        let Ok(frame) = encode_frame(&Frame::Reply { call, result }) else {
-            return;
-        };
-        let writer = session.writer.lock().clone();
-        if let Some(link) = writer {
+    /// A send failure is deliberately ignored: the reply is already cached, and the
+    /// client's dedup-protected retry will replay it over another link.
+    fn reply(&self, link: &Arc<dyn Link>, call: u64, result: Result<ValVec, WireErr>) {
+        if let Ok(frame) = encode_frame(&Frame::Reply { call, result }) {
             let _ = link.send(&frame);
         }
     }
@@ -481,8 +562,8 @@ impl Session {
             object,
             entry_ids,
             entry_names,
-            calls: Mutex::new(HashMap::new()),
-            writer: Mutex::new(None),
+            calls: Mutex::new(Calls::default()),
+            resolved: Notifier::new(),
         }
     }
 }

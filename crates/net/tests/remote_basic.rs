@@ -11,7 +11,10 @@ use alps_core::{
     vals, AlpsError, Backoff, EntryDef, ObjectBuilder, ObjectHandle, RestartPolicy, RetryPolicy,
     Ty, Value,
 };
-use alps_net::{Connector, NetFaultPlan, NetServer, ReconnectPolicy, RemoteHandle, TcpConnector};
+use alps_net::{
+    decode_frame, encode_frame, Connector, Frame, Link, NetFaultPlan, NetServer, ReconnectPolicy,
+    RemoteHandle, TcpConnector, NO_BUDGET, PROTO_VERSION,
+};
 use alps_runtime::{Runtime, SimRuntime, Spawn};
 use parking_lot::Mutex;
 
@@ -294,6 +297,72 @@ fn concurrent_callers_share_one_session() {
             }
             assert_eq!(counts.lock().len(), 20);
             assert_eq!(server.stats().executed.get(), 20);
+        })
+        .unwrap();
+}
+
+/// A session has several links, so a duplicated `Call` frame can be read
+/// after *another* link's frame moved `ack_below` past it and pruned its
+/// cached reply. The id is below the session's watermark — resolved on
+/// the client by the client's own word — and must be neither run again
+/// nor answered. Driven frame by frame: link A carries call 1, link B
+/// carries call 2 with `ack_below = 2`, then A delivers a second copy of
+/// call 1.
+#[test]
+fn a_duplicate_below_the_watermark_is_not_run_again() {
+    SimRuntime::new()
+        .run(|rt| {
+            let counts = Arc::new(Mutex::new(HashMap::new()));
+            let obj = counter(rt, &counts);
+            let server = NetServer::new(rt);
+            server.register(&obj);
+            let connector = server.mem_connector();
+            let dial = || -> (Arc<dyn Link>, u32) {
+                let link = connector.connect().unwrap();
+                let hello = Frame::Hello {
+                    version: PROTO_VERSION,
+                    session: 41,
+                    object: "Counter".into(),
+                };
+                link.send(&encode_frame(&hello).unwrap()).unwrap();
+                match decode_frame(&link.recv().unwrap()).unwrap().0 {
+                    Frame::HelloAck { entries } => {
+                        let bump = entries.iter().find(|(n, _)| n == "Bump").unwrap().1;
+                        (link, bump)
+                    }
+                    other => panic!("handshake answered {other:?}"),
+                }
+            };
+            // Call `call` bumps the key of its own number.
+            let bump = |link: &Arc<dyn Link>, entry: u32, call: u64, ack_below: u64| {
+                let frame = Frame::Call {
+                    call,
+                    ack_below,
+                    entry,
+                    budget: NO_BUDGET,
+                    args: vals![call as i64].into(),
+                };
+                link.send(&encode_frame(&frame).unwrap()).unwrap();
+            };
+            let reply = |link: &Arc<dyn Link>| match decode_frame(&link.recv().unwrap()).unwrap().0
+            {
+                Frame::Reply { call, result } => (call, result.unwrap()[0].clone()),
+                other => panic!("expected a reply, got {other:?}"),
+            };
+
+            let (a, entry) = dial();
+            let (b, _) = dial();
+            bump(&a, entry, 1, 1);
+            assert_eq!(reply(&a), (1, Value::Int(1)));
+            bump(&b, entry, 2, 2);
+            assert_eq!(reply(&b), (2, Value::Int(1)));
+
+            bump(&a, entry, 1, 1); // the held-back duplicate
+            bump(&a, entry, 3, 3);
+            assert_eq!(reply(&a), (3, Value::Int(1)), "the duplicate was answered");
+            assert_eq!(counts.lock().get(&1), Some(&1), "the duplicate ran");
+            let s = server.stats();
+            assert_eq!((s.executed.get(), s.suppressed.get()), (3, 1));
         })
         .unwrap();
 }

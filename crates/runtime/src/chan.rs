@@ -287,6 +287,45 @@ impl<T: Send + 'static> Chan<T> {
         }
     }
 
+    /// [`recv`](Chan::recv) bounded by the absolute tick `deadline`:
+    /// `Ok(None)` when `rt.now()` reaches it with the buffer still empty.
+    /// A receiver that gives up takes itself off the waiter list, so a
+    /// later send does not unpark a process that is no longer waiting.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Shutdown`] once the channel is closed *and* drained.
+    pub fn recv_deadline(&self, rt: &Runtime, deadline: u64) -> Result<Option<T>, RuntimeError> {
+        let me = rt.current();
+        loop {
+            let remaining = {
+                let mut st = self.inner.st.lock();
+                if let Some(v) = st.q.pop_front() {
+                    st.recv_waiters.retain(|w| *w != me);
+                    let sw = std::mem::take(&mut st.send_waiters);
+                    drop(st);
+                    for w in sw {
+                        rt.unpark(w);
+                    }
+                    return Ok(Some(v));
+                }
+                if st.closed {
+                    return Err(RuntimeError::Shutdown);
+                }
+                let remaining = deadline.saturating_sub(rt.now());
+                if remaining == 0 {
+                    st.recv_waiters.retain(|w| *w != me);
+                    return Ok(None);
+                }
+                if !st.recv_waiters.contains(&me) {
+                    st.recv_waiters.push(me);
+                }
+                remaining
+            };
+            rt.park_timeout(remaining);
+        }
+    }
+
     /// Non-blocking receive.
     pub fn try_recv(&self, rt: &Runtime) -> Option<T> {
         let mut st = self.inner.st.lock();
@@ -448,6 +487,56 @@ mod tests {
             })
             .unwrap();
         assert_eq!(v, "hello");
+    }
+
+    #[test]
+    fn recv_deadline_expires_at_the_deadline_tick_sim() {
+        let sim = SimRuntime::new();
+        sim.run(|rt| {
+            let c: Chan<i32> = Chan::unbounded("c");
+            assert_eq!(c.recv_deadline(rt, 700), Ok(None));
+            assert_eq!(rt.now(), 700);
+            // The receiver that gave up is off the waiter list: a later
+            // send unparks nobody, so this park runs its full length.
+            c.send(rt, 1).unwrap();
+            rt.park_timeout(300);
+            assert_eq!(rt.now(), 1_000);
+            // A buffered message is taken even when the deadline has passed.
+            assert_eq!(c.recv_deadline(rt, 0), Ok(Some(1)));
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn recv_deadline_takes_a_send_one_tick_before_the_deadline_sim() {
+        let sim = SimRuntime::new();
+        sim.run(|rt| {
+            let c: Chan<i32> = Chan::unbounded("c");
+            let (c2, rt2) = (c.clone(), rt.clone());
+            rt.spawn_with(Spawn::new("sender"), move || {
+                rt2.sleep(699);
+                c2.send(&rt2, 9).unwrap();
+            });
+            assert_eq!(c.recv_deadline(rt, 700), Ok(Some(9)));
+            assert_eq!(rt.now(), 699);
+            c.close(rt);
+            assert_eq!(c.recv_deadline(rt, 5_000), Err(RuntimeError::Shutdown));
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn recv_deadline_threaded() {
+        let rt = Runtime::threaded();
+        let c: Chan<i32> = Chan::unbounded("c");
+        let t0 = rt.now();
+        assert_eq!(c.recv_deadline(&rt, t0 + 2_000), Ok(None));
+        assert!(rt.now() >= t0 + 2_000);
+        let (c2, rt2) = (c.clone(), rt.clone());
+        let sender = rt.spawn(move || c2.send(&rt2, 5).unwrap());
+        // The bound is far off; the send is what ends the wait.
+        assert_eq!(c.recv_deadline(&rt, rt.now() + 60_000_000), Ok(Some(5)));
+        sender.join().unwrap();
     }
 
     #[test]

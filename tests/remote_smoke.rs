@@ -4,8 +4,8 @@
 //! over `MemLink` on `Runtime::threaded()`, through one forced disconnect.
 //!
 //! The only test of this binary, because it reads the *process's* OS
-//! thread count: the server runs one process per call, and when the
-//! runtime is shut down none of their threads may be left.
+//! thread count: each caller's link has a process serving it, and when
+//! the runtime is shut down none of their threads may be left.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -85,7 +85,13 @@ fn four_callers_through_a_disconnect_exactly_once_and_no_thread_left() {
         assert!(m.values().all(|&n| n == 1), "a key was bumped twice");
     }
     let s = client.stats();
-    assert_eq!(s.reconnects.get(), 2, "the first dial and one redial");
+    // Each caller dials the link it calls on; the disconnect closes one
+    // link and the idle ones with it, and whoever then finds none redials.
+    let dials = s.reconnects.get();
+    assert!(
+        (2..=2 * CALLERS as u64).contains(&dials),
+        "{dials} dials for first links and redials"
+    );
     assert!(s.link_losses.get() + s.retries.get() >= 1);
     assert_eq!(server.stats().executed.get(), (CALLERS * CALLS) as u64);
 
