@@ -1,4 +1,4 @@
-//! Regenerate the EXPERIMENTS.md tables: `experiments [e1..e10 | all]`.
+//! Regenerate the EXPERIMENTS.md tables: `experiments [e1..e9 | all]`.
 
 use alps_bench::experiments;
 
@@ -14,7 +14,7 @@ fn main() {
         match experiments::by_id(a) {
             Some(r) => r.print(),
             None => {
-                eprintln!("unknown experiment `{a}` (use e1..e10 or all)");
+                eprintln!("unknown experiment `{a}` (use e1..e9 or all)");
                 std::process::exit(1);
             }
         }

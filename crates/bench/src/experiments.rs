@@ -1,9 +1,9 @@
-//! The experiment suite E1–E10 of `EXPERIMENTS.md`.
+//! The experiment suite E1–E9 of `EXPERIMENTS.md`.
 //!
 //! The paper has no quantitative evaluation; each experiment here
 //! quantifies one of its qualitative claims (the paper section is cited
-//! on each function). All experiments except E10's cost row run on the
-//! deterministic simulator, so every table is exactly reproducible.
+//! on each function). Every experiment runs on the deterministic
+//! simulator, so every table is exactly reproducible.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -813,75 +813,12 @@ pub fn e9() -> Report {
     }
 }
 
-// ---------------------------------------------------------------------
-// E10 — guard dispatch cost (paper §3)
-// ---------------------------------------------------------------------
-
-/// E10: per-select dispatch cost as the procedure-array width grows (the
-/// §3 polling concern). Wall-clock, threaded runtime.
-pub fn e10() -> Report {
-    let mut t = Table::new(&["array width", "ns per call (approx)"]);
-    for width in [1usize, 4, 16, 64, 256] {
-        let rt = Runtime::threaded();
-        let obj = ObjectBuilder::new("Wide")
-            .entry(
-                EntryDef::new("Op")
-                    .array(width)
-                    .intercepted()
-                    .body(|_ctx, _| Ok(vec![])),
-            )
-            .pool(PoolMode::Shared(1))
-            .manager(|mgr| loop {
-                let sel = mgr.select(vec![Guard::accept("Op"), Guard::await_done("Op")])?;
-                match sel {
-                    Selected::Accepted { call, .. } => mgr.start_as_is(call)?,
-                    Selected::Ready { done, .. } => mgr.finish_as_is(done)?,
-                    _ => unreachable!(),
-                }
-            })
-            .spawn(&rt)
-            .unwrap();
-        // Warm up, then measure.
-        for _ in 0..50 {
-            obj.call("Op", vals![]).unwrap();
-        }
-        let iters = 2_000u32;
-        let t0 = std::time::Instant::now();
-        for _ in 0..iters {
-            obj.call("Op", vals![]).unwrap();
-        }
-        let ns = t0.elapsed().as_nanos() as u64 / u64::from(iters);
-        obj.shutdown();
-        rt.shutdown();
-        t.row(cells![width, ns]);
-    }
-    let mut lines = vec![
-        "sequential calls through a manager whose entry has the given array \
-         width (threaded runtime; wall-clock, machine-dependent)"
-            .to_string(),
-    ];
-    lines.extend(t.render());
-    lines.push(String::new());
-    lines.push(
-        "shape: dispatch cost grows slowly with width because guard evaluation \
-         scans slots; §3's suggested status-change queue would make it O(1). \
-         Absolute numbers vary by machine."
-            .to_string(),
-    );
-    Report {
-        id: "E10",
-        title: "select dispatch cost vs procedure-array width",
-        claim: "§3 — polling wide guard sets is the implementation concern",
-        lines,
-    }
-}
-
 /// All experiments in order.
 pub fn all() -> Vec<Report> {
-    vec![e1(), e2(), e3(), e4(), e5(), e6(), e7(), e8(), e9(), e10()]
+    vec![e1(), e2(), e3(), e4(), e5(), e6(), e7(), e8(), e9()]
 }
 
-/// Look up one experiment by id (`"e1"`…`"e10"`, case-insensitive).
+/// Look up one experiment by id (`"e1"`…`"e9"`, case-insensitive).
 pub fn by_id(id: &str) -> Option<Report> {
     match id.to_ascii_lowercase().as_str() {
         "e1" => Some(e1()),
@@ -893,7 +830,6 @@ pub fn by_id(id: &str) -> Option<Report> {
         "e7" => Some(e7()),
         "e8" => Some(e8()),
         "e9" => Some(e9()),
-        "e10" => Some(e10()),
         _ => None,
     }
 }

@@ -119,9 +119,8 @@ pub enum AlpsError {
     },
     /// The object's intake is full and its
     /// [`AdmissionPolicy`](crate::AdmissionPolicy) sheds rather than
-    /// blocks: the call was refused without being enqueued (or an older
-    /// queued call was evicted to make room). Transient by design —
-    /// retry-worthy, see
+    /// blocks: the call was refused without being enqueued. Transient by
+    /// design — retry-worthy, see
     /// [`ObjectHandle::call_retry`](crate::ObjectHandle::call_retry).
     Overloaded {
         /// Object name.

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use alps_runtime::{CommitPoint, Runtime};
 
 use crate::error::{AlpsError, Result};
-use crate::object::{EntryState, ObjectInner, Slot};
+use crate::object::{CallCell, EntryState, ObjectInner, Slot};
 use crate::select::{run_select, run_select_deadline, Guard, Selected};
 use crate::value::{check_types_lazy, ChanValue, ValVec, Value};
 
@@ -230,6 +230,43 @@ impl Drop for ReadyEntry {
     }
 }
 
+/// [`take_slot`] matcher: the call of an `Accepted` slot.
+fn accepted(s: Slot) -> std::result::Result<Arc<CallCell>, Slot> {
+    match s {
+        Slot::Accepted { call } => Ok(call),
+        other => Err(other),
+    }
+}
+
+/// [`take_slot`] matcher: the call and parked result remainder of an
+/// `Awaited` slot.
+fn awaited(s: Slot) -> std::result::Result<(Arc<CallCell>, ValVec), Slot> {
+    match s {
+        Slot::Awaited { call, remainder } => Ok((call, remainder)),
+        other => Err(other),
+    }
+}
+
+/// Empty `slot` (leaving it `Free`) and hand its contents to the caller,
+/// provided `want` recognises the state the slot was in; otherwise put
+/// them back untouched and report primitive `what` as a
+/// [`AlpsError::ProtocolViolation`] naming that state.
+fn take_slot<T>(
+    es: &mut EntryState,
+    slot: usize,
+    want: impl FnOnce(Slot) -> std::result::Result<T, Slot>,
+    what: &'static str,
+) -> Result<T> {
+    let s = &mut es.slots[slot];
+    want(std::mem::replace(s, Slot::Free)).map_err(|other| {
+        let name = other.state_name();
+        *s = other;
+        AlpsError::ProtocolViolation {
+            reason: format!("{what} on slot in state `{name}`"),
+        }
+    })
+}
+
 /// Commit an accept under the entry lock (select internals).
 pub(crate) fn commit_accept(
     obj: &Arc<ObjectInner>,
@@ -374,16 +411,6 @@ impl ManagerCtx {
     /// Sleep for `ticks` (virtual in simulation).
     pub fn sleep(&self, ticks: u64) {
         self.obj.rt.sleep(ticks)
-    }
-
-    /// Whether intake occupancy has crossed the
-    /// [`AdmissionPolicy::Cooperative`](crate::AdmissionPolicy::Cooperative)
-    /// high watermark without yet draining back to the low one. An
-    /// overloaded manager should prefer batch-draining work (`select`
-    /// with wide guards, combining) over anything that delays intake
-    /// drains. Always `false` under other admission policies.
-    pub fn overloaded(&self) -> bool {
-        self.obj.mgr_overloaded.load(Ordering::SeqCst)
     }
 
     /// `#P` — pending calls to `entry` (paper §2.5.1). Reads an atomic
@@ -632,22 +659,18 @@ impl ManagerCtx {
         }
     }
 
-    /// `start P(...)` — begin executing the accepted call asynchronously,
-    /// supplying the (possibly rewritten) intercepted parameter prefix and
-    /// the hidden parameters.
-    ///
-    /// # Errors
-    ///
-    /// Type/arity mismatches against the declared prefix and hidden
-    /// parameter lists; [`AlpsError::ObjectClosed`].
-    pub fn start(
+    /// The `Accepted → Started` step `start` and `execute` share: check
+    /// the supplied prefix and hidden parameters, take the call out of
+    /// its `Accepted` slot, and leave it `Started` with the body's full
+    /// argument list `prefix ++ suffix ++ hidden` in hand. `what` names
+    /// the primitive in the [`AlpsError::ProtocolViolation`] text.
+    fn begin(
         &self,
         acc: AcceptedCall,
-        prefix: impl Into<ValVec>,
-        hidden: impl Into<ValVec>,
-    ) -> Result<()> {
-        let prefix: ValVec = prefix.into();
-        let hidden: ValVec = hidden.into();
+        prefix: ValVec,
+        hidden: ValVec,
+        what: &'static str,
+    ) -> Result<(Arc<ObjectInner>, usize, usize, ValVec)> {
         let def = &acc.obj.entries[acc.entry];
         let ic = def.intercept.expect("accepted entries are intercepted");
         check_types_lazy(&def.params[..ic.params], &prefix, || {
@@ -669,17 +692,7 @@ impl ManagerCtx {
                 // slot may belong to the new generation now.
                 return Err(obj.restarting_err());
             }
-            let s = &mut es.slots[slot];
-            let call = match std::mem::replace(s, Slot::Free) {
-                Slot::Accepted { call } => call,
-                other => {
-                    let name = other.state_name();
-                    *s = other;
-                    return Err(AlpsError::ProtocolViolation {
-                        reason: format!("start on slot in state `{name}`"),
-                    });
-                }
-            };
+            let call = take_slot(&mut es, slot, accepted, what)?;
             call.t_start.store(obj.rt.now(), Ordering::Relaxed);
             obj.stats.on_start();
             let mut full = prefix;
@@ -691,6 +704,24 @@ impl ManagerCtx {
             es.slots[slot] = Slot::Started { call };
             full
         };
+        Ok((obj, entry, slot, full))
+    }
+
+    /// `start P(...)` — begin executing the accepted call asynchronously,
+    /// supplying the (possibly rewritten) intercepted parameter prefix and
+    /// the hidden parameters.
+    ///
+    /// # Errors
+    ///
+    /// Type/arity mismatches against the declared prefix and hidden
+    /// parameter lists; [`AlpsError::ObjectClosed`].
+    pub fn start(
+        &self,
+        acc: AcceptedCall,
+        prefix: impl Into<ValVec>,
+        hidden: impl Into<ValVec>,
+    ) -> Result<()> {
+        let (obj, entry, slot, full) = self.begin(acc, prefix.into(), hidden.into(), "start")?;
         obj.dispatch_body(entry, slot, full);
         Ok(())
     }
@@ -734,17 +765,7 @@ impl ManagerCtx {
             if obj.generation.load(Ordering::SeqCst) != tok_gen {
                 return Err(obj.restarting_err());
             }
-            let s = &mut es.slots[slot];
-            let (call, remainder) = match std::mem::replace(s, Slot::Free) {
-                Slot::Awaited { call, remainder } => (call, remainder),
-                other => {
-                    let name = other.state_name();
-                    *s = other;
-                    return Err(AlpsError::ProtocolViolation {
-                        reason: format!("finish on slot in state `{name}`"),
-                    });
-                }
-            };
+            let (call, remainder) = take_slot(&mut es, slot, awaited, "finish")?;
             obj.stats.on_finish();
             match failure {
                 None => {
@@ -814,17 +835,7 @@ impl ManagerCtx {
             if obj.generation.load(Ordering::SeqCst) != tok_gen {
                 return Err(obj.restarting_err());
             }
-            let s = &mut es.slots[slot];
-            let call = match std::mem::replace(s, Slot::Free) {
-                Slot::Accepted { call } => call,
-                other => {
-                    let name = other.state_name();
-                    *s = other;
-                    return Err(AlpsError::ProtocolViolation {
-                        reason: format!("finish_accepted on slot in state `{name}`"),
-                    });
-                }
-            };
+            let call = take_slot(&mut es, slot, accepted, "finish_accepted")?;
             obj.stats.on_combine();
             obj.complete(&call, Ok(results));
             obj.free_slot_and_pull(&mut es, entry, slot)
@@ -859,56 +870,16 @@ impl ManagerCtx {
         prefix: impl Into<ValVec>,
         hidden: impl Into<ValVec>,
     ) -> Result<(Vec<Value>, Vec<Value>)> {
-        let prefix: ValVec = prefix.into();
-        let hidden: ValVec = hidden.into();
-        let def = &acc.obj.entries[acc.entry];
-        let ic = def.intercept.expect("accepted entries are intercepted");
-        check_types_lazy(&def.params[..ic.params], &prefix, || {
-            format!("start {}.{} prefix", acc.obj.name, def.name)
-        })?;
-        check_types_lazy(&def.hidden_params, &hidden, || {
-            format!("start {}.{} hidden", acc.obj.name, def.name)
-        })?;
-        if acc.obj.is_closed() {
-            let _ = acc.disarm();
-            return Err(self.obj.closed_err());
-        }
-        let kr = ic.results;
-        let pub_len = def.results.len();
-        let tok_gen = acc.gen;
-        let (obj, entry, slot, _) = acc.disarm();
         // `start`: Accepted → Started — but the body runs right here in
         // the manager's process instead of being handed to the pool. The
         // manager would block in `await` until the body finished anyway
         // (monitor-style exclusive execution), so executing it inline is
         // observationally the same protocol minus a worker wakeup, a
         // manager park, and a notifier round trip.
-        let full = {
-            let mut es = obj.estates[entry].st.lock();
-            if obj.generation.load(Ordering::SeqCst) != tok_gen {
-                return Err(obj.restarting_err());
-            }
-            let s = &mut es.slots[slot];
-            let call = match std::mem::replace(s, Slot::Free) {
-                Slot::Accepted { call } => call,
-                other => {
-                    let name = other.state_name();
-                    *s = other;
-                    return Err(AlpsError::ProtocolViolation {
-                        reason: format!("execute on slot in state `{name}`"),
-                    });
-                }
-            };
-            call.t_start.store(obj.rt.now(), Ordering::Relaxed);
-            obj.stats.on_start();
-            let mut full = prefix;
-            // As in `start`: the argument suffix moves; `args` is dead
-            // past this point.
-            full.extend(call.take_args().split_off(ic.params));
-            full.extend(hidden);
-            es.slots[slot] = Slot::Started { call };
-            full
-        };
+        let (obj, entry, slot, full) = self.begin(acc, prefix.into(), hidden.into(), "execute")?;
+        let def = &obj.entries[entry];
+        let kr = def.intercept.map_or(0, |ic| ic.results);
+        let pub_len = def.results.len();
         let outcome = obj.exec_checked_body(entry, slot, full);
         let done_at = obj.rt.now();
         // Commit point, between body completion and the re-lock: the

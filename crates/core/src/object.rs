@@ -455,14 +455,9 @@ pub(crate) struct ObjectInner {
     perm_failed: AtomicBool,
     /// What the call protocol does when the intake ring is full.
     admission: AdmissionPolicy,
-    /// [`AdmissionPolicy::Cooperative`] watermark flag, read by
-    /// [`ManagerCtx::overloaded`](crate::ManagerCtx::overloaded): set when
-    /// a push leaves occupancy ≥ `high`, cleared when a drain leaves it
-    /// ≤ `low`.
-    pub(crate) mgr_overloaded: AtomicBool,
     /// Epoch bumped whenever ring space frees (drain, shutdown sweep,
-    /// restart): `Block`/`Cooperative` producers facing a full ring park
-    /// here instead of yield-spinning.
+    /// restart): `Block` producers facing a full ring park here instead
+    /// of yield-spinning.
     space_notifier: Notifier,
 }
 
@@ -803,10 +798,10 @@ impl ObjectInner {
 
     /// Publish `(entry, call)` to the intake ring, applying the object's
     /// [`AdmissionPolicy`] when the ring is full. On success the
-    /// empty→non-empty notify contract is honored and the Cooperative
-    /// high watermark is checked. On a shed, the entry's `in_ring` count
-    /// is already rolled back and [`AlpsError::Overloaded`] returned — the
-    /// caller owns the (unpublished) cell and must release it.
+    /// empty→non-empty notify contract is honored. On a shed, the entry's
+    /// `in_ring` count is already rolled back and
+    /// [`AlpsError::Overloaded`] returned — the caller owns the
+    /// (unpublished) cell and must release it.
     fn push_intake(&self, entry: usize, call: &Arc<CallCell>) -> Result<()> {
         let sync = &self.estates[entry];
         sync.in_ring.fetch_add(1, Ordering::SeqCst);
@@ -820,13 +815,6 @@ impl ObjectInner {
                 Ok(was_empty) => {
                     if was_empty {
                         self.notifier.notify(&self.rt);
-                    }
-                    if let AdmissionPolicy::Cooperative { high, .. } = self.admission {
-                        if self.intake.len() >= high
-                            && !self.mgr_overloaded.swap(true, Ordering::SeqCst)
-                        {
-                            self.stats.on_overload_flip();
-                        }
                     }
                     return Ok(());
                 }
@@ -846,53 +834,23 @@ impl ObjectInner {
                             self.stats.on_shed();
                             return Err(self.overloaded_err());
                         }
-                        AdmissionPolicy::ShedOldest => {
-                            // Evict the oldest undrained ring resident —
-                            // the head of its entry's FIFO, so per-entry
-                            // order still holds — and retry our push. The
-                            // drain lock makes us the cell's sole
-                            // completer.
-                            let _g = self.intake_drain.lock();
-                            if let Some((veidx, victim)) = self.intake.pop() {
-                                self.estates[veidx as usize]
-                                    .in_ring
-                                    .fetch_sub(1, Ordering::SeqCst);
-                                if victim.is_cancelled() {
-                                    if victim.claim_tombstone() {
-                                        self.stats.on_reap();
-                                    }
-                                    self.release_cell(victim);
-                                } else {
-                                    self.stats.on_shed();
-                                    self.complete(&victim, Err(self.overloaded_err()));
-                                }
+                        AdmissionPolicy::Block => match seen {
+                            None => {
+                                // First encounter: snapshot the space
+                                // epoch, then yield once — the manager
+                                // is often mid-drain already.
+                                seen = Some(self.space_notifier.epoch());
+                                self.rt.yield_now();
                             }
-                        }
-                        AdmissionPolicy::Block | AdmissionPolicy::Cooperative { .. } => {
-                            // A full ring IS the high watermark.
-                            if matches!(self.admission, AdmissionPolicy::Cooperative { .. })
-                                && !self.mgr_overloaded.swap(true, Ordering::SeqCst)
-                            {
-                                self.stats.on_overload_flip();
+                            Some(s) => {
+                                // The retry between snapshot and here
+                                // closes the missed-wakeup race: any
+                                // drain after the snapshot moves the
+                                // epoch past `s`.
+                                self.space_notifier.wait_past(&self.rt, s);
+                                seen = None;
                             }
-                            match seen {
-                                None => {
-                                    // First encounter: snapshot the space
-                                    // epoch, then yield once — the manager
-                                    // is often mid-drain already.
-                                    seen = Some(self.space_notifier.epoch());
-                                    self.rt.yield_now();
-                                }
-                                Some(s) => {
-                                    // The retry between snapshot and here
-                                    // closes the missed-wakeup race: any
-                                    // drain after the snapshot moves the
-                                    // epoch past `s`.
-                                    self.space_notifier.wait_past(&self.rt, s);
-                                    seen = None;
-                                }
-                            }
-                        }
+                        },
                     }
                 }
             }
@@ -1015,8 +973,8 @@ impl ObjectInner {
     }
 
     /// Block until `call` completes, adaptively: a short pure-spin burst,
-    /// then — while the manager is awake — bounded yielding sized by the
-    /// service-time EWMA, then announce (`waiting = true`) and park.
+    /// then — while the manager is awake — a bounded number of yields,
+    /// then announce (`waiting = true`) and park.
     ///
     /// `adaptive` is false for non-ring waits (queued implicit calls,
     /// whose completer is a pool worker, not the manager) and the
@@ -1033,11 +991,9 @@ impl ObjectInner {
             }
             // Yield phase: worth it only while the manager is running —
             // each yield hands it the CPU (single-core) or leaves it
-            // draining (multi-core). Budget scales with how long one
-            // service round is expected to take (EWMA is in ticks = µs).
-            let budget = tuning::caller_yield_budget(self.stats.ewma_service_ticks());
+            // draining (multi-core).
             let mut spent = 0;
-            while spent < budget && self.mgr_active.load(Ordering::SeqCst) {
+            while spent < tuning::CALLER_YIELD_BUDGET && self.mgr_active.load(Ordering::SeqCst) {
                 if let Some(r) = call.try_take() {
                     self.stats.on_spin_resolved();
                     return r;
@@ -1227,13 +1183,8 @@ impl ObjectInner {
         if drained > 0 {
             self.stats.on_drain(drained);
             // Ring space freed: wake producers parked on a full ring
-            // (Block/Cooperative backpressure).
+            // (`Block` backpressure).
             self.space_notifier.notify(&self.rt);
-            if let AdmissionPolicy::Cooperative { low, .. } = self.admission {
-                if self.mgr_overloaded.load(Ordering::SeqCst) && self.intake.len() <= low {
-                    self.mgr_overloaded.store(false, Ordering::SeqCst);
-                }
-            }
             // Poll after any drain (yield-poll instead of park, see
             // `wait_for_work`): whoever was just served — a lone
             // synchronous caller or a whole storm — is about to wake and
@@ -1398,8 +1349,8 @@ impl ObjectInner {
                         // result that must never be delivered.
                         Slot::Accepted { call } => victims.push(call),
                         Slot::Started { call } => {
-                            // Cooperative: the body cannot be interrupted.
-                            // It keeps the slot as Abandoned; `body_done`
+                            // The body cannot be interrupted. It keeps
+                            // the slot as Abandoned; `body_done`
                             // discards its outcome and frees it.
                             *s = Slot::Abandoned;
                             victims.push(call);
@@ -1775,14 +1726,6 @@ impl ObjectBuilder {
         if let PoolMode::Shared(0) = self.pool {
             return Err(bad("shared pool must have at least one process".into()));
         }
-        if let AdmissionPolicy::Cooperative { high, low } = self.admission {
-            if high == 0 || low > high {
-                return Err(bad(format!(
-                    "cooperative admission watermarks must satisfy 0 < low ≤ high \
-                     (got high={high}, low={low})"
-                )));
-            }
-        }
         let mut slot_base = Vec::with_capacity(self.entries.len());
         let mut total = 0usize;
         for e in &self.entries {
@@ -1835,7 +1778,6 @@ impl ObjectBuilder {
             restart_times: Mutex::new(Vec::new()),
             perm_failed: AtomicBool::new(false),
             admission: self.admission,
-            mgr_overloaded: AtomicBool::new(false),
             space_notifier: Notifier::new(),
         });
         if let Some(mut body) = self.manager {
@@ -2151,26 +2093,12 @@ impl ObjectHandle {
         self.core.inner.generation.load(Ordering::SeqCst)
     }
 
-    /// Call a procedure *as if from inside the object*: local procedures
-    /// are callable and, when intercepted, go through the full
-    /// attach/accept/start/finish protocol. Intended for language
-    /// runtimes interpreting procedure bodies (the `alps-lang`
-    /// interpreter); ordinary clients should use [`call`](Self::call).
-    ///
-    /// # Errors
-    ///
-    /// As [`call`](Self::call), except local procedures are permitted.
-    pub fn call_from_inside(&self, entry: &str, args: Vec<Value>) -> Result<Vec<Value>> {
-        let inner = &self.core.inner;
-        let idx = inner.entry_idx(entry)?;
-        inner
-            .call_protocol(idx, args.into(), false, None)
-            .map(Vec::from)
-    }
-
-    /// [`call_from_inside`](Self::call_from_inside) through an interned
-    /// [`EntryId`] — the compiled-program path for intercepted sibling
-    /// calls, with zero per-call name resolution and inline tuples.
+    /// Call a procedure *as if from inside the object*, through an
+    /// interned [`EntryId`]: local procedures are callable and, when
+    /// intercepted, go through the full attach/accept/start/finish
+    /// protocol. Intended for language runtimes running procedure bodies
+    /// (`alps-lang`); ordinary clients should use
+    /// [`call_id`](Self::call_id).
     ///
     /// # Errors
     ///
@@ -2207,11 +2135,6 @@ impl ObjectHandle {
     /// E7's cost metric).
     pub fn pool_procs_spawned(&self) -> u64 {
         self.core.inner.pool.procs_spawned()
-    }
-
-    /// The pool mode the object runs with.
-    pub fn pool_mode(&self) -> PoolMode {
-        self.core.inner.pool.mode()
     }
 
     /// Shut the object down now: in-flight and future calls fail with

@@ -30,14 +30,12 @@ use crate::value::ValVec;
 /// How entry executions are mapped onto runtime processes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PoolMode {
-    /// Spawn a fresh process per started call. The paper's "expensive"
-    /// is the executor's price of a process, and it has a number on each
-    /// (spawn + join of an empty process, 2-core box, best case): about
-    /// 3 µs for a green task on `Runtime::thread_pool`, and 3.4 µs on
-    /// `Runtime::threaded` now that OS threads are recycled between
-    /// processes, against the 14–16 µs of the fresh OS thread each
-    /// process used to cost there (`tuning::THREAD_KEEP_ALIVE_MS` has the
-    /// slow-mode and in-flight figures; DESIGN.md §11.8 the consequence).
+    /// Spawn a fresh process per started call — the strategy paper §3
+    /// sets aside because "dynamic process creation is expensive", in
+    /// favour of the two preallocated modes below. What a process costs
+    /// here (spawn + join of an empty one, 2-core box, best case): about
+    /// 3 µs as a green task on `Runtime::thread_pool`, 14–16 µs as an OS
+    /// thread on `Runtime::threaded` (DESIGN.md §11.8).
     PerCall,
     /// One preallocated worker per procedure-array slot (1:1).
     #[default]
@@ -327,11 +325,6 @@ impl Pool {
     /// Number of jobs executed.
     pub(crate) fn jobs_executed(&self) -> u64 {
         self.executed.get()
-    }
-
-    /// The configured mode.
-    pub(crate) fn mode(&self) -> PoolMode {
-        self.mode
     }
 }
 

@@ -232,15 +232,6 @@ impl<'a> Guard<'a> {
         })
     }
 
-    /// [`accept_slot`](Guard::accept_slot) through a pre-resolved entry
-    /// index.
-    pub fn accept_slot_idx(entry: usize, slot: usize) -> Guard<'a> {
-        Guard::new(GuardKind::Accept {
-            entry: EntrySel::Idx(entry),
-            slot: Some(slot),
-        })
-    }
-
     /// `await P` — some element of P is ready to terminate.
     pub fn await_done(entry: impl Into<String>) -> Guard<'a> {
         Guard::new(GuardKind::AwaitDone {
@@ -263,15 +254,6 @@ impl<'a> Guard<'a> {
         Guard::new(GuardKind::AwaitDone {
             entry: EntrySel::Idx(entry),
             slot: None,
-        })
-    }
-
-    /// [`await_slot`](Guard::await_slot) through a pre-resolved entry
-    /// index.
-    pub fn await_slot_idx(entry: usize, slot: usize) -> Guard<'a> {
-        Guard::new(GuardKind::AwaitDone {
-            entry: EntrySel::Idx(entry),
-            slot: Some(slot),
         })
     }
 
@@ -414,19 +396,6 @@ pub(crate) fn run_select_deadline(
             _ => resolved.push(None),
         }
     }
-    // Batch-aware fast path: the overwhelmingly common manager shapes —
-    // `mgr.accept(..)`, `mgr.await_done(..)`, their `_slot` variants, and
-    // single-guard selects — scan and commit under ONE acquisition of the
-    // entry lock, straight from the freshly drained batch, instead of the
-    // general evaluate-unlock-relock-commit dance. Requires no `pri`
-    // (with several eligible slots, a priority expression may pick a
-    // later one; first-eligible would be wrong).
-    let single_fast = guards.len() == 1
-        && guards[0].pri.is_none()
-        && matches!(
-            guards[0].kind,
-            GuardKind::Accept { .. } | GuardKind::AwaitDone { .. }
-        );
     loop {
         if obj.is_closed() {
             return Err(obj.closed_err());
@@ -441,15 +410,6 @@ pub(crate) fn run_select_deadline(
         // epoch, so the wait below cannot sleep through it.
         let epoch = obj.notifier.epoch();
         obj.drain_intake();
-        if single_fast {
-            let entry = resolved[0].expect("resolved above");
-            if let Some(sel) = fused_single(obj, &guards[0], entry, gen) {
-                return Ok(sel);
-            }
-            // Accept/await guards never close while the object is open.
-            wait_for_work_deadline(obj, epoch, deadline)?;
-            continue;
-        }
         for g in guards {
             if let GuardKind::Receive { chan } = &g.kind {
                 chan.raw().subscribe(&obj.notifier);
@@ -722,94 +682,6 @@ fn wait_for_work_deadline(
         return Err(timeout());
     }
     Ok(())
-}
-
-/// One-lock scan-and-commit for a single `accept`/`await` guard without
-/// `pri`: the first eligible slot (lowest index — same choice the general
-/// path makes for equal priorities) is committed in place.
-fn fused_single(obj: &Arc<ObjectInner>, g: &Guard<'_>, entry: usize, gen: u64) -> Option<Selected> {
-    let sync = &obj.estates[entry];
-    match &g.kind {
-        GuardKind::Accept { slot, .. } => {
-            if sync.attached.load(Ordering::SeqCst) == 0 {
-                return None;
-            }
-            let k = obj.entries[entry]
-                .intercept
-                .map(|ic| ic.params)
-                .unwrap_or(0);
-            let mut es = sync.st.lock();
-            if obj.generation.load(Ordering::SeqCst) != gen {
-                // Let the outer loop's generation check report the
-                // restart instead of committing a stale accept.
-                return None;
-            }
-            for i in 0..es.slots.len() {
-                if slot.is_some() && *slot != Some(i) {
-                    continue;
-                }
-                let eligible = {
-                    let Slot::Attached { call } = &es.slots[i] else {
-                        continue;
-                    };
-                    let view = GuardView {
-                        slot: i,
-                        values: &call.args()[..k],
-                        obj,
-                    };
-                    g.when.as_ref().map(|f| f(&view)).unwrap_or(true)
-                };
-                if eligible {
-                    let call = crate::manager::commit_accept(obj, &mut es, entry, i, gen);
-                    return Some(Selected::Accepted { guard: 0, call });
-                }
-            }
-            None
-        }
-        GuardKind::AwaitDone { slot, .. } => {
-            if sync.ready.load(Ordering::SeqCst) == 0 {
-                return None;
-            }
-            let def = &obj.entries[entry];
-            let kr = def.intercept.map(|ic| ic.results).unwrap_or(0);
-            let pub_len = def.results.len();
-            let mut es = sync.st.lock();
-            if obj.generation.load(Ordering::SeqCst) != gen {
-                return None;
-            }
-            for i in 0..es.slots.len() {
-                if slot.is_some() && *slot != Some(i) {
-                    continue;
-                }
-                let eligible = {
-                    let Slot::Ready { outcome, .. } = &es.slots[i] else {
-                        continue;
-                    };
-                    match outcome {
-                        Err(_) => true,
-                        Ok(full) => {
-                            let mut v = full[..kr.min(full.len())].to_vec();
-                            if full.len() >= pub_len {
-                                v.extend(full[pub_len..].iter().cloned());
-                            }
-                            let view = GuardView {
-                                slot: i,
-                                values: &v,
-                                obj,
-                            };
-                            g.when.as_ref().map(|f| f(&view)).unwrap_or(true)
-                        }
-                    }
-                };
-                if eligible {
-                    let done = crate::manager::commit_await(obj, &mut es, entry, i, gen);
-                    return Some(Selected::Ready { guard: 0, done });
-                }
-            }
-            None
-        }
-        _ => unreachable!("single_fast gate checked the kind"),
-    }
 }
 
 /// The manager's wait point, with the lost-wakeup handshake against the

@@ -672,27 +672,6 @@ impl ShardedStats {
         self.retries = self.retries.saturating_add(st.retries());
         self.sheds = self.sheds.saturating_add(st.sheds());
     }
-
-    /// Fold another group summary into this one (e.g. a multi-process
-    /// coordinator merging the per-process [`ShardedHandle::stats`]
-    /// snapshots it collected over its connections). Shard counts add;
-    /// every counter saturates — see [`absorb_object`](Self::absorb_object)
-    /// for why wrapping is the wrong failure mode here.
-    pub fn absorb(&mut self, other: &ShardedStats) {
-        self.shards += other.shards;
-        self.calls = self.calls.saturating_add(other.calls);
-        self.accepts = self.accepts.saturating_add(other.accepts);
-        self.starts = self.starts.saturating_add(other.starts);
-        self.finishes = self.finishes.saturating_add(other.finishes);
-        self.combines = self.combines.saturating_add(other.combines);
-        self.body_failures = self.body_failures.saturating_add(other.body_failures);
-        self.timeouts = self.timeouts.saturating_add(other.timeouts);
-        self.restarts = self.restarts.saturating_add(other.restarts);
-        self.retries = self.retries.saturating_add(other.retries);
-        self.sheds = self.sheds.saturating_add(other.sheds);
-        self.combined_leads = self.combined_leads.saturating_add(other.combined_leads);
-        self.combined_follows = self.combined_follows.saturating_add(other.combined_follows);
-    }
 }
 
 impl std::fmt::Display for ShardedStats {
@@ -948,29 +927,5 @@ mod tests {
         let shown = s.to_string();
         assert!(shown.contains("shards=2"), "{shown}");
         assert!(shown.contains("calls=5"), "{shown}");
-    }
-
-    #[test]
-    fn sharded_stats_absorb_saturates_instead_of_wrapping() {
-        let mut a = ShardedStats {
-            shards: 4,
-            calls: u64::MAX - 3,
-            retries: 7,
-            ..ShardedStats::default()
-        };
-        let b = ShardedStats {
-            shards: 4,
-            calls: 10,
-            retries: 1,
-            combined_leads: u64::MAX,
-            combined_follows: 2,
-            ..ShardedStats::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.shards, 8);
-        assert_eq!(a.calls, u64::MAX, "near-MAX fold pins, never wraps");
-        assert_eq!(a.retries, 8);
-        assert_eq!(a.combined_leads, u64::MAX);
-        assert_eq!(a.combined_follows, 2);
     }
 }

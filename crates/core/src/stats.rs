@@ -4,7 +4,6 @@
 //! counters and histograms; the hot paths only touch atomics.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use alps_runtime::metrics::{Counter, Histogram};
@@ -40,11 +39,6 @@ struct StatsInner {
     restarts: Counter,
     sheds: Counter,
     retries: Counter,
-    overload_flips: Counter,
-    /// EWMA of service time in ticks (α = 1/8). Updated with a Relaxed
-    /// CAS loop: pooled bodies finish concurrently, so the RMW must be
-    /// atomic, but the value is advisory and orders nothing.
-    ewma_service: AtomicU64,
 }
 
 impl ObjectStats {
@@ -148,9 +142,8 @@ impl ObjectStats {
         self.inner.restarts.get()
     }
     /// Calls refused with [`Overloaded`](crate::AlpsError::Overloaded) by
-    /// a shedding [`AdmissionPolicy`](crate::AdmissionPolicy) — the
-    /// incoming call under `ShedNewest`, an evicted ring resident under
-    /// `ShedOldest`.
+    /// [`AdmissionPolicy::ShedNewest`](crate::AdmissionPolicy::ShedNewest)
+    /// because the intake ring was full.
     pub fn sheds(&self) -> u64 {
         self.inner.sheds.get()
     }
@@ -160,12 +153,6 @@ impl ObjectStats {
     pub fn retries(&self) -> u64 {
         self.inner.retries.get()
     }
-    /// Times the `Cooperative` admission watermark flipped the
-    /// `mgr_overloaded` flag on (it clears when occupancy drains below
-    /// the low watermark).
-    pub fn overload_flips(&self) -> u64 {
-        self.inner.overload_flips.get()
-    }
     /// Always 0. The SPSC fast lane this counted pushes over was deleted
     /// (an ablation showed the manager's polling, not the second queue,
     /// paid for its numbers); the accessor remains only because the frozen
@@ -173,12 +160,6 @@ impl ObjectStats {
     /// `core.lane_push_share` layer metric. Remove both together.
     pub fn lane_pushes(&self) -> u64 {
         0
-    }
-    /// Exponentially weighted moving average of entry service time in
-    /// ticks (α = 1/8) — the signal the adaptive spin budgets are tuned
-    /// by.
-    pub fn ewma_service_ticks(&self) -> u64 {
-        self.inner.ewma_service.load(Ordering::Relaxed)
     }
 
     pub(crate) fn on_call(&self) {
@@ -208,21 +189,6 @@ impl ObjectStats {
     }
     pub(crate) fn on_service(&self, ticks: u64) {
         self.inner.service_time.record(ticks);
-        // EWMA with α = 1/8: ewma += (sample - ewma) / 8. Bodies of a
-        // pooled entry finish concurrently, so the read-modify-write must
-        // be a CAS loop — a plain load/store pair here raced and dropped
-        // samples under contention. Relaxed ordering is fine: the value is
-        // an advisory spin-budget signal, never synchronizes other data.
-        let _ =
-            self.inner
-                .ewma_service
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |prev| {
-                    Some(if ticks >= prev {
-                        prev + (ticks - prev) / 8
-                    } else {
-                        prev - (prev - ticks) / 8
-                    })
-                });
     }
     pub(crate) fn on_complete(&self, latency: u64) {
         self.inner.call_latency.record(latency);
@@ -260,9 +226,6 @@ impl ObjectStats {
     pub(crate) fn on_retry(&self) {
         self.inner.retries.incr();
     }
-    pub(crate) fn on_overload_flip(&self) {
-        self.inner.overload_flips.incr();
-    }
 }
 
 impl fmt::Display for ObjectStats {
@@ -272,7 +235,7 @@ impl fmt::Display for ObjectStats {
             "calls={} accepts={} starts={} finishes={} combines={} implicit={} failures={} \
              p50_latency={} p99_latency={} p999_latency={} wakeups={} mean_batch={:.1} \
              max_batch={} spin_resolved={} park_resolved={} timeouts={} cancels={} reaps={} \
-             poison_rejects={} restarts={} sheds={} retries={} overload_flips={}",
+             poison_rejects={} restarts={} sheds={} retries={}",
             self.calls(),
             self.accepts(),
             self.starts(),
@@ -295,7 +258,6 @@ impl fmt::Display for ObjectStats {
             self.restarts(),
             self.sheds(),
             self.retries(),
-            self.overload_flips(),
         )
     }
 }
@@ -379,31 +341,13 @@ mod tests {
         s.on_retry();
         s.on_retry();
         s.on_retry();
-        s.on_overload_flip();
         assert_eq!(s.restarts(), 1);
         assert_eq!(s.sheds(), 2);
         assert_eq!(s.retries(), 3);
-        assert_eq!(s.overload_flips(), 1);
         let shown = s.to_string();
         assert!(shown.contains("restarts=1"), "{shown}");
         assert!(shown.contains("sheds=2"), "{shown}");
         assert!(shown.contains("retries=3"), "{shown}");
-        assert!(shown.contains("overload_flips=1"), "{shown}");
         assert!(shown.contains("p999_latency=0"), "{shown}");
-    }
-
-    #[test]
-    fn ewma_converges_toward_samples() {
-        let s = ObjectStats::new();
-        assert_eq!(s.ewma_service_ticks(), 0);
-        for _ in 0..64 {
-            s.on_service(800);
-        }
-        let up = s.ewma_service_ticks();
-        assert!(up > 400, "ewma rose toward 800, got {up}");
-        for _ in 0..64 {
-            s.on_service(0);
-        }
-        assert!(s.ewma_service_ticks() < up, "ewma decays");
     }
 }

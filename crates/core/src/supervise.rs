@@ -12,9 +12,8 @@
 //!   or re-queue the ones that have not been handed to the (now dead)
 //!   manager generation.
 //! * [`AdmissionPolicy`] — what happens when the bounded intake ring is
-//!   full: block with backpressure, shed the newest or oldest call with
-//!   [`AlpsError::Overloaded`](crate::AlpsError::Overloaded), or keep
-//!   blocking while flagging overload to the manager (watermarks).
+//!   full: block with backpressure, or shed the incoming call with
+//!   [`AlpsError::Overloaded`](crate::AlpsError::Overloaded).
 //! * [`RetryPolicy`] / [`Backoff`] — caller-side retry of the transient
 //!   errors the two mechanisms above produce
 //!   ([`ObjectHandle::call_retry`](crate::ObjectHandle::call_retry)).
@@ -73,10 +72,9 @@ pub enum OnRestart {
 
 /// What the call protocol does when the bounded intake ring is full.
 ///
-/// Every policy preserves the intake's empty→non-empty notify contract
+/// Both policies preserve the intake's empty→non-empty notify contract
 /// (only a push observing the empty→non-empty transition wakes the
-/// manager) and per-entry FIFO (shedding removes an end of the queue,
-/// never the middle).
+/// manager) and per-entry FIFO (a shed call never entered the queue).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionPolicy {
     /// Backpressure: the caller yields, then parks until the manager
@@ -88,23 +86,6 @@ pub enum AdmissionPolicy {
     /// [`AlpsError::Overloaded`](crate::AlpsError::Overloaded). Bounded
     /// latency for admitted calls; newest work is the casualty.
     ShedNewest,
-    /// Evict the *oldest* undrained ring resident (answering it
-    /// `Overloaded`) and admit the incoming call. Freshest work wins —
-    /// the right shape when stale requests have expired anyway.
-    ShedOldest,
-    /// [`Block`](AdmissionPolicy::Block), plus occupancy watermarks that
-    /// flip a `mgr_overloaded` flag the manager can read
-    /// ([`ManagerCtx::overloaded`](crate::ManagerCtx::overloaded)) to
-    /// prioritize draining over admission, and that
-    /// [`ObjectStats::overload_flips`](crate::ObjectStats::overload_flips)
-    /// counts. The flag sets when occupancy reaches `high` and clears
-    /// when a drain leaves it at or below `low`.
-    Cooperative {
-        /// Set `mgr_overloaded` at this ring occupancy.
-        high: usize,
-        /// Clear it once a drain leaves occupancy at or below this.
-        low: usize,
-    },
 }
 
 /// Delay schedule between [`call_retry`](crate::ObjectHandle::call_retry)

@@ -249,37 +249,29 @@ fn shed_newest_storm_bounds_occupancy() {
     .unwrap();
 }
 
-/// `Cooperative` watermarks flip the manager-visible overload flag and
-/// count the flips; `Block` (the default) never sheds — slow callers wait
-/// instead.
+/// `Block` (the default) against a ring that is full most of the time:
+/// 12 callers, capacity 4, so producers park on the space notifier — and
+/// nobody is shed, every call is served in full.
 #[test]
-fn cooperative_watermarks_flip_and_block_never_sheds() {
+fn block_backpressure_parks_and_never_sheds() {
     let sim = SimRuntime::with_policy(SchedPolicy::PriorityRandom(3));
     sim.run(|rt| {
-        let flagged = Arc::new(AtomicU64::new(0));
-        let f2 = Arc::clone(&flagged);
-        let obj = ObjectBuilder::new("Coop")
+        let obj = ObjectBuilder::new("Blocking")
             .entry(
                 EntryDef::new("P")
                     .params([Ty::Int])
                     .results([Ty::Int])
                     .intercepted()
                     .body(|ctx, args| {
+                        // Callers refill the ring while the body sleeps.
                         ctx.sleep(30);
                         Ok(vec![args[0].clone()])
                     }),
             )
-            .manager(move |mgr| loop {
+            .manager(|mgr| loop {
                 let acc = mgr.accept("P")?;
                 mgr.execute(acc)?;
-                // Callers refill the ring while the body sleeps, so the
-                // post-execute window is where overload is visible (the
-                // next accept's drain will clear it back to `low`).
-                if mgr.overloaded() {
-                    f2.fetch_add(1, Ordering::SeqCst);
-                }
             })
-            .admission(AdmissionPolicy::Cooperative { high: 4, low: 1 })
             .intake_capacity(4)
             .spawn(rt)
             .unwrap();
@@ -297,16 +289,8 @@ fn cooperative_watermarks_flip_and_block_never_sheds() {
             j.join().unwrap();
         }
         let stats = obj.stats();
-        assert_eq!(stats.sheds(), 0, "Cooperative blocks, it never sheds");
+        assert_eq!(stats.sheds(), 0, "Block never sheds");
         assert_eq!(stats.finishes(), 36, "every call was served");
-        assert!(
-            stats.overload_flips() > 0,
-            "12 blocked callers against capacity 4 must cross the high watermark"
-        );
-        assert!(
-            flagged.load(Ordering::SeqCst) > 0,
-            "the manager observed the overload flag"
-        );
         assert!(!obj.is_closed());
     })
     .unwrap();

@@ -43,9 +43,9 @@
 //! # Error propagation
 //!
 //! A dispatch that fails maps its [`AlpsError`] onto the wire taxonomy
-//! ([`err_to_wire`](crate::wire::err_to_wire)) — `Overloaded`,
-//! `ObjectRestarting`, `ObjectPoisoned` and the rest arrive at the
-//! remote caller as the same variant they would see in-process.
+//! ([`err_to_wire`]) — `Overloaded`, `ObjectRestarting`,
+//! `ObjectPoisoned` and the rest arrive at the remote caller as the same
+//! variant they would see in-process.
 //! *Retryable* failures are **not** cached: `Overloaded` and
 //! `ObjectRestarting` mean the body never ran, so the client's retry of
 //! the same call id must re-execute, not replay the refusal.

@@ -18,7 +18,7 @@ fn threads_and_fds() -> Option<(usize, usize)> {
     Some((entries("/proc/self/task")?, entries("/proc/self/fd")?))
 }
 
-/// Idle runtime threads retire after a short while: poll.
+/// A process is done a moment before its OS thread is gone: poll.
 fn settles_to(what: &str, want: (usize, usize)) {
     let t0 = Instant::now();
     while threads_and_fds() != Some(want) {

@@ -1,13 +1,14 @@
-//! Executors: the threaded runtime and the deterministic simulation runtime.
+//! Executors: the threaded runtimes and the deterministic simulation runtime.
 //!
 //! The paper assumes objects live in a single address space with light
 //! weight processes and a high-priority manager (paper §3, citing Mach
-//! tasks/threads). We provide two interchangeable executors behind the
+//! tasks/threads). We provide three interchangeable executors behind the
 //! [`Runtime`] handle:
 //!
-//! * [`Runtime::threaded`] — each live process has an OS thread (threads
-//!   are recycled between processes); real parallelism; priorities are
-//!   advisory (the OS schedules).
+//! * [`Runtime::threaded`] — one OS thread per process, named after it;
+//!   real parallelism; priorities are advisory (the OS schedules).
+//! * [`Runtime::thread_pool`] — the same contract with processes as green
+//!   tasks on a fixed set of OS workers (x86_64).
 //! * [`SimRuntime`] — deterministic cooperative simulation: exactly one
 //!   process runs at a time, scheduling points are explicit
 //!   (`park`/`unpark`/`yield_now`/`sleep`), priorities are honoured
@@ -130,17 +131,6 @@ pub(crate) fn set_current(core_token: usize, id: ProcId) {
     CURRENT.with(|c| c.borrow_mut().push((core_token, id)));
 }
 
-/// Depth of the calling thread's registration stack; with
-/// [`truncate_current`], brackets a process on a recycled OS thread.
-pub(crate) fn current_depth() -> usize {
-    CURRENT.with(|c| c.borrow().len())
-}
-
-/// Drop every registration made since the stack was `depth` deep.
-pub(crate) fn truncate_current(depth: usize) {
-    CURRENT.with(|c| c.borrow_mut().truncate(depth));
-}
-
 pub(crate) fn clear_current(core_token: usize, id: ProcId) {
     CURRENT.with(|c| {
         let mut v = c.borrow_mut();
@@ -181,17 +171,24 @@ pub struct Runtime {
 impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
-            .field("kind", &if self.is_sim() { "sim" } else { "threaded" })
+            .field(
+                "kind",
+                &if self.is_sim() {
+                    "sim"
+                } else if self.os_threads().is_some() {
+                    "thread_pool"
+                } else {
+                    "threaded"
+                },
+            )
             .finish()
     }
 }
 
 impl Runtime {
-    /// Create a threaded runtime: every live process has an OS thread of
-    /// its own. Threads are recycled — one whose process has returned
-    /// runs the next spawned process, and exits after a short idle
-    /// period — so OS thread names are generic; use
-    /// [`proc_name`](Runtime::proc_name) to identify a process.
+    /// Create a threaded runtime: every process has an OS thread of its
+    /// own, named `"{name}#{id}"` after it, created by `spawn` and gone
+    /// when the process returns.
     pub fn threaded() -> Runtime {
         Runtime {
             core: thread::ThreadCore::new(),

@@ -1571,6 +1571,7 @@ mod tests {
     fn os_thread_count_is_bounded_by_pool_size() {
         let rt = pool(4);
         assert_eq!(rt.os_threads(), Some(5));
+        assert_eq!(format!("{rt:?}"), r#"Runtime { kind: "thread_pool" }"#);
         let hs: Vec<_> = (0..64).map(|_| rt.spawn(|| ())).collect();
         for h in hs {
             h.join().unwrap();

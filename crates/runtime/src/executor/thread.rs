@@ -1,28 +1,24 @@
-//! Threaded executor: one OS thread per *live* process, recycled.
+//! Threaded executor: one OS thread per process.
 //!
-//! A process is a fresh [`ProcId`], park slot (name, permit, done and
-//! panic status) and thread-local registration — identity is per process.
-//! The OS thread under it is not: a thread whose process has returned
-//! parks itself on a LIFO idle list and runs the next spawned process,
-//! so a spawn costs one wake instead of one `clone` + stack `mmap`. An
-//! idle thread exits after [`tuning::THREAD_KEEP_ALIVE_MS`] and at
-//! `shutdown`; only a spawn that finds the list empty creates a thread,
-//! so concurrency is never capped — a process may block indefinitely.
-//!
-//! OS threads therefore carry one generic name; ask
-//! [`Runtime::proc_name`](super::Runtime::proc_name) who a process is.
+//! A process is a [`ProcId`], a park slot (name, permit, done and panic
+//! status) and an OS thread named `"{name}#{id}"` — what `top -H`, gdb
+//! and a panic message show. The thread is created by `spawn` and exits
+//! when the process returns; a process may block indefinitely, and
+//! nothing is shared between one process and the next. A thread costs
+//! 14–16 µs to create (DESIGN.md §11.8): where that matters, spawn on
+//! [`Runtime::thread_pool`](super::Runtime::thread_pool) or preallocate
+//! the processes, as the paper does.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use super::{current_depth, current_for, set_current, truncate_current, ExecutorCore};
+use super::{current_for, set_current, ExecutorCore};
 use crate::error::{Aborted, RuntimeError};
 use crate::process::{ProcId, Spawn};
-use crate::tuning;
 
 #[derive(Debug)]
 struct SlotSt {
@@ -62,44 +58,14 @@ impl ProcSlot {
     }
 }
 
-/// One process, handed to the OS thread that will run it.
-struct Job {
-    id: ProcId,
-    slot: Arc<ProcSlot>,
-    f: Box<dyn FnOnce() + Send>,
-}
-
-enum Msg {
-    Run(Job),
-    Exit,
-}
-
-/// Where an idle OS thread waits for its next process. Whoever takes a
-/// mailbox off the idle list — a `spawn`, `shutdown`, or the thread's own
-/// keep-alive expiry — decides the thread's fate; a thread that finds
-/// itself delisted waits for the message that is on its way.
-#[derive(Default)]
-struct Mailbox {
-    msg: Mutex<Option<Msg>>,
-    cv: Condvar,
-}
-
-impl Mailbox {
-    fn post(&self, msg: Msg) {
-        *self.msg.lock() = Some(msg);
-        self.cv.notify_one();
-    }
-}
+type Registry = HashMap<ProcId, Arc<ProcSlot>>;
 
 pub(crate) struct ThreadCore {
     /// Unique instance token keying thread-local registrations — never an
     /// address, which the allocator may reuse across runtime lifetimes.
     token: usize,
-    /// For handing the core to the OS threads it creates.
-    me: Weak<ThreadCore>,
-    procs: Mutex<HashMap<ProcId, Arc<ProcSlot>>>,
-    /// OS threads between processes, most recently idled last.
-    idle: Mutex<Vec<Arc<Mailbox>>>,
+    /// Shared with every process's thread, which prunes its own entry.
+    procs: Arc<Mutex<Registry>>,
     next_id: AtomicU64,
     epoch0: Instant,
     shutdown: AtomicBool,
@@ -108,11 +74,9 @@ pub(crate) struct ThreadCore {
 impl ThreadCore {
     pub(crate) fn new() -> Arc<ThreadCore> {
         crate::error::silence_abort_panics();
-        Arc::new_cyclic(|me| ThreadCore {
+        Arc::new(ThreadCore {
             token: super::alloc_core_token(),
-            me: me.clone(),
-            procs: Mutex::new(HashMap::new()),
-            idle: Mutex::new(Vec::new()),
+            procs: Arc::new(Mutex::new(HashMap::new())),
             next_id: AtomicU64::new(1),
             epoch0: Instant::now(),
             shutdown: AtomicBool::new(false),
@@ -138,93 +102,20 @@ impl ThreadCore {
         set_current(self.token, id);
         (id, slot)
     }
+}
 
-    /// Body of every OS thread: run processes until none arrives.
-    fn thread_main(self: Arc<Self>, first: Job) {
-        let mailbox = Arc::new(Mailbox::default());
-        let mut job = Some(first);
-        while let Some(Job { id, slot, f }) = job {
-            let panicked = self.run(id, f);
-            // Listed before the exit is announced: whoever joins this
-            // process and then spawns finds this thread.
-            let listed = self.list_idle(&mailbox);
-            self.exited(id, &slot, panicked);
-            job = if listed {
-                self.next_job(&mailbox)
-            } else {
-                None
-            };
-        }
-    }
-
-    /// Run one process on the calling thread; whether it panicked.
-    fn run(&self, id: ProcId, f: Box<dyn FnOnce() + Send>) -> bool {
-        let depth = current_depth();
-        set_current(self.token, id);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-        // Drops this registration and any foreign one the process made
-        // in another runtime: the next process on this thread must not
-        // inherit an identity (and its permits) there.
-        truncate_current(depth);
-        matches!(&outcome, Err(payload) if !payload.is::<Aborted>())
-    }
-
-    fn exited(&self, id: ProcId, slot: &ProcSlot, panicked: bool) {
-        let detached = {
-            let mut st = slot.st.lock();
-            st.done = true;
-            st.panicked = panicked;
-            slot.done_cv.notify_all();
-            st.detached
-        };
-        if detached {
-            self.procs.lock().remove(&id);
-        }
-    }
-
-    /// Put the calling thread's mailbox on the idle list, unless the
-    /// runtime is shut down.
-    fn list_idle(&self, mailbox: &Arc<Mailbox>) -> bool {
-        let mut idle = self.idle.lock();
-        // Under the list lock: `shutdown` raises the flag before it
-        // drains the list, so this thread sees one or the other.
-        if self.shutdown.load(Ordering::SeqCst) {
-            return false;
-        }
-        idle.push(Arc::clone(mailbox));
-        true
-    }
-
-    /// Wait on a listed mailbox until a process arrives; `None` means
-    /// the thread should exit.
-    fn next_job(&self, mailbox: &Arc<Mailbox>) -> Option<Job> {
-        let deadline = Instant::now() + Duration::from_millis(tuning::THREAD_KEEP_ALIVE_MS);
-        let mut msg = mailbox.msg.lock();
-        loop {
-            match msg.take() {
-                Some(Msg::Run(job)) => return Some(job),
-                Some(Msg::Exit) => return None,
-                None => {}
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if !left.is_zero() {
-                let _ = mailbox.cv.wait_for(&mut msg, left);
-                continue;
-            }
-            drop(msg);
-            {
-                let mut idle = self.idle.lock();
-                if let Some(pos) = idle.iter().position(|m| Arc::ptr_eq(m, mailbox)) {
-                    idle.remove(pos);
-                    return None;
-                }
-            }
-            // Delisted by someone else: their message is on its way.
-            msg = mailbox.msg.lock();
-            while msg.is_none() {
-                mailbox.cv.wait(&mut msg);
-            }
-        }
+/// Process `id` has returned: publish its status to `join`, and forget it
+/// if its handle is already gone.
+fn exited(procs: &Mutex<Registry>, id: ProcId, slot: &ProcSlot, panicked: bool) {
+    let detached = {
+        let mut st = slot.st.lock();
+        st.done = true;
+        st.panicked = panicked;
+        slot.done_cv.notify_all();
+        st.detached
+    };
+    if detached {
+        procs.lock().remove(&id);
     }
 }
 
@@ -238,18 +129,16 @@ impl ExecutorCore for ThreadCore {
         let id = self.alloc_id();
         let slot = ProcSlot::new(opts.name, false);
         self.procs.lock().insert(id, Arc::clone(&slot));
-        let job = Job { id, slot, f };
-        let recycled = self.idle.lock().pop();
-        match recycled {
-            Some(mailbox) => mailbox.post(Msg::Run(job)),
-            None => {
-                let core = self.me.upgrade().expect("spawn on a dropped runtime");
-                std::thread::Builder::new()
-                    .name("alps-proc".to_string())
-                    .spawn(move || core.thread_main(job))
-                    .expect("failed to spawn OS thread");
-            }
-        }
+        let (token, procs) = (self.token, Arc::clone(&self.procs));
+        std::thread::Builder::new()
+            .name(format!("{}#{}", slot.name, id.as_u64()))
+            .spawn(move || {
+                set_current(token, id);
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+                let panicked = matches!(&outcome, Err(payload) if !payload.is::<Aborted>());
+                exited(&procs, id, &slot, panicked);
+            })
+            .expect("failed to spawn OS thread");
         id
     }
 
@@ -258,8 +147,8 @@ impl ExecutorCore for ThreadCore {
         let Some(slot) = procs.get(&id) else {
             return;
         };
-        // The slot lock orders this against `exited`: either the process
-        // is done and we prune, or it sees `detached`.
+        // The slot lock orders this against the process's exit: either
+        // it is done and we prune, or it sees `detached`.
         let done = {
             let mut st = slot.st.lock();
             st.detached = true;
@@ -368,10 +257,6 @@ impl ExecutorCore for ThreadCore {
             st.permit = true;
             slot.cv.notify_all();
         }
-        let idle = std::mem::take(&mut *self.idle.lock());
-        for mailbox in idle {
-            mailbox.post(Msg::Exit);
-        }
     }
 
     fn is_sim(&self) -> bool {
@@ -388,186 +273,52 @@ mod tests {
     use super::super::eventually;
     use super::ThreadCore;
     use crate::process::Priority;
-    use crate::{tuning, Runtime, Spawn};
-    use std::collections::HashSet;
+    use crate::{Runtime, Spawn};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
-    use std::thread::ThreadId;
-    use std::time::{Duration, Instant};
 
-    fn os_thread() -> ThreadId {
-        std::thread::current().id()
+    #[test]
+    fn a_process_runs_on_an_os_thread_that_carries_its_name() {
+        let rt = Runtime::threaded();
+        let h = rt.spawn_with(Spawn::new("worker"), || {
+            std::thread::current().name().map(str::to_string)
+        });
+        let id = h.id();
+        let name = h.join().unwrap().expect("unnamed OS thread");
+        assert_eq!(name, format!("worker#{}", id.as_u64()));
+    }
+
+    /// OS threads of this process whose name starts with `prefix`
+    /// (Linux; `None` elsewhere). By name, because the tests beside this
+    /// one start and stop threads of their own.
+    fn os_threads_named(prefix: &str) -> Option<usize> {
+        let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+        Some(
+            tasks
+                .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+                .filter(|comm| comm.starts_with(prefix))
+                .count(),
+        )
     }
 
     #[test]
-    fn sequential_spawns_recycle_one_thread_with_fresh_identities() {
-        let rt = Runtime::threaded();
-        let mut threads = HashSet::new();
-        let mut ids = HashSet::new();
-        for i in 0..1000 {
-            let rt2 = rt.clone();
-            let h = rt.spawn_with(Spawn::new(format!("p{i}")), move || {
-                let me = rt2.current();
-                let t0 = Instant::now();
-                rt2.park_timeout(200); // returns early only on a permit
-                let parked = t0.elapsed();
-                rt2.unpark(me); // left behind for whoever runs here next
-                (me, rt2.proc_name(me), os_thread(), parked)
-            });
-            let id = h.id();
-            let (me, name, thread, parked) = h.join().unwrap();
-            assert_eq!(me, id, "process {i} saw another process's identity");
-            assert_eq!(name, Some(format!("p{i}")));
-            assert!(
-                parked >= Duration::from_micros(100),
-                "process {i} inherited a permit"
-            );
-            assert!(ids.insert(me), "ProcId reused");
-            threads.insert(thread);
-        }
-        // One, unless this test was descheduled for a whole keep-alive.
-        assert!(
-            threads.len() <= 4,
-            "1000 sequential processes used {} OS threads",
-            threads.len()
-        );
-    }
-
-    #[test]
-    fn a_foreign_registration_does_not_outlive_its_process() {
-        let rt = Runtime::threaded();
-        let other = Runtime::threaded();
-        // Two processes, one after the other, each touching `other` from
-        // the OS thread they share (retried if a stall of a whole
-        // keep-alive gave the second one a new thread).
-        for _ in 0..20 {
-            let o = other.clone();
-            let first = rt.spawn(move || {
-                let me = o.current(); // registers this thread in `other`
-                o.unpark(me);
-                (me, os_thread())
-            });
-            let (first_id, first_thread) = first.join().unwrap();
-            let o = other.clone();
-            let second = rt.spawn(move || {
-                let me = o.current();
-                let t0 = Instant::now();
-                o.park_timeout(5_000);
-                (me, os_thread(), t0.elapsed())
-            });
-            let (second_id, second_thread, parked) = second.join().unwrap();
-            if first_thread != second_thread {
-                continue;
-            }
-            assert_ne!(second_id, first_id, "inherited an identity in `other`");
-            assert!(parked >= Duration::from_millis(2), "and its permit");
+    fn an_os_thread_exits_with_its_process() {
+        if os_threads_named("exits#").is_none() {
             return;
         }
-        panic!("sequential processes never shared an OS thread");
-    }
-
-    #[test]
-    fn a_panicking_process_is_reported_and_its_thread_serves_the_next() {
         let rt = Runtime::threaded();
-        for _ in 0..20 {
-            let thread = Arc::new(parking_lot::Mutex::new(None));
-            let t2 = Arc::clone(&thread);
-            let h = rt.spawn_with(Spawn::new("boom"), move || {
-                *t2.lock() = Some(os_thread());
-                panic!("bang");
-            });
-            let err = h.join().unwrap_err();
-            assert_eq!(err.to_string(), "process `boom` panicked");
-            let next = rt.spawn(os_thread).join().unwrap();
-            if Some(next) == *thread.lock() {
-                return;
-            }
+        let rt2 = rt.clone();
+        let parked = rt.spawn_with(Spawn::new("exits"), move || rt2.park());
+        eventually("thread up", || os_threads_named("exits#") == Some(1));
+        for _ in 0..64 {
+            rt.spawn_with(Spawn::new("exits"), || ()).join().unwrap();
         }
-        panic!("no spawn ever reused the thread of a panicked process");
-    }
-
-    thread_local! {
-        /// Counts OS-thread exits: its destructor runs when the thread
-        /// that set it exits.
-        static CANARY: std::cell::RefCell<Option<Canary>> = const { std::cell::RefCell::new(None) };
-    }
-
-    struct Canary(Arc<AtomicUsize>);
-
-    impl Drop for Canary {
-        fn drop(&mut self) {
-            self.0.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Run `n` processes at once, each planting a canary in its OS
-    /// thread, and return once all have exited.
-    fn run_burst(rt: &Runtime, n: usize, exits: &Arc<AtomicUsize>) {
-        let arrived = Arc::new(AtomicUsize::new(0));
-        let hs: Vec<_> = (0..n)
-            .map(|_| {
-                let (arrived, exits) = (Arc::clone(&arrived), Arc::clone(exits));
-                rt.spawn(move || {
-                    CANARY.with(|c| {
-                        let mut c = c.borrow_mut();
-                        if c.is_none() {
-                            *c = Some(Canary(exits));
-                        }
-                    });
-                    arrived.fetch_add(1, Ordering::SeqCst);
-                    // Nobody leaves before everybody is here: only n
-                    // concurrent OS threads get past this.
-                    while arrived.load(Ordering::SeqCst) < n {
-                        std::thread::yield_now();
-                    }
-                })
-            })
-            .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn recycling_never_caps_concurrency() {
-        let rt = Runtime::threaded();
-        let exits = Arc::new(AtomicUsize::new(0));
-        // A warm idle list of 4 must not hold a burst of 64 to 4 threads.
-        run_burst(&rt, 4, &exits);
-        run_burst(&rt, 64, &exits);
-        rt.shutdown();
-    }
-
-    #[test]
-    fn idle_threads_exit_after_the_keep_alive() {
-        let core = ThreadCore::new();
-        let rt = Runtime { core: core.clone() };
-        let exits = Arc::new(AtomicUsize::new(0));
-        run_burst(&rt, 8, &exits);
-        // A thread lists itself before it announces its process's exit.
-        assert_eq!(core.idle.lock().len(), 8);
-        std::thread::sleep(Duration::from_millis(tuning::THREAD_KEEP_ALIVE_MS));
-        eventually("8 threads gone", || exits.load(Ordering::SeqCst) == 8);
-        assert_eq!(core.idle.lock().len(), 0);
-        // The runtime is as good as new.
-        assert_eq!(rt.spawn(|| 7).join().unwrap(), 7);
-    }
-
-    #[test]
-    fn idle_threads_exit_at_shutdown() {
-        let core = ThreadCore::new();
-        let rt = Runtime { core: core.clone() };
-        let exits = Arc::new(AtomicUsize::new(0));
-        run_burst(&rt, 8, &exits);
-        assert_eq!(core.idle.lock().len(), 8);
-        rt.shutdown();
-        // Delisted by `shutdown` itself, not by their keep-alive.
-        assert_eq!(core.idle.lock().len(), 0);
-        eventually("8 threads gone", || exits.load(Ordering::SeqCst) == 8);
-        // A thread that finishes a process after shutdown does not idle.
-        run_burst(&rt, 1, &exits);
-        assert_eq!(core.idle.lock().len(), 0);
-        eventually("late thread gone", || exits.load(Ordering::SeqCst) == 9);
+        // `join` returns when the process is done; its thread is gone a
+        // moment later, with no idle period in between.
+        eventually("64 threads gone", || os_threads_named("exits#") == Some(1));
+        rt.unpark(parked.id());
+        parked.join().unwrap();
+        eventually("all gone", || os_threads_named("exits#") == Some(0));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! Three layers live here:
 //!
-//! 1. **Strategies** ([`SchedStrategy`], crate-private): the policy
+//! 1. **Strategies** (`SchedStrategy`, crate-private): the policy
 //!    behind every scheduling decision. Each strategy owns its own
 //!    seeded streams (separate *pick* and *preempt* streams, salted per
 //!    strategy), so replaying a recorded preemption list cannot desync

@@ -3,11 +3,13 @@
 //! Runtime support for the ALPS reproduction ("Synchronization and
 //! Scheduling in ALPS Objects", ICDCS 1988): lightweight processes with
 //! priorities, asynchronous typed channels, parallel (`par`) combinators,
-//! an epoch [`Notifier`] for building `select`, and two interchangeable
+//! an epoch [`Notifier`] for building `select`, and three interchangeable
 //! executors:
 //!
-//! * [`Runtime::threaded`] — one OS thread per live process (recycled
-//!   between processes), real parallelism;
+//! * [`Runtime::threaded`] — one OS thread per process, named after it;
+//!   real parallelism;
+//! * [`Runtime::thread_pool`] — processes as green tasks on a fixed set
+//!   of work-stealing OS workers (x86_64);
 //! * [`SimRuntime`] — deterministic cooperative simulation with strict
 //!   priorities, virtual time, reproducible schedules, and deadlock
 //!   detection.

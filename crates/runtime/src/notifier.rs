@@ -194,8 +194,7 @@ impl Notifier {
     /// Adaptive variant of [`wait_past`](Notifier::wait_past): burn up to
     /// `max_spin_rounds` exponential-backoff spin rounds polling the epoch
     /// before falling back to the registering park path. Returns how the
-    /// wait resolved so callers can tune their budget (e.g. from an EWMA
-    /// of service time) and account spin- vs park-resolved waits.
+    /// wait resolved so callers can account spin- vs park-resolved waits.
     ///
     /// Spinning is pointless on the simulation executor (the notifying
     /// process can only run once this one blocks), so a zero budget — or

@@ -140,7 +140,7 @@ impl Default for Spawn {
 /// caller should fall back to parking. The budget is deliberately small —
 /// spinning only pays when the awaited event is produced by a peer that
 /// is *currently running* on another CPU; the caller decides how much to
-/// spend (typically from an EWMA of observed service times) and must use
+/// spend (the budgets in use are in [`tuning`](crate::tuning)) and must use
 /// a zero budget on the simulation executor, where spinning can never
 /// observe progress.
 ///

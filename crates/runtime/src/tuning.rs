@@ -12,12 +12,13 @@
 //!
 //! The figures the budgets are sized against come from the repo
 //! benchmark (`BENCHMARK.json`, 2-core box): a managed `execute` round
-//! trip with one closed-loop caller (`call_solo`) has a p50 of ~2.45 µs
-//! at ~5.6 µs of CPU per call while caller and manager both stay in their
-//! yield phases, and ~5 µs / ~13 µs once either side parks per call. The
-//! spin budgets keep the uncontended reply inside the yield phase, while
-//! a cold wait degrades to a park after at most a few microseconds of
-//! CPU.
+//! trip with one closed-loop caller (`call_solo`) has a p50 of ~2.4 µs
+//! at ~5.3 µs of CPU per call while caller and manager both stay in their
+//! yield phases (PR 23's runs), ~3.2 µs / ~7.8 µs when the caller's yield
+//! budget is short enough that some calls park, and ~5 µs / ~13 µs once
+//! the manager parks per call (PR 12's ablation). The spin budgets keep
+//! the uncontended reply inside the yield phase, while a cold wait
+//! degrades to a park after at most a few microseconds of CPU.
 
 /// Pure-spin rounds a caller burns before judging whether to yield or
 /// park while waiting for its reply ([`SpinWait`](crate::SpinWait)
@@ -25,26 +26,23 @@
 /// at 64 per round).
 pub const CALLER_SPIN_ROUNDS: u32 = 4;
 
-/// Base of the caller's yield budget (yields granted even when the
-/// service-time EWMA is still zero, e.g. on a cold object).
-pub const CALLER_YIELD_BASE: u64 = 4;
-
-/// Extra yields granted per tick (µs) of the object's service-time EWMA:
-/// a slower object earns a longer yield phase before the caller parks.
-pub const CALLER_YIELD_PER_EWMA_TICK: u64 = 2;
-
-/// Hard cap on the caller's yield budget — beyond this a park is cheaper
-/// than the burned CPU, whatever the EWMA claims.
-pub const CALLER_YIELD_MAX: u64 = 64;
-
-/// The caller's yield budget for an expected service time of
-/// `ewma_ticks` µs: `BASE + PER_TICK * ewma`, capped at
-/// [`CALLER_YIELD_MAX`].
-pub fn caller_yield_budget(ewma_ticks: u64) -> u64 {
-    CALLER_YIELD_BASE
-        .saturating_add(CALLER_YIELD_PER_EWMA_TICK.saturating_mul(ewma_ticks))
-        .min(CALLER_YIELD_MAX)
-}
+/// Yields a caller spends waiting for its reply after the spin rounds,
+/// while the manager is awake, before it announces itself and parks.
+///
+/// Measured worth (PR 23, ten alternating rounds, 2 cores, medians,
+/// budget 4 → 16): `call_solo` `lat_p50_us` 3.21 → 2.40 and
+/// `cpu_us_per_op` 7.79 → 5.22, `rw_select` `lat_p50_us` 26.6 → 21.7,
+/// each lower with 16 in 10/10 rounds and by far more than the spread
+/// between runs; `kv_storm` cannot tell them apart (13.9 → 13.1, lower
+/// in 7/10, inside its spread of 2.0). With 4 a lone caller parks on a
+/// share of its calls and pays a wake for each; with 16 the reply
+/// arrives inside the yield phase.
+///
+/// A constant, not a function of observed service time: an integer
+/// EWMA in µs cannot move on bodies shorter than its own rounding step,
+/// so the one that stood here was a constant already, picked by its
+/// first outlier (DESIGN.md §11.9).
+pub const CALLER_YIELD_BUDGET: u64 = 16;
 
 /// Yield-poll budget of a manager in *poll mode* (entered after any
 /// non-empty intake drain): the manager polls the intake ring this many
@@ -72,27 +70,6 @@ pub const POOL_SLOT_SPIN_ROUNDS: u32 = 4;
 /// "nothing locally, maybe a producer is mid-publish" waits.
 pub const WORKER_IDLE_SPIN_ROUNDS: u32 = 6;
 
-/// How long an OS thread of the threaded executor stays on the idle list
-/// after its process returned, waiting to run the next spawned process,
-/// before it exits.
-///
-/// What recycling buys (2-core box, spawn + join of an empty process;
-/// the box has a fast mode, where a wake lands on a running core, and a
-/// slow one, where it has to rouse an idle core): a fresh `std::thread`
-/// costs 14–16 µs fast and 55–60 µs slow, 17–32 µs each with eight in
-/// flight; a recycled thread 3.4 µs fast and 39 µs slow (two wakes of a
-/// sleeping thread, there and back), 2.4–2.7 µs each with eight in
-/// flight, and 2.5–3.5 µs on the spawner's side when nobody joins. On
-/// `remote_call`, where the server runs one process per call, it is most
-/// of a halved `lat_p50_us` and `cpu_us_per_op` (CHANGES.md, PR 16, has
-/// every run).
-///
-/// The value only has to outlast the gap between two processes of a busy
-/// runtime — microseconds — and bounds how long an idle runtime keeps
-/// threads beyond its long-lived processes. 50 ms is far above the first
-/// and still well under human notice; it is a constant, not an option.
-pub const THREAD_KEEP_ALIVE_MS: u64 = 50;
-
 /// Default preemption budget for
 /// [`SchedPolicy::PreemptionBounded`](crate::SchedPolicy) when selected
 /// via `SIM_STRATEGY=pct`. The PCT argument: a bug of preemption depth
@@ -118,18 +95,3 @@ pub const TARGETED_GATE_ONE_IN: u64 = 2;
 /// to push a rival's whole protocol step inside the window, short
 /// enough not to trip deadline/timeout scenarios spuriously.
 pub const PREEMPT_DELAY_LOG2_SPREAD: u64 = 7;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn caller_budget_scales_and_caps() {
-        assert_eq!(caller_yield_budget(0), CALLER_YIELD_BASE);
-        assert_eq!(
-            caller_yield_budget(10),
-            CALLER_YIELD_BASE + 10 * CALLER_YIELD_PER_EWMA_TICK
-        );
-        assert_eq!(caller_yield_budget(u64::MAX), CALLER_YIELD_MAX);
-    }
-}
