@@ -85,7 +85,7 @@ pub enum AlpsError {
         object: String,
     },
     /// A deadline-bounded wait expired before the protocol answered
-    /// ([`ObjectHandle::call_deadline`](crate::ObjectHandle::call_deadline),
+    /// ([`Wait::Deadline`](crate::Wait::Deadline),
     /// [`ManagerCtx::accept_deadline`](crate::ManagerCtx::accept_deadline),
     /// [`ManagerCtx::await_deadline`](crate::ManagerCtx::await_deadline)).
     Timeout {
@@ -112,7 +112,7 @@ pub enum AlpsError {
     /// in-flight calls caught by the restart sweep are answered with this
     /// error instead of hanging on a generation that no longer exists.
     /// Transient by design — retry-worthy, see
-    /// [`ObjectHandle::call_retry`](crate::ObjectHandle::call_retry).
+    /// [`Wait::Retry`](crate::Wait::Retry).
     ObjectRestarting {
         /// Object name.
         object: String,
@@ -121,7 +121,7 @@ pub enum AlpsError {
     /// [`AdmissionPolicy`](crate::AdmissionPolicy) sheds rather than
     /// blocks: the call was refused without being enqueued. Transient by
     /// design — retry-worthy, see
-    /// [`ObjectHandle::call_retry`](crate::ObjectHandle::call_retry).
+    /// [`Wait::Retry`](crate::Wait::Retry).
     Overloaded {
         /// Object name.
         object: String,
@@ -129,9 +129,9 @@ pub enum AlpsError {
     /// The network link carrying a remote call died (disconnect, frame
     /// corruption, or reconnect budget exhausted) before a reply was
     /// delivered. The call executed **at most once** — the remote server
-    /// deduplicates redelivered call ids, so retrying through
-    /// [`ObjectHandle::call_retry`](crate::ObjectHandle::call_retry)
-    /// semantics is safe. Transient by design — retry-worthy.
+    /// deduplicates redelivered call ids, so retrying it under
+    /// [`Wait::Retry`](crate::Wait::Retry) is safe. Transient by design —
+    /// retry-worthy.
     LinkLost {
         /// Remote endpoint description (address or object name).
         endpoint: String,
@@ -143,25 +143,31 @@ pub enum AlpsError {
 }
 
 impl AlpsError {
-    /// Whether this error is *transient*: the call was refused or timed
-    /// out without a delivered answer, so re-issuing it cannot
-    /// double-apply an entry body's effects. This is the single decision
-    /// point the retry machinery uses
-    /// ([`ObjectHandle::call_retry`](crate::ObjectHandle::call_retry) and
-    /// the remote proxy's retry loop) — a new transient variant slots in
-    /// here, not at every match site.
+    /// Whether this error is *transient*: the call was refused, or the
+    /// caller stopped waiting, without a delivered answer. This is the
+    /// single decision point of the one retry loop
+    /// ([`RetryPolicy::run`](crate::RetryPolicy::run), behind every
+    /// handle's [`Wait::Retry`](crate::Wait::Retry)) — a new transient
+    /// variant slots in here, not at every match site.
     ///
-    /// * [`Overloaded`](AlpsError::Overloaded) — shed before enqueueing.
+    /// * [`Overloaded`](AlpsError::Overloaded) — shed before enqueueing;
+    ///   the body never ran.
+    /// * [`Timeout`](AlpsError::Timeout) — the wait expired. The body may
+    ///   already have *started*: it runs on (cancellation is cooperative)
+    ///   and its result is tombstoned, so a retry **can run the body a
+    ///   second time** — in-process and through a server-side deadline
+    ///   alike (DESIGN.md §10, "One accepted hole").
     /// * [`ObjectRestarting`](AlpsError::ObjectRestarting) — swept by a
-    ///   supervised restart.
-    /// * [`Timeout`](AlpsError::Timeout) — the wait expired; a started
-    ///   body is cancelled cooperatively and its result tombstoned.
+    ///   supervised restart. A body the sweep found started is abandoned
+    ///   the same way, so here too a retry can run it again.
     /// * [`LinkLost`](AlpsError::LinkLost) — the transport died with the
-    ///   call in flight; the remote side deduplicates redelivery.
+    ///   call in flight; the server's dedup cache makes the retry replay
+    ///   the reply instead of re-running the body, as it does for any
+    ///   duplicate delivery.
     ///
     /// Everything *delivered* — results, [`BodyFailed`](AlpsError::BodyFailed),
     /// [`Cancelled`](AlpsError::Cancelled) — is non-retryable: the body
-    /// may have run.
+    /// ran, or the manager chose not to run it.
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,

@@ -20,9 +20,11 @@
 //! * **Process pools** ([`PoolMode`]) — per-call, per-slot (1:1), or a
 //!   shared pool of `M ≪ N` workers (paper §3).
 //! * **Fast-path calls** ([`ObjectHandle::entry_id`],
-//!   [`ObjectHandle::call_id`], [`ValVec`]/[`argv!`]) — interned entry
+//!   [`ObjectHandle::call_with`], [`ValVec`]/[`argv!`]) — interned entry
 //!   ids plus inline argument tuples make a steady-state call of arity
-//!   ≤ 4 to a non-intercepted entry allocation-free.
+//!   ≤ 4 to a non-intercepted entry allocation-free under every
+//!   [`Wait`]: unbounded (`call_id`), a deadline, or a retry whose first
+//!   attempt succeeds.
 //!
 //! ## Quickstart: the paper's bounded buffer (§2.4.1)
 //!
@@ -101,5 +103,5 @@ pub use proc_ctx::ProcCtx;
 pub use select::{Guard, GuardView, Selected};
 pub use shard::{hash_values, spread, ShardEntryId, ShardedBuilder, ShardedHandle, ShardedStats};
 pub use stats::ObjectStats;
-pub use supervise::{AdmissionPolicy, Backoff, OnRestart, RestartPolicy, RetryPolicy};
+pub use supervise::{AdmissionPolicy, Backoff, OnRestart, RestartPolicy, RetryPolicy, Wait};
 pub use value::{check_types, check_types_lazy, ChanValue, Ty, ValVec, Value, INLINE_VALS};

@@ -41,7 +41,7 @@
 //!   queue, and lock ([`EntrySync`]), so unrelated entries do not contend;
 //!   `#P` reads an atomic index without locking anything.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -58,7 +58,7 @@ use crate::manager::ManagerCtx;
 use crate::pool::{Job, Pool, PoolMode};
 use crate::proc_ctx::ProcCtx;
 use crate::stats::ObjectStats;
-use crate::supervise::{AdmissionPolicy, OnRestart, RestartPolicy, RetryPolicy};
+use crate::supervise::{AdmissionPolicy, OnRestart, RestartPolicy, Wait};
 use crate::value::{check_types_lazy, Ty, ValVec};
 
 /// The manager process body. It runs once, typically an endless
@@ -1601,7 +1601,7 @@ impl ObjectBuilder {
     ///
     /// While a restart is possible, rejected new calls and swept in-flight
     /// calls fail with the *transient* [`AlpsError::ObjectRestarting`]
-    /// (retry-worthy — see [`ObjectHandle::call_retry`]) rather than the
+    /// (retry-worthy — see [`Wait::Retry`]) rather than the
     /// permanent [`AlpsError::ObjectPoisoned`].
     pub fn supervise(mut self, policy: RestartPolicy) -> Self {
         self.supervise = Some(policy);
@@ -1864,12 +1864,8 @@ impl ObjectHandle {
     ///
     /// [`AlpsError::UnknownEntry`] for a bad name.
     pub fn entry_id(&self, entry: &str) -> Result<EntryId> {
-        let inner = &self.core.inner;
-        let idx = inner.entry_idx(entry)?;
-        Ok(EntryId {
-            obj: inner.uid,
-            idx: idx as u32,
-        })
+        let idx = self.core.inner.entry_idx(entry)?;
+        Ok(self.entry_at(idx as u32))
     }
 
     /// Names of the object's externally callable entries (locals are
@@ -1886,6 +1882,24 @@ impl ObjectHandle {
             .collect()
     }
 
+    /// This object's id for entry `idx` of its table: how a sharded group
+    /// turns one group-wide index into each shard's own [`EntryId`].
+    pub(crate) fn entry_at(&self, idx: u32) -> EntryId {
+        EntryId {
+            obj: self.core.inner.uid,
+            idx,
+        }
+    }
+
+    /// Whether `other` has the same entry names in the same order, so an
+    /// index into one table names the same entry in the other.
+    pub(crate) fn same_entries(&self, other: &ObjectHandle) -> bool {
+        let (mine, theirs) = (&self.core.inner.entries, &other.core.inner.entries);
+        mine.iter()
+            .map(|e| &e.name)
+            .eq(theirs.iter().map(|e| &e.name))
+    }
+
     /// Call an entry procedure and block until it finishes (ALPS
     /// `X.P(params, results)`, paper §2.2). The reply carries the public
     /// results.
@@ -1898,21 +1912,19 @@ impl ObjectHandle {
     ///
     /// # Errors
     ///
-    /// * [`AlpsError::UnknownEntry`] / [`AlpsError::LocalEntryCalled`] for
-    ///   bad names;
-    /// * arity/type mismatches against the public signature;
-    /// * [`AlpsError::ObjectClosed`] if the object shuts down first;
-    /// * [`AlpsError::BodyFailed`] if the entry body fails.
+    /// [`AlpsError::UnknownEntry`] for a bad name, else as
+    /// [`call_with`](Self::call_with).
     pub fn call(&self, entry: &str, args: Vec<Value>) -> Result<Vec<Value>> {
         let id = self.entry_id(entry)?;
         self.call_id(id, args).map(Vec::from)
     }
 
     /// The allocation-light fast path: call an entry through an interned
-    /// [`EntryId`]. Semantically identical to [`call`](Self::call) — same
-    /// protocol, same errors — minus the per-call name resolution, and
-    /// with inline argument/result tuples ([`ValVec`]) so a steady-state
-    /// call of arity ≤ 4 performs no heap allocation.
+    /// [`EntryId`] and wait without limit — `call_with(id, args,
+    /// Wait::Unbounded)`. Semantically identical to [`call`](Self::call)
+    /// minus the per-call name resolution, and with inline
+    /// argument/result tuples ([`ValVec`]) so a steady-state call of
+    /// arity ≤ 4 performs no heap allocation.
     ///
     /// ```no_run
     /// # use alps_core::{argv, ObjectBuilder, EntryDef, Ty};
@@ -1930,161 +1942,69 @@ impl ObjectHandle {
     ///
     /// # Errors
     ///
-    /// As [`call`](Self::call), plus [`AlpsError::ForeignEntryId`] if the
-    /// id was minted by a different object.
+    /// As [`call_with`](Self::call_with).
     pub fn call_id(&self, id: EntryId, args: impl Into<ValVec>) -> Result<ValVec> {
+        self.call_with(id, args, Wait::Unbounded)
+    }
+
+    /// Call an entry through an interned [`EntryId`] and wait as `wait`
+    /// says ([`Wait`]). Every other call form on this handle is this one.
+    /// A retry's backoff jitter comes from
+    /// [`Runtime::rand_u64`](alps_runtime::Runtime::rand_u64), so a seeded
+    /// simulation replays it bit-for-bit.
+    ///
+    /// # Errors
+    ///
+    /// * [`AlpsError::ForeignEntryId`] for an id minted by another object;
+    /// * [`AlpsError::LocalEntryCalled`] and arity/type mismatches;
+    /// * [`AlpsError::ObjectClosed`] if the object shuts down first;
+    /// * [`AlpsError::BodyFailed`] if the entry body fails;
+    /// * [`AlpsError::Timeout`] when a deadline expires; under a retry,
+    ///   the last transient error once every attempt failed.
+    pub fn call_with(&self, id: EntryId, args: impl Into<ValVec>, wait: Wait) -> Result<ValVec> {
         let inner = &self.core.inner;
         if id.obj != inner.uid {
             return Err(AlpsError::ForeignEntryId {
                 object: inner.name.clone(),
             });
         }
-        inner.call_protocol(id.idx as usize, args.into(), true, None)
-    }
-
-    /// Like [`call`](Self::call), but give up after `ticks` virtual
-    /// microseconds of waiting: the call is cancelled and
-    /// [`AlpsError::Timeout`] returned. Cancellation is cooperative — a
-    /// body that already *started* runs to completion, but its result is
-    /// discarded (tombstoned) instead of delivered. A reply that lands in
-    /// the same instant the deadline expires is delivered normally: the
-    /// caller and the completer race on one atomic state transition, so a
-    /// call is answered exactly once, by exactly one side.
-    ///
-    /// # Errors
-    ///
-    /// As [`call`](Self::call), plus [`AlpsError::Timeout`] on expiry.
-    pub fn call_deadline(&self, entry: &str, args: Vec<Value>, ticks: u64) -> Result<Vec<Value>> {
-        let id = self.entry_id(entry)?;
-        self.call_id_deadline(id, args, ticks).map(Vec::from)
-    }
-
-    /// Deadline-bounded variant of [`call_id`](Self::call_id); see
-    /// [`call_deadline`](Self::call_deadline) for the timeout semantics.
-    ///
-    /// # Errors
-    ///
-    /// As [`call_id`](Self::call_id), plus [`AlpsError::Timeout`] on
-    /// expiry.
-    pub fn call_id_deadline(
-        &self,
-        id: EntryId,
-        args: impl Into<ValVec>,
-        ticks: u64,
-    ) -> Result<ValVec> {
-        let inner = &self.core.inner;
-        if id.obj != inner.uid {
-            return Err(AlpsError::ForeignEntryId {
-                object: inner.name.clone(),
-            });
-        }
-        inner.call_protocol(id.idx as usize, args.into(), true, Some(ticks))
-    }
-
-    /// Like [`call_deadline`](Self::call_deadline), but retry *transient*
-    /// failures per `policy`: [`AlpsError::Overloaded`] (the intake shed
-    /// the call before enqueueing it), [`AlpsError::ObjectRestarting`] (a
-    /// supervised restart swept or refused it), and [`AlpsError::Timeout`].
-    /// Anything actually *delivered* — results, [`AlpsError::BodyFailed`],
-    /// [`AlpsError::Cancelled`] — is never retried: the body may have run,
-    /// and retrying would double-apply its effects.
-    ///
-    /// The policy's `budget_ticks` bounds the whole affair — attempts plus
-    /// backoff sleeps; each attempt's deadline is the remaining budget
-    /// split evenly over the remaining attempts. With
-    /// [`Backoff::ExpJitter`](crate::Backoff::ExpJitter), delays are drawn
-    /// from the runtime's deterministic random stream
-    /// ([`Runtime::rand_u64`](alps_runtime::Runtime::rand_u64)), so a
-    /// seeded simulation replays the "random" backoff bit-for-bit.
-    ///
-    /// # Errors
-    ///
-    /// As [`call_deadline`](Self::call_deadline); when every attempt fails
-    /// transiently, the *last* transient error is returned.
-    pub fn call_retry(
-        &self,
-        entry: &str,
-        args: Vec<Value>,
-        policy: RetryPolicy,
-    ) -> Result<Vec<Value>> {
-        let id = self.entry_id(entry)?;
-        self.call_id_retry(id, args, policy).map(Vec::from)
-    }
-
-    /// [`call_retry`](Self::call_retry) through an interned [`EntryId`]
-    /// (see [`call_id`](Self::call_id)).
-    ///
-    /// # Errors
-    ///
-    /// As [`call_retry`](Self::call_retry), plus
-    /// [`AlpsError::ForeignEntryId`].
-    pub fn call_id_retry(
-        &self,
-        id: EntryId,
-        args: impl Into<ValVec>,
-        policy: RetryPolicy,
-    ) -> Result<ValVec> {
-        let inner = &self.core.inner;
-        if id.obj != inner.uid {
-            return Err(AlpsError::ForeignEntryId {
-                object: inner.name.clone(),
-            });
-        }
+        let idx = id.idx as usize;
         let args: ValVec = args.into();
-        let attempts = policy.max_attempts.max(1);
-        let deadline = inner.rt.now().saturating_add(policy.budget_ticks.max(1));
-        let mut last = None;
-        for k in 0..attempts {
-            let remaining = deadline.saturating_sub(inner.rt.now());
-            if remaining == 0 {
-                break;
-            }
-            let per = policy.attempt_budget(k, remaining);
-            // Epoch read BEFORE the attempt: if the attempt fails with
-            // ObjectRestarting and the restart completes before we
-            // register as a waiter below, the epoch has already moved and
-            // the wait returns immediately — no lost wakeup.
-            let seen = inner.notifier.epoch();
-            match inner.call_protocol(id.idx as usize, args.clone(), true, Some(per)) {
-                Ok(r) => return Ok(r),
-                // The transient taxonomy is owned by `AlpsError::is_retryable`
-                // so the remote proxy's retry loop and this one can never
-                // drift apart.
-                Err(e) if e.is_retryable() => {
-                    let restarting = matches!(e, AlpsError::ObjectRestarting { .. });
-                    last = Some(e);
-                    if k + 1 == attempts {
-                        break;
-                    }
-                    inner.stats.on_retry();
-                    let delay = policy.backoff.delay(k, &inner.rt);
-                    let sleep = delay.min(deadline.saturating_sub(inner.rt.now()));
-                    if sleep > 0 {
-                        inner.rt.sleep(sleep);
-                    } else if restarting {
-                        // A refused call returns without a scheduling
-                        // point, so a zero-backoff loop would burn every
-                        // attempt while the restart sweep is parked
-                        // mid-window (the schedule explorer's
-                        // PreemptionBounded strategy found exactly this).
-                        // Wait for the restart's completion notify
-                        // instead, bounded by this attempt's budget
-                        // slice. Refused callers never bump the notifier,
-                        // so the wait is not woken spuriously by rivals.
-                        inner.notifier.wait_past_deadline(
-                            &inner.rt,
-                            seen,
-                            inner.rt.now().saturating_add(per),
-                        );
-                    }
+        let policy = match wait {
+            Wait::Unbounded => return inner.call_protocol(idx, args, true, None),
+            Wait::Deadline(ticks) => return inner.call_protocol(idx, args, true, Some(ticks)),
+            Wait::Retry(policy) => policy,
+        };
+        let seen = Cell::new(0);
+        policy.run(
+            &inner.rt,
+            &inner.entries[idx].name,
+            inner.stats.retry_counter(),
+            |ticks| {
+                // Epoch read BEFORE the attempt: if the attempt fails with
+                // ObjectRestarting and the restart completes before we
+                // register as a waiter below, the epoch has already moved
+                // and the wait returns immediately — no lost wakeup.
+                seen.set(inner.notifier.epoch());
+                inner.call_protocol(idx, args.clone(), true, Some(ticks))
+            },
+            |e, ticks| {
+                // A refused call returns without a scheduling point, so a
+                // zero-backoff loop would burn every attempt while the
+                // restart sweep is parked mid-window (the schedule
+                // explorer's PreemptionBounded strategy found exactly
+                // this). Wait for the restart's completion notify
+                // instead, bounded by this attempt's budget slice.
+                // Refused callers never bump the notifier, so the wait is
+                // not woken spuriously by rivals.
+                if matches!(e, AlpsError::ObjectRestarting { .. }) {
+                    let until = inner.rt.now().saturating_add(ticks);
+                    inner
+                        .notifier
+                        .wait_past_deadline(&inner.rt, seen.get(), until);
                 }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.unwrap_or(AlpsError::Timeout {
-            what: inner.entries[id.idx as usize].name.clone(),
-            ticks: policy.budget_ticks,
-        }))
+            },
+        )
     }
 
     /// The object's restart generation: 0 at spawn, incremented by every

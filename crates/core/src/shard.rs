@@ -12,15 +12,15 @@
 //!
 //! Three call shapes are offered:
 //!
-//! * **Routed calls** — [`ShardedHandle::call`] (and the `_deadline`,
-//!   `_retry` variants) pick one shard by a stable hash of the
-//!   arguments, [`ShardedHandle::call_key`] by an explicit
-//!   caller-supplied key, and delegate to the ordinary [`ObjectHandle`]
-//!   protocol.
+//! * **Routed calls** — [`ShardedHandle::call_with`] (and `call`,
+//!   `call_id`, which wait without limit) picks one shard by a stable
+//!   hash of the arguments, [`ShardedHandle::call_id_key`] by an
+//!   explicit caller-supplied key, and delegates to the ordinary
+//!   [`ObjectHandle`] protocol.
 //! * **Scatter-gather** — [`ShardedHandle::call_all`] invokes an entry
 //!   on *every* shard concurrently and gathers the per-shard results
 //!   (e.g. "search all partitions of the dictionary").
-//! * **Combined reads** — [`ShardedHandle::call_combined`] extends the
+//! * **Combined reads** — [`ShardedHandle::call_id_combined`] extends the
 //!   paper's §2.7 request combining *across* the group boundary: while
 //!   one caller (the leader) is executing a read with some argument
 //!   tuple, concurrent callers with the *same* arguments park on a
@@ -32,6 +32,10 @@
 //! Routing uses Fibonacci hashing (multiply by 2⁶⁴/φ, take high bits)
 //! so dense integer keys spread evenly; explicit keys let a caller pin
 //! related calls to one shard for ordering.
+//!
+//! Every shard has the same entry table (checked at spawn), so a name
+//! resolves once, on shard 0, to an index that means the same entry on
+//! every shard.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -45,7 +49,7 @@ use parking_lot::Mutex;
 use crate::error::{AlpsError, Result};
 use crate::object::{EntryId, ObjectBuilder, ObjectHandle};
 use crate::stats::ObjectStats;
-use crate::supervise::RetryPolicy;
+use crate::supervise::Wait;
 use crate::value::{ValVec, Value};
 
 /// Group uid source; distinguishes [`ShardEntryId`]s across groups the
@@ -124,17 +128,17 @@ fn hash_value(v: &Value, h: &mut u64) {
 }
 
 /// An interned entry id for a sharded group: one copyable token that
-/// stands for the same-named entry on *every* shard. Mint with
-/// [`ShardedHandle::entry_id`]; reuse for every call (same contract as
-/// [`EntryId`]).
+/// stands for the same-named entry on *every* shard — the entry's index
+/// in the table all shards share. Mint with [`ShardedHandle::entry_id`];
+/// reuse for every call (same contract as [`EntryId`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShardEntryId {
     group: u64,
-    slot: u32,
+    idx: u32,
 }
 
 /// One caller's view of an in-flight combined read (see
-/// [`ShardedHandle::call_combined`]). The leader publishes exactly once
+/// [`ShardedHandle::call_id_combined`]). The leader publishes exactly once
 /// and notifies; followers park on the notifier until the result lands.
 struct CombineCell {
     result: Mutex<Option<Result<ValVec>>>,
@@ -154,34 +158,25 @@ struct ShardedInner {
     name: String,
     uid: u64,
     rt: Runtime,
+    /// Non-empty, and every shard's entry table equals shard 0's.
     shards: Vec<ObjectHandle>,
-    /// slot → per-shard interned ids (index = shard index). Append-only;
-    /// readers hold the lock just long enough to clone the slot's `Arc`.
-    tables: Mutex<Vec<Arc<[EntryId]>>>,
-    /// entry name → slot in `tables`.
-    slots: Mutex<HashMap<String, u32>>,
-    /// (entry slot, argument hash) → in-flight combined read.
+    /// (entry index, argument hash) → in-flight combined read.
     combine: Mutex<HashMap<(u32, u64), Arc<CombineCell>>>,
     combined_leads: Counter,
     combined_follows: Counter,
 }
 
 impl ShardedInner {
-    fn table(&self, id: ShardEntryId) -> Result<Arc<[EntryId]>> {
+    /// The shard a `(entry, key)` pair routes to, and that shard's own
+    /// id for the entry.
+    fn route(&self, id: ShardEntryId, key: u64) -> Result<(&ObjectHandle, EntryId)> {
         if id.group != self.uid {
             return Err(AlpsError::ForeignEntryId {
                 object: self.name.clone(),
             });
         }
-        Ok(Arc::clone(&self.tables.lock()[id.slot as usize]))
-    }
-
-    /// The shard a `(entry, key)` pair routes to, and that shard's own
-    /// interned id for the entry.
-    fn route(&self, id: ShardEntryId, key: u64) -> Result<(&ObjectHandle, EntryId)> {
-        let table = self.table(id)?;
-        let shard = spread(key, table.len());
-        Ok((&self.shards[shard], table[shard]))
+        let shard = &self.shards[spread(key, self.shards.len())];
+        Ok((shard, shard.entry_at(id.idx)))
     }
 }
 
@@ -255,21 +250,34 @@ impl ShardedBuilder {
 
     /// Spawn the replicas. `factory(i)` builds shard `i`'s
     /// [`ObjectBuilder`] — each shard may carry its own partition of
-    /// the data, but all shards must export the same entry names for
-    /// group-wide interning to succeed.
+    /// the data, but every shard must declare the same entries in the
+    /// same order, so that one index names the same entry on each.
     ///
     /// # Errors
     ///
-    /// Propagates the first shard spawn failure; already-spawned shards
-    /// are shut down again so no orphan managers leak.
+    /// Propagates the first shard spawn failure, and
+    /// [`AlpsError::BadDefinition`] naming the first shard whose entry
+    /// table differs from shard 0's; already-spawned shards are shut
+    /// down again so no orphan managers leak.
     pub fn spawn(
         self,
         rt: &Runtime,
         mut factory: impl FnMut(usize) -> ObjectBuilder,
     ) -> Result<ShardedHandle> {
-        let mut shards = Vec::with_capacity(self.shards);
+        let mut shards: Vec<ObjectHandle> = Vec::with_capacity(self.shards);
         for i in 0..self.shards {
-            match factory(i).spawn(rt) {
+            // A mismatched shard is dropped with its only handle, which
+            // shuts it down.
+            let spawned = factory(i).spawn(rt).and_then(|h| match shards.first() {
+                Some(first) if !h.same_entries(first) => Err(AlpsError::BadDefinition {
+                    reason: format!(
+                        "shard {i} of group {} has other entries than shard 0",
+                        self.name
+                    ),
+                }),
+                _ => Ok(h),
+            });
+            match spawned {
                 Ok(h) => shards.push(h),
                 Err(e) => {
                     for h in &shards {
@@ -285,8 +293,6 @@ impl ShardedBuilder {
                 uid: NEXT_GROUP_UID.fetch_add(1, Ordering::Relaxed),
                 rt: rt.clone(),
                 shards,
-                tables: Mutex::new(Vec::new()),
-                slots: Mutex::new(HashMap::new()),
                 combine: Mutex::new(HashMap::new()),
                 combined_leads: Counter::new(),
                 combined_follows: Counter::new(),
@@ -296,7 +302,7 @@ impl ShardedBuilder {
 }
 
 /// Handle to a sharded object group. Cheap to clone; all clones share
-/// the same shards, interning tables, and combining map.
+/// the same shards and combining map.
 #[derive(Clone)]
 pub struct ShardedHandle {
     inner: Arc<ShardedInner>,
@@ -343,45 +349,18 @@ impl ShardedHandle {
         self.shard_for_key(hash_values(args))
     }
 
-    /// Intern an entry name group-wide: resolves it on every shard and
-    /// returns one copyable [`ShardEntryId`]. Resolve once after
+    /// Intern an entry name group-wide: one copyable [`ShardEntryId`]
+    /// that names the entry on every shard. Resolve once after
     /// [`ShardedBuilder::spawn`], reuse for every call.
     ///
     /// # Errors
     ///
-    /// [`AlpsError::UnknownEntry`] if any shard lacks the entry.
+    /// [`AlpsError::UnknownEntry`] if the group has no such entry.
     pub fn entry_id(&self, entry: &str) -> Result<ShardEntryId> {
-        let inner = &self.inner;
-        if let Some(&slot) = inner.slots.lock().get(entry) {
-            return Ok(ShardEntryId {
-                group: inner.uid,
-                slot,
-            });
-        }
-        // Resolve outside the slots lock (entry_id takes per-shard
-        // locks); a racing duplicate insert is harmless — both callers
-        // intern identical tables and the loser's slot simply wins.
-        let ids: Arc<[EntryId]> = inner
-            .shards
-            .iter()
-            .map(|s| s.entry_id(entry))
-            .collect::<Result<Vec<_>>>()?
-            .into();
-        let mut slots = inner.slots.lock();
-        if let Some(&slot) = slots.get(entry) {
-            return Ok(ShardEntryId {
-                group: inner.uid,
-                slot,
-            });
-        }
-        let mut tables = inner.tables.lock();
-        let slot = tables.len() as u32;
-        tables.push(ids);
-        drop(tables);
-        slots.insert(entry.to_string(), slot);
+        let id = self.inner.shards[0].entry_id(entry)?;
         Ok(ShardEntryId {
-            group: inner.uid,
-            slot,
+            group: self.inner.uid,
+            idx: id.idx,
         })
     }
 
@@ -396,32 +375,36 @@ impl ShardedHandle {
         self.call_id(id, args).map(Vec::from)
     }
 
-    /// Call an entry on the shard chosen by an explicit routing key —
-    /// use when related calls must serialize through one manager
-    /// regardless of their arguments.
+    /// `call_with(id, args, Wait::Unbounded)`.
     ///
     /// # Errors
     ///
-    /// As [`ObjectHandle::call`] on the routed shard.
-    pub fn call_key(&self, key: u64, entry: &str, args: Vec<Value>) -> Result<Vec<Value>> {
-        let id = self.entry_id(entry)?;
-        self.call_id_key(id, key, args).map(Vec::from)
-    }
-
-    /// Fast path: routed call through an interned [`ShardEntryId`],
-    /// routing by argument hash.
-    ///
-    /// # Errors
-    ///
-    /// As [`ObjectHandle::call_id`], plus [`AlpsError::ForeignEntryId`]
-    /// if the id belongs to a different group.
+    /// As [`call_with`](Self::call_with).
     pub fn call_id(&self, id: ShardEntryId, args: impl Into<ValVec>) -> Result<ValVec> {
-        let args: ValVec = args.into();
-        let key = hash_values(&args);
-        self.call_id_key(id, key, args)
+        self.call_with(id, args, Wait::Unbounded)
     }
 
-    /// Fast path: routed call through an interned id and explicit key.
+    /// Routed call through an interned [`ShardEntryId`], by argument
+    /// hash, that waits as `wait` says ([`ObjectHandle::call_with`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`ObjectHandle::call_with`] on the routed shard;
+    /// [`AlpsError::ForeignEntryId`] for another group's id.
+    pub fn call_with(
+        &self,
+        id: ShardEntryId,
+        args: impl Into<ValVec>,
+        wait: Wait,
+    ) -> Result<ValVec> {
+        let args: ValVec = args.into();
+        let (shard, eid) = self.inner.route(id, hash_values(&args))?;
+        shard.call_with(eid, args, wait)
+    }
+
+    /// Routed call through an interned id and an explicit key — use when
+    /// related calls must serialize through one manager regardless of
+    /// their arguments.
     ///
     /// # Errors
     ///
@@ -434,37 +417,6 @@ impl ShardedHandle {
     ) -> Result<ValVec> {
         let (shard, eid) = self.inner.route(id, key)?;
         shard.call_id(eid, args)
-    }
-
-    /// Deadline-bounded routed call (argument-hash routing); see
-    /// [`ObjectHandle::call_deadline`] for the timeout semantics.
-    ///
-    /// # Errors
-    ///
-    /// As [`ObjectHandle::call_deadline`] on the routed shard.
-    pub fn call_deadline(&self, entry: &str, args: Vec<Value>, ticks: u64) -> Result<Vec<Value>> {
-        let id = self.entry_id(entry)?;
-        let args: ValVec = args.into();
-        let (shard, eid) = self.inner.route(id, hash_values(&args))?;
-        shard.call_id_deadline(eid, args, ticks).map(Vec::from)
-    }
-
-    /// Retrying routed call (argument-hash routing); see
-    /// [`ObjectHandle::call_retry`] for what is and is not retried.
-    ///
-    /// # Errors
-    ///
-    /// As [`ObjectHandle::call_retry`] on the routed shard.
-    pub fn call_retry(
-        &self,
-        entry: &str,
-        args: Vec<Value>,
-        policy: RetryPolicy,
-    ) -> Result<Vec<Value>> {
-        let id = self.entry_id(entry)?;
-        let args: ValVec = args.into();
-        let (shard, eid) = self.inner.route(id, hash_values(&args))?;
-        shard.call_id_retry(eid, args, policy).map(Vec::from)
     }
 
     /// Scatter-gather: invoke `entry(args)` on **every** shard
@@ -480,40 +432,33 @@ impl ShardedHandle {
     ///
     /// The first shard error, by shard order, if any shard fails.
     pub fn call_all(&self, entry: &str, args: Vec<Value>) -> Result<Vec<Vec<Value>>> {
-        let id = self.entry_id(entry)?;
-        let table = self.inner.table(id)?;
+        let idx = self.entry_id(entry)?.idx;
         let args: ValVec = ValVec::from(args);
-        let handles: Vec<_> = self
-            .inner
-            .shards
+        let handles: Vec<_> = self.inner.shards[1..]
             .iter()
-            .zip(table.iter())
-            .skip(1)
-            .map(|(shard, &eid)| {
+            .map(|shard| {
                 let (shard, args) = (shard.clone(), args.clone());
-                self.inner.rt.spawn(move || shard.call_id(eid, args))
+                self.inner
+                    .rt
+                    .spawn(move || shard.call_id(shard.entry_at(idx), args))
             })
             .collect();
         // Shard 0 runs on the calling process — scattering N-1 ways.
-        let first = self.inner.shards[0].call_id(table[0], args);
-        let mut out = Vec::with_capacity(self.inner.shards.len());
-        let mut results = vec![first];
+        let shard0 = &self.inner.shards[0];
+        let mut results = vec![shard0.call_id(shard0.entry_at(idx), args)];
         for h in handles {
             results.push(h.join().map_err(|_| AlpsError::ObjectClosed {
                 object: self.inner.name.clone(),
             })?);
         }
-        for r in results {
-            out.push(Vec::from(r?));
-        }
-        Ok(out)
+        results.into_iter().map(|r| r.map(Vec::from)).collect()
     }
 
-    /// Combined read: route like [`call`](Self::call), but if another
-    /// caller is *already executing* this entry with an equal argument
-    /// tuple, park and share its reply instead of issuing a duplicate
-    /// call. Extends the paper's §2.7 request combining across the
-    /// shard boundary — duplicates are deduplicated before they reach
+    /// Combined read: route like [`call_id`](Self::call_id), but if
+    /// another caller is *already executing* this entry with an equal
+    /// argument tuple, park and share its reply instead of issuing a
+    /// duplicate call. Extends the paper's §2.7 request combining across
+    /// the shard boundary — duplicates are deduplicated before they reach
     /// any shard's intake, so the shared body runs once per burst.
     ///
     /// Only use for **read-only** entries: followers observe the
@@ -521,37 +466,19 @@ impl ShardedHandle {
     ///
     /// # Errors
     ///
-    /// As [`call`](Self::call); followers see a clone of the leader's
-    /// error (reported as [`AlpsError::ObjectClosed`] if the leader's
-    /// process unwound without completing).
-    pub fn call_combined(&self, entry: &str, args: Vec<Value>) -> Result<Vec<Value>> {
-        let id = self.entry_id(entry)?;
-        self.call_id_combined(id, args).map(Vec::from)
-    }
-
-    /// [`call_combined`](Self::call_combined) through an interned
-    /// [`ShardEntryId`].
-    ///
-    /// # Errors
-    ///
-    /// As [`call_combined`](Self::call_combined), plus
-    /// [`AlpsError::ForeignEntryId`].
+    /// As [`call_id`](Self::call_id); followers see a clone of the
+    /// leader's error (reported as [`AlpsError::ObjectClosed`] if the
+    /// leader's process unwound without completing).
     pub fn call_id_combined(&self, id: ShardEntryId, args: impl Into<ValVec>) -> Result<ValVec> {
         let inner = &self.inner;
         let args: ValVec = args.into();
         let key = hash_values(&args);
         let (shard, eid) = inner.route(id, key)?;
-        let follow = {
-            let mut map = inner.combine.lock();
-            match map.entry((id.slot, key)) {
-                Entry::Occupied(e) => Some(Arc::clone(e.get())),
-                Entry::Vacant(v) => {
-                    v.insert(Arc::new(CombineCell::new()));
-                    None
-                }
-            }
+        let (cell, leads) = match inner.combine.lock().entry((id.idx, key)) {
+            Entry::Occupied(e) => (Arc::clone(e.get()), false),
+            Entry::Vacant(v) => (Arc::clone(v.insert(Arc::new(CombineCell::new()))), true),
         };
-        if let Some(cell) = follow {
+        if !leads {
             // Follower: park until the leader publishes. Epoch is read
             // *before* the result check, so a notify landing in between
             // makes the wait return immediately (no lost wakeup).
@@ -570,14 +497,8 @@ impl ShardedHandle {
         inner.combined_leads.incr();
         let mut guard = LeaderGuard {
             inner,
-            key: (id.slot, key),
-            cell: Arc::clone(
-                inner
-                    .combine
-                    .lock()
-                    .get(&(id.slot, key))
-                    .expect("combining cell present until its leader publishes"),
-            ),
+            key: (id.idx, key),
+            cell,
             published: false,
         };
         let res = shard.call_id(eid, args);
@@ -643,7 +564,7 @@ pub struct ShardedStats {
     pub timeouts: u64,
     /// Supervised restarts across shards.
     pub restarts: u64,
-    /// `call_retry` re-attempts across shards.
+    /// [`Wait::Retry`] re-attempts across shards.
     pub retries: u64,
     /// Calls shed by admission control.
     pub sheds: u64,
@@ -779,8 +700,9 @@ mod tests {
             .spawn(&rt, echo_builder)
             .unwrap();
         let pin = group.shard_for_key(99) as i64;
+        let echo = group.entry_id("Echo").unwrap();
         for i in 0..16i64 {
-            let r = group.call_key(99, "Echo", vals![i]).unwrap();
+            let r = group.call_id_key(echo, 99, vals![i]).unwrap();
             assert_eq!(r[1], Value::Int(pin));
         }
         assert_eq!(
@@ -802,10 +724,18 @@ mod tests {
             .spawn(&rt, echo_builder)
             .unwrap();
         let id = g1.entry_id("Echo").unwrap();
-        assert!(matches!(
-            g2.call_id(id, vals![1i64]),
-            Err(AlpsError::ForeignEntryId { .. })
-        ));
+        let retry = crate::RetryPolicy::new(3, 1_000_000);
+        for wait in [
+            Wait::Unbounded,
+            Wait::Deadline(1_000_000),
+            Wait::Retry(retry),
+        ] {
+            let r = g2.call_with(id, vals![1i64], wait);
+            assert!(
+                matches!(r, Err(AlpsError::ForeignEntryId { .. })),
+                "{wait:?}"
+            );
+        }
         g1.shutdown();
         g2.shutdown();
         rt.shutdown();
@@ -853,10 +783,11 @@ mod tests {
                 )
             })
             .unwrap();
+        let read = group.entry_id("Read").unwrap();
         let hs: Vec<_> = (0..8)
             .map(|_| {
                 let group = group.clone();
-                rt.spawn(move || group.call_combined("Read", vals![42i64]).unwrap())
+                rt.spawn(move || group.call_id_combined(read, vals![42i64]).unwrap())
             })
             .collect();
         // Wait for the burst to assemble: one leader executing, the
@@ -876,7 +807,7 @@ mod tests {
         // and re-executes (no stale replies).
         gate.store(1, Ordering::SeqCst);
         assert_eq!(
-            group.call_combined("Read", vals![42i64]).unwrap()[0],
+            group.call_id_combined(read, vals![42i64]).unwrap()[0],
             Value::Int(42)
         );
         assert_eq!(execs.load(Ordering::SeqCst), 2);
@@ -890,8 +821,9 @@ mod tests {
         let group = ShardedBuilder::new("Echo", 2)
             .spawn(&rt, echo_builder)
             .unwrap();
+        let echo = group.entry_id("Echo").unwrap();
         for i in 0..4i64 {
-            group.call_combined("Echo", vals![i]).unwrap();
+            group.call_id_combined(echo, vals![i]).unwrap();
         }
         let s = group.stats();
         assert_eq!(s.combined_leads, 4);
@@ -900,21 +832,50 @@ mod tests {
         rt.shutdown();
     }
 
+    /// Two ways a shard can fail the group: its own definition is bad
+    /// (shard 2 declares `E` twice), or its entry table differs from
+    /// shard 0's (shard 1 lacks `Tick`). Either way the spawn is a
+    /// `BadDefinition` and shard 0 is shut down again.
     #[test]
     fn spawn_failure_shuts_down_earlier_shards() {
-        let rt = Runtime::threaded();
-        let err = ShardedBuilder::new("Bad", 3).spawn(&rt, |shard| {
-            if shard < 2 {
-                echo_builder(shard)
-            } else {
-                // Duplicate entry name is a definition error at spawn.
-                ObjectBuilder::new("Bad#2")
-                    .entry(EntryDef::new("E").body(|_, _| Ok(vec![])))
-                    .entry(EntryDef::new("E").body(|_, _| Ok(vec![])))
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        // `Echo` plus a managed `Tick` whose manager records its exit.
+        let watched = |closed: Arc<AtomicBool>| {
+            echo_builder(0)
+                .entry(EntryDef::new("Tick").intercepted().body(|_, _| Ok(vec![])))
+                .manager(move |mgr| {
+                    let r = mgr.accept("Tick").map(drop);
+                    closed.store(true, Ordering::SeqCst);
+                    r
+                })
+        };
+        for bad in [1usize, 2] {
+            let rt = Runtime::threaded();
+            let closed = Arc::new(AtomicBool::new(false));
+            let c = Arc::clone(&closed);
+            let err = ShardedBuilder::new("Bad", 3)
+                .spawn(&rt, |shard| match shard {
+                    0 => watched(Arc::clone(&c)),
+                    1 if bad == 1 => echo_builder(1),
+                    2 if bad == 2 => ObjectBuilder::new("Bad#2")
+                        .entry(EntryDef::new("E").body(|_, _| Ok(vec![])))
+                        .entry(EntryDef::new("E").body(|_, _| Ok(vec![]))),
+                    _ => watched(Arc::new(AtomicBool::new(false))),
+                })
+                .unwrap_err();
+            assert!(
+                matches!(&err, AlpsError::BadDefinition { reason }
+                    if bad == 2 || reason.contains("shard 1")),
+                "{err:?}"
+            );
+            let give_up = Instant::now() + Duration::from_secs(10);
+            while !closed.load(Ordering::SeqCst) {
+                assert!(Instant::now() < give_up, "shard 0 was left running");
+                std::thread::yield_now();
             }
-        });
-        assert!(err.is_err());
-        rt.shutdown();
+            rt.shutdown();
+        }
     }
 
     #[test]

@@ -147,9 +147,8 @@ impl ObjectStats {
     pub fn sheds(&self) -> u64 {
         self.inner.sheds.get()
     }
-    /// Re-attempts made by
-    /// [`call_retry`](crate::ObjectHandle::call_retry) (first attempts
-    /// are not counted).
+    /// Re-attempts made by [`Wait::Retry`](crate::Wait::Retry) calls
+    /// (first attempts are not counted).
     pub fn retries(&self) -> u64 {
         self.inner.retries.get()
     }
@@ -223,8 +222,8 @@ impl ObjectStats {
     pub(crate) fn on_shed(&self) {
         self.inner.sheds.incr();
     }
-    pub(crate) fn on_retry(&self) {
-        self.inner.retries.incr();
+    pub(crate) fn retry_counter(&self) -> &Counter {
+        &self.inner.retries
     }
 }
 
@@ -338,9 +337,9 @@ mod tests {
         s.on_restart();
         s.on_shed();
         s.on_shed();
-        s.on_retry();
-        s.on_retry();
-        s.on_retry();
+        for _ in 0..3 {
+            s.retry_counter().incr();
+        }
         assert_eq!(s.restarts(), 1);
         assert_eq!(s.sheds(), 2);
         assert_eq!(s.retries(), 3);

@@ -14,11 +14,16 @@
 //! * [`AdmissionPolicy`] — what happens when the bounded intake ring is
 //!   full: block with backpressure, or shed the incoming call with
 //!   [`AlpsError::Overloaded`](crate::AlpsError::Overloaded).
+//! * [`Wait`] — how long a caller waits; every handle's `call_with`
+//!   takes one.
 //! * [`RetryPolicy`] / [`Backoff`] — caller-side retry of the transient
-//!   errors the two mechanisms above produce
-//!   ([`ObjectHandle::call_retry`](crate::ObjectHandle::call_retry)).
+//!   errors the two mechanisms above produce; [`RetryPolicy::run`] is the
+//!   one retry loop, in-process and remote.
 
+use alps_runtime::metrics::Counter;
 use alps_runtime::Runtime;
+
+use crate::error::{AlpsError, Result};
 
 /// What a supervised object does when an entry body panics.
 ///
@@ -88,8 +93,7 @@ pub enum AdmissionPolicy {
     ShedNewest,
 }
 
-/// Delay schedule between [`call_retry`](crate::ObjectHandle::call_retry)
-/// attempts.
+/// Delay schedule between the attempts of a [`Wait::Retry`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backoff {
     /// Retry immediately, no delay.
@@ -130,16 +134,18 @@ impl Backoff {
     }
 }
 
-/// Caller-side retry of transient failures, layered on
-/// [`call_deadline`](crate::ObjectHandle::call_deadline).
+/// Caller-side retry of transient failures ([`Wait::Retry`]), each
+/// attempt a deadline-bounded call. Only what
+/// [`AlpsError::is_retryable`] names is retried; a *delivered* answer —
+/// results, [`BodyFailed`](AlpsError::BodyFailed), … — never is.
 ///
-/// Only [`Overloaded`](crate::AlpsError::Overloaded),
-/// [`ObjectRestarting`](crate::AlpsError::ObjectRestarting), and
-/// [`Timeout`](crate::AlpsError::Timeout) are retried — errors that mean
-/// "the object could not take the call right now". A *delivered*
-/// application error ([`BodyFailed`](crate::AlpsError::BodyFailed),
-/// [`Cancelled`](crate::AlpsError::Cancelled), …) is never retried: the
-/// body may have executed, and retrying would double-apply its effects.
+/// **A `Timeout` retry can run a body twice.** The deadline bounds the
+/// caller's wait, not a body that already started: that body runs on,
+/// its result tombstoned, and the next attempt starts it again —
+/// in-process and through a server-side deadline alike. The wire's dedup
+/// cache covers `LinkLost` and duplicate delivery, not this (DESIGN.md
+/// §10, "One accepted hole"), so give each attempt more budget than the
+/// body takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (`0` is treated as `1`).
@@ -175,6 +181,75 @@ impl RetryPolicy {
     pub fn attempt_budget(&self, k: u32, remaining: u64) -> u64 {
         (remaining / u64::from(self.max_attempts.max(1) - k)).max(1)
     }
+
+    /// The retry loop of every handle's [`Wait::Retry`]: `attempt(ticks)`
+    /// gets [`attempt_budget`](Self::attempt_budget) of what is left, a
+    /// non-retryable result returns at once, and `retries` counts each
+    /// re-attempt. Between attempts it sleeps the backoff, capped at the
+    /// budget; when that is zero it calls `on_zero_backoff(err, ticks)`
+    /// instead, since a refused call can return without a scheduling
+    /// point and a loop that never yields burns every attempt at once.
+    ///
+    /// # Errors
+    ///
+    /// The first non-retryable error, else the last retryable one, else
+    /// (no attempt fit the budget) a `Timeout` on `what`.
+    pub fn run<T>(
+        &self,
+        rt: &Runtime,
+        what: &str,
+        retries: &Counter,
+        mut attempt: impl FnMut(u64) -> Result<T>,
+        mut on_zero_backoff: impl FnMut(&AlpsError, u64),
+    ) -> Result<T> {
+        let attempts = self.max_attempts.max(1);
+        let deadline = rt.now().saturating_add(self.budget_ticks.max(1));
+        let mut last = None;
+        for k in 0..attempts {
+            let remaining = deadline.saturating_sub(rt.now());
+            if remaining == 0 {
+                break;
+            }
+            let per = self.attempt_budget(k, remaining);
+            let e = match attempt(per) {
+                Err(e) if e.is_retryable() => e,
+                done => return done,
+            };
+            if k + 1 < attempts {
+                retries.incr();
+                let left = deadline.saturating_sub(rt.now());
+                match self.backoff.delay(k, rt).min(left) {
+                    0 if left > 0 => on_zero_backoff(&e, per),
+                    0 => {}
+                    sleep => rt.sleep(sleep),
+                }
+            }
+            last = Some(e);
+        }
+        Err(last.unwrap_or_else(|| AlpsError::Timeout {
+            what: what.to_string(),
+            ticks: self.budget_ticks,
+        }))
+    }
+}
+
+/// How long a caller waits for its reply: the argument of every
+/// handle's `call_with(id, args, wait)`. An enum, not a struct of
+/// options, because a [`RetryPolicy`] carries its own budget — nothing
+/// combines a deadline with a retry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wait {
+    /// Until the reply comes (the paper's `X.P(...)`, §2.2); what `call`
+    /// and `call_id` do.
+    Unbounded,
+    /// At most this many ticks, then cancel and return
+    /// [`AlpsError::Timeout`]. A body that already started runs on and its
+    /// result is discarded; a reply racing the expiry is delivered — caller
+    /// and completer race on one atomic state transition.
+    Deadline(u64),
+    /// Retry transient failures ([`RetryPolicy::run`]), each attempt a
+    /// `Deadline` call with a slice of the budget.
+    Retry(RetryPolicy),
 }
 
 #[cfg(test)]

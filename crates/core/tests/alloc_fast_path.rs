@@ -1,16 +1,16 @@
-//! Steady-state allocation accounting for the `call_id` fast path.
+//! Steady-state allocation accounting for the `call_with` fast path.
 //!
 //! The interned-id call path is meant to be allocation-free once warm:
 //! args and results ride in `ValVec` inline storage (arity ≤ 4), implicit
 //! entries execute inline in the caller without a `CallCell`, and managed
 //! entries recycle cells through the per-object pool. This test installs
 //! a counting global allocator and asserts a zero allocation delta across
-//! a burst of warm implicit `call_id` invocations.
+//! a burst of warm implicit `call_with` invocations under each `Wait`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use alps_core::{argv, EntryDef, ObjectBuilder, RetryPolicy, Value};
+use alps_core::{argv, EntryDef, ObjectBuilder, RetryPolicy, Value, Wait};
 use alps_runtime::Runtime;
 
 struct CountingAlloc;
@@ -65,8 +65,13 @@ fn the_counter_sees_the_calling_threads_allocations() {
     assert_eq!(n, 1);
 }
 
+/// A warm `call_with` on an implicit arity-1 entry allocates nothing
+/// under each of the three waits: unbounded (what `call_id` is), a
+/// deadline that never fires, and a retry whose first attempt succeeds —
+/// only the per-attempt `args.clone()` (inline, heap-free for arity ≤ 4)
+/// rides on top of the deadline path, and no backoff machinery runs.
 #[test]
-fn warm_implicit_call_id_allocates_nothing() {
+fn warm_call_with_allocates_nothing_under_every_wait() {
     let rt = Runtime::threaded();
     let obj = ObjectBuilder::new("Plain")
         .entry(
@@ -79,100 +84,31 @@ fn warm_implicit_call_id_allocates_nothing() {
         .unwrap();
     let id = obj.entry_id("Echo").unwrap();
 
-    // Warm up: first calls may lazily allocate (thread-locals, pool
-    // hand-off structures, stats buckets).
-    for _ in 0..64 {
-        let r = obj.call_id(id, argv![7i64]).unwrap();
-        assert_eq!(r[0], Value::Int(7));
-    }
-
-    let n = allocations_during(|| {
-        for _ in 0..1000 {
-            let r = obj.call_id(id, argv![7i64]).unwrap();
+    for wait in [
+        Wait::Unbounded,
+        Wait::Deadline(1_000_000),
+        Wait::Retry(RetryPolicy::new(3, 10_000_000)),
+    ] {
+        // Warm up: first calls may lazily allocate (thread-locals, pool
+        // hand-off structures, stats buckets).
+        for _ in 0..64 {
+            let r = obj.call_with(id, argv![7i64], wait).unwrap();
             assert_eq!(r[0], Value::Int(7));
         }
-    });
 
-    assert_eq!(
-        n, 0,
-        "warm call_id on an implicit arity-1 entry must not allocate; saw {n} allocations over 1000 calls"
-    );
+        let n = allocations_during(|| {
+            for _ in 0..1000 {
+                let r = obj.call_with(id, argv![7i64], wait).unwrap();
+                assert_eq!(r[0], Value::Int(7));
+            }
+        });
 
-    obj.shutdown();
-    rt.shutdown();
-}
-
-#[test]
-fn warm_call_id_deadline_happy_path_allocates_nothing() {
-    let rt = Runtime::threaded();
-    let obj = ObjectBuilder::new("Deadline")
-        .entry(
-            EntryDef::new("Echo")
-                .params([alps_core::Ty::Int])
-                .results([alps_core::Ty::Int])
-                .body(|_ctx, args| Ok(argv![args[0].clone()])),
-        )
-        .spawn(&rt)
-        .unwrap();
-    let id = obj.entry_id("Echo").unwrap();
-
-    for _ in 0..64 {
-        let r = obj.call_id_deadline(id, argv![7i64], 1_000_000).unwrap();
-        assert_eq!(r[0], Value::Int(7));
+        assert_eq!(
+            n, 0,
+            "warm call_with under {wait:?} on an implicit arity-1 entry must not \
+             allocate; saw {n} allocations over 1000 calls"
+        );
     }
-
-    let n = allocations_during(|| {
-        for _ in 0..1000 {
-            let r = obj.call_id_deadline(id, argv![7i64], 1_000_000).unwrap();
-            assert_eq!(r[0], Value::Int(7));
-        }
-    });
-
-    assert_eq!(
-        n, 0,
-        "warm call_id_deadline happy path (deadline never fires) must not \
-         allocate; saw {n} allocations over 1000 calls"
-    );
-
-    obj.shutdown();
-    rt.shutdown();
-}
-
-#[test]
-fn warm_call_id_retry_happy_path_allocates_nothing() {
-    let rt = Runtime::threaded();
-    let obj = ObjectBuilder::new("Retry")
-        .entry(
-            EntryDef::new("Echo")
-                .params([alps_core::Ty::Int])
-                .results([alps_core::Ty::Int])
-                .body(|_ctx, args| Ok(argv![args[0].clone()])),
-        )
-        .spawn(&rt)
-        .unwrap();
-    let id = obj.entry_id("Echo").unwrap();
-    // First attempt succeeds, so only the per-attempt `args.clone()`
-    // (inline — heap-free for arity ≤ 4) rides on top of the deadline
-    // path; no backoff machinery runs.
-    let policy = RetryPolicy::new(3, 10_000_000);
-
-    for _ in 0..64 {
-        let r = obj.call_id_retry(id, argv![7i64], policy).unwrap();
-        assert_eq!(r[0], Value::Int(7));
-    }
-
-    let n = allocations_during(|| {
-        for _ in 0..1000 {
-            let r = obj.call_id_retry(id, argv![7i64], policy).unwrap();
-            assert_eq!(r[0], Value::Int(7));
-        }
-    });
-
-    assert_eq!(
-        n, 0,
-        "warm call_id_retry happy path (first attempt succeeds) must not \
-         allocate; saw {n} allocations over 1000 calls"
-    );
 
     obj.shutdown();
     rt.shutdown();

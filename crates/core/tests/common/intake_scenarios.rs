@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use alps_core::{vals, EntryDef, ObjectBuilder, RestartPolicy, RetryPolicy, Ty, Value};
+use alps_core::{vals, EntryDef, ObjectBuilder, RestartPolicy, RetryPolicy, Ty, Value, Wait};
 use alps_runtime::{FaultPlan, SimRuntime, Spawn};
 
 /// A solo caller streams alone (phase 1), then keeps streaming while a
@@ -150,6 +150,8 @@ pub fn restart_sweeps_solo_and_rival(sim: SimRuntime) {
         // Concurrent phase: the 6th body panic fires somewhere in here.
         // Retry absorbs the transient restart failures — including a
         // cell the sweep pulled straight out of the ring.
+        let p = obj.entry_id("P").unwrap();
+        let retry = Wait::Retry(RetryPolicy::new(12, 400_000));
         let mut joins = Vec::new();
         for (name, base) in [("solo", 1000i64), ("rival", 2000i64)] {
             let o2 = obj.clone();
@@ -157,7 +159,7 @@ pub fn restart_sweeps_solo_and_rival(sim: SimRuntime) {
                 for k in 0..4i64 {
                     let v = base + k;
                     let r = o2
-                        .call_retry("P", vals![v], RetryPolicy::new(12, 400_000))
+                        .call_with(p, vals![v], retry)
                         .unwrap_or_else(|e| panic!("{name} call {k}: {e:?}"));
                     assert_eq!(r[0].as_int().unwrap(), v * 2, "{name} call {k}");
                 }

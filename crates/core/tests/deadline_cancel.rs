@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use alps_core::{vals, AlpsError, EntryDef, Guard, ObjectBuilder, Selected, Ty, Value};
+use alps_core::{vals, AlpsError, EntryDef, Guard, ObjectBuilder, Selected, Ty, Value, Wait};
 use alps_runtime::{Runtime, SimRuntime, Spawn};
 
 /// An object whose manager blocks accepting `Gate` (which nobody calls),
@@ -46,11 +46,12 @@ fn timeout_while_attached_and_while_queued() {
         let mut joins = Vec::new();
         // P's procedure array has one element: the first call attaches,
         // the second waits in the queue. Both must time out.
+        let p = obj.entry_id("P").unwrap();
         for i in 0..2i64 {
             let (o2, rt2) = (obj.clone(), rt.clone());
             joins.push(rt.spawn_with(Spawn::new(format!("caller{i}")), move || {
                 let t0 = rt2.now();
-                let err = o2.call_deadline("P", vals![i], 200).unwrap_err();
+                let err = o2.call_with(p, vals![i], Wait::Deadline(200)).unwrap_err();
                 assert!(
                     matches!(err, AlpsError::Timeout { ticks: 200, .. }),
                     "wanted Timeout, got {err:?}"
@@ -99,8 +100,9 @@ fn reply_racing_the_deadline_is_delivered_not_lost() {
             .unwrap();
         let mut ok = 0u32;
         let mut timed_out = 0u32;
+        let p = obj.entry_id("P").unwrap();
         for i in 0..10i64 {
-            match obj.call_deadline("P", vals![i], 100) {
+            match obj.call_with(p, vals![i], Wait::Deadline(100)) {
                 Ok(r) => {
                     assert_eq!(r[0].as_int().unwrap(), i);
                     ok += 1;
@@ -144,8 +146,9 @@ fn timeout_while_started_tombstones_the_late_result() {
             })
             .spawn(rt)
             .unwrap();
-        let err = obj.call_deadline("P", vals![7i64], 100).unwrap_err();
-        assert!(matches!(err, AlpsError::Timeout { .. }), "{err:?}");
+        let p = obj.entry_id("P").unwrap();
+        let r = obj.call_with(p, vals![7i64], Wait::Deadline(100));
+        assert!(matches!(r, Err(AlpsError::Timeout { .. })), "{r:?}");
         // Let the abandoned execution run to completion.
         rt.sleep(2000);
         let stats = obj.stats();
@@ -190,10 +193,11 @@ fn cancelled_cells_are_recycled_never_double_completed() {
             })
             .spawn(rt)
             .unwrap();
+        let p = obj.entry_id("P").unwrap();
         for round in 0..5i64 {
             gate.store(1, Ordering::SeqCst);
-            let err = obj.call_deadline("P", vals![round], 50).unwrap_err();
-            assert!(matches!(err, AlpsError::Timeout { .. }), "{err:?}");
+            let r = obj.call_with(p, vals![round], Wait::Deadline(50));
+            assert!(matches!(r, Err(AlpsError::Timeout { .. })), "{r:?}");
             rt.sleep(2000); // drain the abandoned execution
             gate.store(0, Ordering::SeqCst);
             let r = obj.call("P", vals![round + 100]).unwrap();
@@ -505,8 +509,9 @@ fn deadline_calls_work_threaded() {
     // condvar-bounded parks.
     let rt = Runtime::threaded();
     let obj = never_accepting_object(&rt);
-    let err = obj.call_deadline("P", vals![1i64], 20_000).unwrap_err();
-    assert!(matches!(err, AlpsError::Timeout { .. }), "{err:?}");
+    let p = obj.entry_id("P").unwrap();
+    let r = obj.call_with(p, vals![1i64], Wait::Deadline(20_000));
+    assert!(matches!(r, Err(AlpsError::Timeout { .. })), "{r:?}");
     assert_eq!(obj.stats().timeouts(), 1);
     obj.shutdown();
 }

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use alps_core::{
     vals, AdmissionPolicy, AlpsError, EntryDef, Guard, ObjectBuilder, RestartPolicy, RetryPolicy,
-    Selected, ShardedBuilder, Ty, Value,
+    Selected, ShardedBuilder, Ty, Value, Wait,
 };
 use alps_runtime::explore::{for_each_policy, sweep_explore};
 use alps_runtime::{FaultPlan, SimRuntime, Spawn};
@@ -63,18 +63,19 @@ fn protocol_scenario(sim: SimRuntime) -> Vec<String> {
             .unwrap();
         let outcomes: Arc<parking_lot::Mutex<Vec<(i64, String)>>> =
             Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let p = obj.entry_id("P").unwrap();
         let mut joins = Vec::new();
         for i in 0..8i64 {
             let (o2, out2) = (obj.clone(), Arc::clone(&outcomes));
             joins.push(rt.spawn_with(Spawn::new(format!("caller{i}")), move || {
                 // Odd callers use a tight deadline that some schedules
                 // satisfy and others do not; even callers always wait.
-                let r = if i % 2 == 1 {
-                    o2.call_deadline("P", vals![i], 120)
+                let wait = if i % 2 == 1 {
+                    Wait::Deadline(120)
                 } else {
-                    o2.call("P", vals![i])
+                    Wait::Unbounded
                 };
-                let tag = match r {
+                let tag = match o2.call_with(p, vals![i], wait) {
                     Ok(vals) => format!("ok:{}", vals[0].as_int().unwrap()),
                     Err(AlpsError::Timeout { .. }) => "timeout".to_string(),
                     Err(e) => panic!("caller {i}: unexpected error {e:?}"),
@@ -294,11 +295,13 @@ fn restart_during_drain_sweeps_cleanly_across_seeds() {
                 .spawn(rt)
                 .unwrap();
             let mut joins = Vec::new();
+            let retry = Wait::Retry(RetryPolicy::new(10, 100_000));
+            let p = obj.entry_id("P").unwrap();
             for i in 0..8i64 {
                 let o2 = obj.clone();
                 joins.push(rt.spawn_with(Spawn::new(format!("caller{i}")), move || {
                     let r = o2
-                        .call_retry("P", vals![i], RetryPolicy::new(10, 100_000))
+                        .call_with(p, vals![i], retry)
                         .unwrap_or_else(|e| panic!("caller {i}: {e:?}"));
                     let v = r[0].as_int().unwrap();
                     let (tag, base) = (v / 1000, v % 1000);
@@ -370,11 +373,13 @@ fn restart_with_pooled_bodies_queued_across_seeds() {
                 .spawn(rt)
                 .unwrap();
             let mut joins = Vec::new();
+            let retry = Wait::Retry(RetryPolicy::new(12, 400_000));
+            let p = obj.entry_id("P").unwrap();
             for i in 0..8i64 {
                 let o2 = obj.clone();
                 joins.push(rt.spawn_with(Spawn::new(format!("caller{i}")), move || {
                     let r = o2
-                        .call_retry("P", vals![i], RetryPolicy::new(12, 400_000))
+                        .call_with(p, vals![i], retry)
                         .unwrap_or_else(|e| panic!("caller {i}: {e:?}"));
                     let v = r[0].as_int().unwrap();
                     let (tag, base) = (v / 1000, v % 1000);
@@ -496,7 +501,7 @@ fn combined_retirement_races_restart_sweep_across_seeds() {
             );
             // The combining map is clean after the storm: a fresh
             // combined read leads, executes post-restart, and succeeds.
-            let r = group.call_combined("Get", vals![777i64]).unwrap();
+            let r = group.call_id_combined(gid, vals![777i64]).unwrap();
             assert_eq!(r[0].as_int().unwrap(), 777 * 2);
         })
         .unwrap();
@@ -603,9 +608,12 @@ fn injected_intake_drop_is_rescued_by_the_deadline() {
                 })
                 .spawn(rt)
                 .unwrap();
-            let err = obj.call_deadline("P", vals![1i64], 300).unwrap_err();
+            let p = obj.entry_id("P").unwrap();
+            let err = obj
+                .call_with(p, vals![1i64], Wait::Deadline(300))
+                .unwrap_err();
             assert!(matches!(err, AlpsError::Timeout { .. }), "{err:?}");
-            let r = obj.call_deadline("P", vals![2i64], 300).unwrap();
+            let r = obj.call_with(p, vals![2i64], Wait::Deadline(300)).unwrap();
             assert_eq!(r[0].as_int().unwrap(), 2);
             assert_eq!(obj.stats().timeouts(), 1);
         })

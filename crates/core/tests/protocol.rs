@@ -6,9 +6,21 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use alps_core::{
-    argv, vals, AlpsError, EntryDef, Guard, ObjectBuilder, PoolMode, Selected, Ty, Value,
+    argv, vals, AlpsError, EntryDef, Guard, ObjectBuilder, PoolMode, RetryPolicy, Selected, Ty,
+    Value, Wait,
 };
 use alps_runtime::{Runtime, SimRuntime, Spawn};
+
+/// Every way a caller can wait, each generous enough never to fire.
+const WAITS: [Wait; 3] = [
+    Wait::Unbounded,
+    Wait::Deadline(10_000_000),
+    Wait::Retry(RetryPolicy {
+        max_attempts: 3,
+        backoff: alps_core::Backoff::None,
+        budget_ticks: 10_000_000,
+    }),
+];
 
 /// A managed echo object: manager accepts and executes each call.
 fn echo_object(rt: &Runtime) -> alps_core::ObjectHandle {
@@ -797,6 +809,10 @@ fn call_id_matches_call_on_managed_and_implicit_entries() {
         let by_name = managed.call("Echo", vals![i]).unwrap();
         let by_id = managed.call_id(id, argv![i]).unwrap();
         assert_eq!(by_id, by_name);
+        for wait in WAITS {
+            let by_wait = managed.call_with(id, argv![i], wait).unwrap();
+            assert_eq!(by_wait, by_name, "{wait:?}");
+        }
     }
     managed.shutdown();
     // Implicit (non-intercepted) entry: the id path takes the inline
@@ -816,6 +832,10 @@ fn call_id_matches_call_on_managed_and_implicit_entries() {
         let by_id = plain.call_id(tid, argv![i]).unwrap();
         assert_eq!(by_id, by_name);
         assert_eq!(by_id[0], Value::Int(i * 2));
+        for wait in WAITS {
+            let by_wait = plain.call_with(tid, argv![i], wait).unwrap();
+            assert_eq!(by_wait, by_name, "{wait:?}");
+        }
     }
     plain.shutdown();
     rt.shutdown();
@@ -837,9 +857,11 @@ fn foreign_entry_id_is_a_typed_error_not_a_panic() {
     // An id minted by `a` must be rejected by `b` even though the entry
     // index would be in range there.
     let id = a.entry_id("Echo").unwrap();
-    match b.call_id(id, argv![1i64]) {
-        Err(AlpsError::ForeignEntryId { .. }) => {}
-        other => panic!("expected ForeignEntryId, got {other:?}"),
+    for wait in WAITS {
+        match b.call_with(id, argv![1i64], wait) {
+            Err(AlpsError::ForeignEntryId { .. }) => {}
+            other => panic!("{wait:?}: expected ForeignEntryId, got {other:?}"),
+        }
     }
     // And the id keeps working on its own object afterwards.
     assert_eq!(a.call_id(id, argv![9i64]).unwrap()[0], Value::Int(9));

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use alps_core::{
     vals, AlpsError, Backoff, EntryDef, Guard, ObjectBuilder, ObjectHandle, PoolMode,
-    RestartPolicy, RetryPolicy, Selected, Ty, Value,
+    RestartPolicy, RetryPolicy, Selected, Ty, Value, Wait,
 };
 use alps_runtime::Runtime;
 
@@ -159,7 +159,7 @@ fn injected_task_is_not_starved_by_yield_looping_tasks() {
 
 /// Supervised restart on the pooled executor: a `Shared` pool body
 /// panics while sibling calls are queued behind it as green tasks; the
-/// supervisor restarts the object and `call_retry` rides out the
+/// supervisor restarts the object and `Wait::Retry` rides out the
 /// transient `ObjectRestarting` answers.
 #[test]
 fn supervised_restart_with_pooled_bodies_recovers() {
@@ -195,16 +195,14 @@ fn supervised_restart_with_pooled_bodies_recovers() {
         .unwrap();
 
     // Queue concurrent green callers, one of which trips the crash.
+    let work = obj.entry_id("Work").unwrap();
+    let retry = Wait::Retry(RetryPolicy::new(16, 2_000_000).backoff(Backoff::Fixed(5_000)));
     let hs: Vec<_> = (0..8)
         .map(|c| {
             let obj = obj.clone();
             rt.spawn(move || {
                 let arg = if c == 0 { -1i64 } else { c as i64 };
-                obj.call_retry(
-                    "Work",
-                    vals![arg],
-                    RetryPolicy::new(16, 2_000_000).backoff(Backoff::Fixed(5_000)),
-                )
+                obj.call_with(work, vals![arg], retry)
             })
         })
         .collect();

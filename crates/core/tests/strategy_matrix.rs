@@ -11,7 +11,7 @@
 use std::collections::HashSet;
 use std::panic::AssertUnwindSafe;
 
-use alps_core::{vals, AlpsError, EntryDef, ObjectBuilder, Ty, Value};
+use alps_core::{vals, AlpsError, EntryDef, ObjectBuilder, Ty, Value, Wait};
 use alps_runtime::explore::{policy_for, shrink_preemptions, STRATEGY_MATRIX};
 use alps_runtime::{FaultPlan, SchedPolicy, SimRuntime, Spawn, TraceSpec};
 
@@ -40,6 +40,7 @@ fn churn(sim: SimRuntime) -> (u64, u64) {
             })
             .spawn(rt)
             .unwrap();
+        let p = obj.entry_id("P").unwrap();
         let mut joins = Vec::new();
         for i in 0..3i64 {
             let (o2, rt2) = (obj.clone(), rt.clone());
@@ -57,12 +58,12 @@ fn churn(sim: SimRuntime) -> (u64, u64) {
                     // Caller 1 uses a deadline that preemption delays can
                     // push past — both outcomes are legal, and the
                     // cancel path exercises the finish-vs-cancel CAS.
-                    let r = if i == 1 {
-                        o2.call_deadline("P", vals![v], 80)
+                    let wait = if i == 1 {
+                        Wait::Deadline(80)
                     } else {
-                        o2.call("P", vals![v])
+                        Wait::Unbounded
                     };
-                    match r {
+                    match o2.call_with(p, vals![v], wait) {
                         Ok(out) => assert_eq!(out[0].as_int().unwrap(), v * 2),
                         Err(AlpsError::Timeout { .. }) => assert_eq!(i, 1),
                         Err(e) => panic!("caller {i}: {e:?}"),
@@ -153,19 +154,22 @@ fn drain_delay_under_preemption_bounded_resolves_every_caller() {
                 })
                 .spawn(rt)
                 .unwrap();
+            let p = obj.entry_id("P").unwrap();
             let mut joins = Vec::new();
             for i in 0..6i64 {
                 let o2 = obj.clone();
                 joins.push(rt.spawn_with(Spawn::new(format!("caller{i}")), move || {
-                    let r = if i % 2 == 1 {
+                    let wait = if i % 2 == 1 {
                         // The budget dwarfs the injected 150-tick delay
                         // plus any preemption stack, so a timeout here
                         // would itself be a liveness failure.
-                        o2.call_deadline("P", vals![i], 5_000)
+                        Wait::Deadline(5_000)
                     } else {
-                        o2.call("P", vals![i])
+                        Wait::Unbounded
                     };
-                    let out = r.unwrap_or_else(|e| panic!("caller {i}: {e:?}"));
+                    let out = o2
+                        .call_with(p, vals![i], wait)
+                        .unwrap_or_else(|e| panic!("caller {i}: {e:?}"));
                     assert_eq!(out[0].as_int().unwrap(), i);
                 }));
             }
@@ -244,8 +248,9 @@ fn fragile_deadline(sim: SimRuntime) {
         // Two calls so several intake/drain commit points land inside
         // deadline windows; 60 ticks absorbs the 10-tick body plus
         // protocol overhead but not a stacked preemption delay.
+        let p = obj.entry_id("P").unwrap();
         for k in 0..2i64 {
-            let r = obj.call_deadline("P", vals![k], 60);
+            let r = obj.call_with(p, vals![k], Wait::Deadline(60));
             assert!(r.is_ok(), "deadline missed under preemption: {r:?}");
         }
     })

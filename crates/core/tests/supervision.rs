@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use alps_core::{
     vals, AdmissionPolicy, AlpsError, Backoff, EntryDef, ObjectBuilder, RestartPolicy, RetryPolicy,
-    Ty, Value,
+    Ty, Value, Wait,
 };
 use alps_runtime::{FaultPlan, SchedPolicy, SimRuntime, Spawn};
 
@@ -55,8 +55,9 @@ fn restarted_object_serves_again() {
         assert!(matches!(err, AlpsError::ObjectRestarting { .. }), "{err:?}");
         // Recovery: the same handle serves again, with `state_init`'s
         // fresh state (100), under the bumped generation.
+        let (bump, retry) = (obj.entry_id("Bump").unwrap(), RetryPolicy::new(8, 50_000));
         assert_eq!(
-            obj.call_retry("Bump", vals![10i64], RetryPolicy::new(8, 50_000))
+            obj.call_with(bump, vals![10i64], Wait::Retry(retry))
                 .unwrap()[0],
             Value::Int(110)
         );
@@ -296,7 +297,7 @@ fn block_backpressure_parks_and_never_sheds() {
     .unwrap();
 }
 
-/// `call_retry` retries a deadline expiry and succeeds once the manager
+/// `Wait::Retry` retries a deadline expiry and succeeds once the manager
 /// starts serving; the per-attempt deadline split and the retry counter
 /// are observable.
 #[test]
@@ -325,10 +326,10 @@ fn call_retry_rides_out_a_slow_start() {
         // times out inside the manager's 500-tick nap; a later attempt
         // lands after the nap and succeeds.
         let r = obj
-            .call_retry(
-                "P",
+            .call_with(
+                obj.entry_id("P").unwrap(),
                 vals![],
-                RetryPolicy::new(4, 1200).backoff(Backoff::Fixed(10)),
+                Wait::Retry(RetryPolicy::new(4, 1200).backoff(Backoff::Fixed(10))),
             )
             .unwrap();
         assert_eq!(r[0], Value::Int(9));
@@ -372,16 +373,18 @@ fn call_retry_never_retries_delivered_errors() {
             })
             .spawn(rt)
             .unwrap();
+        let boom = obj.entry_id("Boom").unwrap();
         let e = obj
-            .call_retry("Boom", vals![], RetryPolicy::new(5, 10_000))
+            .call_with(boom, vals![], Wait::Retry(RetryPolicy::new(5, 10_000)))
             .unwrap_err();
         assert!(matches!(e, AlpsError::BodyFailed { .. }), "{e:?}");
         assert_eq!(obj.stats().retries(), 0, "a delivered error is final");
         // Unserved entry: every attempt times out; the budget bounds the
         // whole affair and the last transient error comes back.
         let t0 = rt.now();
+        let never = obj.entry_id("Never").unwrap();
         let e = obj
-            .call_retry("Never", vals![], RetryPolicy::new(3, 600))
+            .call_with(never, vals![], Wait::Retry(RetryPolicy::new(3, 600)))
             .unwrap_err();
         assert!(matches!(e, AlpsError::Timeout { .. }), "{e:?}");
         assert!(
@@ -392,6 +395,41 @@ fn call_retry_never_retries_delivered_errors() {
         assert_eq!(obj.stats().retries(), 2);
     })
     .unwrap();
+}
+
+/// The hazard DESIGN.md §10 calls "one accepted hole": a `Timeout` retry
+/// can run a body that had already started. Each 300-tick attempt times
+/// out while the 400-tick body it started keeps running, so the next
+/// attempt starts the body again — retrying a timeout is not
+/// at-most-once, in-process or over the wire.
+#[test]
+fn timeout_retry_reruns_a_started_body() {
+    let sim = SimRuntime::new();
+    let runs = Arc::new(AtomicU64::new(0));
+    let r2 = Arc::clone(&runs);
+    sim.run(move |rt| {
+        let obj = ObjectBuilder::new("Slow")
+            .entry(EntryDef::new("P").intercepted().body(move |ctx, _| {
+                r2.fetch_add(1, Ordering::SeqCst);
+                ctx.sleep(400);
+                Ok(vec![])
+            }))
+            .manager(|mgr| loop {
+                let acc = mgr.accept("P")?;
+                mgr.execute(acc)?;
+            })
+            .spawn(rt)
+            .unwrap();
+        let p = obj.entry_id("P").unwrap();
+        let e = obj
+            .call_with(p, vals![], Wait::Retry(RetryPolicy::new(3, 900)))
+            .unwrap_err();
+        assert!(matches!(e, AlpsError::Timeout { ticks: 300, .. }), "{e:?}");
+        assert_eq!(obj.stats().retries(), 2);
+    })
+    .unwrap();
+    let runs = runs.load(Ordering::SeqCst);
+    assert!(runs > 1, "one logical call ran its body {runs} time(s)");
 }
 
 /// Regression pin: a call whose cell is already DONE before a panic
@@ -486,11 +524,9 @@ fn exp_jitter_backoff_is_deterministic_per_seed() {
                 })
                 .spawn(rt)
                 .unwrap();
-            let _ = obj.call_retry(
-                "P",
-                vals![],
-                RetryPolicy::new(6, 2_000).backoff(Backoff::ExpJitter { base: 16, cap: 200 }),
-            );
+            let policy =
+                RetryPolicy::new(6, 2_000).backoff(Backoff::ExpJitter { base: 16, cap: 200 });
+            let _ = obj.call_with(obj.entry_id("P").unwrap(), vals![], Wait::Retry(policy));
             rt.now()
         })
         .unwrap()

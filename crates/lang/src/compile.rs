@@ -24,7 +24,7 @@
 //!   candidate's overlay (`uses_overlay`).
 //!
 //! Emitted objects are ordinary `ObjectBuilder` products: supervision,
-//! deadlines/retry (`call_id_deadline`/`call_id_retry` on
+//! deadlines/retry (`call_with` under any `Wait` on
 //! [`Compiled::handle`]) and `ShardedBuilder` spread all apply
 //! unchanged.
 //!

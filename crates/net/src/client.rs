@@ -1,7 +1,7 @@
 //! The client side: [`RemoteHandle`], a proxy that speaks the
-//! [`ObjectHandle`](alps_core::ObjectHandle) call surface
-//! (`call` / `call_deadline` / `call_retry` and their interned-id forms)
-//! to an object living in another process.
+//! [`ObjectHandle`](alps_core::ObjectHandle) call surface (`call`,
+//! `call_id`, and `call_with` under any [`Wait`]) to an object living in
+//! another process.
 //!
 //! # Partial failure model
 //!
@@ -13,7 +13,10 @@
 //! ids per session: retrying the same logical call re-sends the same
 //! wire id, and the server either replays the cached reply (the body
 //! ran; the reply was lost) or executes it for the first time (the call
-//! was lost). Either way the body runs **at most once**.
+//! was lost). Either way the body runs **at most once**. A retried
+//! [`AlpsError::Timeout`] is not covered: the server forgets a
+//! retryable outcome, so a body that started before the deadline can
+//! run again (see [`RetryPolicy`]).
 //!
 //! # One call per link
 //!
@@ -39,7 +42,7 @@ use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use alps_core::{AlpsError, Backoff, Result, RetryPolicy, ValVec, Value};
+use alps_core::{AlpsError, Backoff, Result, RetryPolicy, ValVec, Value, Wait};
 use alps_runtime::metrics::Counter;
 use alps_runtime::{Chan, Runtime};
 use parking_lot::Mutex;
@@ -198,7 +201,7 @@ pub struct RemoteStats {
     pub link_losses: Counter,
     /// Links dialed and handshaken.
     pub reconnects: Counter,
-    /// Retries performed by `call_retry`-family methods.
+    /// Re-attempts made by [`Wait::Retry`] calls.
     pub retries: Counter,
 }
 
@@ -365,131 +368,80 @@ impl RemoteHandle {
         self.call_id(&self.entry_id(entry), args).map(Vec::from)
     }
 
-    /// [`call`](Self::call) through an interned [`RemoteEntryId`].
+    /// [`call`](Self::call) through an interned [`RemoteEntryId`] —
+    /// `call_with(id, args, Wait::Unbounded)`.
     ///
     /// # Errors
     ///
     /// As [`call`](Self::call).
     pub fn call_id(&self, id: &RemoteEntryId, args: impl Into<ValVec>) -> Result<ValVec> {
-        self.logical_call(id, args.into(), None)
+        self.call_with(id, args, Wait::Unbounded)
     }
 
-    /// Deadline-bounded remote call: `ticks` bounds the whole affair —
-    /// dialing, the wire round trip, and the entry body. The deadline
-    /// crosses the wire as a *remaining budget* (the processes share no
-    /// clock), so the server re-anchors it on its own clock.
+    /// `call_with(id, args, Wait::Retry(policy))`, kept only because the
+    /// benchmark's `remote_call` fault phase (`crates/benchmark/src/sut.rs`)
+    /// names it.
     ///
     /// # Errors
     ///
-    /// As [`call`](Self::call), plus [`AlpsError::Timeout`] on expiry.
-    pub fn call_deadline(&self, entry: &str, args: Vec<Value>, ticks: u64) -> Result<Vec<Value>> {
-        self.call_id_deadline(&self.entry_id(entry), args, ticks)
-            .map(Vec::from)
-    }
-
-    /// Deadline-bounded variant of [`call_id`](Self::call_id).
-    ///
-    /// # Errors
-    ///
-    /// As [`call_deadline`](Self::call_deadline).
-    pub fn call_id_deadline(
-        &self,
-        id: &RemoteEntryId,
-        args: impl Into<ValVec>,
-        ticks: u64,
-    ) -> Result<ValVec> {
-        let deadline = Deadline::after(&self.inner.rt, ticks);
-        self.logical_call(id, args.into(), Some(deadline))
-    }
-
-    /// Retry transient failures per `policy`, exactly like
-    /// [`ObjectHandle::call_retry`](alps_core::ObjectHandle::call_retry)
-    /// — same budget splitting, same seeded backoff — with one addition
-    /// to the transient set: [`AlpsError::LinkLost`]. Every attempt
-    /// re-sends the **same wire call id**, so the server's session dedup
-    /// cache makes the retries at-most-once-executed: a retry of a call
-    /// whose reply was lost replays the cached reply instead of running
-    /// the body again.
-    ///
-    /// # Errors
-    ///
-    /// As [`call_deadline`](Self::call_deadline); when every attempt
-    /// fails transiently, the *last* transient error is returned.
-    pub fn call_retry(
-        &self,
-        entry: &str,
-        args: Vec<Value>,
-        policy: RetryPolicy,
-    ) -> Result<Vec<Value>> {
-        self.call_id_retry(&self.entry_id(entry), args, policy)
-            .map(Vec::from)
-    }
-
-    /// [`call_retry`](Self::call_retry) through an interned id.
-    ///
-    /// # Errors
-    ///
-    /// As [`call_retry`](Self::call_retry).
+    /// As [`call_with`](Self::call_with).
     pub fn call_id_retry(
         &self,
         id: &RemoteEntryId,
         args: impl Into<ValVec>,
         policy: RetryPolicy,
     ) -> Result<ValVec> {
-        let inner = &self.inner;
-        let args: ValVec = args.into();
-        let wire_id = inner.alloc_call();
-        let attempts = policy.max_attempts.max(1);
-        let deadline = inner.rt.now().saturating_add(policy.budget_ticks.max(1));
-        let mut last = None;
-        for k in 0..attempts {
-            let remaining = deadline.saturating_sub(inner.rt.now());
-            if remaining == 0 {
-                break;
-            }
-            let attempt_deadline = Deadline::after(&inner.rt, policy.attempt_budget(k, remaining));
-            match inner.attempt(wire_id, &id.name, args.clone(), Some(attempt_deadline)) {
-                Ok(r) => {
-                    inner.release_call(wire_id);
-                    return Ok(r);
-                }
-                Err(e) if e.is_retryable() => {
-                    last = Some(e);
-                    if k + 1 == attempts {
-                        break;
-                    }
-                    inner.stats.retries.incr();
-                    let delay = policy.backoff.delay(k, &inner.rt);
-                    // Floor at one tick: with zero backoff a refused call
-                    // (Overloaded/Restarting travels the wire in zero
-                    // *virtual* time under the sim) would burn every
-                    // attempt inside one scheduling window.
-                    let sleep = delay.max(1).min(deadline.saturating_sub(inner.rt.now()));
-                    inner.rt.sleep(sleep);
-                }
-                Err(e) => {
-                    inner.release_call(wire_id);
-                    return Err(e);
-                }
-            }
-        }
-        inner.release_call(wire_id);
-        Err(last.unwrap_or(AlpsError::Timeout {
-            what: id.name.to_string(),
-            ticks: policy.budget_ticks,
-        }))
+        self.call_with(id, args, Wait::Retry(policy))
     }
 
-    /// One logical call = one wire id held for its whole lifetime.
-    fn logical_call(
+    /// Remote call that waits as `wait` says, as
+    /// [`ObjectHandle::call_with`](alps_core::ObjectHandle::call_with)
+    /// does. A deadline bounds dialing, the round trip and the body, and
+    /// crosses the wire as a *remaining budget* (the processes share no
+    /// clock). Every attempt of a retry re-sends the **same wire call
+    /// id**, so the server's dedup cache replays the reply of an attempt
+    /// whose body ran but whose reply was lost ([`AlpsError::LinkLost`]);
+    /// a `Timeout` retry can still re-run a started body
+    /// ([`RetryPolicy`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`call`](Self::call), plus [`AlpsError::Timeout`] when a
+    /// deadline expires; under a retry, the last transient error once
+    /// every attempt failed.
+    pub fn call_with(
         &self,
         id: &RemoteEntryId,
-        args: ValVec,
-        deadline: Option<Deadline>,
+        args: impl Into<ValVec>,
+        wait: Wait,
     ) -> Result<ValVec> {
-        let wire_id = self.inner.alloc_call();
-        let r = self.inner.attempt(wire_id, &id.name, args, deadline);
-        self.inner.release_call(wire_id);
+        let inner = &self.inner;
+        let args: ValVec = args.into();
+        // One logical call = one wire id, held across every attempt and
+        // released on every way out.
+        let wire_id = inner.alloc_call();
+        let r = match wait {
+            Wait::Unbounded => inner.attempt(wire_id, &id.name, args, None),
+            Wait::Deadline(ticks) => {
+                let deadline = Deadline::after(&inner.rt, ticks);
+                inner.attempt(wire_id, &id.name, args, Some(deadline))
+            }
+            Wait::Retry(policy) => policy.run(
+                &inner.rt,
+                &id.name,
+                &inner.stats.retries,
+                |ticks| {
+                    let deadline = Deadline::after(&inner.rt, ticks);
+                    inner.attempt(wire_id, &id.name, args.clone(), Some(deadline))
+                },
+                // Floor at one tick: a refused call (Overloaded or
+                // Restarting) travels the wire in zero *virtual* time
+                // under the sim, so a zero backoff would burn every
+                // attempt inside one scheduling window.
+                |_, _| inner.rt.sleep(1),
+            ),
+        };
+        inner.release_call(wire_id);
         r
     }
 }

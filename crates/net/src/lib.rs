@@ -14,7 +14,8 @@
 //!   deterministic simulation.
 //! * [`server`] — [`NetServer`] exposes a runtime's objects over any
 //!   link, with per-session duplicate suppression making every call
-//!   **at-most-once-executed** no matter how the transport misbehaves.
+//!   **at-most-once-executed** no matter how the transport misbehaves
+//!   (a retried `Timeout` is the one exception, DESIGN.md §10).
 //!   The process that serves a connection runs each call it reads.
 //! * [`client`] — [`RemoteHandle`] speaks the `ObjectHandle` call
 //!   surface remotely, one call per link: a caller checks an idle link

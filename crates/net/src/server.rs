@@ -33,7 +33,10 @@
 //!
 //! An entry body therefore runs at most once per call id no matter how
 //! often the transport redelivers the call — the property the 256-seed
-//! transport-fault sweep pins.
+//! transport-fault sweep pins. The exception is a call whose budget ran
+//! out mid-body: its `Timeout` is retryable, so it is not cached, and the
+//! client's retry runs the body again (DESIGN.md §10, "One accepted
+//! hole").
 //!
 //! The cache is pruned whenever the watermark moves, so a long-lived
 //! session does not grow it without bound. Only `Done` entries are
@@ -55,7 +58,7 @@ use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use alps_core::{AlpsError, EntryId, ObjectHandle, ValVec};
+use alps_core::{AlpsError, EntryId, ObjectHandle, ValVec, Wait};
 use alps_runtime::metrics::Counter;
 use alps_runtime::{Chan, Notifier, Runtime, Spawn};
 use parking_lot::Mutex;
@@ -492,18 +495,19 @@ impl ServerInner {
             }
         }
         self.stats.executed.incr();
-        let budget = match deadline {
-            None => NO_BUDGET,
-            Some(at) => at.saturating_sub(self.rt.now()).max(1),
+        let wait = match deadline {
+            None => Wait::Unbounded,
+            Some(at) => Wait::Deadline(at.saturating_sub(self.rt.now()).max(1)),
         };
-        let result = self.dispatch(session, entry, budget, args);
+        let result = self.dispatch(session, entry, wait, args);
         let retryable = matches!(&result, Err(e) if wire_is_retryable(e));
         {
             let mut calls = session.calls.lock();
             if retryable || call < calls.acked {
                 // Retryable: the body never ran (shed / restart sweep) or
                 // timed out without an answer, so the client's retry of
-                // this id must re-execute rather than replay a refusal.
+                // this id must re-execute rather than replay a refusal —
+                // even if the body started (DESIGN.md §10's accepted hole).
                 // Below the watermark: nobody can ask for it again.
                 calls.states.remove(&call);
             } else {
@@ -521,7 +525,7 @@ impl ServerInner {
         &self,
         session: &Session,
         entry: u32,
-        budget: u64,
+        wait: Wait,
         args: ValVec,
     ) -> Result<ValVec, WireErr> {
         let Some(&eid) = session.entry_ids.get(entry as usize) else {
@@ -530,12 +534,10 @@ impl ServerInner {
                 entry: format!("#{entry}"),
             }));
         };
-        let r = if budget == NO_BUDGET {
-            session.object.call_id(eid, args)
-        } else {
-            session.object.call_id_deadline(eid, args, budget)
-        };
-        r.map_err(|e| err_to_wire(&e))
+        session
+            .object
+            .call_with(eid, args, wait)
+            .map_err(|e| err_to_wire(&e))
     }
 
     /// A send failure is deliberately ignored: the reply is already cached, and the

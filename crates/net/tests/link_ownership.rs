@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use alps_core::{
-    vals, AlpsError, EntryDef, ObjectBuilder, ObjectHandle, RestartPolicy, Ty, ValVec, Value,
+    vals, AlpsError, EntryDef, ObjectBuilder, ObjectHandle, RestartPolicy, Ty, ValVec, Value, Wait,
 };
 use alps_net::{
     decode_frame, encode_frame, wire_to_err, Connector, Frame, Link, MemConnector, NetServer,
@@ -197,7 +197,10 @@ fn a_timed_out_call_closes_its_link_and_the_late_reply_wakes_no_one() {
             server.register(&obj);
             let client = RemoteHandle::new(rt, "Worker", server.mem_connector());
 
-            let err = client.call_deadline("Work", vals![1i64], 100).unwrap_err();
+            let work = client.entry_id("Work");
+            let err = client
+                .call_with(&work, vals![1i64], Wait::Deadline(100))
+                .unwrap_err();
             assert!(
                 matches!(err, AlpsError::Timeout { ticks: 100, .. }),
                 "{err:?}"

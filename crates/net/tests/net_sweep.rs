@@ -19,6 +19,7 @@ use std::sync::Arc;
 
 use alps_core::{
     vals, Backoff, EntryDef, Guard, ObjectBuilder, RestartPolicy, RetryPolicy, Selected, Ty, Value,
+    Wait,
 };
 use alps_net::{NetFaultPlan, NetServer, ReconnectPolicy, RemoteHandle};
 use alps_runtime::explore::sweep_explore;
@@ -125,7 +126,7 @@ fn partial_failure_scenario(sim: SimRuntime) {
                 let bump = h.entry_id("Bump");
                 for i in 0..KEYS_PER_CALLER {
                     let k = c * KEYS_PER_CALLER + i;
-                    let r = h.call_id_retry(&bump, vals![k], policy);
+                    let r = h.call_with(&bump, vals![k], Wait::Retry(policy));
                     out.lock().push((k, r.is_ok()));
                 }
             }));

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use alps_core::{
     vals, AlpsError, Backoff, EntryDef, ObjectBuilder, ObjectHandle, RestartPolicy, RetryPolicy,
-    Ty, Value,
+    Ty, Value, Wait,
 };
 use alps_net::{
     decode_frame, encode_frame, Connector, Frame, Link, NetFaultPlan, NetServer, ReconnectPolicy,
@@ -68,8 +68,9 @@ fn sim_round_trip_and_unknown_entry() {
                 let r = client.call_id(&bump, vals![7i64]).unwrap();
                 assert_eq!(r[0], Value::Int(i));
             }
-            let r = client.call_deadline("Count", vals![7i64], 50_000).unwrap();
-            assert_eq!(r[0], Value::Int(5));
+            let count = client.entry_id("Count");
+            let r = client.call_with(&count, vals![7i64], Wait::Deadline(50_000));
+            assert_eq!(r.unwrap()[0], Value::Int(5));
 
             let err = client.call("Nope", vals![1i64]).unwrap_err();
             assert!(
@@ -172,7 +173,7 @@ fn duplicated_frames_execute_at_most_once() {
 }
 
 /// Forced disconnects every few sends: callers see clean transient
-/// errors (`LinkLost`), `call_retry` rides through them over fresh
+/// errors (`LinkLost`), `Wait::Retry` rides through them over fresh
 /// connections, and dedup keeps every key's tally at exactly one.
 #[test]
 fn retry_rides_through_forced_disconnects() {
@@ -196,9 +197,10 @@ fn retry_rides_through_forced_disconnects() {
                 cap: 1_000,
             });
 
+            let bump = client.entry_id("Bump");
             for k in 0..12i64 {
-                let r = client.call_retry("Bump", vals![k], policy).unwrap();
-                assert_eq!(r[0], Value::Int(1), "key {k}");
+                let r = client.call_with(&bump, vals![k], Wait::Retry(policy));
+                assert_eq!(r.unwrap()[0], Value::Int(1), "key {k}");
             }
             let m = counts.lock();
             for k in 0..12i64 {
@@ -262,8 +264,9 @@ fn remote_retry_through_a_supervised_restart() {
                 base: 50,
                 cap: 2_000,
             });
-            let r = client.call_retry("Once", vals![], policy).unwrap();
-            assert_eq!(r[0], Value::Int(1));
+            let once = client.entry_id("Once");
+            let r = client.call_with(&once, vals![], Wait::Retry(policy));
+            assert_eq!(r.unwrap()[0], Value::Int(1));
             assert_eq!(obj.stats().restarts(), 1);
         })
         .unwrap();
@@ -382,10 +385,9 @@ fn socket_round_trip<C: Connector + 'static>(listen: impl FnOnce(&NetServer) -> 
         let r = client.call_id(&bump, vals![1i64]).unwrap();
         assert_eq!(r[0], Value::Int(i));
     }
-    let r = client
-        .call_deadline("Count", vals![1i64], 5_000_000)
-        .unwrap();
-    assert_eq!(r[0], Value::Int(8));
+    let count = client.entry_id("Count");
+    let r = client.call_with(&count, vals![1i64], Wait::Deadline(5_000_000));
+    assert_eq!(r.unwrap()[0], Value::Int(8));
 
     server.shutdown();
     obj.shutdown();

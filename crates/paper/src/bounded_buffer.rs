@@ -197,31 +197,6 @@ impl AlpsBuffer {
         r[0].as_int()
     }
 
-    /// [`deposit`](Self::deposit) bounded by a deadline: give up with
-    /// [`alps_core::AlpsError::Timeout`] if the buffer stays full for
-    /// `ticks` virtual microseconds. A timed-out deposit leaves the
-    /// buffer contents unchanged.
-    ///
-    /// # Errors
-    ///
-    /// As [`deposit`](Self::deposit), plus `Timeout` on expiry.
-    pub fn deposit_deadline(&self, _rt: &Runtime, v: i64, ticks: u64) -> Result<()> {
-        self.obj.call_id_deadline(self.deposit, argv![v], ticks)?;
-        Ok(())
-    }
-
-    /// [`remove`](Self::remove) bounded by a deadline: give up with
-    /// [`alps_core::AlpsError::Timeout`] if the buffer stays empty for
-    /// `ticks` virtual microseconds.
-    ///
-    /// # Errors
-    ///
-    /// As [`remove`](Self::remove), plus `Timeout` on expiry.
-    pub fn remove_deadline(&self, _rt: &Runtime, ticks: u64) -> Result<i64> {
-        let r = self.obj.call_id_deadline(self.remove, argv![], ticks)?;
-        r[0].as_int()
-    }
-
     /// The underlying object handle (stats, shutdown, …).
     pub fn object(&self) -> &ObjectHandle {
         &self.obj

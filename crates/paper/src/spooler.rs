@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use alps_core::{
     vals, EntryDef, Guard, ObjectBuilder, ObjectHandle, RestartPolicy, Result, RetryPolicy,
-    Selected, Ty, Value,
+    Selected, Ty, Value, Wait,
 };
 use alps_runtime::metrics::{Counter, Histogram};
 use alps_runtime::Runtime;
@@ -195,29 +195,14 @@ impl Spooler {
         Ok(())
     }
 
-    /// [`print`](Self::print) bounded by a deadline: give up with
-    /// [`alps_core::AlpsError::Timeout`] if the job has not completed
-    /// within `ticks` virtual microseconds (e.g. every printer busy with
-    /// long jobs). A job whose printing already *started* keeps the
-    /// printer until it finishes — cancellation is cooperative — but its
-    /// result is discarded and the printer is still returned to the free
-    /// list through the hidden result.
-    ///
-    /// # Errors
-    ///
-    /// As [`print`](Self::print), plus `Timeout` on expiry.
-    pub fn print_deadline(&self, rt: &Runtime, file: &str, bytes: i64, ticks: u64) -> Result<()> {
-        let t0 = rt.now();
-        self.obj.call_deadline("Print", vals![file, bytes], ticks)?;
-        self.queue_wait.record(rt.now().saturating_sub(t0));
-        Ok(())
-    }
-
-    /// [`print`](Self::print) with caller-side retry: transient failures
-    /// — [`alps_core::AlpsError::ObjectRestarting`] from a supervised
+    /// [`print`](Self::print) with caller-side retry
+    /// ([`Wait::Retry`]): transient failures —
+    /// [`alps_core::AlpsError::ObjectRestarting`] from a supervised
     /// restart, [`alps_core::AlpsError::Overloaded`] sheds, or per-attempt
     /// timeouts — are retried under `policy`'s attempt and tick budget.
     /// Delivered errors (a printer body that *ran* and failed) are not.
+    /// A job whose attempt timed out after printing started may print
+    /// twice; give each attempt more budget than a job takes.
     ///
     /// # Errors
     ///
@@ -231,7 +216,9 @@ impl Spooler {
         policy: RetryPolicy,
     ) -> Result<()> {
         let t0 = rt.now();
-        self.obj.call_retry("Print", vals![file, bytes], policy)?;
+        let print = self.obj.entry_id("Print")?;
+        self.obj
+            .call_with(print, vals![file, bytes], Wait::Retry(policy))?;
         self.queue_wait.record(rt.now().saturating_sub(t0));
         Ok(())
     }

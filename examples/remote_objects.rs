@@ -6,7 +6,7 @@
 //! a *supervised* key/value register behind a [`NetServer`] on an
 //! ephemeral loopback TCP port; the parent connects a [`RemoteHandle`],
 //! interns entry ids over the handshake, and drives calls with the same
-//! `call_id_retry` it would use in-process. The register's `Put` crashes
+//! `call_with(id, args, Wait::Retry(policy))` it would use in-process. The register's `Put` crashes
 //! on its first sight of one unlucky key, so the run demonstrates the
 //! full partial-failure story: the panic kills the object's manager, the
 //! restart sweep answers the in-flight remote call with the transient
@@ -26,6 +26,7 @@ use std::sync::Arc;
 
 use alps::core::{
     vals, Backoff, EntryDef, Guard, ObjectBuilder, RestartPolicy, RetryPolicy, Selected, Ty, Value,
+    Wait,
 };
 use alps::net::{NetServer, RemoteHandle, TcpConnector};
 use alps::runtime::Runtime;
@@ -134,7 +135,7 @@ fn main() {
 
     // ObjectRestarting, Overloaded, Timeout, and LinkLost are the
     // retryable taxonomy — the same policy object an in-process caller
-    // would pass to call_retry.
+    // would pass to ObjectHandle::call_with.
     let policy = RetryPolicy::new(6, 2_000_000).backoff(Backoff::ExpJitter {
         base: 200,
         cap: 5_000,
@@ -142,14 +143,16 @@ fn main() {
 
     for k in 10..16i64 {
         register
-            .call_id_retry(&put, vals![k, k * k], policy)
+            .call_with(&put, vals![k, k * k], Wait::Retry(policy))
             .expect("Put rides through the injected crash");
         println!("Put({k}, {}) ok", k * k);
     }
 
     println!("--");
     for k in 10..16i64 {
-        let v = register.call_id_retry(&get, vals![k], policy).expect("Get")[0]
+        let v = register
+            .call_with(&get, vals![k], Wait::Retry(policy))
+            .expect("Get")[0]
             .as_int()
             .expect("int result");
         println!("Get({k}) = {v}");
