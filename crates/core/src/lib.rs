@@ -24,7 +24,9 @@
 //!   ids plus inline argument tuples make a steady-state call of arity
 //!   ≤ 4 to a non-intercepted entry allocation-free under every
 //!   [`Wait`]: unbounded (`call_id`), a deadline, or a retry whose first
-//!   attempt succeeds.
+//!   attempt succeeds. A managed `accept` → `execute` round trip is
+//!   allocation-free too, on either executor, and the manager's side of
+//!   it reads no clock.
 //!
 //! ## Quickstart: the paper's bounded buffer (§2.4.1)
 //!

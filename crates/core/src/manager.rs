@@ -31,7 +31,7 @@ use alps_runtime::{CommitPoint, Runtime};
 
 use crate::error::{AlpsError, Result};
 use crate::object::{CallCell, EntryState, ObjectInner, Slot};
-use crate::select::{run_select, run_select_deadline, Guard, Selected};
+use crate::select::{run_select, EntrySel, Guard, GuardKind, Selected};
 use crate::value::{check_types_lazy, ChanValue, ValVec, Value};
 
 /// A call the manager has accepted but not yet started or finished.
@@ -101,31 +101,31 @@ impl AcceptedCall {
 
 impl Drop for AcceptedCall {
     fn drop(&mut self) {
-        if !self.armed
-            || self.obj.is_closed()
-            || self.obj.generation.load(Ordering::SeqCst) != self.gen
-        {
-            // A stale generation means a restart already swept the slot
-            // and answered the caller; the slot may hold a new
-            // generation's call now.
-            return;
-        }
-        let obj = Arc::clone(&self.obj);
-        let mut es = obj.estates[self.entry].st.lock();
-        let s = &mut es.slots[self.slot];
-        if let Slot::Accepted { call } = std::mem::replace(s, Slot::Free) {
-            obj.complete(
-                &call,
-                Err(AlpsError::ProtocolViolation {
-                    reason: format!(
-                        "manager dropped accepted call to `{}` without start/finish",
-                        self.entry_name()
-                    ),
-                }),
+        if self.armed {
+            let reason = format!(
+                "manager dropped accepted call to `{}` without start/finish",
+                self.entry_name()
             );
-            let dispatch = obj.free_slot_and_pull(&mut es, self.entry, self.slot);
-            debug_assert!(dispatch.is_none(), "intercepted entries never self-start");
+            fail_unconsumed(&self.obj, self.gen, self.entry, self.slot, reason);
         }
+    }
+}
+
+/// An armed token was dropped: fail the caller its slot still holds with
+/// a [`AlpsError::ProtocolViolation`] and free the slot, so the object
+/// stays usable. Nothing is left to do after shutdown, or under a stale
+/// generation: a restart already swept the slot and answered the caller,
+/// and the slot may hold a new generation's call now.
+fn fail_unconsumed(obj: &Arc<ObjectInner>, gen: u64, entry: usize, slot: usize, reason: String) {
+    if obj.is_closed() || obj.generation.load(Ordering::SeqCst) != gen {
+        return;
+    }
+    let mut es = obj.estates[entry].st.lock();
+    if let Slot::Accepted { call } | Slot::Awaited { call, .. } =
+        std::mem::replace(&mut es.slots[slot], Slot::Free)
+    {
+        obj.complete(&call, Err(AlpsError::ProtocolViolation { reason }));
+        obj.free_managed_slot(&mut es, entry, slot);
     }
 }
 
@@ -205,27 +205,12 @@ impl ReadyEntry {
 
 impl Drop for ReadyEntry {
     fn drop(&mut self) {
-        if !self.armed
-            || self.obj.is_closed()
-            || self.obj.generation.load(Ordering::SeqCst) != self.gen
-        {
-            return;
-        }
-        let obj = Arc::clone(&self.obj);
-        let mut es = obj.estates[self.entry].st.lock();
-        let s = &mut es.slots[self.slot];
-        if let Slot::Awaited { call, .. } = std::mem::replace(s, Slot::Free) {
-            obj.complete(
-                &call,
-                Err(AlpsError::ProtocolViolation {
-                    reason: format!(
-                        "manager dropped awaited entry `{}` without finish",
-                        self.entry_name()
-                    ),
-                }),
+        if self.armed {
+            let reason = format!(
+                "manager dropped awaited entry `{}` without finish",
+                self.entry_name()
             );
-            let dispatch = obj.free_slot_and_pull(&mut es, self.entry, self.slot);
-            debug_assert!(dispatch.is_none(), "intercepted entries never self-start");
+            fail_unconsumed(&self.obj, self.gen, self.entry, self.slot, reason);
         }
     }
 }
@@ -275,18 +260,11 @@ pub(crate) fn commit_accept(
     slot: usize,
     gen: u64,
 ) -> AcceptedCall {
-    let s = &mut es.slots[slot];
-    let call = match std::mem::replace(s, Slot::Free) {
-        Slot::Attached { call } => call,
-        other => {
-            *s = other;
-            panic!("commit_accept on slot in state `{}`", s.state_name());
-        }
+    let Slot::Attached { call } = std::mem::replace(&mut es.slots[slot], Slot::Free) else {
+        unreachable!("select commits an accept only on an attached slot");
     };
     obj.estates[entry].attached.fetch_sub(1, Ordering::SeqCst);
-    let now = obj.rt.now();
-    let attached_at = call.t_attach.load(Ordering::Relaxed);
-    obj.stats.on_accept(now.saturating_sub(attached_at));
+    obj.stats.on_accept();
     let k = obj.entries[entry]
         .intercept
         .map(|ic| ic.params)
@@ -314,13 +292,8 @@ pub(crate) fn commit_await(
     slot: usize,
     gen: u64,
 ) -> ReadyEntry {
-    let s = &mut es.slots[slot];
-    let (call, outcome) = match std::mem::replace(s, Slot::Free) {
-        Slot::Ready { call, outcome } => (call, outcome),
-        other => {
-            *s = other;
-            panic!("commit_await on slot in state `{}`", s.state_name());
-        }
+    let Slot::Ready { call, outcome } = std::mem::replace(&mut es.slots[slot], Slot::Free) else {
+        unreachable!("select commits an await only on a ready slot");
     };
     obj.estates[entry].ready.fetch_sub(1, Ordering::SeqCst);
     let def = &obj.entries[entry];
@@ -364,6 +337,14 @@ pub(crate) fn commit_await(
             }
         }
     }
+}
+
+/// The guard of a single-guard primitive, its entry still named
+/// ([`ManagerCtx::select_one`]).
+enum One<'a> {
+    Accept(&'a str, Option<usize>),
+    Await(&'a str, Option<usize>),
+    Receive(&'a ChanValue),
 }
 
 /// The manager's view of its object: the scheduling primitives of paper
@@ -446,9 +427,11 @@ impl ManagerCtx {
     ///
     /// * [`AlpsError::SelectFailed`] when every guard is closed;
     /// * [`AlpsError::ObjectClosed`] at shutdown;
-    /// * [`AlpsError::UnknownEntry`] for bad entry names in guards.
+    /// * [`AlpsError::UnknownEntry`] for bad entry names in guards;
+    /// * [`AlpsError::ProtocolViolation`] for a slot guard naming an
+    ///   array element the entry does not have.
     pub fn select(&self, guards: Vec<Guard<'_>>) -> Result<Selected> {
-        run_select(&self.obj, &guards, self.gen)
+        run_select(&self.obj, &guards, None, self.gen)
     }
 
     /// `accept P` — block until a call to `entry` is attached, accept it.
@@ -457,22 +440,19 @@ impl ManagerCtx {
     ///
     /// [`AlpsError::ObjectClosed`], [`AlpsError::UnknownEntry`].
     pub fn accept(&self, entry: &str) -> Result<AcceptedCall> {
-        match self.select(vec![Guard::accept(entry)])? {
-            Selected::Accepted { call, .. } => Ok(call),
-            _ => unreachable!("single accept guard"),
-        }
+        self.select_one(One::Accept(entry, None), None)
+            .map(Selected::into_accepted)
     }
 
     /// `accept P[i]` — accept specifically on array element `i`.
     ///
     /// # Errors
     ///
-    /// [`AlpsError::ObjectClosed`], [`AlpsError::UnknownEntry`].
+    /// [`AlpsError::ObjectClosed`], [`AlpsError::UnknownEntry`];
+    /// [`AlpsError::ProtocolViolation`] when `P` has no element `i`.
     pub fn accept_slot(&self, entry: &str, slot: usize) -> Result<AcceptedCall> {
-        match self.select(vec![Guard::accept_slot(entry, slot)])? {
-            Selected::Accepted { call, .. } => Ok(call),
-            _ => unreachable!("single accept guard"),
-        }
+        self.select_one(One::Accept(entry, Some(slot)), None)
+            .map(Selected::into_accepted)
     }
 
     /// `await P` — block until some execution of `entry` is ready to
@@ -482,22 +462,19 @@ impl ManagerCtx {
     ///
     /// [`AlpsError::ObjectClosed`], [`AlpsError::UnknownEntry`].
     pub fn await_done(&self, entry: &str) -> Result<ReadyEntry> {
-        match self.select(vec![Guard::await_done(entry)])? {
-            Selected::Ready { done, .. } => Ok(done),
-            _ => unreachable!("single await guard"),
-        }
+        self.select_one(One::Await(entry, None), None)
+            .map(Selected::into_ready)
     }
 
     /// `await P[i]` — await a specific array element.
     ///
     /// # Errors
     ///
-    /// [`AlpsError::ObjectClosed`], [`AlpsError::UnknownEntry`].
+    /// [`AlpsError::ObjectClosed`], [`AlpsError::UnknownEntry`];
+    /// [`AlpsError::ProtocolViolation`] when `P` has no element `i`.
     pub fn await_slot(&self, entry: &str, slot: usize) -> Result<ReadyEntry> {
-        match self.select(vec![Guard::await_slot(entry, slot)])? {
-            Selected::Ready { done, .. } => Ok(done),
-            _ => unreachable!("single await guard"),
-        }
+        self.select_one(One::Await(entry, Some(slot)), None)
+            .map(Selected::into_ready)
     }
 
     /// `accept P` bounded by a deadline: like [`accept`](Self::accept),
@@ -510,21 +487,8 @@ impl ManagerCtx {
     ///
     /// As [`accept`](Self::accept), plus [`AlpsError::Timeout`].
     pub fn accept_deadline(&self, entry: &str, ticks: u64) -> Result<AcceptedCall> {
-        let at = self.obj.rt.now().saturating_add(ticks);
-        match run_select_deadline(
-            &self.obj,
-            &[Guard::accept(entry)],
-            Some((at, ticks)),
-            self.gen,
-        ) {
-            Ok(Selected::Accepted { call, .. }) => Ok(call),
-            Ok(_) => unreachable!("single accept guard"),
-            Err(AlpsError::Timeout { .. }) => Err(AlpsError::Timeout {
-                what: format!("accept {entry}"),
-                ticks,
-            }),
-            Err(e) => Err(e),
-        }
+        self.select_one(One::Accept(entry, None), Some(ticks))
+            .map(Selected::into_accepted)
     }
 
     /// `await P` bounded by a deadline: like
@@ -537,20 +501,38 @@ impl ManagerCtx {
     ///
     /// As [`await_done`](Self::await_done), plus [`AlpsError::Timeout`].
     pub fn await_deadline(&self, entry: &str, ticks: u64) -> Result<ReadyEntry> {
-        let at = self.obj.rt.now().saturating_add(ticks);
-        match run_select_deadline(
-            &self.obj,
-            &[Guard::await_done(entry)],
-            Some((at, ticks)),
-            self.gen,
-        ) {
-            Ok(Selected::Ready { done, .. }) => Ok(done),
-            Ok(_) => unreachable!("single await guard"),
-            Err(AlpsError::Timeout { .. }) => Err(AlpsError::Timeout {
-                what: format!("await {entry}"),
+        self.select_one(One::Await(entry, None), Some(ticks))
+            .map(Selected::into_ready)
+    }
+
+    /// The select behind every single-guard primitive: resolve the entry
+    /// name once, build an index guard, and select over that one guard —
+    /// no `String` and no `Vec`, so a warm `accept` allocates nothing.
+    /// `deadline` bounds the wait to that many ticks; its `Timeout` names
+    /// the primitive and the entry.
+    fn select_one(&self, one: One<'_>, deadline: Option<u64>) -> Result<Selected> {
+        let obj = &self.obj;
+        let (kind, verb, name) = match one {
+            One::Accept(name, slot) => {
+                let entry = EntrySel::Idx(obj.entry_idx(name)?);
+                (GuardKind::Accept { entry, slot }, "accept", name)
+            }
+            One::Await(name, slot) => {
+                let entry = EntrySel::Idx(obj.entry_idx(name)?);
+                (GuardKind::AwaitDone { entry, slot }, "await", name)
+            }
+            One::Receive(chan) => {
+                let kind = GuardKind::Receive { chan: chan.clone() };
+                (kind, "receive", chan.name())
+            }
+        };
+        let at = deadline.map(|ticks| (obj.rt.now().saturating_add(ticks), ticks));
+        match run_select(obj, std::slice::from_ref(&Guard::new(kind)), at, self.gen) {
+            Err(AlpsError::Timeout { ticks, .. }) => Err(AlpsError::Timeout {
+                what: format!("{verb} {name}"),
                 ticks,
             }),
-            Err(e) => Err(e),
+            r => r,
         }
     }
 
@@ -579,65 +561,54 @@ impl ManagerCtx {
     pub fn cancel(&self, entry: &str, slot: usize) -> Result<bool> {
         let idx = self.obj.entry_idx(entry)?;
         let obj = &self.obj;
-        if obj.generation.load(Ordering::SeqCst) != self.gen {
-            return Err(obj.restarting_err());
-        }
-        let entry_name = obj.entries[idx].name.clone();
         let sync = &obj.estates[idx];
-        let dispatch = {
-            let mut es = sync.st.lock();
-            if slot >= es.slots.len() {
+        let mut es = obj.lock_at_gen(idx, self.gen)?;
+        if slot >= es.slots.len() {
+            return Err(AlpsError::ProtocolViolation {
+                reason: format!("cancel {entry}[{slot}]: no such array element"),
+            });
+        }
+        let s = &mut es.slots[slot];
+        let (call, frees_slot) = match std::mem::replace(s, Slot::Free) {
+            keep @ (Slot::Free | Slot::InlineBusy | Slot::Abandoned) => {
+                *s = keep;
+                return Ok(false);
+            }
+            Slot::Attached { call } => {
+                sync.attached.fetch_sub(1, Ordering::SeqCst);
+                (call, true)
+            }
+            Slot::Ready { call, .. } => {
+                sync.ready.fetch_sub(1, Ordering::SeqCst);
+                (call, true)
+            }
+            // The body owns the slot until it completes; `body_done`
+            // sees Abandoned, discards the outcome, and frees the slot.
+            Slot::Started { call } => {
+                *s = Slot::Abandoned;
+                (call, false)
+            }
+            other @ (Slot::Accepted { .. } | Slot::Awaited { .. }) => {
+                let name = other.state_name();
+                *s = other;
                 return Err(AlpsError::ProtocolViolation {
-                    reason: format!("cancel {entry}[{slot}]: no such array element"),
+                    reason: format!(
+                        "cancel on slot in state `{name}`: the manager holds a live \
+                         token for it (consume or drop that token instead)"
+                    ),
                 });
             }
-            let s = &mut es.slots[slot];
-            match std::mem::replace(s, Slot::Free) {
-                Slot::Free => return Ok(false),
-                Slot::InlineBusy => {
-                    *s = Slot::InlineBusy;
-                    return Ok(false);
-                }
-                Slot::Abandoned => {
-                    *s = Slot::Abandoned;
-                    return Ok(false);
-                }
-                Slot::Attached { call } => {
-                    sync.attached.fetch_sub(1, Ordering::SeqCst);
-                    if obj.complete(&call, Err(AlpsError::Cancelled { entry: entry_name })) {
-                        obj.stats.on_cancel();
-                    }
-                    obj.free_slot_and_pull(&mut es, idx, slot)
-                }
-                Slot::Ready { call, .. } => {
-                    sync.ready.fetch_sub(1, Ordering::SeqCst);
-                    if obj.complete(&call, Err(AlpsError::Cancelled { entry: entry_name })) {
-                        obj.stats.on_cancel();
-                    }
-                    obj.free_slot_and_pull(&mut es, idx, slot)
-                }
-                Slot::Started { call } => {
-                    // The body owns the slot until it completes;
-                    // `body_done` sees Abandoned, discards the outcome,
-                    // and frees the slot.
-                    *s = Slot::Abandoned;
-                    if obj.complete(&call, Err(AlpsError::Cancelled { entry: entry_name })) {
-                        obj.stats.on_cancel();
-                    }
-                    None
-                }
-                other @ (Slot::Accepted { .. } | Slot::Awaited { .. }) => {
-                    let name = other.state_name();
-                    *s = other;
-                    return Err(AlpsError::ProtocolViolation {
-                        reason: format!(
-                            "cancel on slot in state `{name}`: the manager holds a live \
-                             token for it (consume or drop that token instead)"
-                        ),
-                    });
-                }
-            }
         };
+        let entry = obj.entries[idx].name.clone();
+        if obj.complete(&call, Err(AlpsError::Cancelled { entry })) {
+            obj.stats.on_cancel();
+        }
+        let dispatch = if frees_slot {
+            obj.free_slot_and_pull(&mut es, idx, slot)
+        } else {
+            None
+        };
+        drop(es);
         if let Some((i, params)) = dispatch {
             obj.dispatch_body(idx, i, params);
         }
@@ -653,7 +624,7 @@ impl ManagerCtx {
     /// [`AlpsError::ObjectClosed`]; [`AlpsError::SelectFailed`] when the
     /// channel is closed and drained.
     pub fn receive(&self, chan: &ChanValue) -> Result<Vec<Value>> {
-        match self.select(vec![Guard::receive(chan)])? {
+        match self.select_one(One::Receive(chan), None)? {
             Selected::Received { msg, .. } => Ok(msg),
             _ => unreachable!("single receive guard"),
         }
@@ -685,25 +656,17 @@ impl ManagerCtx {
         }
         let tok_gen = acc.gen;
         let (obj, entry, slot, _) = acc.disarm();
-        let full = {
-            let mut es = obj.estates[entry].st.lock();
-            if obj.generation.load(Ordering::SeqCst) != tok_gen {
-                // A restart swept this call and answered its caller; the
-                // slot may belong to the new generation now.
-                return Err(obj.restarting_err());
-            }
-            let call = take_slot(&mut es, slot, accepted, what)?;
-            call.t_start.store(obj.rt.now(), Ordering::Relaxed);
-            obj.stats.on_start();
-            let mut full = prefix;
-            // Move the non-intercepted argument suffix out of the cell
-            // (the prefix copy was taken at accept; nothing reads `args`
-            // once the slot is `Started`).
-            full.extend(call.take_args().split_off(ic.params));
-            full.extend(hidden);
-            es.slots[slot] = Slot::Started { call };
-            full
-        };
+        let mut es = obj.lock_at_gen(entry, tok_gen)?;
+        let call = take_slot(&mut es, slot, accepted, what)?;
+        obj.stats.on_start();
+        let mut full = prefix;
+        // Move the non-intercepted argument suffix out of the cell (the
+        // prefix copy was taken at accept; nothing reads `args` once the
+        // slot is `Started`).
+        full.extend(call.take_args().split_off(ic.params));
+        full.extend(hidden);
+        es.slots[slot] = Slot::Started { call };
+        drop(es);
         Ok((obj, entry, slot, full))
     }
 
@@ -754,38 +717,29 @@ impl ManagerCtx {
                 format!("finish {}.{} prefix", done.obj.name, def.name)
             })?;
         }
-        let entry_name = def.name.clone();
         let tok_gen = done.gen;
         let (obj, entry, slot, _, failure) = done.disarm();
         // Commit point, before the entry lock: the `complete` below runs
         // the finish-vs-cancel CAS against a deadline-bounded caller.
         obj.rt.sim_point(CommitPoint::FinishCas);
-        let dispatch = {
-            let mut es = obj.estates[entry].st.lock();
-            if obj.generation.load(Ordering::SeqCst) != tok_gen {
-                return Err(obj.restarting_err());
+        let mut es = obj.lock_at_gen(entry, tok_gen)?;
+        let (call, remainder) = take_slot(&mut es, slot, awaited, "finish")?;
+        obj.stats.on_finish();
+        let reply = match failure {
+            None => {
+                let mut results = prefix;
+                results.extend(remainder);
+                Ok(results)
             }
-            let (call, remainder) = take_slot(&mut es, slot, awaited, "finish")?;
-            obj.stats.on_finish();
-            match failure {
-                None => {
-                    let mut results = prefix;
-                    results.extend(remainder);
-                    obj.complete(&call, Ok(results));
-                }
-                Some(msg) => {
-                    obj.complete(
-                        &call,
-                        Err(AlpsError::BodyFailed {
-                            entry: entry_name,
-                            message: msg,
-                        }),
-                    );
-                }
-            }
-            obj.free_slot_and_pull(&mut es, entry, slot)
+            Some(message) => Err(AlpsError::BodyFailed {
+                entry: obj.entries[entry].name.clone(),
+                message,
+            }),
         };
-        debug_assert!(dispatch.is_none(), "intercepted entries never self-start");
+        obj.complete(&call, reply);
+        obj.free_managed_slot(&mut es, entry, slot);
+        drop(es);
+        obj.release_cell(call);
         Ok(())
     }
 
@@ -830,17 +784,13 @@ impl ManagerCtx {
         // Commit point: combining's `complete` races caller cancels the
         // same way `finish` does.
         obj.rt.sim_point(CommitPoint::FinishCas);
-        let dispatch = {
-            let mut es = obj.estates[entry].st.lock();
-            if obj.generation.load(Ordering::SeqCst) != tok_gen {
-                return Err(obj.restarting_err());
-            }
-            let call = take_slot(&mut es, slot, accepted, "finish_accepted")?;
-            obj.stats.on_combine();
-            obj.complete(&call, Ok(results));
-            obj.free_slot_and_pull(&mut es, entry, slot)
-        };
-        debug_assert!(dispatch.is_none(), "intercepted entries never self-start");
+        let mut es = obj.lock_at_gen(entry, tok_gen)?;
+        let call = take_slot(&mut es, slot, accepted, "finish_accepted")?;
+        obj.stats.on_combine();
+        obj.complete(&call, Ok(results));
+        obj.free_managed_slot(&mut es, entry, slot);
+        drop(es);
+        obj.release_cell(call);
         Ok(())
     }
 
@@ -853,7 +803,7 @@ impl ManagerCtx {
     ///
     /// As the three underlying primitives; [`AlpsError::BodyFailed`] if
     /// the body failed (the caller receives the same error).
-    pub fn execute(&self, acc: AcceptedCall) -> Result<(Vec<Value>, Vec<Value>)> {
+    pub fn execute(&self, acc: AcceptedCall) -> Result<(ValVec, ValVec)> {
         let prefix = acc.params.clone();
         self.execute_with(acc, prefix, ValVec::new())
     }
@@ -869,7 +819,7 @@ impl ManagerCtx {
         acc: AcceptedCall,
         prefix: impl Into<ValVec>,
         hidden: impl Into<ValVec>,
-    ) -> Result<(Vec<Value>, Vec<Value>)> {
+    ) -> Result<(ValVec, ValVec)> {
         // `start`: Accepted → Started — but the body runs right here in
         // the manager's process instead of being handed to the pool. The
         // manager would block in `await` until the body finished anyway
@@ -881,7 +831,6 @@ impl ManagerCtx {
         let kr = def.intercept.map_or(0, |ic| ic.results);
         let pub_len = def.results.len();
         let outcome = obj.exec_checked_body(entry, slot, full);
-        let done_at = obj.rt.now();
         // Commit point, between body completion and the re-lock: the
         // fused `await; finish` below completes the caller, racing its
         // deadline cancel and any restart sweeping this slot.
@@ -898,9 +847,7 @@ impl ManagerCtx {
             // generation), and the manager body unwinds so the
             // supervisor can re-enter it.
             Slot::Abandoned => {
-                let dispatch = obj.free_slot_and_pull(&mut es, entry, slot);
-                debug_assert!(dispatch.is_none(), "intercepted entries never self-start");
-                drop(es);
+                obj.free_managed_slot(&mut es, entry, slot);
                 return Err(obj.restarting_err());
             }
             // Only shutdown can have swept the slot; the caller was
@@ -910,8 +857,6 @@ impl ManagerCtx {
                 return Err(obj.closed_err());
             }
         };
-        let t_started = call.t_start.load(Ordering::Relaxed);
-        obj.stats.on_service(done_at.saturating_sub(t_started));
         obj.stats.on_finish();
         let ret = match outcome {
             Ok(mut full_results) => {
@@ -923,27 +868,17 @@ impl ManagerCtx {
                 let hidden_out = full_results.split_off(pub_len);
                 let ret_prefix = ValVec::from_slice(&full_results[..kr]);
                 obj.complete(&call, Ok(full_results));
-                Ok((ret_prefix.into(), hidden_out.into()))
+                Ok((ret_prefix, hidden_out))
             }
             Err(message) => {
-                obj.stats.on_body_failure();
-                let entry_name = obj.entries[entry].name.clone();
-                obj.complete(
-                    &call,
-                    Err(AlpsError::BodyFailed {
-                        entry: entry_name.clone(),
-                        message: message.clone(),
-                    }),
-                );
-                Err(AlpsError::BodyFailed {
-                    entry: entry_name,
-                    message,
-                })
+                let failed = obj.body_failed(entry, message);
+                obj.complete(&call, Err(failed.clone()));
+                Err(failed)
             }
         };
-        let dispatch = obj.free_slot_and_pull(&mut es, entry, slot);
-        debug_assert!(dispatch.is_none(), "intercepted entries never self-start");
+        obj.free_managed_slot(&mut es, entry, slot);
         drop(es);
+        obj.release_cell(call);
         ret
     }
 }

@@ -34,9 +34,8 @@
 //!   two park/unpark round trips. Queued calls still dispatch to the pool
 //!   when a slot frees.
 //! * **[`CallCell`] recycling** — calls that do rendezvous (intercepted
-//!   entries, queued calls) draw their cell from a per-object free list;
-//!   the cell's old `times`/`st` mutex pair is collapsed into atomics plus
-//!   a oneshot result word.
+//!   entries, queued calls) draw their cell from a per-object free list,
+//!   and whichever of the caller and the manager lets go last returns it.
 //! * **Lock-split state** — each entry owns its own slot array, wait
 //!   queue, and lock ([`EntrySync`]), so unrelated entries do not contend;
 //!   `#P` reads an atomic index without locking anything.
@@ -50,7 +49,7 @@ use std::sync::Arc;
 use alps_runtime::{
     tuning, CommitPoint, IntakeRing, Notifier, Priority, ProcId, Runtime, Spawn, SpinWait,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::entry::EntryDef;
 use crate::error::{AlpsError, Result};
@@ -113,10 +112,8 @@ const CALL_CANCELLED: u32 = 2;
 /// clears the state word).
 const CALL_TOMBSTONE: u32 = 3;
 
-/// One in-flight rendezvous between a caller and the object.
-///
-/// The seed design carried two `Mutex`es per call (`times`, `st`); both
-/// are collapsed here into plain atomics plus a oneshot result cell:
+/// One in-flight rendezvous between a caller and the object: plain
+/// atomics plus a oneshot result cell.
 ///
 /// * `state` is the one-word call state. The happy path is a single
 ///   transition `CALL_WAITING → CALL_DONE`; a deadline-bounded caller may
@@ -151,8 +148,6 @@ pub(crate) struct CallCell {
     args: UnsafeCell<ValVec>,
     pub(crate) caller: ProcId,
     pub(crate) t_call: u64,
-    pub(crate) t_attach: AtomicU64,
-    pub(crate) t_start: AtomicU64,
     state: AtomicU32,
     waiting: AtomicBool,
     result: UnsafeCell<Option<Result<ValVec>>>,
@@ -174,8 +169,6 @@ impl CallCell {
             args: UnsafeCell::new(args),
             caller,
             t_call,
-            t_attach: AtomicU64::new(0),
-            t_start: AtomicU64::new(0),
             state: AtomicU32::new(CALL_WAITING),
             waiting: AtomicBool::new(false),
             result: UnsafeCell::new(None),
@@ -280,8 +273,6 @@ impl CallCell {
         *self.args.get_mut() = args;
         self.caller = caller;
         self.t_call = t_call;
-        *self.t_attach.get_mut() = 0;
-        *self.t_start.get_mut() = 0;
         *self.state.get_mut() = CALL_WAITING;
         *self.waiting.get_mut() = false;
         *self.result.get_mut() = None;
@@ -540,7 +531,10 @@ impl ObjectInner {
     }
 
     /// Return a finished cell to the free list if no other clone survives.
-    fn release_cell(&self, call: Arc<CallCell>) {
+    /// The caller and the manager completing its call both let go through
+    /// here, so whichever is last recycles the cell; only when both let go
+    /// at once does neither see itself last, and the cell is freed.
+    pub(crate) fn release_cell(&self, call: Arc<CallCell>) {
         if Arc::strong_count(&call) != 1 {
             return;
         }
@@ -614,9 +608,6 @@ impl ObjectInner {
         i: usize,
         call: Arc<CallCell>,
     ) -> Option<(usize, ValVec)> {
-        let now = self.rt.now();
-        call.t_attach.store(now, Ordering::Relaxed);
-        self.stats.on_attach(now.saturating_sub(call.t_call));
         let def = &self.entries[entry];
         if def.intercept.is_some() {
             es.slots[i] = Slot::Attached { call };
@@ -629,7 +620,6 @@ impl ObjectInner {
             // intercept prefix is empty, so the body takes the full
             // argument tuple — moved out of the cell, not cloned: nobody
             // reads `args` once the slot is `Started`.
-            call.t_start.store(now, Ordering::Relaxed);
             let params = call.take_args();
             es.slots[i] = Slot::Started { call };
             self.stats.on_implicit_start();
@@ -652,6 +642,26 @@ impl ObjectInner {
         } else {
             None
         }
+    }
+
+    /// [`free_slot_and_pull`](Self::free_slot_and_pull) for an
+    /// intercepted entry, whose next queued call only attaches: it never
+    /// self-starts.
+    pub(crate) fn free_managed_slot(self: &Arc<Self>, es: &mut EntryState, entry: usize, i: usize) {
+        let dispatch = self.free_slot_and_pull(es, entry, i);
+        debug_assert!(dispatch.is_none(), "intercepted entries never self-start");
+    }
+
+    /// Lock `entry` for a manager step taken under restart generation
+    /// `gen`. Refused with [`AlpsError::ObjectRestarting`] once a restart
+    /// has bumped the generation: its sweep answered the token's caller,
+    /// and the slot may belong to the new generation now.
+    pub(crate) fn lock_at_gen(&self, entry: usize, gen: u64) -> Result<MutexGuard<'_, EntryState>> {
+        let es = self.estates[entry].st.lock();
+        if self.generation.load(Ordering::SeqCst) != gen {
+            return Err(self.restarting_err());
+        }
+        Ok(es)
     }
 
     /// Hand a started slot's execution to the pool.
@@ -723,6 +733,15 @@ impl ObjectInner {
         }
     }
 
+    /// What the caller of a failed body receives, the failure counted.
+    pub(crate) fn body_failed(&self, entry: usize, message: String) -> AlpsError {
+        self.stats.on_body_failure();
+        AlpsError::BodyFailed {
+            entry: self.entries[entry].name.clone(),
+            message,
+        }
+    }
+
     /// Record a body's completion: intercepted entries become `Ready` for
     /// the manager; implicit entries answer the caller directly.
     fn body_done(
@@ -731,66 +750,38 @@ impl ObjectInner {
         slot: usize,
         outcome: std::result::Result<ValVec, String>,
     ) {
-        let mut dispatch = None;
-        let mut made_ready = false;
-        {
-            let sync = &self.estates[entry];
-            let mut es = sync.st.lock();
-            let s = &mut es.slots[slot];
-            let call = match std::mem::replace(s, Slot::Free) {
-                Slot::Started { call } => call,
-                Slot::Abandoned => {
-                    // The manager cancelled this call mid-body: the caller
-                    // was already answered, so the outcome is discarded and
-                    // the slot simply frees up for the next queued call.
-                    let dispatch = self.free_slot_and_pull(&mut es, entry, slot);
-                    drop(es);
-                    if let Some((i, params)) = dispatch {
-                        self.dispatch_body(entry, i, params);
-                    }
-                    return;
-                }
-                other => {
-                    // Object likely shut down underneath the body.
-                    *s = other;
-                    return;
-                }
-            };
-            let now = self.rt.now();
-            let started = call.t_start.load(Ordering::Relaxed);
-            self.stats.on_service(now.saturating_sub(started));
-            let def = &self.entries[entry];
-            if def.intercept.is_some() {
+        let sync = &self.estates[entry];
+        let mut es = sync.st.lock();
+        let s = &mut es.slots[slot];
+        let dispatch = match std::mem::replace(s, Slot::Free) {
+            Slot::Started { call } if self.entries[entry].intercept.is_some() => {
                 if outcome.is_err() {
                     self.stats.on_body_failure();
                 }
-                es.slots[slot] = Slot::Ready { call, outcome };
+                *s = Slot::Ready { call, outcome };
                 sync.ready.fetch_add(1, Ordering::SeqCst);
-                made_ready = true;
-            } else {
-                match outcome {
-                    Ok(results) => {
-                        self.complete(&call, Ok(results));
-                    }
-                    Err(msg) => {
-                        self.stats.on_body_failure();
-                        self.complete(
-                            &call,
-                            Err(AlpsError::BodyFailed {
-                                entry: def.name.clone(),
-                                message: msg,
-                            }),
-                        );
-                    }
-                }
-                dispatch = self.free_slot_and_pull(&mut es, entry, slot);
+                drop(es);
+                // Outside the entry lock: the notifier takes its own lock
+                // only when someone is parked.
+                self.notifier.notify(&self.rt);
+                return;
             }
-        }
-        if made_ready {
-            // Outside the entry lock: the notifier takes its own lock only
-            // when someone is parked.
-            self.notifier.notify(&self.rt);
-        }
+            Slot::Started { call } => {
+                let reply = outcome.map_err(|message| self.body_failed(entry, message));
+                self.complete(&call, reply);
+                self.free_slot_and_pull(&mut es, entry, slot)
+            }
+            // The manager cancelled this call mid-body: the caller was
+            // already answered, so the outcome is discarded and the slot
+            // simply frees up for the next queued call.
+            Slot::Abandoned => self.free_slot_and_pull(&mut es, entry, slot),
+            // Object likely shut down underneath the body.
+            other => {
+                *s = other;
+                return;
+            }
+        };
+        drop(es);
         if let Some((i, params)) = dispatch {
             self.dispatch_body(entry, i, params);
         }
@@ -959,7 +950,7 @@ impl ObjectInner {
             // ourselves.
             std::sync::atomic::fence(Ordering::SeqCst);
             if self.is_closed() {
-                self.sweep_intake();
+                self.fail_intake(|| self.closed_err());
             }
         }
         let r = match deadline {
@@ -1100,7 +1091,7 @@ impl ObjectInner {
 
     /// Classify one popped intake item into its entry's slot array or
     /// wait queue. Runs under the `intake_drain` lock.
-    fn drain_classify(&self, now: u64, eidx: u32, call: Arc<CallCell>) {
+    fn drain_classify(&self, eidx: u32, call: Arc<CallCell>) {
         let entry = eidx as usize;
         let sync = &self.estates[entry];
         // A cancelled cell is a tombstone, not a stale call: the
@@ -1130,8 +1121,6 @@ impl ObjectInner {
             self.complete(&call, Err(self.closed_err()));
             return;
         }
-        call.t_attach.store(now, Ordering::Relaxed);
-        self.stats.on_attach(now.saturating_sub(call.t_call));
         let free = if es.waitq.is_empty() {
             es.slots.iter().position(|s| matches!(s, Slot::Free))
         } else {
@@ -1174,11 +1163,10 @@ impl ObjectInner {
         // OS-block a rival that holds the simulated CPU.
         self.rt.sim_point(CommitPoint::RingDrain);
         let _g = self.intake_drain.lock();
-        let now = self.rt.now();
         let mut drained = 0u64;
         while let Some((eidx, call)) = self.intake.pop() {
             drained += 1;
-            self.drain_classify(now, eidx, call);
+            self.drain_classify(eidx, call);
         }
         if drained > 0 {
             self.stats.on_drain(drained);
@@ -1199,21 +1187,23 @@ impl ObjectInner {
         }
     }
 
-    /// Fail every published cell still in the intake ring (shutdown path
-    /// and producers that observed `closed` after their push).
-    pub(crate) fn sweep_intake(&self) {
+    /// Fail every published cell still in the intake ring with `err()`:
+    /// the shutdown sweep, a producer that observed `closed` after its
+    /// push, and a restart failing its in-flight calls. A cancelled cell
+    /// loses `complete`'s CAS and is reaped there.
+    pub(crate) fn fail_intake(&self, err: impl Fn() -> AlpsError) {
         let _g = self.intake_drain.lock();
         let mut popped = false;
         while let Some((eidx, call)) = self.intake.pop() {
             self.estates[eidx as usize]
                 .in_ring
                 .fetch_sub(1, Ordering::SeqCst);
-            self.complete(&call, Err(self.closed_err()));
+            self.complete(&call, Err(err()));
             popped = true;
         }
         if popped {
             // Backpressured producers must not stay parked on a ring that
-            // will never drain again.
+            // will not drain for them.
             self.space_notifier.notify(&self.rt);
         }
     }
@@ -1299,20 +1289,7 @@ impl ObjectInner {
     fn restart_sweep(self: &Arc<Self>, on: OnRestart) {
         let fail_unseen = matches!(on, OnRestart::FailInFlight);
         if fail_unseen {
-            let _g = self.intake_drain.lock();
-            while let Some((eidx, call)) = self.intake.pop() {
-                self.estates[eidx as usize]
-                    .in_ring
-                    .fetch_sub(1, Ordering::SeqCst);
-                if call.is_cancelled() {
-                    if call.claim_tombstone() {
-                        self.stats.on_reap();
-                    }
-                    self.release_cell(call);
-                } else {
-                    self.complete(&call, Err(self.restarting_err()));
-                }
-            }
+            self.fail_intake(|| self.restarting_err());
         }
         for (entry, sync) in self.estates.iter().enumerate() {
             let mut victims: Vec<Arc<CallCell>> = Vec::new();
@@ -1398,14 +1375,8 @@ impl ObjectInner {
         args: ValVec,
         t_call: u64,
     ) -> Result<ValVec> {
-        // The slot was free when we got here, so the attach wait is ~0;
-        // reuse `t_call` as the start time instead of reading the clock
-        // again.
-        self.stats.on_attach(0);
         self.stats.on_implicit_start();
         let outcome = self.exec_checked_body(entry, slot, args);
-        let done_at = self.rt.now();
-        self.stats.on_service(done_at.saturating_sub(t_call));
         let dispatch = {
             let mut es = self.estates[entry].st.lock();
             match es.slots[slot] {
@@ -1418,19 +1389,11 @@ impl ObjectInner {
         if let Some((i, params)) = dispatch {
             self.dispatch_body(entry, i, params);
         }
-        match outcome {
-            Ok(results) => {
-                self.stats.on_complete(done_at.saturating_sub(t_call));
-                Ok(results)
-            }
-            Err(msg) => {
-                self.stats.on_body_failure();
-                Err(AlpsError::BodyFailed {
-                    entry: self.entries[entry].name.clone(),
-                    message: msg,
-                })
-            }
-        }
+        let results = outcome.map_err(|message| self.body_failed(entry, message))?;
+        // As in `complete`: the latency clock stops once the reply is in
+        // hand.
+        self.stats.on_complete(self.rt.now().saturating_sub(t_call));
+        Ok(results)
     }
 
     /// `#P`: attached-but-unaccepted plus queued calls, plus calls still
@@ -1456,7 +1419,7 @@ impl ObjectInner {
         // `call_protocol`. `in_ring` is decremented per popped item, never
         // zeroed, precisely because such in-flight producers still own
         // their increment.
-        self.sweep_intake();
+        self.fail_intake(|| self.closed_err());
         let mut victims: Vec<Arc<CallCell>> = Vec::new();
         for sync in &self.estates {
             let mut es = sync.st.lock();

@@ -40,9 +40,9 @@ use std::sync::Arc;
 use alps_runtime::{tuning, WaitOutcome};
 
 use crate::error::{AlpsError, Result};
-use crate::manager::{AcceptedCall, ReadyEntry};
+use crate::manager::{commit_accept, commit_await, AcceptedCall, ReadyEntry};
 use crate::object::{ObjectInner, Slot};
-use crate::value::{ChanValue, Value};
+use crate::value::{ChanValue, ValVec, Value};
 
 /// Read-only view handed to `when`/`pri` closures while a candidate's
 /// entry is locked: the candidate's slot index and visible values, plus
@@ -63,7 +63,11 @@ impl fmt::Debug for GuardView<'_> {
     }
 }
 
-impl GuardView<'_> {
+impl<'s> GuardView<'s> {
+    fn of(obj: &'s ObjectInner, slot: usize, values: &'s [Value]) -> GuardView<'s> {
+        GuardView { slot, values, obj }
+    }
+
     /// Procedure-array index of the candidate (0-based; the paper writes
     /// `P[1..N]`, the embedded API uses `0..N`).
     pub fn slot(&self) -> usize {
@@ -157,6 +161,28 @@ pub(crate) enum GuardKind {
     },
 }
 
+impl GuardKind {
+    /// The guard-resolution step of every select: the entry index an
+    /// `accept`/`await` guard names (`None` for other guards). A guard on
+    /// one array element is refused here when the entry has no such
+    /// element — it could never fire, and its select would wait forever.
+    fn resolve(&self, obj: &ObjectInner) -> Result<Option<usize>> {
+        let (verb, entry, slot) = match self {
+            GuardKind::Accept { entry, slot } => ("accept", entry, slot),
+            GuardKind::AwaitDone { entry, slot } => ("await", entry, slot),
+            GuardKind::Receive { .. } | GuardKind::When { .. } => return Ok(None),
+        };
+        let idx = entry.resolve(obj)?;
+        let def = &obj.entries[idx];
+        match slot {
+            Some(i) if *i >= def.array => Err(AlpsError::ProtocolViolation {
+                reason: format!("{verb} {}[{i}]: no such array element", def.name),
+            }),
+            _ => Ok(Some(idx)),
+        }
+    }
+}
+
 /// One guarded alternative of a [`select`](crate::ManagerCtx::select).
 ///
 /// # Examples
@@ -196,7 +222,7 @@ impl fmt::Debug for Guard<'_> {
 }
 
 impl<'a> Guard<'a> {
-    fn new(kind: GuardKind) -> Guard<'a> {
+    pub(crate) fn new(kind: GuardKind) -> Guard<'a> {
         Guard {
             kind,
             when: None,
@@ -286,6 +312,17 @@ impl<'a> Guard<'a> {
     pub fn pri_const(self, v: i64) -> Self {
         self.pri(move |_| v)
     }
+
+    /// Whether the acceptance condition admits the alternative `view`
+    /// shows; a guard without one admits every alternative.
+    fn admits(&self, view: &GuardView<'_>) -> bool {
+        self.when.as_ref().is_none_or(|f| f(view))
+    }
+
+    /// The `pri` of the alternative `view` shows; 0 without `pri`.
+    fn rank(&self, view: &GuardView<'_>) -> i64 {
+        self.pri.as_ref().map_or(0, |f| f(view))
+    }
 }
 
 /// The alternative a [`select`](crate::ManagerCtx::select) chose.
@@ -324,6 +361,22 @@ pub enum Selected {
 }
 
 impl Selected {
+    /// The call a single `accept` guard's select accepted.
+    pub(crate) fn into_accepted(self) -> AcceptedCall {
+        let Selected::Accepted { call, .. } = self else {
+            unreachable!("single accept guard")
+        };
+        call
+    }
+
+    /// The execution a single `await` guard's select found ready.
+    pub(crate) fn into_ready(self) -> ReadyEntry {
+        let Selected::Ready { done, .. } = self else {
+            unreachable!("single await guard")
+        };
+        done
+    }
+
     /// Index of the guard that fired, in listing order.
     pub fn guard_index(&self) -> usize {
         match self {
@@ -335,49 +388,41 @@ impl Selected {
     }
 }
 
-enum CandAction {
-    Accept { entry: usize, slot: usize },
-    Await { entry: usize, slot: usize },
-    Receive,
-    Cond,
-}
-
+/// The best eligible alternative so far: the guard's kind says what
+/// committing it means.
 struct Candidate {
     pri: i64,
     guard: usize,
     slot: usize,
-    action: CandAction,
 }
 
-fn consider(best: &mut Option<Candidate>, c: Candidate) {
-    let better = match best {
-        None => true,
-        Some(b) => (c.pri, c.guard, c.slot) < (b.pri, b.guard, b.slot),
-    };
-    if better {
-        *best = Some(c);
+/// Keep the smaller of `best` and the alternative `(pri, guard, slot)`:
+/// ties on `pri` break by guard listing order, then slot index.
+fn consider(best: &mut Option<Candidate>, pri: i64, guard: usize, slot: usize) {
+    if best
+        .as_ref()
+        .is_none_or(|b| (pri, guard, slot) < (b.pri, b.guard, b.slot))
+    {
+        *best = Some(Candidate { pri, guard, slot });
     }
 }
+
+/// Selects with at most this many guards keep their resolved entry
+/// indices on the stack.
+const INLINE_GUARDS: usize = 8;
 
 /// Run one select: block until a guard fires or all guards close.
 /// `gen` is the restart generation of the selecting manager context; a
 /// supervised restart bumps it, failing the select with
 /// [`AlpsError::ObjectRestarting`] before any stale commit.
+///
+/// `deadline` is `(absolute expiry, budget)`. When the expiry passes
+/// before any guard fires, the select fails with [`AlpsError::Timeout`]
+/// (callers rewrite `what` to name their wait). The deadline bounds
+/// *waiting* only — a guard that is already eligible is still committed
+/// even if the deadline has technically passed, so a zero-tick deadline
+/// degenerates to a non-blocking poll.
 pub(crate) fn run_select(
-    obj: &Arc<ObjectInner>,
-    guards: &[Guard<'_>],
-    gen: u64,
-) -> Result<Selected> {
-    run_select_deadline(obj, guards, None, gen)
-}
-
-/// [`run_select`] with an optional deadline: `(absolute expiry, budget)`.
-/// When the expiry passes before any guard fires, the select fails with
-/// [`AlpsError::Timeout`] (callers rewrite `what` to name their wait).
-/// The deadline bounds *waiting* only — a guard that is already eligible
-/// is still committed even if the deadline has technically passed, so a
-/// zero-tick deadline degenerates to a non-blocking poll.
-pub(crate) fn run_select_deadline(
     obj: &Arc<ObjectInner>,
     guards: &[Guard<'_>],
     deadline: Option<(u64, u64)>,
@@ -386,15 +431,17 @@ pub(crate) fn run_select_deadline(
     if guards.is_empty() {
         return Err(AlpsError::SelectFailed);
     }
-    // Resolve entry names once.
-    let mut resolved: Vec<Option<usize>> = Vec::with_capacity(guards.len());
-    for g in guards {
-        match &g.kind {
-            GuardKind::Accept { entry, .. } | GuardKind::AwaitDone { entry, .. } => {
-                resolved.push(Some(entry.resolve(obj)?));
-            }
-            _ => resolved.push(None),
-        }
+    // Resolve entry names once, on the stack for up to `INLINE_GUARDS`.
+    let mut inline = [None; INLINE_GUARDS];
+    let mut spilled = Vec::new();
+    let resolved: &mut [Option<usize>] = if guards.len() <= INLINE_GUARDS {
+        &mut inline[..guards.len()]
+    } else {
+        spilled.resize(guards.len(), None);
+        &mut spilled
+    };
+    for (r, g) in resolved.iter_mut().zip(guards) {
+        *r = g.kind.resolve(obj)?;
     }
     loop {
         if obj.is_closed() {
@@ -419,217 +466,110 @@ pub(crate) fn run_select_deadline(
         let mut best: Option<Candidate> = None;
         for (gi, g) in guards.iter().enumerate() {
             match &g.kind {
-                GuardKind::Accept { slot, .. } => {
+                GuardKind::Accept { slot, .. } | GuardKind::AwaitDone { slot, .. } => {
                     all_closed = false;
+                    let accept = matches!(g.kind, GuardKind::Accept { .. });
                     let entry = resolved[gi].expect("resolved above");
                     let sync = &obj.estates[entry];
-                    // Lock-free pre-check: no attached call, nothing to
-                    // evaluate. A call attaching after this load bumps the
-                    // notifier epoch, so `wait_past` below cannot sleep
-                    // through it.
-                    if sync.attached.load(Ordering::SeqCst) == 0 {
-                        continue;
-                    }
-                    let k = obj.entries[entry]
-                        .intercept
-                        .map(|ic| ic.params)
-                        .unwrap_or(0);
-                    let es = sync.st.lock();
-                    for (i, s) in es.slots.iter().enumerate() {
-                        if slot.is_some() && *slot != Some(i) {
-                            continue;
-                        }
-                        let Slot::Attached { call } = s else {
-                            continue;
-                        };
-                        let view = GuardView {
-                            slot: i,
-                            values: &call.args()[..k],
-                            obj,
-                        };
-                        if g.when.as_ref().map(|f| f(&view)).unwrap_or(true) {
-                            let pri = g.pri.as_ref().map(|f| f(&view)).unwrap_or(0);
-                            consider(
-                                &mut best,
-                                Candidate {
-                                    pri,
-                                    guard: gi,
-                                    slot: i,
-                                    action: CandAction::Accept { entry, slot: i },
-                                },
-                            );
-                        }
-                    }
-                }
-                GuardKind::AwaitDone { slot, .. } => {
-                    all_closed = false;
-                    let entry = resolved[gi].expect("resolved above");
-                    let sync = &obj.estates[entry];
-                    if sync.ready.load(Ordering::SeqCst) == 0 {
+                    // Lock-free pre-check: no attached call (no ready
+                    // body), nothing to evaluate. One arriving after this
+                    // load bumps the notifier epoch, so the wait below
+                    // cannot sleep through it.
+                    let present = if accept { &sync.attached } else { &sync.ready };
+                    if present.load(Ordering::SeqCst) == 0 {
                         continue;
                     }
                     let def = &obj.entries[entry];
-                    let kr = def.intercept.map(|ic| ic.results).unwrap_or(0);
-                    let pub_len = def.results.len();
+                    let ic = def.intercept.unwrap_or_default();
                     let es = sync.st.lock();
                     for (i, s) in es.slots.iter().enumerate() {
-                        if slot.is_some() && *slot != Some(i) {
+                        if slot.is_some_and(|want| want != i) {
                             continue;
                         }
-                        let Slot::Ready { outcome, .. } = s else {
-                            continue;
-                        };
-                        // Visible values: intercepted result prefix +
-                        // hidden results; a failed body is always
-                        // eligible so the manager can clean up.
-                        let visible: Vec<Value> = match outcome {
-                            Ok(full) => {
-                                let mut v = full[..kr.min(full.len())].to_vec();
-                                if full.len() >= pub_len {
-                                    v.extend(full[pub_len..].iter().cloned());
-                                }
-                                v
+                        // Visible values: an attached call's intercepted
+                        // parameters; a ready body's intercepted result
+                        // prefix and hidden results. A failed body shows
+                        // none and is always eligible, so the manager can
+                        // clean up.
+                        let ready: ValVec;
+                        let (values, failed): (&[Value], _) = match s {
+                            Slot::Attached { call } if accept => (&call.args()[..ic.params], false),
+                            Slot::Ready {
+                                outcome: Ok(full), ..
+                            } if !accept => {
+                                let hidden = &full[def.results.len()..];
+                                ready = full[..ic.results].iter().chain(hidden).cloned().collect();
+                                (&ready, false)
                             }
-                            Err(_) => Vec::new(),
+                            Slot::Ready {
+                                outcome: Err(_), ..
+                            } if !accept => (&[], true),
+                            _ => continue,
                         };
-                        let view = GuardView {
-                            slot: i,
-                            values: &visible,
-                            obj,
-                        };
-                        let eligible = match outcome {
-                            Err(_) => true,
-                            Ok(_) => g.when.as_ref().map(|f| f(&view)).unwrap_or(true),
-                        };
-                        if eligible {
-                            let pri = g.pri.as_ref().map(|f| f(&view)).unwrap_or(0);
-                            consider(
-                                &mut best,
-                                Candidate {
-                                    pri,
-                                    guard: gi,
-                                    slot: i,
-                                    action: CandAction::Await { entry, slot: i },
-                                },
-                            );
+                        let view = GuardView::of(obj, i, values);
+                        if failed || g.admits(&view) {
+                            consider(&mut best, g.rank(&view), gi, i);
                         }
                     }
                 }
                 GuardKind::Receive { chan } => {
-                    let found = chan.raw().peek_with(|it| {
-                        for msg in it {
-                            let view = GuardView {
-                                slot: 0,
-                                values: msg,
-                                obj,
-                            };
-                            if g.when.as_ref().map(|f| f(&view)).unwrap_or(true) {
-                                let pri = g.pri.as_ref().map(|f| f(&view)).unwrap_or(0);
-                                return Some(pri);
+                    let found = chan.raw().peek_with(|msgs| {
+                        for msg in msgs {
+                            let view = GuardView::of(obj, 0, msg);
+                            if g.admits(&view) {
+                                return Some(g.rank(&view));
                             }
                         }
                         None
                     });
-                    match found {
-                        Some(pri) => {
-                            all_closed = false;
-                            consider(
-                                &mut best,
-                                Candidate {
-                                    pri,
-                                    guard: gi,
-                                    slot: 0,
-                                    action: CandAction::Receive,
-                                },
-                            );
-                        }
-                        None => {
-                            if !chan.is_closed() {
-                                all_closed = false;
-                            }
-                        }
+                    if found.is_some() || !chan.is_closed() {
+                        all_closed = false;
+                    }
+                    if let Some(pri) = found {
+                        consider(&mut best, pri, gi, 0);
                     }
                 }
                 GuardKind::When { cond } => {
                     if *cond {
                         all_closed = false;
-                        let view = GuardView {
-                            slot: 0,
-                            values: &[],
-                            obj,
-                        };
-                        let pri = g.pri.as_ref().map(|f| f(&view)).unwrap_or(0);
-                        consider(
-                            &mut best,
-                            Candidate {
-                                pri,
-                                guard: gi,
-                                slot: 0,
-                                action: CandAction::Cond,
-                            },
-                        );
+                        consider(&mut best, g.rank(&GuardView::of(obj, 0, &[])), gi, 0);
                     }
                 }
             }
         }
         let had_candidate = best.is_some();
-        let chosen: Option<Selected> = match best {
+        let chosen = match best {
             None => None,
-            Some(c) => match c.action {
-                CandAction::Accept { entry, slot } => {
-                    // Commit under a fresh acquisition of the entry lock.
-                    // The manager is the sole consumer of attached slots,
-                    // so only shutdown can have invalidated the candidate;
-                    // the retry loop then reports ObjectClosed.
-                    let mut es = obj.estates[entry].st.lock();
-                    if obj.generation.load(Ordering::SeqCst) != gen {
-                        return Err(obj.restarting_err());
+            Some(Candidate { guard, slot, .. }) => {
+                let g = &guards[guard];
+                match &g.kind {
+                    GuardKind::Accept { .. } | GuardKind::AwaitDone { .. } => {
+                        // Commit under a fresh acquisition of the entry
+                        // lock. The manager is the sole consumer of
+                        // attached and ready slots, so only shutdown can
+                        // have invalidated the candidate; the retry loop
+                        // then reports ObjectClosed.
+                        let entry = resolved[guard].expect("resolved above");
+                        let mut es = obj.lock_at_gen(entry, gen)?;
+                        match (&g.kind, &es.slots[slot]) {
+                            (GuardKind::Accept { .. }, Slot::Attached { .. }) => {
+                                let call = commit_accept(obj, &mut es, entry, slot, gen);
+                                Some(Selected::Accepted { guard, call })
+                            }
+                            (GuardKind::AwaitDone { .. }, Slot::Ready { .. }) => {
+                                let done = commit_await(obj, &mut es, entry, slot, gen);
+                                Some(Selected::Ready { guard, done })
+                            }
+                            _ => None,
+                        }
                     }
-                    if matches!(es.slots[slot], Slot::Attached { .. }) {
-                        let call = crate::manager::commit_accept(obj, &mut es, entry, slot, gen);
-                        Some(Selected::Accepted {
-                            guard: c.guard,
-                            call,
-                        })
-                    } else {
-                        None
-                    }
+                    GuardKind::Receive { chan } => chan
+                        .raw()
+                        .recv_match(&obj.rt, |m| g.admits(&GuardView::of(obj, 0, m)))
+                        .map(|msg| Selected::Received { guard, msg }),
+                    GuardKind::When { .. } => Some(Selected::Cond { guard }),
                 }
-                CandAction::Await { entry, slot } => {
-                    let mut es = obj.estates[entry].st.lock();
-                    if obj.generation.load(Ordering::SeqCst) != gen {
-                        return Err(obj.restarting_err());
-                    }
-                    if matches!(es.slots[slot], Slot::Ready { .. }) {
-                        let done = crate::manager::commit_await(obj, &mut es, entry, slot, gen);
-                        Some(Selected::Ready {
-                            guard: c.guard,
-                            done,
-                        })
-                    } else {
-                        None
-                    }
-                }
-                CandAction::Receive => {
-                    let GuardKind::Receive { chan } = &guards[c.guard].kind else {
-                        unreachable!()
-                    };
-                    let g = &guards[c.guard];
-                    let msg = chan.raw().recv_match(&obj.rt, |m| {
-                        let view = GuardView {
-                            slot: 0,
-                            values: m,
-                            obj,
-                        };
-                        g.when.as_ref().map(|f| f(&view)).unwrap_or(true)
-                    });
-                    msg.map(|m| Selected::Received {
-                        guard: c.guard,
-                        msg: m,
-                    })
-                }
-                CandAction::Cond => Some(Selected::Cond { guard: c.guard }),
-            },
+            }
         };
         if let Some(sel) = chosen {
             return Ok(sel);

@@ -1,7 +1,11 @@
-//! Per-object instrumentation.
-//!
-//! The benchmark harness (EXPERIMENTS.md) and property tests read these
-//! counters and histograms; the hot paths only touch atomics.
+//! Per-object instrumentation: counters of protocol events (calls,
+//! accepts, starts, finishes, timeouts, restarts, …) and two histograms,
+//! end-to-end call latency and the intake drain batch. Recording touches
+//! only atomics. The manager's side of a call reads no clock: the caller
+//! stamps `call_latency`'s start, and it stops once the reply is
+//! published. Per-stage times of a call are the wall-clock benchmark's
+//! (`crates/benchmark`) own trace stamps; it reads the counters and the
+//! drain batch here, and tests and the examples read the rest.
 
 use std::fmt;
 use std::sync::Arc;
@@ -24,9 +28,6 @@ struct StatsInner {
     combines: Counter,
     implicit_starts: Counter,
     body_failures: Counter,
-    attach_wait: Histogram,
-    accept_wait: Histogram,
-    service_time: Histogram,
     call_latency: Histogram,
     mgr_wakeups: Counter,
     drain_batch: Histogram,
@@ -75,18 +76,6 @@ impl ObjectStats {
     /// Entry bodies that failed (error return or panic).
     pub fn body_failures(&self) -> u64 {
         self.inner.body_failures.get()
-    }
-    /// Ticks from call arrival to attachment on a procedure-array slot.
-    pub fn attach_wait(&self) -> &Histogram {
-        &self.inner.attach_wait
-    }
-    /// Ticks from attachment to manager `accept`.
-    pub fn accept_wait(&self) -> &Histogram {
-        &self.inner.accept_wait
-    }
-    /// Ticks from `start` to readiness-to-terminate.
-    pub fn service_time(&self) -> &Histogram {
-        &self.inner.service_time
     }
     /// End-to-end ticks from call to reply.
     pub fn call_latency(&self) -> &Histogram {
@@ -164,12 +153,8 @@ impl ObjectStats {
     pub(crate) fn on_call(&self) {
         self.inner.calls.incr();
     }
-    pub(crate) fn on_accept(&self, waited: u64) {
+    pub(crate) fn on_accept(&self) {
         self.inner.accepts.incr();
-        self.inner.accept_wait.record(waited);
-    }
-    pub(crate) fn on_attach(&self, waited: u64) {
-        self.inner.attach_wait.record(waited);
     }
     pub(crate) fn on_start(&self) {
         self.inner.starts.incr();
@@ -185,9 +170,6 @@ impl ObjectStats {
     }
     pub(crate) fn on_body_failure(&self) {
         self.inner.body_failures.incr();
-    }
-    pub(crate) fn on_service(&self, ticks: u64) {
-        self.inner.service_time.record(ticks);
     }
     pub(crate) fn on_complete(&self, latency: u64) {
         self.inner.call_latency.record(latency);
@@ -270,17 +252,16 @@ mod tests {
         let s = ObjectStats::new();
         assert_eq!(s.calls(), 0);
         s.on_call();
-        s.on_accept(5);
+        s.on_accept();
         s.on_start();
-        s.on_service(10);
         s.on_finish();
         s.on_complete(20);
         assert_eq!(s.calls(), 1);
         assert_eq!(s.accepts(), 1);
         assert_eq!(s.starts(), 1);
         assert_eq!(s.finishes(), 1);
-        assert_eq!(s.service_time().count(), 1);
         assert_eq!(s.call_latency().count(), 1);
+        assert_eq!(s.call_latency().max(), 20);
     }
 
     #[test]

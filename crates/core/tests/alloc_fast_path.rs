@@ -1,16 +1,22 @@
-//! Steady-state allocation accounting for the `call_with` fast path.
+//! Steady-state allocation accounting for the `call_with` fast path and
+//! the manager's side of a managed call.
 //!
 //! The interned-id call path is meant to be allocation-free once warm:
 //! args and results ride in `ValVec` inline storage (arity ≤ 4), implicit
 //! entries execute inline in the caller without a `CallCell`, and managed
-//! entries recycle cells through the per-object pool. This test installs
-//! a counting global allocator and asserts a zero allocation delta across
-//! a burst of warm implicit `call_with` invocations under each `Wait`.
+//! entries recycle cells through the per-object pool. The manager's
+//! `accept` selects over one index guard on the stack and `execute`
+//! hands its results back as `ValVec`s. These tests install a counting
+//! global allocator and assert a zero allocation delta across a burst of
+//! warm implicit `call_with` invocations under each `Wait`, and across
+//! warm managed `accept` → `execute` round trips on both executors.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::Arc;
 
-use alps_core::{argv, EntryDef, ObjectBuilder, RetryPolicy, Value, Wait};
+use alps_core::{argv, EntryDef, ObjectBuilder, RetryPolicy, Ty, Value, Wait};
 use alps_runtime::Runtime;
 
 struct CountingAlloc;
@@ -21,23 +27,25 @@ thread_local! {
     // unwinding processes of a test that just shut down allocate at
     // times of their own. Const-initialised and without destructors, so
     // the allocator may read them at any point of a thread's life.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static OPEN_WINDOWS: Cell<u32> = const { Cell::new(0) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn note_alloc() {
-    if COUNTING.get() {
+    if OPEN_WINDOWS.get() > 0 {
         ALLOCS.set(ALLOCS.get() + 1);
     }
 }
 
-/// Allocations the calling thread makes while it runs `f`.
+/// Allocations the calling thread makes while it runs `f`. Tasks sharing
+/// a pool worker may open windows that interleave; each then counts
+/// every allocation the thread makes while it is open.
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    ALLOCS.set(0);
-    COUNTING.set(true);
+    let before = ALLOCS.get();
+    OPEN_WINDOWS.set(OPEN_WINDOWS.get() + 1);
     f();
-    COUNTING.set(false);
-    ALLOCS.get()
+    OPEN_WINDOWS.set(OPEN_WINDOWS.get() - 1);
+    ALLOCS.get() - before
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -76,8 +84,8 @@ fn warm_call_with_allocates_nothing_under_every_wait() {
     let obj = ObjectBuilder::new("Plain")
         .entry(
             EntryDef::new("Echo")
-                .params([alps_core::Ty::Int])
-                .results([alps_core::Ty::Int])
+                .params([Ty::Int])
+                .results([Ty::Int])
                 .body(|_ctx, args| Ok(argv![args[0].clone()])),
         )
         .spawn(&rt)
@@ -112,4 +120,71 @@ fn warm_call_with_allocates_nothing_under_every_wait() {
 
     obj.shutdown();
     rt.shutdown();
+}
+
+const WARM: usize = 64;
+const MEASURED: usize = 1000;
+
+/// The manager's side of a warm `accept` → `execute` round trip allocates
+/// nothing, on either executor. The caller and the manager each count
+/// their own thread over round trips `WARM + 1 ..= WARM + MEASURED`. On a
+/// one-worker pool both are tasks on the same thread, so either count
+/// covers both sides, and both must be zero. On threads the caller is not
+/// held to zero: when it and the manager let go of the call cell at the
+/// same moment, neither sees itself last, and the cell is freed instead
+/// of recycled.
+#[test]
+fn warm_managed_round_trip_allocates_nothing_on_either_executor() {
+    for rt in [Runtime::threaded(), Runtime::thread_pool(1)] {
+        let in_manager = Arc::new(AtomicU64::new(u64::MAX));
+        let counted = Arc::clone(&in_manager);
+        let obj = ObjectBuilder::new("Managed")
+            .entry(
+                EntryDef::new("Echo")
+                    .params([Ty::Int])
+                    .results([Ty::Int])
+                    .intercepted()
+                    .body(|_ctx, args| Ok(args)),
+            )
+            .manager(move |mgr| {
+                let serve = |_| mgr.execute(mgr.accept("Echo")?).map(drop);
+                (0..WARM).try_for_each(serve)?;
+                let mut served = Ok(());
+                let n = allocations_during(|| served = (0..MEASURED).try_for_each(serve));
+                served?;
+                // Filed before the manager accepts the next call.
+                counted.store(n, SeqCst);
+                loop {
+                    serve(0)?;
+                }
+            })
+            .spawn(&rt)
+            .unwrap();
+        let id = obj.entry_id("Echo").unwrap();
+        let caller = obj.clone();
+        let call = move || assert_eq!(caller.call_id(id, argv![7i64]).unwrap()[0], Value::Int(7));
+        let idle = rt.clone();
+        let in_caller = rt
+            .spawn(move || {
+                // Idle long enough for the manager to park once before
+                // any window opens: its first park sizes the object
+                // notifier's waiter list.
+                idle.sleep(2_000);
+                (0..WARM).for_each(|_| call());
+                allocations_during(|| (0..MEASURED).for_each(|_| call()))
+            })
+            .join()
+            .unwrap();
+        obj.call_id(id, argv![7i64]).unwrap();
+        // One worker plus the timer: the pool, where the caller counts too.
+        let in_caller = if rt.os_threads() == Some(2) {
+            in_caller
+        } else {
+            0
+        };
+        let seen = (in_caller, in_manager.load(SeqCst));
+        assert_eq!(seen, (0, 0), "(caller, manager) allocations on {rt:?}");
+        obj.shutdown();
+        rt.shutdown();
+    }
 }

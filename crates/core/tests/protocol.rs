@@ -41,18 +41,6 @@ fn echo_object(rt: &Runtime) -> alps_core::ObjectHandle {
 }
 
 #[test]
-fn execute_round_trip_sim() {
-    let sim = SimRuntime::new();
-    let v = sim
-        .run(|rt| {
-            let obj = echo_object(rt);
-            obj.call("Echo", vals![5i64]).unwrap()[0].as_int().unwrap()
-        })
-        .unwrap();
-    assert_eq!(v, 5);
-}
-
-#[test]
 fn execute_round_trip_threaded() {
     let rt = Runtime::threaded();
     let obj = echo_object(&rt);
@@ -63,23 +51,75 @@ fn execute_round_trip_threaded() {
     obj.shutdown();
 }
 
+/// Every completion path returns the body's reply, counts its protocol
+/// transitions, and gives `call_latency` one sample per successful call:
+/// `[calls, latency samples, accepts, starts, finishes, combines,
+/// implicit starts]` after three calls per path, on the simulator.
 #[test]
 fn stats_track_protocol_transitions() {
-    let sim = SimRuntime::new();
-    let stats = sim
-        .run(|rt| {
-            let obj = echo_object(rt);
-            for i in 0..3i64 {
-                obj.call("Echo", vals![i]).unwrap();
-            }
-            obj.stats()
+    let entry = || {
+        EntryDef::new("P")
+            .params([Ty::Int])
+            .results([Ty::Int])
+            .body(|_ctx, args| Ok(args))
+    };
+    let seen = SimRuntime::new()
+        .run(move |rt| {
+            let spawn = |b: ObjectBuilder| b.spawn(rt).unwrap();
+            [
+                // `execute`: the body runs inline in the manager.
+                echo_object(rt),
+                // `start` → `await` → `finish`: the body runs on the pool.
+                spawn(
+                    ObjectBuilder::new("Pool")
+                        .entry(entry().intercepted())
+                        .manager(|mgr| loop {
+                            let acc = mgr.accept("P")?;
+                            mgr.start_as_is(acc)?;
+                            let done = mgr.await_done("P")?;
+                            mgr.finish_as_is(done)?;
+                        }),
+                ),
+                // Implicit: the body runs inline in the caller.
+                spawn(ObjectBuilder::new("Implicit").entry(entry())),
+                // Combining: the manager answers without a body.
+                spawn(
+                    ObjectBuilder::new("Combine")
+                        .entry(entry().intercept_params(1))
+                        .manager(|mgr| loop {
+                            let acc = mgr.accept("P")?;
+                            let v = acc.params()[0].clone();
+                            mgr.finish_accepted(acc, vals![v])?;
+                        }),
+                ),
+            ]
+            .map(|obj| {
+                let id = obj.entry_id(&obj.entry_names()[0]).unwrap();
+                for i in 0..3i64 {
+                    assert_eq!(obj.call_id(id, argv![i]).unwrap()[0], Value::Int(i));
+                }
+                let s = obj.stats();
+                [
+                    s.calls(),
+                    s.call_latency().count(),
+                    s.accepts(),
+                    s.starts(),
+                    s.finishes(),
+                    s.combines(),
+                    s.implicit_starts(),
+                ]
+            })
         })
         .unwrap();
-    assert_eq!(stats.calls(), 3);
-    assert_eq!(stats.accepts(), 3);
-    assert_eq!(stats.starts(), 3);
-    assert_eq!(stats.finishes(), 3);
-    assert_eq!(stats.combines(), 0);
+    assert_eq!(
+        seen,
+        [
+            [3, 3, 3, 3, 3, 0, 0],
+            [3, 3, 3, 3, 3, 0, 0],
+            [3, 3, 0, 0, 0, 0, 3],
+            [3, 3, 3, 0, 0, 3, 0],
+        ]
+    );
 }
 
 #[test]
@@ -322,28 +362,6 @@ fn combining_requires_full_param_interception() {
     // The manager error is surfaced, and the caller was failed when the
     // object shut down (exact error depends on teardown interleaving).
     assert!(matches!(err.1, AlpsError::BadCombining { .. }));
-}
-
-#[test]
-fn implicit_entries_run_without_manager() {
-    let sim = SimRuntime::new();
-    let v = sim
-        .run(|rt| {
-            let obj = ObjectBuilder::new("Plain")
-                .entry(
-                    EntryDef::new("Status")
-                        .results([Ty::Str])
-                        .body(|_ctx, _| Ok(vec![Value::str("ok")])),
-                )
-                .spawn(rt)
-                .unwrap();
-            obj.call("Status", vals![]).unwrap()[0]
-                .as_str()
-                .unwrap()
-                .to_string()
-        })
-        .unwrap();
-    assert_eq!(v, "ok");
 }
 
 #[test]

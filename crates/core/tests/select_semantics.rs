@@ -269,6 +269,43 @@ fn select_fails_when_all_guards_closed() {
     assert!(matches!(err, Some(AlpsError::SelectFailed)));
 }
 
+/// A slot guard on an array element the entry does not have is refused
+/// at once, in every form: no call can ever attach there, so the select
+/// would wait forever.
+#[test]
+fn a_slot_beyond_the_array_is_refused_in_every_form() {
+    let refusals = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&refusals);
+    SimRuntime::new()
+        .run(move |rt| {
+            let obj = one_entry_object(rt, 2, move |mgr| {
+                let probes = [
+                    mgr.accept_slot("P", 5).map(drop),
+                    mgr.await_slot("P", 2).map(drop),
+                    // One bad guard refuses the whole select.
+                    mgr.select(vec![Guard::accept("P"), Guard::accept_slot("P", 2)])
+                        .map(drop),
+                    mgr.select(vec![Guard::await_slot("P", 7)]).map(drop),
+                ];
+                log.lock()
+                    .extend(probes.map(|r| r.unwrap_err().to_string()));
+                loop {
+                    let acc = mgr.accept("P")?;
+                    mgr.execute(acc)?;
+                }
+            });
+            // Returns once the manager is past its probes.
+            obj.call("P", vals![1i64]).unwrap();
+        })
+        .unwrap();
+    let violation =
+        |what: &str| format!("manager protocol violation: {what}: no such array element");
+    assert_eq!(
+        *refusals.lock(),
+        ["accept P[5]", "await P[2]", "accept P[2]", "await P[7]"].map(violation)
+    );
+}
+
 #[test]
 fn closed_channel_with_matching_message_still_eligible() {
     // Closing a channel does not drop buffered messages; a guard can

@@ -442,6 +442,25 @@ fn pop_from_an_empty_list_in_an_entry_body_is_reported() {
     assert_eq!(err, "entry `Take` failed: 8:25: pop from an empty list");
 }
 
+/// Run `src`, whose object `X`'s manager is expected to fail on the first
+/// call to `X.P`. The caller only learns that the manager is gone; why it
+/// went is on the handle, and is returned here.
+fn x_manager_error(src: &str) -> Option<String> {
+    assert_eq!(try_run(src).unwrap_err(), "object `X` is closed");
+    let checked = Arc::new(check(parse(src).expect("parse")).expect("check"));
+    let (out, _buf) = Output::buffer();
+    SimRuntime::new()
+        .run(move |rt| {
+            let c = spawn_compiled(rt, &checked, out).expect("spawn");
+            let x = c.handle("X").expect("object X");
+            let _ = x.call("P", vec![]);
+            let why = x.manager_error();
+            c.shutdown();
+            why.map(|e| e.to_string())
+        })
+        .expect("sim")
+}
+
 #[test]
 fn start_without_an_accepted_call_fails_the_manager() {
     let src = r#"
@@ -461,24 +480,37 @@ fn start_without_an_accepted_call_fails_the_manager() {
           X.P()
         end
     "#;
-    // A caller only learns that the manager is gone.
-    assert_eq!(try_run(src).unwrap_err(), "object `X` is closed");
-    // Why it went is on the handle.
-    let checked = Arc::new(check(parse(src).expect("parse")).expect("check"));
-    let (out, _buf) = Output::buffer();
-    let why = SimRuntime::new()
-        .run(move |rt| {
-            let c = spawn_compiled(rt, &checked, out).expect("spawn");
-            let x = c.handle("X").expect("object X");
-            let _ = x.call("P", vec![]);
-            let why = x.manager_error();
-            c.shutdown();
-            why
-        })
-        .expect("sim");
     assert_eq!(
-        why.map(|e| e.to_string()).as_deref(),
+        x_manager_error(src).as_deref(),
         Some("11:15: no pending token for `P`")
+    );
+}
+
+#[test]
+fn accept_on_an_element_beyond_the_array_fails_the_manager() {
+    let src = r#"
+        object X defines
+          proc P();
+        end X;
+        object X implements
+          proc P[1..2]();
+          begin skip end P;
+          manager
+            intercepts P;
+            begin
+              accept P[5];
+              execute P[5]
+            end;
+        end X;
+        main begin
+          X.P()
+        end
+    "#;
+    // Refused at once, not a wait for a call that can never attach.
+    // Element 5 of `P[1..2]` is index 4 of the embedded API's array.
+    assert_eq!(
+        x_manager_error(src).as_deref(),
+        Some("manager protocol violation: accept P[4]: no such array element")
     );
 }
 

@@ -56,13 +56,20 @@ impl NotifierInner {
         if !self.has_waiters.load(Ordering::SeqCst) {
             return;
         }
-        let waiters = {
+        let mut waiters = {
             let mut ws = self.waiters.lock();
             self.has_waiters.store(false, Ordering::SeqCst);
             std::mem::take(&mut *ws)
         };
-        for w in waiters {
+        for w in waiters.drain(..) {
             rt.unpark(w);
+        }
+        // Hand the emptied buffer back, so the next registration does not
+        // allocate: an object's manager parks through here on every idle
+        // wait.
+        let mut ws = self.waiters.lock();
+        if ws.capacity() == 0 {
+            *ws = waiters;
         }
     }
 }
