@@ -84,12 +84,16 @@
 
 #![warn(missing_docs)]
 
+mod cell;
 mod entry;
 mod error;
+mod handle;
+mod intake;
 mod manager;
 mod object;
 mod pool;
 mod proc_ctx;
+mod restart;
 mod select;
 mod shard;
 mod stats;
@@ -98,12 +102,14 @@ mod value;
 
 pub use entry::{EntryBody, EntryDef, Intercept};
 pub use error::{AlpsError, Result};
+pub use handle::{EntryId, ObjectBuilder, ObjectHandle};
+pub use intake::AdmissionPolicy;
 pub use manager::{AcceptedCall, ManagerCtx, ReadyEntry};
-pub use object::{EntryId, ManagerBody, ObjectBuilder, ObjectHandle};
+pub use object::ManagerBody;
 pub use pool::PoolMode;
 pub use proc_ctx::ProcCtx;
 pub use select::{Guard, GuardView, Selected};
 pub use shard::{hash_values, spread, ShardEntryId, ShardedBuilder, ShardedHandle, ShardedStats};
 pub use stats::ObjectStats;
-pub use supervise::{AdmissionPolicy, Backoff, OnRestart, RestartPolicy, RetryPolicy, Wait};
+pub use supervise::{Backoff, OnRestart, RestartPolicy, RetryPolicy, Wait};
 pub use value::{check_types, check_types_lazy, ChanValue, Ty, ValVec, Value, INLINE_VALS};

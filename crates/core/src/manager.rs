@@ -12,8 +12,8 @@
 //! results itself — request combining (§2.7).
 //!
 //! Manager commits take only the lock of the entry involved (see
-//! [`EntrySync`](crate::object) internals): intercepted traffic on one
-//! entry never contends with calls to another.
+//! [`crate::cell`]): intercepted traffic on one entry never contends with
+//! calls to another.
 //!
 //! Intercepted calls reach the manager through the object's lock-free
 //! intake ring: every blocking manager primitive funnels through
@@ -24,13 +24,13 @@
 //! pipeline.
 
 use std::fmt;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use alps_runtime::{CommitPoint, Runtime};
 
+use crate::cell::{CallCell, EntryState, Slot};
 use crate::error::{AlpsError, Result};
-use crate::object::{CallCell, EntryState, ObjectInner, Slot};
+use crate::object::ObjectInner;
 use crate::select::{run_select, EntrySel, Guard, GuardKind, Selected};
 use crate::value::{check_types_lazy, ChanValue, ValVec, Value};
 
@@ -88,14 +88,11 @@ impl AcceptedCall {
         self.params.as_slice()
     }
 
-    fn disarm(mut self) -> (Arc<ObjectInner>, usize, usize, ValVec) {
+    /// Give up the duty to answer the caller on drop: `(obj, entry,
+    /// slot, gen)` for the primitive that consumes the token.
+    fn disarm(mut self) -> (Arc<ObjectInner>, usize, usize, u64) {
         self.armed = false;
-        (
-            Arc::clone(&self.obj),
-            self.entry,
-            self.slot,
-            std::mem::take(&mut self.params),
-        )
+        (Arc::clone(&self.obj), self.entry, self.slot, self.gen)
     }
 }
 
@@ -117,13 +114,11 @@ impl Drop for AcceptedCall {
 /// generation: a restart already swept the slot and answered the caller,
 /// and the slot may hold a new generation's call now.
 fn fail_unconsumed(obj: &Arc<ObjectInner>, gen: u64, entry: usize, slot: usize, reason: String) {
-    if obj.is_closed() || obj.generation.load(Ordering::SeqCst) != gen {
+    if obj.is_closed() || obj.generation() != gen {
         return;
     }
-    let mut es = obj.estates[entry].st.lock();
-    if let Slot::Accepted { call } | Slot::Awaited { call, .. } =
-        std::mem::replace(&mut es.slots[slot], Slot::Free)
-    {
+    let mut es = obj.slots.lock(entry);
+    if let Slot::Accepted { call } | Slot::Awaited { call, .. } = es.replace(slot, Slot::Free) {
         obj.complete(&call, Err(AlpsError::ProtocolViolation { reason }));
         obj.free_managed_slot(&mut es, entry, slot);
     }
@@ -191,14 +186,15 @@ impl ReadyEntry {
         self.failure.as_deref()
     }
 
-    fn disarm(mut self) -> (Arc<ObjectInner>, usize, usize, ValVec, Option<String>) {
+    fn disarm(mut self) -> (Arc<ObjectInner>, usize, usize, u64, Option<String>) {
         self.armed = false;
+        let failure = self.failure.take();
         (
             Arc::clone(&self.obj),
             self.entry,
             self.slot,
-            std::mem::take(&mut self.results),
-            self.failure.take(),
+            self.gen,
+            failure,
         )
     }
 }
@@ -215,55 +211,35 @@ impl Drop for ReadyEntry {
     }
 }
 
-/// [`take_slot`] matcher: the call of an `Accepted` slot.
-fn accepted(s: Slot) -> std::result::Result<Arc<CallCell>, Slot> {
-    match s {
-        Slot::Accepted { call } => Ok(call),
-        other => Err(other),
-    }
-}
-
-/// [`take_slot`] matcher: the call and parked result remainder of an
-/// `Awaited` slot.
-fn awaited(s: Slot) -> std::result::Result<(Arc<CallCell>, ValVec), Slot> {
-    match s {
-        Slot::Awaited { call, remainder } => Ok((call, remainder)),
-        other => Err(other),
-    }
-}
-
-/// Empty `slot` (leaving it `Free`) and hand its contents to the caller,
-/// provided `want` recognises the state the slot was in; otherwise put
-/// them back untouched and report primitive `what` as a
-/// [`AlpsError::ProtocolViolation`] naming that state.
-fn take_slot<T>(
-    es: &mut EntryState,
-    slot: usize,
-    want: impl FnOnce(Slot) -> std::result::Result<T, Slot>,
-    what: &'static str,
-) -> Result<T> {
-    let s = &mut es.slots[slot];
-    want(std::mem::replace(s, Slot::Free)).map_err(|other| {
-        let name = other.state_name();
-        *s = other;
-        AlpsError::ProtocolViolation {
+/// Empty `slot` (leaving it `Free`) and return what it held, provided
+/// it is in state `want`; otherwise leave it untouched and report
+/// primitive `what` as a [`AlpsError::ProtocolViolation`] naming the
+/// state it is in.
+fn take_slot(es: &mut EntryState<'_>, slot: usize, want: &str, what: &'static str) -> Result<Slot> {
+    let name = es.slots()[slot].state_name();
+    if name != want {
+        return Err(AlpsError::ProtocolViolation {
             reason: format!("{what} on slot in state `{name}`"),
-        }
-    })
+        });
+    }
+    Ok(es.replace(slot, Slot::Free))
+}
+
+fn accepted(s: Slot) -> Arc<CallCell> {
+    s.into_call().expect("an accepted slot holds its call")
 }
 
 /// Commit an accept under the entry lock (select internals).
 pub(crate) fn commit_accept(
     obj: &Arc<ObjectInner>,
-    es: &mut EntryState,
+    es: &mut EntryState<'_>,
     entry: usize,
     slot: usize,
     gen: u64,
 ) -> AcceptedCall {
-    let Slot::Attached { call } = std::mem::replace(&mut es.slots[slot], Slot::Free) else {
+    let Slot::Attached { call } = es.replace(slot, Slot::Free) else {
         unreachable!("select commits an accept only on an attached slot");
     };
-    obj.estates[entry].attached.fetch_sub(1, Ordering::SeqCst);
     obj.stats.on_accept();
     let k = obj.entries[entry]
         .intercept
@@ -273,7 +249,7 @@ pub(crate) fn commit_accept(
     // heap-free — for prefixes of ≤ 4 values. The suffix stays in the
     // cell until `start`/`execute` moves it into the body.
     let params = ValVec::from_slice(&call.args()[..k]);
-    es.slots[slot] = Slot::Accepted { call };
+    es.replace(slot, Slot::Accepted { call });
     AcceptedCall {
         obj: Arc::clone(obj),
         entry,
@@ -287,55 +263,38 @@ pub(crate) fn commit_accept(
 /// Commit an await under the entry lock (select internals).
 pub(crate) fn commit_await(
     obj: &Arc<ObjectInner>,
-    es: &mut EntryState,
+    es: &mut EntryState<'_>,
     entry: usize,
     slot: usize,
     gen: u64,
 ) -> ReadyEntry {
-    let Slot::Ready { call, outcome } = std::mem::replace(&mut es.slots[slot], Slot::Free) else {
+    let Slot::Ready { call, outcome } = es.replace(slot, Slot::Free) else {
         unreachable!("select commits an await only on a ready slot");
     };
-    obj.estates[entry].ready.fetch_sub(1, Ordering::SeqCst);
     let def = &obj.entries[entry];
     let kr = def.intercept.map(|ic| ic.results).unwrap_or(0);
-    let pub_len = def.results.len();
-    match outcome {
+    let (results, remainder, hidden, failure) = match outcome {
         Ok(mut full) => {
             // Split the full result list `[prefix | remainder | hidden]`
             // by move — no element is cloned; the remainder parks in the
             // slot until `finish` stitches it back onto the (possibly
             // rewritten) prefix.
-            let hidden = full.split_off(pub_len);
+            let hidden = full.split_off(def.results.len());
             let remainder = full.split_off(kr);
-            let prefix = full;
-            es.slots[slot] = Slot::Awaited { call, remainder };
-            ReadyEntry {
-                obj: Arc::clone(obj),
-                entry,
-                slot,
-                results: prefix,
-                hidden,
-                failure: None,
-                gen,
-                armed: true,
-            }
+            (full, remainder, hidden, None)
         }
-        Err(msg) => {
-            es.slots[slot] = Slot::Awaited {
-                call,
-                remainder: ValVec::new(),
-            };
-            ReadyEntry {
-                obj: Arc::clone(obj),
-                entry,
-                slot,
-                results: ValVec::new(),
-                hidden: ValVec::new(),
-                failure: Some(msg),
-                gen,
-                armed: true,
-            }
-        }
+        Err(msg) => (ValVec::new(), ValVec::new(), ValVec::new(), Some(msg)),
+    };
+    es.replace(slot, Slot::Awaited { call, remainder });
+    ReadyEntry {
+        obj: Arc::clone(obj),
+        entry,
+        slot,
+        results,
+        hidden,
+        failure,
+        gen,
+        armed: true,
     }
 }
 
@@ -370,7 +329,7 @@ impl fmt::Debug for ManagerCtx {
 
 impl ManagerCtx {
     pub(crate) fn new(obj: Arc<ObjectInner>) -> ManagerCtx {
-        let gen = obj.generation.load(Ordering::SeqCst);
+        let gen = obj.generation();
         ManagerCtx { obj, gen }
     }
 
@@ -561,36 +520,20 @@ impl ManagerCtx {
     pub fn cancel(&self, entry: &str, slot: usize) -> Result<bool> {
         let idx = self.obj.entry_idx(entry)?;
         let obj = &self.obj;
-        let sync = &obj.estates[idx];
         let mut es = obj.lock_at_gen(idx, self.gen)?;
-        if slot >= es.slots.len() {
-            return Err(AlpsError::ProtocolViolation {
-                reason: format!("cancel {entry}[{slot}]: no such array element"),
-            });
-        }
-        let s = &mut es.slots[slot];
-        let (call, frees_slot) = match std::mem::replace(s, Slot::Free) {
-            keep @ (Slot::Free | Slot::InlineBusy | Slot::Abandoned) => {
-                *s = keep;
-                return Ok(false);
+        let new = match es.slots().get(slot) {
+            None => {
+                return Err(AlpsError::ProtocolViolation {
+                    reason: format!("cancel {entry}[{slot}]: no such array element"),
+                })
             }
-            Slot::Attached { call } => {
-                sync.attached.fetch_sub(1, Ordering::SeqCst);
-                (call, true)
-            }
-            Slot::Ready { call, .. } => {
-                sync.ready.fetch_sub(1, Ordering::SeqCst);
-                (call, true)
-            }
+            Some(Slot::Free | Slot::InlineBusy | Slot::Abandoned) => return Ok(false),
+            Some(Slot::Attached { .. } | Slot::Ready { .. }) => Slot::Free,
             // The body owns the slot until it completes; `body_done`
             // sees Abandoned, discards the outcome, and frees the slot.
-            Slot::Started { call } => {
-                *s = Slot::Abandoned;
-                (call, false)
-            }
-            other @ (Slot::Accepted { .. } | Slot::Awaited { .. }) => {
+            Some(Slot::Started { .. }) => Slot::Abandoned,
+            Some(other @ (Slot::Accepted { .. } | Slot::Awaited { .. })) => {
                 let name = other.state_name();
-                *s = other;
                 return Err(AlpsError::ProtocolViolation {
                     reason: format!(
                         "cancel on slot in state `{name}`: the manager holds a live \
@@ -599,6 +542,11 @@ impl ManagerCtx {
                 });
             }
         };
+        let frees_slot = matches!(new, Slot::Free);
+        let call = es
+            .replace(slot, new)
+            .into_call()
+            .expect("a cancellable slot holds a call");
         let entry = obj.entries[idx].name.clone();
         if obj.complete(&call, Err(AlpsError::Cancelled { entry })) {
             obj.stats.on_cancel();
@@ -609,9 +557,7 @@ impl ManagerCtx {
             None
         };
         drop(es);
-        if let Some((i, params)) = dispatch {
-            obj.dispatch_body(idx, i, params);
-        }
+        obj.dispatch_body(idx, dispatch);
         Ok(true)
     }
 
@@ -654,10 +600,9 @@ impl ManagerCtx {
             let _ = acc.disarm();
             return Err(self.obj.closed_err());
         }
-        let tok_gen = acc.gen;
-        let (obj, entry, slot, _) = acc.disarm();
-        let mut es = obj.lock_at_gen(entry, tok_gen)?;
-        let call = take_slot(&mut es, slot, accepted, what)?;
+        let (obj, entry, slot, gen) = acc.disarm();
+        let mut es = obj.lock_at_gen(entry, gen)?;
+        let call = accepted(take_slot(&mut es, slot, "accepted", what)?);
         obj.stats.on_start();
         let mut full = prefix;
         // Move the non-intercepted argument suffix out of the cell (the
@@ -665,7 +610,7 @@ impl ManagerCtx {
         // slot is `Started`).
         full.extend(call.take_args().split_off(ic.params));
         full.extend(hidden);
-        es.slots[slot] = Slot::Started { call };
+        es.replace(slot, Slot::Started { call });
         drop(es);
         Ok((obj, entry, slot, full))
     }
@@ -685,7 +630,7 @@ impl ManagerCtx {
         hidden: impl Into<ValVec>,
     ) -> Result<()> {
         let (obj, entry, slot, full) = self.begin(acc, prefix.into(), hidden.into(), "start")?;
-        obj.dispatch_body(entry, slot, full);
+        obj.dispatch_body(entry, Some((slot, full)));
         Ok(())
     }
 
@@ -717,13 +662,15 @@ impl ManagerCtx {
                 format!("finish {}.{} prefix", done.obj.name, def.name)
             })?;
         }
-        let tok_gen = done.gen;
-        let (obj, entry, slot, _, failure) = done.disarm();
+        let (obj, entry, slot, gen, failure) = done.disarm();
         // Commit point, before the entry lock: the `complete` below runs
         // the finish-vs-cancel CAS against a deadline-bounded caller.
         obj.rt.sim_point(CommitPoint::FinishCas);
-        let mut es = obj.lock_at_gen(entry, tok_gen)?;
-        let (call, remainder) = take_slot(&mut es, slot, awaited, "finish")?;
+        let mut es = obj.lock_at_gen(entry, gen)?;
+        let Slot::Awaited { call, remainder } = take_slot(&mut es, slot, "awaited", "finish")?
+        else {
+            unreachable!("take_slot checked the state");
+        };
         obj.stats.on_finish();
         let reply = match failure {
             None => {
@@ -779,13 +726,12 @@ impl ManagerCtx {
         check_types_lazy(&def.results, &results, || {
             format!("combine {}.{} results", acc.obj.name, def.name)
         })?;
-        let tok_gen = acc.gen;
-        let (obj, entry, slot, _) = acc.disarm();
+        let (obj, entry, slot, gen) = acc.disarm();
         // Commit point: combining's `complete` races caller cancels the
         // same way `finish` does.
         obj.rt.sim_point(CommitPoint::FinishCas);
-        let mut es = obj.lock_at_gen(entry, tok_gen)?;
-        let call = take_slot(&mut es, slot, accepted, "finish_accepted")?;
+        let mut es = obj.lock_at_gen(entry, gen)?;
+        let call = accepted(take_slot(&mut es, slot, "accepted", "finish_accepted")?);
         obj.stats.on_combine();
         obj.complete(&call, Ok(results));
         obj.free_managed_slot(&mut es, entry, slot);
@@ -837,9 +783,8 @@ impl ManagerCtx {
         obj.rt.sim_point(CommitPoint::FinishCas);
         // `await; finish` fused: take the call back out of the slot and
         // answer the caller directly — no Ready state, no notify.
-        let mut es = obj.estates[entry].st.lock();
-        let s = &mut es.slots[slot];
-        let call = match std::mem::replace(s, Slot::Free) {
+        let mut es = obj.slots.lock(entry);
+        let call = match es.replace(slot, Slot::Free) {
             Slot::Started { call } => call,
             // A supervised restart swept the slot mid-body: the caller
             // was already answered `ObjectRestarting`, the computed
@@ -853,7 +798,7 @@ impl ManagerCtx {
             // Only shutdown can have swept the slot; the caller was
             // already answered with the shutdown error.
             other => {
-                *s = other;
+                es.replace(slot, other);
                 return Err(obj.closed_err());
             }
         };

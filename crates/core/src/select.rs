@@ -34,14 +34,12 @@
 //! turns into [`AlpsError::ObjectClosed`].
 
 use std::fmt;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use alps_runtime::{tuning, WaitOutcome};
-
+use crate::cell::Slot;
 use crate::error::{AlpsError, Result};
 use crate::manager::{commit_accept, commit_await, AcceptedCall, ReadyEntry};
-use crate::object::{ObjectInner, Slot};
+use crate::object::ObjectInner;
 use crate::value::{ChanValue, ValVec, Value};
 
 /// Read-only view handed to `when`/`pri` closures while a candidate's
@@ -450,7 +448,7 @@ pub(crate) fn run_select(
         // Checked every iteration (each wakeup), so a manager parked in
         // select observes a restart promptly and unwinds to the
         // supervisor instead of committing into the new generation.
-        if obj.generation.load(Ordering::SeqCst) != gen {
+        if obj.generation() != gen {
             return Err(obj.restarting_err());
         }
         // Epoch before drain: any push after this snapshot bumps the
@@ -470,19 +468,22 @@ pub(crate) fn run_select(
                     all_closed = false;
                     let accept = matches!(g.kind, GuardKind::Accept { .. });
                     let entry = resolved[gi].expect("resolved above");
-                    let sync = &obj.estates[entry];
                     // Lock-free pre-check: no attached call (no ready
                     // body), nothing to evaluate. One arriving after this
                     // load bumps the notifier epoch, so the wait below
                     // cannot sleep through it.
-                    let present = if accept { &sync.attached } else { &sync.ready };
-                    if present.load(Ordering::SeqCst) == 0 {
+                    let present = if accept {
+                        obj.slots.attached(entry)
+                    } else {
+                        obj.slots.ready(entry)
+                    };
+                    if present == 0 {
                         continue;
                     }
                     let def = &obj.entries[entry];
                     let ic = def.intercept.unwrap_or_default();
-                    let es = sync.st.lock();
-                    for (i, s) in es.slots.iter().enumerate() {
+                    let es = obj.slots.lock(entry);
+                    for (i, s) in es.slots().iter().enumerate() {
                         if slot.is_some_and(|want| want != i) {
                             continue;
                         }
@@ -551,7 +552,7 @@ pub(crate) fn run_select(
                         // then reports ObjectClosed.
                         let entry = resolved[guard].expect("resolved above");
                         let mut es = obj.lock_at_gen(entry, gen)?;
-                        match (&g.kind, &es.slots[slot]) {
+                        match (&g.kind, &es.slots()[slot]) {
                             (GuardKind::Accept { .. }, Slot::Attached { .. }) => {
                                 let call = commit_accept(obj, &mut es, entry, slot, gen);
                                 Some(Selected::Accepted { guard, call })
@@ -583,96 +584,6 @@ pub(crate) fn run_select(
         if all_closed {
             return Err(AlpsError::SelectFailed);
         }
-        wait_for_work_deadline(obj, epoch, deadline)?;
-    }
-}
-
-/// Deadline-bounded wrapper around [`wait_for_work`]: without a deadline
-/// it is exactly `wait_for_work`; with one, the park is timer-bounded and
-/// an expiry with no epoch movement fails the select with
-/// [`AlpsError::Timeout`]. The poll-mode yield loop is skipped — a
-/// deadline wait is a latency-tolerant cold path by definition.
-fn wait_for_work_deadline(
-    obj: &ObjectInner,
-    epoch: u64,
-    deadline: Option<(u64, u64)>,
-) -> Result<()> {
-    let Some((at, budget)) = deadline else {
-        wait_for_work(obj, epoch);
-        return Ok(());
-    };
-    let timeout = || AlpsError::Timeout {
-        what: "select".into(),
-        ticks: budget,
-    };
-    if obj.rt.now() >= at {
-        return Err(timeout());
-    }
-    // Same lost-wakeup handshake as `wait_for_work` (see its comment).
-    obj.mgr_active.store(false, Ordering::SeqCst);
-    if !obj.intake.is_empty() {
-        obj.mgr_active.store(true, Ordering::SeqCst);
-        obj.rt.yield_now();
-        return Ok(());
-    }
-    let moved = obj.notifier.wait_past_deadline(&obj.rt, epoch, at);
-    obj.mgr_active.store(true, Ordering::SeqCst);
-    obj.stats.on_mgr_wakeup();
-    if !moved && obj.rt.now() >= at {
-        return Err(timeout());
-    }
-    Ok(())
-}
-
-/// The manager's wait point, with the lost-wakeup handshake against the
-/// intake ring. Clearing `mgr_active` *before* the emptiness re-check
-/// pairs (SeqCst store-buffering pair) with a producer's push-then-load:
-/// either the manager sees the push and retries, or the producer sees the
-/// manager inactive and parks — in which case the producer's push flipped
-/// the drained-empty ring and its notify bumped the epoch this wait
-/// watches. A `false` from `is_empty` may also mean a producer has
-/// *claimed but not yet published* a slot (such a producer owes no
-/// notify), so the manager must not sleep — it yields and retries.
-fn wait_for_work(obj: &ObjectInner, epoch: u64) {
-    // Poll mode (entered by `drain_intake` after any non-empty drain): the
-    // callers just served are in their wake-and-resubmit window. Parking
-    // now would convoy them — each would find `mgr_active` false, park in
-    // turn, and pay a futex round trip per call while the ring never
-    // accumulates a real batch. Instead, yield-poll the ring: every yield
-    // hands the CPU to a waking caller, whose push needs no notify
-    // syscall (we never register as a waiter) and whose reply wait stays
-    // in its yield phase (`mgr_active` stays true). One dry budget — no
-    // work after `tuning::MGR_POLL_BUDGET` yields — demotes back to
-    // parking. Pointless in simulation, where only one process runs at a
-    // time.
-    if obj.mgr_poll.load(Ordering::SeqCst) && !obj.rt.is_sim() {
-        for _ in 0..tuning::MGR_POLL_BUDGET {
-            if !obj.intake.is_empty() || obj.notifier.epoch() != epoch {
-                obj.stats.on_mgr_wakeup();
-                obj.stats.on_spin_resolved();
-                return;
-            }
-            obj.rt.yield_now();
-        }
-        obj.mgr_poll.store(false, Ordering::SeqCst);
-    }
-    obj.mgr_active.store(false, Ordering::SeqCst);
-    if !obj.intake.is_empty() {
-        obj.mgr_active.store(true, Ordering::SeqCst);
-        obj.rt.yield_now();
-        return;
-    }
-    // Spin rounds are pure CPU hints (no yields): they only pay when a
-    // producer is mid-call on another core; `wait_past_spin` skips them
-    // in simulation.
-    let out = obj
-        .notifier
-        .wait_past_spin(&obj.rt, epoch, tuning::MGR_IDLE_SPIN_ROUNDS);
-    obj.mgr_active.store(true, Ordering::SeqCst);
-    obj.stats.on_mgr_wakeup();
-    match out {
-        WaitOutcome::Spun => obj.stats.on_spin_resolved(),
-        WaitOutcome::Parked => obj.stats.on_park_resolved(),
-        WaitOutcome::Immediate => {}
+        obj.wait_for_work(epoch, deadline)?;
     }
 }

@@ -47,7 +47,7 @@ use alps_runtime::{Notifier, Runtime};
 use parking_lot::Mutex;
 
 use crate::error::{AlpsError, Result};
-use crate::object::{EntryId, ObjectBuilder, ObjectHandle};
+use crate::handle::{EntryId, ObjectBuilder, ObjectHandle};
 use crate::stats::ObjectStats;
 use crate::supervise::Wait;
 use crate::value::{ValVec, Value};

@@ -1,8 +1,9 @@
-//! Supervision, admission, and retry policy types.
+//! Supervision and retry policy types.
 //!
 //! The paper makes the manager the single interception point for "all
 //! synchronization and scheduling" in an object; this module extends that
-//! seat to *recovery and admission* policy:
+//! seat to *recovery* policy (admission policy is
+//! [`AdmissionPolicy`](crate::AdmissionPolicy), beside the intake ring):
 //!
 //! * [`RestartPolicy`] — what happens when an entry body panics in a
 //!   supervised object ([`ObjectBuilder::supervise`](crate::ObjectBuilder::supervise)):
@@ -11,13 +12,10 @@
 //!   fail them with [`AlpsError::ObjectRestarting`](crate::AlpsError::ObjectRestarting)
 //!   or re-queue the ones that have not been handed to the (now dead)
 //!   manager generation.
-//! * [`AdmissionPolicy`] — what happens when the bounded intake ring is
-//!   full: block with backpressure, or shed the incoming call with
-//!   [`AlpsError::Overloaded`](crate::AlpsError::Overloaded).
 //! * [`Wait`] — how long a caller waits; every handle's `call_with`
 //!   takes one.
 //! * [`RetryPolicy`] / [`Backoff`] — caller-side retry of the transient
-//!   errors the two mechanisms above produce; [`RetryPolicy::run`] is the
+//!   errors restarts and admission produce; [`RetryPolicy::run`] is the
 //!   one retry loop, in-process and remote.
 
 use alps_runtime::metrics::Counter;
@@ -73,24 +71,6 @@ pub enum OnRestart {
     /// gone, and a started body's pre-restart result must never be
     /// delivered (its slot is tombstoned).
     Requeue,
-}
-
-/// What the call protocol does when the bounded intake ring is full.
-///
-/// Both policies preserve the intake's empty→non-empty notify contract
-/// (only a push observing the empty→non-empty transition wakes the
-/// manager) and per-entry FIFO (a shed call never entered the queue).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionPolicy {
-    /// Backpressure: the caller yields, then parks until the manager
-    /// drains room. Today's behaviour, made park-based instead of a pure
-    /// yield spin.
-    #[default]
-    Block,
-    /// Refuse the incoming call with
-    /// [`AlpsError::Overloaded`](crate::AlpsError::Overloaded). Bounded
-    /// latency for admitted calls; newest work is the casualty.
-    ShedNewest,
 }
 
 /// Delay schedule between the attempts of a [`Wait::Retry`] call.
@@ -255,6 +235,7 @@ pub enum Wait {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AdmissionPolicy;
 
     #[test]
     fn retry_policy_builder_roundtrips() {

@@ -147,6 +147,7 @@ fn injected_restart_failure_degrades_to_poison() {
         assert!(matches!(e, AlpsError::BodyFailed { .. }), "{e:?}");
         let e = obj.call("P", vals![]).unwrap_err();
         assert!(matches!(e, AlpsError::ObjectPoisoned { .. }), "{e:?}");
+        assert!(obj.is_poisoned(), "a refused restart leaves the poison");
         assert_eq!(obj.stats().restarts(), 0, "the restart was vetoed");
         assert_eq!(obj.generation(), 0, "no generation was ever fenced");
     })
@@ -184,6 +185,7 @@ fn panicking_state_init_refuses_restart() {
         assert!(matches!(e, AlpsError::ObjectRestarting { .. }), "{e:?}");
         let e = obj.call("P", vals![]).unwrap_err();
         assert!(matches!(e, AlpsError::ObjectPoisoned { .. }), "{e:?}");
+        assert!(obj.is_poisoned(), "a refused restart leaves the poison");
         assert_eq!(obj.stats().restarts(), 0);
     })
     .unwrap();
