@@ -6,7 +6,7 @@
 //!
 //! Programs run on the deterministic simulator by default (virtual time,
 //! reproducible scheduling, deadlock detection); `--threaded` uses OS
-//! threads instead. Either way the program is lowered to one resolved IR
+//! threads instead. Either way the checker resolves the program into one IR
 //! (interned entry ids, flat frames) and that is what runs: by default
 //! under the naive reference walker, with `--compiled` under the
 //! optimised one — same observable behaviour, near-embedded speed.

@@ -1,13 +1,33 @@
-//! Static checking: resolves definitions against implementations, derives
-//! hidden parameters/results (the implementation-side extras of §2.8),
-//! validates intercepts clauses, scopes, types, and the manager-only
-//! statements.
+//! Static checking and lowering, in one walk: resolves definitions
+//! against implementations, derives hidden parameters/results (the
+//! implementation-side extras of §2.8), validates intercepts clauses,
+//! scopes, types and the manager-only statements — and, while typing each
+//! statement and expression, builds the resolved IR ([`crate::ir`]) that
+//! both walkers run.
+//!
+//! This is the only place a name becomes an index:
+//!
+//! * object names → object indices (handle-table slots),
+//! * entry names → entry indices plus a position in the flat entry-id
+//!   table (so a call is `handle.call_id(id, …)`),
+//! * variable names → frame slots, environment slots, or guard-overlay
+//!   slots.
+//!
+//! One scope stack maps each visible name to its type and its slot. A
+//! frame grows monotonically: parameters first, declared locals next, then
+//! a slot per `for`/`par` loop variable, guard quantifier and implicitly
+//! declared binding. Popping a scope only ends a name's visibility, so a
+//! dead slot is merely a `Unit` cell in the activation frame.
 
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::sync::Arc;
+
+use alps_core::{Ty, Value};
 
 use crate::ast::*;
 use crate::error::LangError;
+use crate::ir::*;
 use crate::token::Pos;
 
 /// Resolved information about one procedure of an object.
@@ -29,8 +49,6 @@ pub struct EntryInfo {
     pub local: bool,
     /// Intercepted prefix lengths `(params, results)`, if intercepted.
     pub intercept: Option<(usize, usize)>,
-    /// Index into the implementation's proc list.
-    pub impl_idx: usize,
 }
 
 /// Resolved information about one object.
@@ -42,37 +60,31 @@ pub struct ObjInfo {
     pub entries: Vec<EntryInfo>,
     /// Name → entry index.
     pub entry_idx: HashMap<String, usize>,
-    /// Index into `Program::impls`.
-    pub impl_idx: usize,
 }
 
-/// A checked program, ready for [`lower`](crate::lower::lower).
+/// A checked program: its objects' resolved signatures and the IR both
+/// walkers run.
 #[derive(Debug, Clone)]
 pub struct Checked {
-    /// The syntax tree.
-    pub program: Arc<Program>,
     /// Objects in implementation order.
     pub objects: Vec<ObjInfo>,
-    /// Object name → index.
-    pub obj_idx: HashMap<String, usize>,
+    /// The resolved program, shared by every run of it.
+    pub unit: Arc<CUnit>,
 }
 
 impl Checked {
     /// Look up an object by name.
     pub fn object(&self, name: &str) -> Option<&ObjInfo> {
-        self.obj_idx.get(name).map(|i| &self.objects[*i])
+        self.objects.iter().find(|o| o.name == name)
     }
 }
 
-/// Check a parsed program.
+/// Check a parsed program and resolve it into IR.
 ///
 /// # Errors
 ///
 /// [`LangError`] describing the first inconsistency found.
 pub fn check(program: Program) -> Result<Checked, LangError> {
-    let program = Arc::new(program);
-    let mut objects = Vec::new();
-    let mut obj_idx = HashMap::new();
     let defs_by_name: HashMap<&str, &ObjectDef> =
         program.defs.iter().map(|d| (d.name.as_str(), d)).collect();
     for d in &program.defs {
@@ -83,51 +95,163 @@ pub fn check(program: Program) -> Result<Checked, LangError> {
             ));
         }
     }
-    for (impl_idx, imp) in program.impls.iter().enumerate() {
-        if obj_idx.contains_key(&imp.name) {
+    let mut objects: Vec<ObjInfo> = Vec::new();
+    for imp in &program.impls {
+        if objects.iter().any(|o| o.name == imp.name) {
             return Err(LangError::at(
                 imp.pos,
                 format!("duplicate implementation of object `{}`", imp.name),
             ));
         }
         let def = defs_by_name.get(imp.name.as_str()).copied();
-        let info = resolve_object(imp, def, impl_idx)?;
-        obj_idx.insert(imp.name.clone(), objects.len());
-        objects.push(info);
+        objects.push(resolve_object(imp, def)?);
     }
-    let checked = Checked {
-        program: Arc::clone(&program),
-        objects,
-        obj_idx,
+    let flat_base = running_sums(objects.iter().map(|o| o.entries.len()));
+    let mut cobjects = Vec::with_capacity(objects.len());
+    for (oi, (imp, info)) in program.impls.iter().zip(&objects).enumerate() {
+        let env: Names = imp
+            .vars
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (v.name.clone(), (v.ty.clone(), VarRef::Env(i))))
+            .collect();
+        let base = Cx::new(&objects, &flat_base, Some((oi, info)), &env);
+        // Init code, then the bodies, then the manager: the order in which
+        // errors are reported.
+        let init = if imp.init.is_empty() {
+            None
+        } else {
+            let init = Cx {
+                scope: Scope::Init,
+                ..base.clone()
+            };
+            Some(init.block("init", &[], &[], &imp.init, imp.pos)?)
+        };
+        let mut entries = Vec::with_capacity(info.entries.len());
+        for (e, p) in info.entries.iter().zip(&imp.procs) {
+            let h = &p.header;
+            let body = Cx {
+                scope: Scope::ProcBody,
+                results: &h.results,
+                ..base.clone()
+            };
+            entries.push(CEntry {
+                name: e.name.clone(),
+                public_params: tys(&e.public_params),
+                public_results: tys(&e.public_results),
+                hidden_params: tys(&e.hidden_params),
+                hidden_results: tys(&e.hidden_results),
+                array: e.array,
+                local: e.local,
+                intercept: e.intercept,
+                code: body.block(&e.name, &h.params, &p.vars, &p.body, h.pos)?,
+            });
+        }
+        let manager = match &imp.manager {
+            Some(m) => {
+                let mgr = Cx {
+                    scope: Scope::Manager,
+                    ..base
+                };
+                Some(mgr.block("manager", &[], &m.vars, &m.body, m.pos)?)
+            }
+            None => None,
+        };
+        cobjects.push(CObject {
+            name: info.name.clone(),
+            env: imp
+                .vars
+                .iter()
+                .map(|v| default_of(&v.ty, &v.name))
+                .collect(),
+            entries,
+            manager,
+            init,
+            tok_base: running_sums(info.entries.iter().map(|e| e.array)),
+            tok_len: info.entries.iter().map(|e| e.array).sum(),
+        });
+    }
+    let no_vars = Names::new();
+    let main = match &program.main {
+        Some(m) => {
+            let main = Cx::new(&objects, &flat_base, None, &no_vars);
+            Some(main.block("main", &[], &m.vars, &m.body, m.pos)?)
+        }
+        None => None,
     };
-    // Scope/statement checking per object and for main.
-    for info in &checked.objects {
-        let imp = &program.impls[info.impl_idx];
-        let ck = ScopeChecker::new(&checked);
-        ck.check_object(imp, info)?;
+    let unit = CUnit {
+        objects: cobjects,
+        main,
+        total_entries: objects.iter().map(|o| o.entries.len()).sum(),
+        flat_base,
+    };
+    Ok(Checked {
+        objects,
+        unit: Arc::new(unit),
+    })
+}
+
+/// `f` over `xs`, into an exactly sized `Vec`. A run keeps its IR while
+/// it lives; collecting into a `Result` would give a one-element `Vec`
+/// room for four.
+fn each<I: ExactSizeIterator, U>(
+    xs: I,
+    mut f: impl FnMut(I::Item) -> Result<U, LangError>,
+) -> Result<Vec<U>, LangError> {
+    let mut out = Vec::with_capacity(xs.len());
+    for x in xs {
+        out.push(f(x)?);
     }
-    if let Some(main) = &program.main {
-        let ck = ScopeChecker::new(&checked);
-        ck.check_main(main)?;
+    Ok(out)
+}
+
+/// `[0, n0, n0 + n1, …]`: each item's offset in a flat table.
+fn running_sums(ns: impl Iterator<Item = usize>) -> Vec<usize> {
+    ns.scan(0, |acc, n| {
+        let base = *acc;
+        *acc += n;
+        Some(base)
+    })
+    .collect()
+}
+
+fn conv_ty(t: &TypeExpr) -> Ty {
+    match t {
+        TypeExpr::Int => Ty::Int,
+        TypeExpr::Bool => Ty::Bool,
+        TypeExpr::Float => Ty::Float,
+        TypeExpr::Str => Ty::Str,
+        TypeExpr::Chan(sig) => Ty::Chan(tys(sig)),
+        TypeExpr::List(e) => Ty::List(Box::new(conv_ty(e))),
     }
-    Ok(checked)
+}
+
+fn tys(ts: &[TypeExpr]) -> Vec<Ty> {
+    ts.iter().map(conv_ty).collect()
+}
+
+fn default_of(t: &TypeExpr, name: &str) -> DefaultVal {
+    match t {
+        TypeExpr::Int => DefaultVal::Int,
+        TypeExpr::Bool => DefaultVal::Bool,
+        TypeExpr::Float => DefaultVal::Float,
+        TypeExpr::Str => DefaultVal::Str,
+        TypeExpr::Chan(sig) => DefaultVal::Chan(name.to_string(), tys(sig)),
+        TypeExpr::List(_) => DefaultVal::List,
+    }
 }
 
 fn type_prefix_matches(prefix: &[TypeExpr], full: &[TypeExpr]) -> bool {
     prefix.len() <= full.len() && prefix.iter().zip(full).all(|(a, b)| a == b)
 }
 
-fn resolve_object(
-    imp: &ObjectImpl,
-    def: Option<&ObjectDef>,
-    impl_idx: usize,
-) -> Result<ObjInfo, LangError> {
+fn resolve_object(imp: &ObjectImpl, def: Option<&ObjectDef>) -> Result<ObjInfo, LangError> {
     let mut entries: Vec<EntryInfo> = Vec::new();
     let mut entry_idx: HashMap<String, usize> = HashMap::new();
     let def_procs: HashMap<&str, &ProcHeader> = def
         .map(|d| d.procs.iter().map(|p| (p.name.as_str(), p)).collect())
         .unwrap_or_default();
-    for (pi, p) in imp.procs.iter().enumerate() {
+    for p in &imp.procs {
         let h = &p.header;
         if entry_idx.contains_key(&h.name) {
             return Err(LangError::at(
@@ -178,13 +302,7 @@ fn resolve_object(
                     // Not exported: local procedure. Everything is public
                     // *within* the object; no hidden split applies unless
                     // intercepted with explicit prefixes (treated below).
-                    (
-                        impl_params.clone(),
-                        impl_results.clone(),
-                        vec![],
-                        vec![],
-                        true,
-                    )
+                    (impl_params, impl_results, vec![], vec![], true)
                 }
             };
         let local = local || h.local;
@@ -198,7 +316,6 @@ fn resolve_object(
             hidden_results,
             local,
             intercept: None,
-            impl_idx: pi,
         });
     }
     // Every defined proc must be implemented.
@@ -272,16 +389,27 @@ fn resolve_object(
                 ),
             ));
         }
-        if e.intercept.is_some() && imp.manager.is_none() {
-            unreachable!("intercepts are parsed inside the manager");
-        }
     }
     Ok(ObjInfo {
         name: imp.name.clone(),
         entries,
         entry_idx,
-        impl_idx,
     })
+}
+
+/// Entry `name` of `info`: its index and signature.
+fn entry_of<'a>(
+    info: &'a ObjInfo,
+    name: &str,
+    pos: Pos,
+) -> Result<(usize, &'a EntryInfo), LangError> {
+    match info.entry_idx.get(name) {
+        Some(&i) => Ok((i, &info.entries[i])),
+        None => Err(LangError::at(
+            pos,
+            format!("object `{}` has no procedure `{}`", info.name, name),
+        )),
+    }
 }
 
 /// Where a statement appears, for the manager-only rules.
@@ -293,131 +421,166 @@ enum Scope {
     Init,
 }
 
-struct ScopeChecker<'c> {
-    checked: &'c Checked,
+/// Visible names: each with its type and where it lives.
+type Names = HashMap<String, (TypeExpr, VarRef)>;
+
+/// The walk over one code block (entry body, manager, init or `main`).
+#[derive(Clone)]
+struct Cx<'c> {
+    objects: &'c [ObjInfo],
+    flat_base: &'c [usize],
+    /// Current object: `(index, info)`; `None` in `main`.
+    obj: Option<(usize, &'c ObjInfo)>,
+    /// The object's variables (environment slots).
+    env: &'c Names,
+    scope: Scope,
+    /// What a `return` must supply.
+    results: &'c [TypeExpr],
+    /// Lexical scopes of the frame, innermost last.
+    scopes: Vec<Names>,
+    next_slot: usize,
+    /// Guard-overlay names (quantifier + bind names) → overlay slot,
+    /// consulted first while walking a guard's `when`/`pri`.
+    overlay: Option<HashMap<String, usize>>,
 }
 
-struct Vars {
-    frames: Vec<HashMap<String, TypeExpr>>,
-}
-
-impl Vars {
-    fn new() -> Vars {
-        Vars {
-            frames: vec![HashMap::new()],
+impl<'c> Cx<'c> {
+    fn new(
+        objects: &'c [ObjInfo],
+        flat_base: &'c [usize],
+        obj: Option<(usize, &'c ObjInfo)>,
+        env: &'c Names,
+    ) -> Self {
+        Cx {
+            objects,
+            flat_base,
+            obj,
+            env,
+            scope: Scope::Main,
+            results: &[],
+            scopes: vec![Names::new()],
+            next_slot: 0,
+            overlay: None,
         }
     }
 
-    fn push(&mut self) {
-        self.frames.push(HashMap::new());
-    }
-
-    fn pop(&mut self) {
-        self.frames.pop();
-    }
-
-    fn declare(&mut self, name: &str, ty: TypeExpr) {
-        self.frames
-            .last_mut()
-            .expect("at least one frame")
-            .insert(name.to_string(), ty);
-    }
-
-    fn lookup(&self, name: &str) -> Option<&TypeExpr> {
-        self.frames.iter().rev().find_map(|f| f.get(name))
-    }
-}
-
-impl<'c> ScopeChecker<'c> {
-    fn new(checked: &'c Checked) -> Self {
-        ScopeChecker { checked }
-    }
-
-    fn check_object(&self, imp: &ObjectImpl, info: &ObjInfo) -> Result<(), LangError> {
-        let mut object_vars = Vars::new();
-        for v in &imp.vars {
-            object_vars.declare(&v.name, v.ty.clone());
-        }
-        // Init code: object vars only.
-        self.check_stmts(&imp.init, &mut object_vars, Scope::Init, Some(info), &[])?;
-        // Bodies.
-        for p in &imp.procs {
-            let mut vars = Vars::new();
-            for v in &imp.vars {
-                vars.declare(&v.name, v.ty.clone());
-            }
-            vars.push();
-            for prm in &p.header.params {
-                vars.declare(&prm.name, prm.ty.clone());
-            }
-            for l in &p.vars {
-                vars.declare(&l.name, l.ty.clone());
-            }
-            self.check_stmts(
-                &p.body,
-                &mut vars,
-                Scope::ProcBody,
-                Some(info),
-                &p.header.results,
-            )?;
-        }
-        // Manager.
-        if let Some(m) = &imp.manager {
-            let mut vars = Vars::new();
-            for v in &imp.vars {
-                vars.declare(&v.name, v.ty.clone());
-            }
-            vars.push();
-            for l in &m.vars {
-                vars.declare(&l.name, l.ty.clone());
-            }
-            self.check_stmts(&m.body, &mut vars, Scope::Manager, Some(info), &[])?;
-        }
-        Ok(())
-    }
-
-    fn check_main(&self, main: &MainBlock) -> Result<(), LangError> {
-        let mut vars = Vars::new();
-        for v in &main.vars {
-            vars.declare(&v.name, v.ty.clone());
-        }
-        self.check_stmts(&main.body, &mut vars, Scope::Main, None, &[])
-    }
-
-    fn entry<'a>(
-        &'a self,
-        info: &'a ObjInfo,
+    fn block(
+        mut self,
         name: &str,
+        params: &[Param],
+        locals: &[Param],
+        body: &[Stmt],
         pos: Pos,
-    ) -> Result<&'a EntryInfo, LangError> {
-        info.entry_idx
-            .get(name)
-            .map(|i| &info.entries[*i])
-            .ok_or_else(|| {
-                LangError::at(
-                    pos,
-                    format!("object `{}` has no procedure `{}`", info.name, name),
-                )
-            })
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn check_stmts(
-        &self,
-        stmts: &[Stmt],
-        vars: &mut Vars,
-        scope: Scope,
-        obj: Option<&ObjInfo>,
-        proc_results: &[TypeExpr],
-    ) -> Result<(), LangError> {
-        for s in stmts {
-            self.check_stmt(s, vars, scope, obj, proc_results)?;
+    ) -> Result<CProc, LangError> {
+        for p in params.iter().chain(locals) {
+            self.declare(&p.name, p.ty.clone());
         }
-        Ok(())
+        let body = self.stmts(body)?;
+        Ok(CProc {
+            name: name.to_string(),
+            params: params.len(),
+            defaults: locals.iter().map(|l| default_of(&l.ty, &l.name)).collect(),
+            frame_size: self.next_slot,
+            result_count: self.results.len(),
+            body,
+            pos,
+        })
     }
 
-    fn require_manager(&self, scope: Scope, what: &str, pos: Pos) -> Result<(), LangError> {
-        if scope != Scope::Manager {
+    // ---- scopes --------------------------------------------------------
+
+    fn scoped<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, LangError>,
+    ) -> Result<T, LangError> {
+        self.scopes.push(Names::new());
+        let r = f(self);
+        self.scopes.pop();
+        r
+    }
+
+    fn declare(&mut self, name: &str, ty: TypeExpr) -> usize {
+        let slot = self.next_slot;
+        self.next_slot += 1;
+        let scope = self.scopes.last_mut().expect("at least one scope");
+        scope.insert(name.to_string(), (ty, VarRef::Frame(slot)));
+        slot
+    }
+
+    /// Resolve a name: guard overlay (inside `when`/`pri`), then the
+    /// frame's scopes innermost first, then the object's variables.
+    fn lookup(&self, name: &str) -> Option<(&TypeExpr, VarRef)> {
+        let (ty, r) = self
+            .scopes
+            .iter()
+            .rev()
+            .chain([self.env])
+            .find_map(|s| s.get(name))?;
+        let r = match self.overlay.as_ref().and_then(|o| o.get(name)) {
+            Some(&i) => VarRef::Overlay(i),
+            None => *r,
+        };
+        Some((ty, r))
+    }
+
+    fn var(&self, name: &str, pos: Pos) -> Result<(TypeExpr, VarRef), LangError> {
+        match self.lookup(name) {
+            Some((ty, r)) => Ok((ty.clone(), r)),
+            None => Err(LangError::at(pos, format!("undeclared variable `{name}`"))),
+        }
+    }
+
+    /// Bind targets of a `receive`/`accept`/`await`: an existing variable
+    /// of the bound type, else an implicit declaration in the current
+    /// scope.
+    fn bind(
+        &mut self,
+        binds: &[LValue],
+        tys: &[TypeExpr],
+        pos: Pos,
+    ) -> Result<Vec<VarRef>, LangError> {
+        if binds.len() != tys.len() {
+            return Err(LangError::at(
+                pos,
+                format!("expected {} binding(s), got {}", tys.len(), binds.len()),
+            ));
+        }
+        let mut targets = Vec::with_capacity(binds.len());
+        for (LValue::Var(name, vpos), ty) in binds.iter().zip(tys) {
+            let target = match self.lookup(name) {
+                Some((want, r)) if want == ty => r,
+                Some((want, _)) => {
+                    return Err(LangError::at(
+                        *vpos,
+                        format!("`{name}` has type {want:?}, cannot bind {ty:?}"),
+                    ))
+                }
+                None => VarRef::Frame(self.declare(name, ty.clone())),
+            };
+            targets.push(target);
+        }
+        Ok(targets)
+    }
+
+    /// A `for` variable or guard quantifier: an `int` frame variable of
+    /// that name is the loop variable (and keeps its last value
+    /// afterwards); otherwise a fresh `int` slot in the current scope
+    /// shadows the name.
+    fn loop_var(&mut self, name: &str) -> usize {
+        match self.scopes.iter().rev().find_map(|s| s.get(name)) {
+            Some((TypeExpr::Int, VarRef::Frame(slot))) => *slot,
+            _ => self.declare(name, TypeExpr::Int),
+        }
+    }
+
+    // ---- entries -------------------------------------------------------
+
+    fn own(&self) -> &'c ObjInfo {
+        self.obj.expect("manager scope has an object").1
+    }
+
+    fn require_manager(&self, what: &str, pos: Pos) -> Result<(), LangError> {
+        if self.scope != Scope::Manager {
             return Err(LangError::at(
                 pos,
                 format!("`{what}` is a manager primitive and may only appear in a manager"),
@@ -426,19 +589,63 @@ impl<'c> ScopeChecker<'c> {
         Ok(())
     }
 
+    /// The intercepted entry a manager primitive names, its intercepted
+    /// prefix lengths and its slot index.
+    #[allow(clippy::type_complexity)]
+    fn intercepted(
+        &mut self,
+        slot: &SlotRef,
+        what: &str,
+        pos: Pos,
+    ) -> Result<(usize, &'c EntryInfo, (usize, usize), Option<CExpr>), LangError> {
+        let (ei, e) = entry_of(self.own(), &slot.entry, slot.pos)?;
+        let Some(k) = e.intercept else {
+            return Err(LangError::at(
+                pos,
+                format!("`{what} {}`: procedure is not intercepted", e.name),
+            ));
+        };
+        let ix = slot
+            .index
+            .as_ref()
+            .map(|ix| self.expect(ix, &TypeExpr::Int))
+            .transpose()?;
+        Ok((ei, e, k, ix))
+    }
+
+    /// `accept` (the intercepted parameters) or `await` (the intercepted
+    /// and hidden results), as a statement or a guard: the entry, the slot
+    /// index and the bind targets.
+    fn accept_await(
+        &mut self,
+        accept: bool,
+        slot: &SlotRef,
+        binds: &[LValue],
+        pos: Pos,
+        bind_pos: Pos,
+    ) -> Result<(usize, Option<CExpr>, Vec<VarRef>), LangError> {
+        let what = if accept { "accept" } else { "await" };
+        let (entry, e, (kp, kr), ix) = self.intercepted(slot, what, pos)?;
+        let tys = if accept {
+            e.public_params[..kp].to_vec()
+        } else {
+            [&e.public_results[..kr], &e.hidden_results[..]].concat()
+        };
+        Ok((entry, ix, self.bind(binds, &tys, bind_pos)?))
+    }
+
+    // ---- statements ----------------------------------------------------
+
+    fn stmts(&mut self, stmts: &[Stmt]) -> Result<Vec<CStmt>, LangError> {
+        each(stmts.iter(), |s| self.stmt(s))
+    }
+
     #[allow(clippy::too_many_lines)]
-    fn check_stmt(
-        &self,
-        s: &Stmt,
-        vars: &mut Vars,
-        scope: Scope,
-        obj: Option<&ObjInfo>,
-        proc_results: &[TypeExpr],
-    ) -> Result<(), LangError> {
-        match s {
-            Stmt::Skip(_) => Ok(()),
+    fn stmt(&mut self, s: &Stmt) -> Result<CStmt, LangError> {
+        Ok(match s {
+            Stmt::Skip(_) => CStmt::Skip,
             Stmt::Assign(lvs, e, pos) => {
-                let tys = self.expr_types(e, vars, scope, obj)?;
+                let (tys, e) = self.expr(e)?;
                 if tys.len() != lvs.len() {
                     return Err(LangError::at(
                         *pos,
@@ -449,227 +656,121 @@ impl<'c> ScopeChecker<'c> {
                         ),
                     ));
                 }
-                for (lv, ty) in lvs.iter().zip(tys) {
-                    let LValue::Var(name, vpos) = lv;
-                    let Some(want) = vars.lookup(name) else {
-                        return Err(LangError::at(
-                            *vpos,
-                            format!("undeclared variable `{name}`"),
-                        ));
-                    };
-                    if *want != ty {
+                let mut targets = Vec::with_capacity(lvs.len());
+                for (LValue::Var(name, vpos), ty) in lvs.iter().zip(tys) {
+                    let (want, r) = self.var(name, *vpos)?;
+                    if want != ty {
                         return Err(LangError::at(
                             *vpos,
                             format!("cannot assign {ty:?} to `{name}` of type {want:?}"),
                         ));
                     }
+                    targets.push(r);
                 }
-                Ok(())
+                CStmt::Assign(targets, e, *pos)
             }
-            Stmt::Call(target, args, pos) => {
-                let _ = self.call_types(target, args, vars, scope, obj, *pos)?;
-                Ok(())
-            }
+            Stmt::Call(target, args, pos) => CStmt::Expr(self.call(target, args, *pos)?.1),
             Stmt::If(arms, els, _) => {
-                for (c, body) in arms {
-                    self.expect_bool(c, vars, scope, obj)?;
-                    self.check_stmts(body, vars, scope, obj, proc_results)?;
-                }
-                self.check_stmts(els, vars, scope, obj, proc_results)
+                let arms = each(arms.iter(), |(c, body)| {
+                    Ok((self.expect(c, &TypeExpr::Bool)?, self.stmts(body)?))
+                })?;
+                CStmt::If(arms, self.stmts(els)?)
             }
             Stmt::While(c, body, _) => {
-                self.expect_bool(c, vars, scope, obj)?;
-                self.check_stmts(body, vars, scope, obj, proc_results)
+                CStmt::While(self.expect(c, &TypeExpr::Bool)?, self.stmts(body)?)
             }
             Stmt::For(v, lo, hi, body, _) => {
-                self.expect_int(lo, vars, scope, obj)?;
-                self.expect_int(hi, vars, scope, obj)?;
-                vars.push();
-                vars.declare(v, TypeExpr::Int);
-                let r = self.check_stmts(body, vars, scope, obj, proc_results);
-                vars.pop();
-                r
+                let lo = self.expect(lo, &TypeExpr::Int)?;
+                let hi = self.expect(hi, &TypeExpr::Int)?;
+                self.scoped(|cx| Ok(CStmt::For(cx.loop_var(v), lo, hi, cx.stmts(body)?)))?
             }
             Stmt::Send(chan, args, pos) => {
-                let sig = self.chan_sig(chan, vars, scope, obj)?;
+                let (sig, chan) = self.chan_sig(chan)?;
                 if sig.len() != args.len() {
                     return Err(LangError::at(
                         *pos,
                         format!("send of {} value(s) on chan({})", args.len(), sig.len()),
                     ));
                 }
-                for (a, want) in args.iter().zip(&sig) {
-                    self.expect_type(a, want, vars, scope, obj)?;
-                }
-                Ok(())
+                CStmt::Send(chan, self.typed(args, &sig)?, *pos)
             }
             Stmt::Receive(chan, binds, pos) => {
-                let sig = self.chan_sig(chan, vars, scope, obj)?;
-                self.bind_types(binds, &sig, vars, *pos)
+                let (sig, chan) = self.chan_sig(chan)?;
+                CStmt::Receive(chan, self.bind(binds, &sig, *pos)?, *pos)
             }
             Stmt::Select(arms, pos) | Stmt::Loop(arms, pos) => {
-                self.require_manager(scope, "select/loop", *pos)?;
-                let info = obj.expect("manager scope has an object");
-                for arm in arms {
-                    vars.push();
-                    if let Some((qv, lo, hi)) = &arm.quantifier {
-                        self.expect_int(lo, vars, scope, obj)?;
-                        self.expect_int(hi, vars, scope, obj)?;
-                        vars.declare(qv, TypeExpr::Int);
-                    }
-                    match &arm.kind {
-                        GuardKind::Accept { slot, binds } => {
-                            let e = self.entry(info, &slot.entry, slot.pos)?;
-                            let Some((kp, _)) = e.intercept else {
-                                return Err(LangError::at(
-                                    slot.pos,
-                                    format!("`accept {}`: procedure is not intercepted", e.name),
-                                ));
-                            };
-                            if let Some(ix) = &slot.index {
-                                self.expect_int(ix, vars, scope, obj)?;
-                            }
-                            let tys: Vec<TypeExpr> = e.public_params[..kp].to_vec();
-                            self.bind_types(binds, &tys, vars, arm.pos)?;
-                        }
-                        GuardKind::Await { slot, binds } => {
-                            let e = self.entry(info, &slot.entry, slot.pos)?;
-                            let Some((_, kr)) = e.intercept else {
-                                return Err(LangError::at(
-                                    slot.pos,
-                                    format!("`await {}`: procedure is not intercepted", e.name),
-                                ));
-                            };
-                            if let Some(ix) = &slot.index {
-                                self.expect_int(ix, vars, scope, obj)?;
-                            }
-                            let mut tys: Vec<TypeExpr> = e.public_results[..kr].to_vec();
-                            tys.extend(e.hidden_results.iter().cloned());
-                            self.bind_types(binds, &tys, vars, arm.pos)?;
-                        }
-                        GuardKind::Receive { chan, binds } => {
-                            let sig = self.chan_sig(chan, vars, scope, obj)?;
-                            self.bind_types(binds, &sig, vars, arm.pos)?;
-                        }
-                        GuardKind::Plain => {}
-                    }
-                    if let Some(w) = &arm.when {
-                        self.expect_bool(w, vars, scope, obj)?;
-                    }
-                    if let Some(p) = &arm.pri {
-                        self.expect_int(p, vars, scope, obj)?;
-                    }
-                    self.check_stmts(&arm.body, vars, scope, obj, proc_results)?;
-                    vars.pop();
+                self.require_manager("select/loop", *pos)?;
+                let arms = each(arms.iter(), |a| self.arm(a))?;
+                if matches!(s, Stmt::Select(..)) {
+                    CStmt::Select(arms, *pos)
+                } else {
+                    CStmt::LoopSel(arms, *pos)
                 }
-                Ok(())
             }
             Stmt::Par(calls, pos) => {
-                for (t, args) in calls {
-                    match t {
-                        CallTarget::Entry(..) => {
-                            let _ = self.call_types(t, args, vars, scope, obj, *pos)?;
-                        }
-                        CallTarget::Plain(name) => {
-                            return Err(LangError::at(
-                                *pos,
-                                format!(
-                                    "`par` branches must call object entries (`X.P`); \
-                                     `{name}` is not"
-                                ),
-                            ));
-                        }
-                    }
-                }
-                Ok(())
+                let branches = each(calls.iter(), |(t, args)| self.par_branch(t, args, *pos))?;
+                CStmt::Par(branches, *pos)
             }
             Stmt::ParFor(v, lo, hi, t, args, pos) => {
-                self.expect_int(lo, vars, scope, obj)?;
-                self.expect_int(hi, vars, scope, obj)?;
-                vars.push();
-                vars.declare(v, TypeExpr::Int);
-                let r = match t {
-                    CallTarget::Entry(..) => {
-                        self.call_types(t, args, vars, scope, obj, *pos).map(|_| ())
-                    }
-                    CallTarget::Plain(name) => Err(LangError::at(
-                        *pos,
-                        format!("`par` branches must call object entries (`X.P`); `{name}` is not"),
-                    )),
-                };
-                vars.pop();
-                r
+                let lo = self.expect(lo, &TypeExpr::Int)?;
+                let hi = self.expect(hi, &TypeExpr::Int)?;
+                self.scoped(|cx| {
+                    // Always a fresh slot: an outer variable of the same
+                    // name is untouched.
+                    let var = cx.declare(v, TypeExpr::Int);
+                    let branch = cx.par_branch(t, args, *pos)?;
+                    Ok(CStmt::ParFor {
+                        var,
+                        lo,
+                        hi,
+                        branch,
+                        pos: *pos,
+                    })
+                })?
             }
             Stmt::Return(args, pos) => {
-                if scope != Scope::ProcBody {
+                if self.scope != Scope::ProcBody {
                     return Err(LangError::at(*pos, "`return` only in procedure bodies"));
                 }
-                if args.len() != proc_results.len() {
+                let want = self.results;
+                if args.len() != want.len() {
                     return Err(LangError::at(
                         *pos,
                         format!(
                             "return of {} value(s) from a procedure returning {}",
                             args.len(),
-                            proc_results.len()
+                            want.len()
                         ),
                     ));
                 }
-                for (a, want) in args.iter().zip(proc_results) {
-                    self.expect_type(a, want, vars, scope, obj)?;
-                }
-                Ok(())
+                CStmt::Return(self.typed(args, want)?, *pos)
             }
             Stmt::Accept(slot, binds, pos) => {
-                self.require_manager(scope, "accept", *pos)?;
-                let info = obj.expect("manager scope");
-                let e = self.entry(info, &slot.entry, slot.pos)?;
-                let Some((kp, _)) = e.intercept else {
-                    return Err(LangError::at(
-                        *pos,
-                        format!("`accept {}`: procedure is not intercepted", e.name),
-                    ));
-                };
-                if let Some(ix) = &slot.index {
-                    self.expect_int(ix, vars, scope, obj)?;
+                self.require_manager("accept", *pos)?;
+                let (entry, slot, binds) = self.accept_await(true, slot, binds, *pos, *pos)?;
+                CStmt::Accept {
+                    entry,
+                    slot,
+                    binds,
+                    pos: *pos,
                 }
-                let tys: Vec<TypeExpr> = e.public_params[..kp].to_vec();
-                self.bind_types(binds, &tys, vars, *pos)
             }
             Stmt::AwaitStmt(slot, binds, pos) => {
-                self.require_manager(scope, "await", *pos)?;
-                let info = obj.expect("manager scope");
-                let e = self.entry(info, &slot.entry, slot.pos)?;
-                let Some((_, kr)) = e.intercept else {
-                    return Err(LangError::at(
-                        *pos,
-                        format!("`await {}`: procedure is not intercepted", e.name),
-                    ));
-                };
-                if let Some(ix) = &slot.index {
-                    self.expect_int(ix, vars, scope, obj)?;
+                self.require_manager("await", *pos)?;
+                let (entry, slot, binds) = self.accept_await(false, slot, binds, *pos, *pos)?;
+                CStmt::Await {
+                    entry,
+                    slot,
+                    binds,
+                    pos: *pos,
                 }
-                let mut tys: Vec<TypeExpr> = e.public_results[..kr].to_vec();
-                tys.extend(e.hidden_results.iter().cloned());
-                self.bind_types(binds, &tys, vars, *pos)
             }
             Stmt::Start(slot, args, pos) | Stmt::Execute(slot, args, pos) => {
-                let what = if matches!(s, Stmt::Start(..)) {
-                    "start"
-                } else {
-                    "execute"
-                };
-                self.require_manager(scope, what, *pos)?;
-                let info = obj.expect("manager scope");
-                let e = self.entry(info, &slot.entry, slot.pos)?;
-                let Some((kp, _)) = e.intercept else {
-                    return Err(LangError::at(
-                        *pos,
-                        format!("`{what} {}`: procedure is not intercepted", e.name),
-                    ));
-                };
-                if let Some(ix) = &slot.index {
-                    self.expect_int(ix, vars, scope, obj)?;
-                }
+                let start = matches!(s, Stmt::Start(..));
+                let what = if start { "start" } else { "execute" };
+                self.require_manager(what, *pos)?;
+                let (entry, e, (kp, _), slot) = self.intercepted(slot, what, *pos)?;
+                let want = [&e.public_params[..kp], &e.hidden_params[..]].concat();
                 if args.is_empty() {
                     if !e.hidden_params.is_empty() {
                         return Err(LangError::at(
@@ -677,41 +778,41 @@ impl<'c> ScopeChecker<'c> {
                             format!("`{what} {}` must supply the hidden parameter(s)", e.name),
                         ));
                     }
-                } else {
-                    let mut want: Vec<TypeExpr> = e.public_params[..kp].to_vec();
-                    want.extend(e.hidden_params.iter().cloned());
-                    if args.len() != want.len() {
-                        return Err(LangError::at(
-                            *pos,
-                            format!(
-                                "`{what} {}` takes the {} intercepted parameter(s) plus {} \
-                                 hidden parameter(s), got {}",
-                                e.name,
-                                kp,
-                                e.hidden_params.len(),
-                                args.len()
-                            ),
-                        ));
-                    }
-                    for (a, w) in args.iter().zip(&want) {
-                        self.expect_type(a, w, vars, scope, obj)?;
-                    }
-                }
-                Ok(())
-            }
-            Stmt::Finish(slot, args, pos) => {
-                self.require_manager(scope, "finish", *pos)?;
-                let info = obj.expect("manager scope");
-                let e = self.entry(info, &slot.entry, slot.pos)?;
-                let Some((_, kr)) = e.intercept else {
+                } else if args.len() != want.len() {
                     return Err(LangError::at(
                         *pos,
-                        format!("`finish {}`: procedure is not intercepted", e.name),
+                        format!(
+                            "`{what} {}` takes the {} intercepted parameter(s) plus {} \
+                             hidden parameter(s), got {}",
+                            e.name,
+                            kp,
+                            e.hidden_params.len(),
+                            args.len()
+                        ),
                     ));
-                };
-                if let Some(ix) = &slot.index {
-                    self.expect_int(ix, vars, scope, obj)?;
                 }
+                let args = self.typed(args, &want)?;
+                if start {
+                    CStmt::Start {
+                        entry,
+                        slot,
+                        args,
+                        intercept_params: kp,
+                        pos: *pos,
+                    }
+                } else {
+                    CStmt::Execute {
+                        entry,
+                        slot,
+                        args,
+                        intercept_params: kp,
+                        pos: *pos,
+                    }
+                }
+            }
+            Stmt::Finish(slot, args, pos) => {
+                self.require_manager("finish", *pos)?;
+                let (entry, e, (_, kr), slot) = self.intercepted(slot, "finish", *pos)?;
                 // Either the intercepted result prefix (normal) or the full
                 // public result list (combining); empty = forward as-is.
                 let n = args.len();
@@ -727,61 +828,102 @@ impl<'c> ScopeChecker<'c> {
                         ),
                     ));
                 }
-                let want: &[TypeExpr] = if n == kr {
+                let want = if n == kr {
                     &e.public_results[..kr]
                 } else {
                     &e.public_results
                 };
-                for (a, w) in args.iter().zip(want) {
-                    self.expect_type(a, w, vars, scope, obj)?;
+                CStmt::Finish {
+                    entry,
+                    slot,
+                    args: self.typed(args, want)?,
+                    pos: *pos,
                 }
-                Ok(())
             }
-        }
+        })
     }
 
-    fn bind_types(
-        &self,
-        binds: &[LValue],
-        tys: &[TypeExpr],
-        vars: &mut Vars,
+    fn par_branch(
+        &mut self,
+        target: &CallTarget,
+        args: &[Expr],
         pos: Pos,
-    ) -> Result<(), LangError> {
-        if binds.len() != tys.len() {
-            return Err(LangError::at(
+    ) -> Result<CParBranch, LangError> {
+        match target {
+            CallTarget::Entry(obj, entry) => Ok(self.entry_call(obj, entry, args, pos)?.1),
+            CallTarget::Plain(name) => Err(LangError::at(
                 pos,
-                format!("expected {} binding(s), got {}", tys.len(), binds.len()),
-            ));
+                format!("`par` branches must call object entries (`X.P`); `{name}` is not"),
+            )),
         }
-        for (b, ty) in binds.iter().zip(tys) {
-            let LValue::Var(name, vpos) = b;
-            match vars.lookup(name) {
-                Some(want) if want == ty => {}
-                Some(want) => {
-                    return Err(LangError::at(
-                        *vpos,
-                        format!("`{name}` has type {want:?}, cannot bind {ty:?}"),
-                    ))
-                }
-                None => {
-                    // Guard binds implicitly declare in the arm scope.
-                    vars.declare(name, ty.clone());
-                }
-            }
-        }
-        Ok(())
     }
 
-    fn chan_sig(
-        &self,
-        chan: &Expr,
-        vars: &mut Vars,
-        scope: Scope,
-        obj: Option<&ObjInfo>,
-    ) -> Result<Vec<TypeExpr>, LangError> {
-        let tys = self.expr_types(chan, vars, scope, obj)?;
+    fn arm(&mut self, arm: &Guarded) -> Result<CGuarded, LangError> {
+        self.scoped(|cx| {
+            // Bounds are typed before the quantifier variable is bound.
+            let quant = match &arm.quantifier {
+                Some((qv, lo, hi)) => {
+                    let lo = cx.expect(lo, &TypeExpr::Int)?;
+                    let hi = cx.expect(hi, &TypeExpr::Int)?;
+                    Some((cx.loop_var(qv), lo, hi))
+                }
+                None => None,
+            };
+            let (kind, binds) = match &arm.kind {
+                GuardKind::Accept { slot, binds } => {
+                    let (entry, _, t) = cx.accept_await(true, slot, binds, slot.pos, arm.pos)?;
+                    (CGuardKind::Accept { entry, binds: t }, &binds[..])
+                }
+                GuardKind::Await { slot, binds } => {
+                    let (entry, _, t) = cx.accept_await(false, slot, binds, slot.pos, arm.pos)?;
+                    (CGuardKind::Await { entry, binds: t }, &binds[..])
+                }
+                GuardKind::Receive { chan, binds } => {
+                    let (sig, chan) = cx.chan_sig(chan)?;
+                    let t = cx.bind(binds, &sig, arm.pos)?;
+                    (CGuardKind::Receive { chan, binds: t }, &binds[..])
+                }
+                GuardKind::Plain => (CGuardKind::Plain, &[][..]),
+            };
+            // `when`/`pri` see the candidate's values through the overlay:
+            // slot 0 is the quantifier (if any), then the bind names in
+            // order. The overlay shadows frame and environment. Plain
+            // guards have no bound values; their `when` (pre-evaluated)
+            // and `pri` resolve in the ordinary arm scope.
+            if !matches!(arm.kind, GuardKind::Plain) {
+                let qv = arm.quantifier.iter().map(|(qv, _, _)| qv);
+                let names = qv.chain(binds.iter().map(|LValue::Var(n, _)| n));
+                cx.overlay = Some(names.enumerate().map(|(i, n)| (n.clone(), i)).collect());
+            }
+            let when = arm
+                .when
+                .as_ref()
+                .map(|w| cx.expect(w, &TypeExpr::Bool))
+                .transpose()?;
+            let pri = arm
+                .pri
+                .as_ref()
+                .map(|p| cx.expect(p, &TypeExpr::Int))
+                .transpose()?;
+            cx.overlay = None;
+            let body = cx.stmts(&arm.body)?;
+            Ok(CGuarded {
+                quant,
+                kind,
+                when,
+                pri,
+                body,
+                pos: arm.pos,
+            })
+        })
+    }
+
+    // ---- expressions ---------------------------------------------------
+
+    fn chan_sig(&mut self, chan: &Expr) -> Result<(Vec<TypeExpr>, CExpr), LangError> {
+        let (tys, c) = self.expr(chan)?;
         match tys.as_slice() {
-            [TypeExpr::Chan(sig)] => Ok(sig.clone()),
+            [TypeExpr::Chan(sig)] => Ok((sig.clone(), c)),
             other => Err(LangError::at(
                 chan.pos(),
                 format!("expected a channel, found {other:?}"),
@@ -789,37 +931,10 @@ impl<'c> ScopeChecker<'c> {
         }
     }
 
-    fn expect_bool(
-        &self,
-        e: &Expr,
-        vars: &mut Vars,
-        scope: Scope,
-        obj: Option<&ObjInfo>,
-    ) -> Result<(), LangError> {
-        self.expect_type(e, &TypeExpr::Bool, vars, scope, obj)
-    }
-
-    fn expect_int(
-        &self,
-        e: &Expr,
-        vars: &mut Vars,
-        scope: Scope,
-        obj: Option<&ObjInfo>,
-    ) -> Result<(), LangError> {
-        self.expect_type(e, &TypeExpr::Int, vars, scope, obj)
-    }
-
-    fn expect_type(
-        &self,
-        e: &Expr,
-        want: &TypeExpr,
-        vars: &mut Vars,
-        scope: Scope,
-        obj: Option<&ObjInfo>,
-    ) -> Result<(), LangError> {
-        let tys = self.expr_types(e, vars, scope, obj)?;
+    fn expect(&mut self, e: &Expr, want: &TypeExpr) -> Result<CExpr, LangError> {
+        let (tys, c) = self.expr(e)?;
         match tys.as_slice() {
-            [one] if one == want => Ok(()),
+            [one] if one == want => Ok(c),
             other => Err(LangError::at(
                 e.pos(),
                 format!("expected {want:?}, found {other:?}"),
@@ -827,201 +942,181 @@ impl<'c> ScopeChecker<'c> {
         }
     }
 
-    /// Types of an expression; multi-result entry calls yield a tuple.
-    #[allow(clippy::too_many_lines)]
-    fn expr_types(
-        &self,
-        e: &Expr,
-        vars: &mut Vars,
-        scope: Scope,
-        obj: Option<&ObjInfo>,
-    ) -> Result<Vec<TypeExpr>, LangError> {
+    /// Each of `args` against its wanted type; the caller checked the
+    /// count.
+    fn typed(&mut self, args: &[Expr], want: &[TypeExpr]) -> Result<Vec<CExpr>, LangError> {
+        each(args.iter().zip(want), |(a, w)| self.expect(a, w))
+    }
+
+    /// Expressions of any type (`print`'s arguments).
+    fn untyped(&mut self, args: &[Expr]) -> Result<Vec<CExpr>, LangError> {
+        each(args.iter(), |a| Ok(self.expr(a)?.1))
+    }
+
+    /// Types of an expression (multi-result entry calls yield a tuple),
+    /// and its IR.
+    fn expr(&mut self, e: &Expr) -> Result<(Vec<TypeExpr>, CExpr), LangError> {
         Ok(match e {
-            Expr::Int(..) => vec![TypeExpr::Int],
-            Expr::Float(..) => vec![TypeExpr::Float],
-            Expr::Str(..) => vec![TypeExpr::Str],
-            Expr::Bool(..) => vec![TypeExpr::Bool],
+            Expr::Int(v, _) => (vec![TypeExpr::Int], CExpr::Const(Value::Int(*v))),
+            Expr::Float(v, _) => (vec![TypeExpr::Float], CExpr::Const(Value::Float(*v))),
+            Expr::Str(s, _) => (vec![TypeExpr::Str], CExpr::Const(Value::str(s))),
+            Expr::Bool(b, _) => (vec![TypeExpr::Bool], CExpr::Const(Value::Bool(*b))),
             Expr::Var(name, pos) => {
-                let Some(ty) = vars.lookup(name) else {
-                    return Err(LangError::at(*pos, format!("undeclared variable `{name}`")));
-                };
-                vec![ty.clone()]
+                let (ty, r) = self.var(name, *pos)?;
+                (vec![ty], CExpr::Var(r, *pos))
             }
             Expr::Pending(entry, pos) => {
-                if scope != Scope::Manager {
+                if self.scope != Scope::Manager {
                     return Err(LangError::at(
                         *pos,
                         "`#P` pending counts are only available in the manager",
                     ));
                 }
-                let info = obj.expect("manager scope");
-                let _ = self.entry(info, entry, *pos)?;
-                vec![TypeExpr::Int]
+                let (ei, _) = entry_of(self.own(), entry, *pos)?;
+                (vec![TypeExpr::Int], CExpr::Pending(ei, *pos))
             }
             Expr::Unary(op, inner, pos) => {
-                let t = self.expr_types(inner, vars, scope, obj)?;
-                match (op, t.as_slice()) {
-                    (UnOp::Neg, [TypeExpr::Int]) => vec![TypeExpr::Int],
-                    (UnOp::Neg, [TypeExpr::Float]) => vec![TypeExpr::Float],
-                    (UnOp::Not, [TypeExpr::Bool]) => vec![TypeExpr::Bool],
+                let (t, c) = self.expr(inner)?;
+                let t = match (op, t.as_slice()) {
+                    (UnOp::Neg, [TypeExpr::Int]) => TypeExpr::Int,
+                    (UnOp::Neg, [TypeExpr::Float]) => TypeExpr::Float,
+                    (UnOp::Not, [TypeExpr::Bool]) => TypeExpr::Bool,
                     (_, other) => {
                         return Err(LangError::at(
                             *pos,
                             format!("bad operand {other:?} for unary {op:?}"),
                         ))
                     }
-                }
+                };
+                (vec![t], CExpr::Unary(*op, Box::new(c), *pos))
             }
             Expr::Binary(op, a, b, pos) => {
-                let ta = self.expr_types(a, vars, scope, obj)?;
-                let tb = self.expr_types(b, vars, scope, obj)?;
-                let (ta, tb) = match (ta.as_slice(), tb.as_slice()) {
-                    ([x], [y]) => (x.clone(), y.clone()),
-                    _ => {
-                        return Err(LangError::at(
-                            *pos,
-                            "tuple value used as an operand".to_string(),
-                        ))
-                    }
+                let (ta, ca) = self.expr(a)?;
+                let (tb, cb) = self.expr(b)?;
+                let ([ta], [tb]) = (ta.as_slice(), tb.as_slice()) else {
+                    return Err(LangError::at(*pos, "tuple value used as an operand"));
                 };
-                use BinOp::*;
-                match op {
-                    Add => match (&ta, &tb) {
-                        (TypeExpr::Int, TypeExpr::Int) => vec![TypeExpr::Int],
-                        (TypeExpr::Float, TypeExpr::Float) => vec![TypeExpr::Float],
-                        (TypeExpr::Str, TypeExpr::Str) => vec![TypeExpr::Str],
-                        _ => {
-                            return Err(LangError::at(
-                                *pos,
-                                format!("cannot add {ta:?} and {tb:?}"),
-                            ))
-                        }
-                    },
-                    Sub | Mul | Div | Mod => match (&ta, &tb) {
-                        (TypeExpr::Int, TypeExpr::Int) => vec![TypeExpr::Int],
-                        (TypeExpr::Float, TypeExpr::Float) => vec![TypeExpr::Float],
-                        _ => {
-                            return Err(LangError::at(
-                                *pos,
-                                format!("bad operands {ta:?}, {tb:?} for {op:?}"),
-                            ))
-                        }
-                    },
-                    Eq | Ne => {
-                        if ta != tb {
-                            return Err(LangError::at(
-                                *pos,
-                                format!("cannot compare {ta:?} with {tb:?}"),
-                            ));
-                        }
-                        vec![TypeExpr::Bool]
-                    }
-                    Lt | Le | Gt | Ge => match (&ta, &tb) {
-                        (TypeExpr::Int, TypeExpr::Int)
-                        | (TypeExpr::Float, TypeExpr::Float)
-                        | (TypeExpr::Str, TypeExpr::Str) => vec![TypeExpr::Bool],
-                        _ => {
-                            return Err(LangError::at(
-                                *pos,
-                                format!("cannot order {ta:?} and {tb:?}"),
-                            ))
-                        }
-                    },
-                    And | Or => {
-                        if ta != TypeExpr::Bool || tb != TypeExpr::Bool {
-                            return Err(LangError::at(*pos, "`and`/`or` need booleans"));
-                        }
-                        vec![TypeExpr::Bool]
-                    }
-                }
+                let t = binary_type(*op, ta, tb, *pos)?;
+                (
+                    vec![t],
+                    CExpr::Binary(*op, Box::new(ca), Box::new(cb), *pos),
+                )
             }
-            Expr::Call(target, args, pos) => {
-                self.call_types(target, args, vars, scope, obj, *pos)?
-            }
+            Expr::Call(target, args, pos) => self.call(target, args, *pos)?,
         })
     }
 
-    /// Types returned by a call (builtin / local proc / object entry).
-    fn call_types(
-        &self,
-        target: &CallTarget,
+    /// The arguments of a call to `callee`, against its parameter types.
+    fn args(
+        &mut self,
+        callee: impl Display,
         args: &[Expr],
-        vars: &mut Vars,
-        scope: Scope,
-        obj: Option<&ObjInfo>,
+        want: &[TypeExpr],
         pos: Pos,
-    ) -> Result<Vec<TypeExpr>, LangError> {
-        match target {
-            CallTarget::Entry(objname, entry) => {
-                let Some(info) = self.checked.object(objname) else {
-                    return Err(LangError::at(pos, format!("unknown object `{objname}`")));
-                };
-                let e = self.entry(info, entry, pos)?;
-                if e.local && obj.map(|o| o.name != info.name).unwrap_or(true) {
-                    return Err(LangError::at(
-                        pos,
-                        format!("`{objname}.{entry}` is local to its object"),
-                    ));
-                }
-                if args.len() != e.public_params.len() {
-                    return Err(LangError::at(
-                        pos,
-                        format!(
-                            "`{objname}.{entry}` takes {} argument(s), got {}",
-                            e.public_params.len(),
-                            args.len()
-                        ),
-                    ));
-                }
-                let want = e.public_params.clone();
-                let rets = e.public_results.clone();
-                for (a, w) in args.iter().zip(&want) {
-                    self.expect_type(a, w, vars, scope, obj)?;
-                }
-                Ok(rets)
-            }
-            CallTarget::Plain(name) => {
-                if let Some(tys) = self.builtin_types(name, args, vars, scope, obj, pos)? {
-                    return Ok(tys);
-                }
-                // A sibling procedure of the current object.
-                let Some(info) = obj else {
-                    return Err(LangError::at(
-                        pos,
-                        format!("unknown procedure or builtin `{name}`"),
-                    ));
-                };
-                let e = self.entry(info, name, pos)?;
-                if args.len() != e.public_params.len() {
-                    return Err(LangError::at(
-                        pos,
-                        format!(
-                            "`{name}` takes {} argument(s), got {}",
-                            e.public_params.len(),
-                            args.len()
-                        ),
-                    ));
-                }
-                let want = e.public_params.clone();
-                let rets = e.public_results.clone();
-                for (a, w) in args.iter().zip(&want) {
-                    self.expect_type(a, w, vars, scope, obj)?;
-                }
-                Ok(rets)
-            }
+    ) -> Result<Vec<CExpr>, LangError> {
+        if args.len() != want.len() {
+            return Err(LangError::at(
+                pos,
+                format!(
+                    "`{callee}` takes {} argument(s), got {}",
+                    want.len(),
+                    args.len()
+                ),
+            ));
         }
+        self.typed(args, want)
     }
 
-    /// If `name` is a builtin, check it and return its result types.
-    fn builtin_types(
-        &self,
+    /// `X.P(…)`: the callee's public results and the resolved call.
+    fn entry_call(
+        &mut self,
+        objname: &str,
+        entry: &str,
+        args: &[Expr],
+        pos: Pos,
+    ) -> Result<(Vec<TypeExpr>, CParBranch), LangError> {
+        let Some(oi) = self.objects.iter().position(|o| o.name == objname) else {
+            return Err(LangError::at(pos, format!("unknown object `{objname}`")));
+        };
+        let info = &self.objects[oi];
+        let (ei, e) = entry_of(info, entry, pos)?;
+        if e.local && self.obj.is_none_or(|(_, o)| o.name != info.name) {
+            return Err(LangError::at(
+                pos,
+                format!("`{objname}.{entry}` is local to its object"),
+            ));
+        }
+        let args = self.args(
+            format_args!("{objname}.{entry}"),
+            args,
+            &e.public_params,
+            pos,
+        )?;
+        let flat = self.flat_base[oi] + ei;
+        Ok((
+            e.public_results.clone(),
+            CParBranch {
+                obj: oi,
+                flat,
+                args,
+                pos,
+            },
+        ))
+    }
+
+    /// A call: builtin, sibling procedure or object entry.
+    fn call(
+        &mut self,
+        target: &CallTarget,
+        args: &[Expr],
+        pos: Pos,
+    ) -> Result<(Vec<TypeExpr>, CExpr), LangError> {
+        let name = match target {
+            CallTarget::Entry(obj, entry) => {
+                let (tys, b) = self.entry_call(obj, entry, args, pos)?;
+                let (obj, flat, args) = (b.obj, b.flat, b.args);
+                return Ok((
+                    tys,
+                    CExpr::CallEntry {
+                        obj,
+                        flat,
+                        args,
+                        pos,
+                    },
+                ));
+            }
+            CallTarget::Plain(name) => name,
+        };
+        // Builtins shadow sibling procedures.
+        if let Some(b) = self.builtin(name, args, pos)? {
+            return Ok(b);
+        }
+        let Some((oi, info)) = self.obj else {
+            return Err(LangError::at(
+                pos,
+                format!("unknown procedure or builtin `{name}`"),
+            ));
+        };
+        let (entry, e) = entry_of(info, name, pos)?;
+        let args = self.args(name, args, &e.public_params, pos)?;
+        // An intercepted sibling goes through the own manager; any other
+        // runs inline.
+        let c = if e.intercept.is_some() {
+            let flat = self.flat_base[oi] + entry;
+            CExpr::CallSelf { flat, args, pos }
+        } else {
+            CExpr::CallInline { entry, args, pos }
+        };
+        Ok((e.public_results.clone(), c))
+    }
+
+    /// If `name` is a builtin, check it and return its result types and IR.
+    fn builtin(
+        &mut self,
         name: &str,
         args: &[Expr],
-        vars: &mut Vars,
-        scope: Scope,
-        obj: Option<&ObjInfo>,
         pos: Pos,
-    ) -> Result<Option<Vec<TypeExpr>>, LangError> {
+    ) -> Result<Option<(Vec<TypeExpr>, CExpr)>, LangError> {
         let arity = |n: usize| -> Result<(), LangError> {
             if args.len() != n {
                 Err(LangError::at(
@@ -1032,120 +1127,108 @@ impl<'c> ScopeChecker<'c> {
                 Ok(())
             }
         };
+        let call = |tys: Vec<TypeExpr>, b: Builtin, args: Vec<CExpr>| {
+            Ok(Some((tys, CExpr::CallBuiltin(b, args, pos))))
+        };
         match name {
-            "print" => {
-                for a in args {
-                    let _ = self.expr_types(a, vars, scope, obj)?;
-                }
-                Ok(Some(vec![]))
-            }
+            "print" => call(vec![], Builtin::Print, self.untyped(args)?),
             "str" => {
                 arity(1)?;
-                let _ = self.expr_types(&args[0], vars, scope, obj)?;
-                Ok(Some(vec![TypeExpr::Str]))
+                call(vec![TypeExpr::Str], Builtin::Str, self.untyped(args)?)
             }
             "len" => {
                 arity(1)?;
-                let t = self.expr_types(&args[0], vars, scope, obj)?;
+                let (t, c) = self.expr(&args[0])?;
                 match t.as_slice() {
-                    [TypeExpr::List(_)] | [TypeExpr::Str] => Ok(Some(vec![TypeExpr::Int])),
+                    [TypeExpr::List(_)] | [TypeExpr::Str] => {
+                        call(vec![TypeExpr::Int], Builtin::Len, vec![c])
+                    }
                     other => Err(LangError::at(
                         pos,
                         format!("`len` needs a list or string, found {other:?}"),
                     )),
                 }
             }
-            "push" => {
-                arity(2)?;
-                let t = self.expr_types(&args[0], vars, scope, obj)?;
-                match t.as_slice() {
-                    [TypeExpr::List(elem)] => {
-                        self.expect_type(&args[1], elem, vars, scope, obj)?;
-                        if !matches!(&args[0], Expr::Var(..)) {
-                            return Err(LangError::at(pos, "`push` needs a list variable"));
-                        }
-                        Ok(Some(vec![]))
-                    }
-                    other => Err(LangError::at(
-                        pos,
-                        format!("`push` needs a list, found {other:?}"),
-                    )),
-                }
-            }
-            "remove" => {
-                arity(2)?;
-                let t = self.expr_types(&args[0], vars, scope, obj)?;
-                self.expect_int(&args[1], vars, scope, obj)?;
-                match t.as_slice() {
-                    [TypeExpr::List(elem)] => {
-                        if !matches!(&args[0], Expr::Var(..)) {
-                            return Err(LangError::at(pos, "`remove` needs a list variable"));
-                        }
-                        Ok(Some(vec![(**elem).clone()]))
-                    }
-                    other => Err(LangError::at(
-                        pos,
-                        format!("`remove` needs a list, found {other:?}"),
-                    )),
-                }
-            }
-            "pop" => {
-                arity(1)?;
-                let t = self.expr_types(&args[0], vars, scope, obj)?;
-                match t.as_slice() {
-                    [TypeExpr::List(elem)] => {
-                        if !matches!(&args[0], Expr::Var(..)) {
-                            return Err(LangError::at(pos, "`pop` needs a list variable"));
-                        }
-                        Ok(Some(vec![(**elem).clone()]))
-                    }
-                    other => Err(LangError::at(
-                        pos,
-                        format!("`pop` needs a list, found {other:?}"),
-                    )),
-                }
-            }
-            "get" => {
-                arity(2)?;
-                let t = self.expr_types(&args[0], vars, scope, obj)?;
-                self.expect_int(&args[1], vars, scope, obj)?;
-                match t.as_slice() {
-                    [TypeExpr::List(elem)] => Ok(Some(vec![(**elem).clone()])),
-                    other => Err(LangError::at(
-                        pos,
-                        format!("`get` needs a list, found {other:?}"),
-                    )),
-                }
-            }
-            "set" => {
-                arity(3)?;
-                let t = self.expr_types(&args[0], vars, scope, obj)?;
-                self.expect_int(&args[1], vars, scope, obj)?;
-                match t.as_slice() {
-                    [TypeExpr::List(elem)] => {
-                        self.expect_type(&args[2], elem, vars, scope, obj)?;
-                        if !matches!(&args[0], Expr::Var(..)) {
-                            return Err(LangError::at(pos, "`set` needs a list variable"));
-                        }
-                        Ok(Some(vec![]))
-                    }
-                    other => Err(LangError::at(
-                        pos,
-                        format!("`set` needs a list, found {other:?}"),
-                    )),
-                }
-            }
             "now" => {
                 arity(0)?;
-                Ok(Some(vec![TypeExpr::Int]))
+                call(vec![TypeExpr::Int], Builtin::Now, vec![])
             }
             "sleep" => {
                 arity(1)?;
-                self.expect_int(&args[0], vars, scope, obj)?;
-                Ok(Some(vec![]))
+                call(
+                    vec![],
+                    Builtin::Sleep,
+                    vec![self.expect(&args[0], &TypeExpr::Int)?],
+                )
+            }
+            "push" | "remove" | "pop" | "get" | "set" => {
+                // (arity, has an index, position of the stored element)
+                let (n, indexed, elem_arg) = match name {
+                    "push" => (2, false, Some(1)),
+                    "remove" | "get" => (2, true, None),
+                    "pop" => (1, false, None),
+                    _ => (3, true, Some(2)),
+                };
+                arity(n)?;
+                let (t, list) = self.expr(&args[0])?;
+                let index = if indexed {
+                    Some(self.expect(&args[1], &TypeExpr::Int)?)
+                } else {
+                    None
+                };
+                let [TypeExpr::List(elem)] = t.as_slice() else {
+                    return Err(LangError::at(
+                        pos,
+                        format!("`{name}` needs a list, found {t:?}"),
+                    ));
+                };
+                let stored = elem_arg.map(|i| self.expect(&args[i], elem)).transpose()?;
+                let tys = if stored.is_some() {
+                    vec![]
+                } else {
+                    vec![(**elem).clone()]
+                };
+                let rest: Vec<CExpr> = index.into_iter().chain(stored).collect();
+                if name == "get" {
+                    return call(tys, Builtin::Get, [list].into_iter().chain(rest).collect());
+                }
+                // The mutating builtins update their list variable in place.
+                let CExpr::Var(target, _) = list else {
+                    return Err(LangError::at(
+                        pos,
+                        format!("`{name}` needs a list variable"),
+                    ));
+                };
+                let b = match name {
+                    "push" => Builtin::Push(target),
+                    "remove" => Builtin::Remove(target),
+                    "pop" => Builtin::Pop(target),
+                    _ => Builtin::Set(target),
+                };
+                call(tys, b, rest)
             }
             _ => Ok(None),
         }
+    }
+}
+
+/// The type of `a op b`.
+fn binary_type(op: BinOp, a: &TypeExpr, b: &TypeExpr, pos: Pos) -> Result<TypeExpr, LangError> {
+    use BinOp::*;
+    use TypeExpr::{Bool, Float, Int, Str};
+    let err = |m: String| Err(LangError::at(pos, m));
+    let same = |ok: &[TypeExpr]| a == b && ok.contains(a);
+    match op {
+        Add if same(&[Int, Float, Str]) => Ok(a.clone()),
+        Add => err(format!("cannot add {a:?} and {b:?}")),
+        Sub | Mul | Div | Mod if same(&[Int, Float]) => Ok(a.clone()),
+        Sub | Mul | Div | Mod => err(format!("bad operands {a:?}, {b:?} for {op:?}")),
+        Eq | Ne if a == b => Ok(Bool),
+        Eq | Ne => err(format!("cannot compare {a:?} with {b:?}")),
+        Lt | Le | Gt | Ge if same(&[Int, Float, Str]) => Ok(Bool),
+        Lt | Le | Gt | Ge => err(format!("cannot order {a:?} and {b:?}")),
+        And | Or if *a == Bool && *b == Bool => Ok(Bool),
+        And | Or => err("`and`/`or` need booleans".to_string()),
     }
 }
 

@@ -1,4 +1,4 @@
-//! The optimised walker: executes lowered IR ([`crate::ir`]) with every
+//! The optimised walker: executes the resolved IR ([`crate::ir`]) with every
 //! shortcut the resolved form allows.
 //!
 //! Linkage, frames, statements and the `select` skeleton are
@@ -96,8 +96,8 @@ pub fn spawn_compiled(
     })
 }
 
-/// Compile a checked program and run it on the given runtime: lower to
-/// IR, spawn the objects as direct fast-runtime objects, run `main`,
+/// Run a checked program's IR on the given runtime with the optimised
+/// walker: spawn the objects as direct fast-runtime objects, run `main`,
 /// tear down. The optimised counterpart of
 /// [`crate::interp::run_checked`].
 ///

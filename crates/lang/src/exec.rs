@@ -1,4 +1,4 @@
-//! What the two walkers share: everything about running lowered IR
+//! What the two walkers share: everything about running the resolved IR
 //! ([`crate::ir`]) that is not an evaluation strategy.
 //!
 //! * **Program linkage** — [`Prog`]: one [`CObject`] becomes one
@@ -43,7 +43,6 @@ use crate::ast::{BinOp, UnOp};
 use crate::check::Checked;
 use crate::error::LangError;
 use crate::ir::*;
-use crate::lower::lower;
 use crate::token::Pos;
 
 /// Where `print` output goes.
@@ -169,9 +168,10 @@ struct Tables {
     envs: Vec<Mutex<Vec<Value>>>,
 }
 
-/// A lowered program plus its runtime linkage, walked with strategy `S`.
+/// A checked program's IR plus its runtime linkage, walked with strategy
+/// `S`.
 pub(crate) struct Prog<S> {
-    unit: CUnit,
+    unit: Arc<CUnit>,
     tables: Tables,
     pub(crate) rt: Runtime,
     pub(crate) out: Output,
@@ -203,14 +203,14 @@ impl<S: 'static> Prog<S>
 where
     for<'p> Ex<'p, S>: Eval,
 {
-    /// Lower a checked program and spawn its objects on the runtime, in
-    /// declaration order, without running `main`.
+    /// Spawn a checked program's objects on the runtime, in declaration
+    /// order, without running `main`.
     pub(crate) fn spawn(
         rt: &Runtime,
         checked: &Checked,
         out: Output,
     ) -> Result<Arc<Self>, RunError> {
-        let unit = lower(checked);
+        let unit = Arc::clone(&checked.unit);
         let tables = Tables {
             handles: unit.objects.iter().map(|_| OnceLock::new()).collect(),
             ids: (0..unit.total_entries).map(|_| OnceLock::new()).collect(),
@@ -389,8 +389,7 @@ impl Cand<'_> {
     }
 
     /// The candidate's overlay: quantifier value (if any), then its
-    /// bound values in order — the `Overlay` slots assigned at lowering
-    /// time.
+    /// bound values in order — the `Overlay` slots the checker assigned.
     pub(crate) fn overlay(&self, view: &GuardView<'_>) -> Vec<Value> {
         let vals = view.values();
         let mut ov = Vec::with_capacity(usize::from(self.quantified) + vals.len());

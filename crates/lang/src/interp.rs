@@ -1,6 +1,6 @@
 //! The reference walker: the equivalence oracle for [`crate::compile`].
 //!
-//! It runs the same lowered IR ([`crate::ir`]) through the same linkage,
+//! It runs the same resolved IR ([`crate::ir`]) through the same linkage,
 //! frames, statements and `select` skeleton (`exec.rs`) as the
 //! optimised walker, and supplies the evaluation strategy in its most
 //! obvious form:

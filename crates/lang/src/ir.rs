@@ -1,8 +1,8 @@
 //! Resolved intermediate representation: the output of
-//! [`lower`](crate::lower::lower) and the only program form that is
+//! [`check`](crate::check::check) and the only program form that is
 //! executed.
 //!
-//! Every name in a checked program is resolved at lowering time —
+//! Every name in a checked program is resolved while it is checked —
 //! objects to indices, entries to `(object, entry)` index pairs with a
 //! precomputed position in the flat entry-id table, variables to frame
 //! slots (procedure/manager/main locals), environment slots (the object's
@@ -394,7 +394,7 @@ pub struct CObject {
     pub tok_len: usize,
 }
 
-/// A fully lowered program.
+/// A fully resolved program.
 #[derive(Debug, Clone)]
 pub struct CUnit {
     /// Objects, in implementation order (= `Checked::objects` order).

@@ -2,10 +2,11 @@
 //!
 //! A front end and two walkers for the ALPS notation of *"Synchronization
 //! and Scheduling in ALPS Objects"* (ICDCS 1988): lexer, recursive-descent
-//! parser, static checker (definitions vs implementations, hidden
-//! parameter/result derivation, intercepts validation, types, manager-only
-//! statements), and a lowering pass ([`mod@lower`]) that resolves every
-//! name into one IR ([`ir`]). That IR is all that runs: objects map onto
+//! parser, and a static checker ([`mod@check`]: definitions vs
+//! implementations, hidden parameter/result derivation, intercepts
+//! validation, types, manager-only statements) that, in the same walk,
+//! resolves every name into one IR ([`ir`]). That IR is all that runs:
+//! `parse → check → walk`. Objects map onto
 //! [`alps_core`] and processes onto [`alps_runtime`] through one shared
 //! linkage and statement walker, under either of two evaluation
 //! strategies — the naive reference ([`interp`], [`run_checked`]) that
@@ -54,7 +55,6 @@ mod exec;
 pub mod interp;
 pub mod ir;
 pub mod lexer;
-pub mod lower;
 pub mod parser;
 pub mod pretty;
 pub mod token;
@@ -63,6 +63,12 @@ pub use check::{check, Checked};
 pub use compile::{run_compiled, run_source_compiled, spawn_compiled, Compiled};
 pub use error::LangError;
 pub use interp::{run_checked, run_source, Output, RunError};
-pub use lower::lower;
 pub use parser::parse;
 pub use pretty::pretty;
+
+/// A copy of a checked program's IR, which [`check()`] already built. Kept
+/// only because the benchmark's `lang.lower_us` probe
+/// (`crates/benchmark/src/sut.rs`) names it.
+pub fn lower(checked: &Checked) -> ir::CUnit {
+    (*checked.unit).clone()
+}

@@ -618,3 +618,43 @@ fn combining_in_alps_source_executes_once() {
     "#);
     assert_eq!(out, vec!["executions=1"]);
 }
+
+#[test]
+fn for_variable_shadows_an_outer_variable_of_another_type() {
+    let out = run(r#"
+        main var x: string; begin
+          x := "a";
+          for x := 1 to 2 do print(x) end for;
+          print(x + "b")
+        end
+    "#);
+    assert_eq!(out, vec!["1", "2", "ab"]);
+}
+
+#[test]
+fn guard_quantifier_shadows_a_manager_variable_of_another_type() {
+    let out = run(r#"
+        object B defines
+          proc P();
+        end B;
+        object B implements
+          proc P[1..2]();
+          begin skip end P;
+          manager
+            intercepts P;
+            var i: string;
+            begin
+              i := "s";
+              select
+                (i: 1..2) accept P[i] => skip
+              end select;
+              print(i + "!");
+              execute P
+            end;
+        end B;
+        main begin
+          B.P()
+        end
+    "#);
+    assert_eq!(out, vec!["s!"]);
+}

@@ -43,8 +43,7 @@ struct ChanInner<T> {
 ///
 /// Cloning the handle is cheap; all clones refer to the same queue. The
 /// paper requires each channel be used for input *or* output by a given
-/// process but the type itself does not enforce directionality (split
-/// wrappers [`SendHalf`]/[`RecvHalf`] provide it when wanted).
+/// process; the type itself does not enforce directionality.
 ///
 /// # Examples
 ///
@@ -408,49 +407,6 @@ impl<T: Send + 'static> Chan<T> {
             st.subscribers.retain(|w| w.is_alive());
         }
     }
-
-    /// Directional split: a send-only and a receive-only handle.
-    pub fn split(&self) -> (SendHalf<T>, RecvHalf<T>) {
-        (
-            SendHalf { chan: self.clone() },
-            RecvHalf { chan: self.clone() },
-        )
-    }
-}
-
-/// Send-only handle to a [`Chan`] (the paper requires each endpoint use a
-/// channel in one direction only).
-#[derive(Debug, Clone)]
-pub struct SendHalf<T> {
-    chan: Chan<T>,
-}
-
-impl<T: Send + 'static> SendHalf<T> {
-    /// See [`Chan::send`].
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Shutdown`] if the channel is closed.
-    pub fn send(&self, rt: &Runtime, v: T) -> Result<(), RuntimeError> {
-        self.chan.send(rt, v)
-    }
-}
-
-/// Receive-only handle to a [`Chan`].
-#[derive(Debug, Clone)]
-pub struct RecvHalf<T> {
-    chan: Chan<T>,
-}
-
-impl<T: Send + 'static> RecvHalf<T> {
-    /// See [`Chan::recv`].
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Shutdown`] once the channel is closed and drained.
-    pub fn recv(&self, rt: &Runtime) -> Result<T, RuntimeError> {
-        self.chan.recv(rt)
-    }
 }
 
 #[cfg(test)]
@@ -695,15 +651,6 @@ mod tests {
         let max = c.peek_with(|it| it.copied().max());
         assert_eq!(max, Some(9));
         assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn split_halves_work() {
-        let rt = Runtime::threaded();
-        let c = Chan::unbounded("c");
-        let (tx, rx) = c.split();
-        tx.send(&rt, 1).unwrap();
-        assert_eq!(rx.recv(&rt).unwrap(), 1);
     }
 
     #[test]

@@ -54,7 +54,7 @@ mod par;
 mod process;
 pub mod tuning;
 
-pub use chan::{Chan, IntakeRing, RecvHalf, SendHalf};
+pub use chan::{Chan, IntakeRing};
 pub use error::{Aborted, RuntimeError};
 pub use executor::{ProcHandle, Runtime, SchedPolicy, SimProbe, SimRuntime, TICKS_PER_MS};
 pub use explore::{CommitPoint, TraceSpec};
