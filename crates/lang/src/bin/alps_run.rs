@@ -9,7 +9,11 @@
 //! threads instead. Either way the checker resolves the program into one IR
 //! (interned entry ids, flat frames) and that is what runs: by default
 //! under the naive reference walker, with `--compiled` under the
-//! optimised one — same observable behaviour, near-embedded speed.
+//! optimised one. Both behave the same; on the topology of
+//! `crates/benchmark/programs/buffer.alps` (two producers, two
+//! consumers, a managed buffer of list messages) the optimised walker's
+//! `main` takes 1.10–1.19× as long as the same objects written against
+//! `alps-core` (DESIGN.md §8).
 
 use std::process::ExitCode;
 use std::sync::Arc;

@@ -28,6 +28,7 @@ use alps_core::{Ty, Value};
 use crate::ast::*;
 use crate::error::LangError;
 use crate::ir::*;
+use crate::last_use;
 use crate::token::Pos;
 
 /// Resolved information about one procedure of an object.
@@ -476,7 +477,7 @@ impl<'c> Cx<'c> {
             self.declare(&p.name, p.ty.clone());
         }
         let body = self.stmts(body)?;
-        Ok(CProc {
+        let mut proc = CProc {
             name: name.to_string(),
             params: params.len(),
             defaults: locals.iter().map(|l| default_of(&l.ty, &l.name)).collect(),
@@ -484,7 +485,9 @@ impl<'c> Cx<'c> {
             result_count: self.results.len(),
             body,
             pos,
-        })
+        };
+        last_use::mark(&mut proc);
+        Ok(proc)
     }
 
     // ---- scopes --------------------------------------------------------
@@ -637,7 +640,7 @@ impl<'c> Cx<'c> {
     // ---- statements ----------------------------------------------------
 
     fn stmts(&mut self, stmts: &[Stmt]) -> Result<Vec<CStmt>, LangError> {
-        each(stmts.iter(), |s| self.stmt(s))
+        Ok(CStmt::hold_runs(each(stmts.iter(), |s| self.stmt(s))?))
     }
 
     #[allow(clippy::too_many_lines)]
@@ -910,6 +913,7 @@ impl<'c> Cx<'c> {
             Ok(CGuarded {
                 quant,
                 kind,
+                shape: GuardShape::of(when.as_ref(), pri.as_ref()),
                 when,
                 pri,
                 body,

@@ -5,23 +5,30 @@
 //! `exec.rs`'s, shared with the reference walker
 //! ([`crate::interp`]). Both already run over pre-resolved indices —
 //! entry calls are `handle.call_id(entry_id, valvec)` through interned
-//! tables, frames are flat `Vec<Value>`s, guards are
+//! tables, frames are flat slices of `Value`s (on the stack up to eight
+//! slots), guards are
 //! [`Guard::accept_idx`](alps_core::Guard::accept_idx) /
-//! [`await_idx`](alps_core::Guard::await_idx) and tokens are keyed by
-//! `AcceptedCall::entry_index()`. What this module adds is the
-//! evaluation strategy, and only here do these shortcuts exist:
+//! [`await_idx`](alps_core::Guard::await_idx), tokens are keyed by
+//! `AcceptedCall::entry_index()`, and a run of statements that touches
+//! the object's variables locks them once ([`CStmt::Held`]). What this
+//! module adds is the evaluation strategy, and only here do these
+//! shortcuts exist:
 //!
 //! * a statically single-valued expression evaluates straight to a
 //!   `Value` (`single_valued`, `eval_builtin1`, `one`) instead of
-//!   through a `Vec` and an arity check;
+//!   through a `Vec` and an arity check, and literal and variable
+//!   operands are read without a recursive call (`operand`);
 //! * list builtins work on the slot in place (`mutate`, `peek`) instead
 //!   of on a clone that is written back;
-//! * `return` of distinct frame variables moves them out of the dying
-//!   frame (`distinct_frame_vars`);
+//! * a frame variable's last read ([`CExpr::Take`], marked by `check`)
+//!   moves the value out instead of copying it: a message that a manager
+//!   forwards with `execute P(M)`, that a body stores with `set` or
+//!   returns, is not copied on the way;
 //! * a `when` that cannot change during one select round is decided
-//!   once per round, not once per candidate (`const_during_select`),
-//!   and a `when`/`pri` that reads no bound value skips building the
-//!   candidate's overlay (`uses_overlay`).
+//!   once per round, not once per candidate, and then boxes no closure
+//!   unless the arm is quantified; a `when`/`pri` that reads no bound
+//!   value skips building the candidate's overlay. Both facts are the
+//!   arm's [`GuardShape`], decided once by `check`.
 //!
 //! Emitted objects are ordinary `ObjectBuilder` products: supervision,
 //! deadlines/retry (`call_with` under any `Wait` on
@@ -35,14 +42,14 @@
 
 use std::sync::Arc;
 
-use alps_core::{AlpsError, Guard, GuardView, ObjectHandle, ValVec, Value};
+use alps_core::{Guard, GuardView, ObjectHandle, ValVec, Value};
 use alps_runtime::Runtime;
 
 use crate::ast::BinOp;
 use crate::check::Checked;
 use crate::exec::{
     binop, guard_write, len_of, list_get, list_pop, list_push, list_remove, list_set,
-    no_guard_value, not_one, pending, unop, Cand, Eval, Ex, Fr, Output, Pd, Prog, RunError,
+    no_guard_value, not_one, pending, unop, Cand, Eval, Ex, Fr, Linked, Output, Pd, Res, RunError,
 };
 use crate::ir::*;
 use crate::token::Pos;
@@ -54,15 +61,21 @@ pub(crate) struct Optimised;
 /// exposes them for direct embedded-API use (deadline calls, retry,
 /// benchmarking), [`Compiled::run_main`] drives the program's `main`
 /// block, [`Compiled::shutdown`] tears the objects down.
+///
+/// The `Compiled` owns the objects' handles, and the objects' bodies
+/// reach each other through it: keep it while they run. After
+/// [`Compiled::shutdown`], dropping it and every handle taken from
+/// [`Compiled::handle`] frees the objects, their tables and the run's
+/// hold on the IR once the managers have exited.
 pub struct Compiled {
-    prog: Arc<Prog<Optimised>>,
+    run: Linked<Optimised>,
 }
 
 impl Compiled {
     /// Handle of a spawned object, for direct `call_id`/deadline/retry
     /// use from Rust.
     pub fn handle(&self, object: &str) -> Option<ObjectHandle> {
-        self.prog.handle(object)
+        self.run.handle(object)
     }
 
     /// Run the program's `main` block (no-op without one).
@@ -71,12 +84,12 @@ impl Compiled {
     ///
     /// [`RunError::Run`] for runtime failures.
     pub fn run_main(&self) -> Result<(), RunError> {
-        self.prog.run_main()
+        self.run.run_main()
     }
 
     /// Shut all objects down (idempotent).
     pub fn shutdown(&self) {
-        self.prog.shutdown();
+        self.run.shutdown();
     }
 }
 
@@ -92,7 +105,7 @@ pub fn spawn_compiled(
     out: Output,
 ) -> Result<Compiled, RunError> {
     Ok(Compiled {
-        prog: Prog::spawn(rt, checked, out)?,
+        run: Linked::spawn(rt, checked, out)?,
     })
 }
 
@@ -105,7 +118,7 @@ pub fn spawn_compiled(
 ///
 /// [`RunError::Run`] for runtime failures.
 pub fn run_compiled(rt: &Runtime, checked: &Arc<Checked>, out: Output) -> Result<(), RunError> {
-    Prog::<Optimised>::run(rt, checked, out)
+    Linked::<Optimised>::run(rt, checked, out)
 }
 
 /// Parse, check, compile, and run an ALPS source string.
@@ -120,6 +133,22 @@ pub fn run_source_compiled(rt: &Runtime, src: &str, out: Output) -> Result<(), R
 }
 
 impl Ex<'_, Optimised> {
+    /// [`Eval::eval`] with literals and variables read in place: most
+    /// operands are one or the other, and each saves a recursive call. A
+    /// `Take` moves the value out of the frame.
+    #[inline(always)]
+    fn operand(&self, fr: &mut Fr<'_>, ov: Option<&[Value]>, pd: &Pd<'_>, e: &CExpr) -> Res<Value> {
+        match e {
+            CExpr::Const(v) => Ok(v.clone()),
+            CExpr::Var(r, pos) => self.read(fr, ov, *r, *pos),
+            CExpr::Take(i, _) => Ok(match fr.frame_mut() {
+                Some(f) => std::mem::replace(&mut f[*i], Value::Unit),
+                None => fr.frame()[*i].clone(),
+            }),
+            _ => self.eval(fr, ov, pd, e),
+        }
+    }
+
     /// Mutate the value behind a resolved variable in place (no
     /// read-clone-write round trip). Guard-condition contexts only hold
     /// the frame read-only and reject the write, like [`Ex::write`].
@@ -128,12 +157,15 @@ impl Ex<'_, Optimised> {
         fr: &mut Fr<'_>,
         r: VarRef,
         pos: Pos,
-        f: impl FnOnce(&mut Value) -> Result<R, AlpsError>,
-    ) -> Result<R, AlpsError> {
-        match (r, fr) {
-            (VarRef::Frame(i), Fr::Mut(fm)) => f(&mut fm[i]),
-            (VarRef::Env(i), _) => f(&mut self.env().lock()[i]),
-            (VarRef::Frame(_), Fr::Ref(_)) | (VarRef::Overlay(_), _) => Err(guard_write(pos)),
+        f: impl FnOnce(&mut Value) -> Res<R>,
+    ) -> Res<R> {
+        match r {
+            VarRef::Frame(i) => match fr.frame_mut() {
+                Some(fm) => f(&mut fm[i]),
+                None => Err(guard_write(pos)),
+            },
+            VarRef::Env(i) => self.env_mut(fr, i, f),
+            VarRef::Overlay(_) => Err(guard_write(pos)),
         }
     }
 
@@ -147,30 +179,29 @@ impl Ex<'_, Optimised> {
         ov: Option<&[Value]>,
         r: VarRef,
         pos: Pos,
-        f: impl FnOnce(&Value) -> Result<R, AlpsError>,
-    ) -> Result<R, AlpsError> {
+        f: impl FnOnce(&Value) -> Res<R>,
+    ) -> Res<R> {
         match r {
             VarRef::Overlay(i) => match ov.and_then(|o| o.get(i)) {
                 Some(v) => f(v),
                 None => Err(no_guard_value(pos)),
             },
-            VarRef::Frame(i) => match fr {
-                Fr::Mut(fm) => f(&fm[i]),
-                Fr::Ref(fm) => f(&fm[i]),
-            },
-            VarRef::Env(i) => f(&self.env().lock()[i]),
+            VarRef::Frame(i) => f(&fr.frame()[i]),
+            VarRef::Env(i) => self.env_ref(fr, i, f),
         }
     }
 
     /// Evaluate a call expression to its (possibly multi-valued) result
-    /// list. Non-call expressions yield a single value.
+    /// list. Non-call expressions yield a single value. Never inlined:
+    /// `eval` recurses, and each level would carry this code's stack.
+    #[inline(never)]
     fn eval_call(
         &self,
         fr: &mut Fr<'_>,
         ov: Option<&[Value]>,
         pd: &Pd<'_>,
         e: &CExpr,
-    ) -> Result<Vec<Value>, AlpsError> {
+    ) -> Res<ValVec> {
         match e {
             CExpr::CallEntry {
                 obj,
@@ -180,19 +211,31 @@ impl Ex<'_, Optimised> {
             } => {
                 let vv: ValVec = self.eval_all(fr, ov, pd, args)?;
                 let (h, id) = self.entry(*obj, *flat, *pos)?;
-                Ok(h.call_id(id, vv)?.into_iter().collect())
+                Ok(h.call_id(id, vv)?)
             }
             CExpr::CallSelf { flat, args, pos } => {
                 let vv: ValVec = self.eval_all(fr, ov, pd, args)?;
                 let (h, id) = self.own_entry(*flat, *pos)?;
-                Ok(h.call_from_inside_id(id, vv)?.into_iter().collect())
+                Ok(h.call_from_inside_id(id, vv)?)
             }
             CExpr::CallInline { entry, args, .. } => {
                 let vals = self.eval_all(fr, ov, pd, args)?;
                 self.run_inline(*entry, vals)
             }
-            CExpr::CallBuiltin(b, args, pos) => self.eval_builtin(fr, ov, pd, b, args, *pos),
-            other => Ok(vec![self.eval(fr, ov, pd, other)?]),
+            CExpr::CallBuiltin(b, args, pos) => {
+                let mut vals = ValVec::new();
+                if let Some(v) = self.eval_builtin1(fr, ov, pd, b, args, *pos)? {
+                    vals.push(v);
+                } else {
+                    self.run_builtin(fr, ov, pd, b, args, *pos)?;
+                }
+                Ok(vals)
+            }
+            other => {
+                let mut vals = ValVec::new();
+                vals.push(self.eval(fr, ov, pd, other)?);
+                Ok(vals)
+            }
         }
     }
 
@@ -203,6 +246,7 @@ impl Ex<'_, Optimised> {
     /// `get`/`len` on a plain variable borrow the list in place via
     /// [`Self::peek`]; evaluating the operand by value would clone the
     /// whole list per access.
+    #[inline(never)]
     fn eval_builtin1(
         &self,
         fr: &mut Fr<'_>,
@@ -211,32 +255,32 @@ impl Ex<'_, Optimised> {
         b: &Builtin,
         args: &[CExpr],
         pos: Pos,
-    ) -> Result<Option<Value>, AlpsError> {
+    ) -> Res<Option<Value>> {
         Ok(Some(match b {
             Builtin::Str => {
-                let v = self.eval(fr, ov, pd, &args[0])?;
+                let v = self.operand(fr, ov, pd, &args[0])?;
                 Value::str(v.to_string())
             }
             Builtin::Len => match &args[0] {
                 CExpr::Var(r, vpos) => self.peek(fr, ov, *r, *vpos, |v| len_of(v, pos))?,
-                e => len_of(&self.eval(fr, ov, pd, e)?, pos)?,
+                e => len_of(&self.operand(fr, ov, pd, e)?, pos)?,
             },
             Builtin::Get => {
                 // A variable operand never errors and has no effects, so
                 // hoisting the index evaluation is unobservable and lets
                 // the list stay borrowed in place instead of being cloned.
                 if let CExpr::Var(r, vpos) = &args[0] {
-                    let i = self.eval(fr, ov, pd, &args[1])?.as_int()?;
+                    let i = self.operand(fr, ov, pd, &args[1])?.as_int()?;
                     self.peek(fr, ov, *r, *vpos, |list| list_get(list, i, pos))?
                 } else {
-                    let list = self.eval(fr, ov, pd, &args[0])?;
-                    let i = self.eval(fr, ov, pd, &args[1])?.as_int()?;
+                    let list = self.operand(fr, ov, pd, &args[0])?;
+                    let i = self.operand(fr, ov, pd, &args[1])?.as_int()?;
                     list_get(&list, i, pos)?
                 }
             }
             Builtin::Now => Value::Int(self.p.rt.now() as i64),
             Builtin::Remove(target) => {
-                let i = self.eval(fr, ov, pd, &args[0])?.as_int()?;
+                let i = self.operand(fr, ov, pd, &args[0])?.as_int()?;
                 self.mutate(fr, *target, pos, |list| list_remove(list, i, pos))?
             }
             Builtin::Pop(target) => self.mutate(fr, *target, pos, |list| list_pop(list, pos))?,
@@ -247,6 +291,7 @@ impl Ex<'_, Optimised> {
     }
 
     /// Run a builtin for effect, dropping its value if it has one.
+    #[inline(never)]
     fn run_builtin(
         &self,
         fr: &mut Fr<'_>,
@@ -255,7 +300,7 @@ impl Ex<'_, Optimised> {
         b: &Builtin,
         args: &[CExpr],
         pos: Pos,
-    ) -> Result<(), AlpsError> {
+    ) -> Res<()> {
         match b {
             Builtin::Print => {
                 let mut line = String::new();
@@ -266,7 +311,7 @@ impl Ex<'_, Optimised> {
                 self.p.out.line(&line);
             }
             Builtin::Sleep => {
-                let t = self.eval(fr, ov, pd, &args[0])?.as_int()?;
+                let t = self.operand(fr, ov, pd, &args[0])?.as_int()?;
                 self.p.rt.sleep(t.max(0) as u64);
             }
             // The mutating list builtins write through the resolved slot
@@ -274,12 +319,12 @@ impl Ex<'_, Optimised> {
             // there is no read-clone-modify-write round trip (a full list
             // copy per operation).
             Builtin::Push(target) => {
-                let item = self.eval(fr, ov, pd, &args[0])?;
+                let item = self.operand(fr, ov, pd, &args[0])?;
                 self.mutate(fr, *target, pos, |list| list_push(list, item, pos))?;
             }
             Builtin::Set(target) => {
-                let i = self.eval(fr, ov, pd, &args[0])?.as_int()?;
-                let item = self.eval(fr, ov, pd, &args[1])?;
+                let i = self.operand(fr, ov, pd, &args[0])?.as_int()?;
+                let item = self.operand(fr, ov, pd, &args[1])?;
                 self.mutate(fr, *target, pos, |list| list_set(list, i, item, pos))?;
             }
             Builtin::Str
@@ -293,40 +338,17 @@ impl Ex<'_, Optimised> {
         }
         Ok(())
     }
-
-    fn eval_builtin(
-        &self,
-        fr: &mut Fr<'_>,
-        ov: Option<&[Value]>,
-        pd: &Pd<'_>,
-        b: &Builtin,
-        args: &[CExpr],
-        pos: Pos,
-    ) -> Result<Vec<Value>, AlpsError> {
-        if let Some(v) = self.eval_builtin1(fr, ov, pd, b, args, pos)? {
-            return Ok(vec![v]);
-        }
-        self.run_builtin(fr, ov, pd, b, args, pos)?;
-        Ok(vec![])
-    }
 }
 
 impl Eval for Ex<'_, Optimised> {
-    fn eval(
-        &self,
-        fr: &mut Fr<'_>,
-        ov: Option<&[Value]>,
-        pd: &Pd<'_>,
-        e: &CExpr,
-    ) -> Result<Value, AlpsError> {
+    fn eval(&self, fr: &mut Fr<'_>, ov: Option<&[Value]>, pd: &Pd<'_>, e: &CExpr) -> Res<Value> {
         match e {
-            CExpr::Const(v) => Ok(v.clone()),
-            CExpr::Var(r, pos) => self.read(fr, ov, *r, *pos),
+            CExpr::Const(_) | CExpr::Var(..) | CExpr::Take(..) => self.operand(fr, ov, pd, e),
             CExpr::Pending(entry, pos) => pending(pd, *entry, *pos),
-            CExpr::Unary(op, inner, pos) => unop(*op, self.eval(fr, ov, pd, inner)?, *pos),
+            CExpr::Unary(op, inner, pos) => unop(*op, self.operand(fr, ov, pd, inner)?, *pos),
             CExpr::Binary(op, a, b, pos) => {
                 if matches!(op, BinOp::And | BinOp::Or) {
-                    let va = self.eval(fr, ov, pd, a)?.as_bool()?;
+                    let va = self.operand(fr, ov, pd, a)?.as_bool()?;
                     let short = match op {
                         BinOp::And => !va,
                         BinOp::Or => va,
@@ -335,11 +357,11 @@ impl Eval for Ex<'_, Optimised> {
                     if short {
                         return Ok(Value::Bool(va));
                     }
-                    let vb = self.eval(fr, ov, pd, b)?.as_bool()?;
+                    let vb = self.operand(fr, ov, pd, b)?.as_bool()?;
                     return Ok(Value::Bool(vb));
                 }
-                let va = self.eval(fr, ov, pd, a)?;
-                let vb = self.eval(fr, ov, pd, b)?;
+                let va = self.operand(fr, ov, pd, a)?;
+                let vb = self.operand(fr, ov, pd, b)?;
                 binop(*op, va, vb, *pos)
             }
             // Builtins with a statically single-valued result evaluate
@@ -352,69 +374,42 @@ impl Eval for Ex<'_, Optimised> {
                 self.run_builtin(fr, ov, pd, b, args, *pos)?;
                 Err(not_one(0, *pos))
             }
-            CExpr::CallEntry {
-                obj,
-                flat,
-                args,
-                pos,
-            } => {
-                let vv: ValVec = self.eval_all(fr, ov, pd, args)?;
-                let (h, id) = self.entry(*obj, *flat, *pos)?;
-                one(h.call_id(id, vv)?, *pos)
-            }
-            CExpr::CallSelf { flat, args, pos } => {
-                let vv: ValVec = self.eval_all(fr, ov, pd, args)?;
-                let (h, id) = self.own_entry(*flat, *pos)?;
-                one(h.call_from_inside_id(id, vv)?, *pos)
-            }
-            CExpr::CallInline { pos, .. } => one(self.eval_call(fr, ov, pd, e)?.into(), *pos),
+            CExpr::CallEntry { pos, .. }
+            | CExpr::CallSelf { pos, .. }
+            | CExpr::CallInline { pos, .. } => one(self.eval_call(fr, ov, pd, e)?, *pos),
         }
     }
 
     fn assign(
         &self,
-        frame: &mut Vec<Value>,
+        fr: &mut Fr<'_>,
         pd: &Pd<'_>,
         targets: &[VarRef],
         e: &CExpr,
         pos: Pos,
-    ) -> Result<(), AlpsError> {
+    ) -> Res<()> {
         // Single-target assignment from a statically single-valued
         // expression skips the Vec round trip. Entry/inline calls stay on
         // the generic path so multi-value arity mismatches keep their
         // "n value(s) for m target(s)" report.
         if targets.len() == 1 && single_valued(e) {
-            let v = self.eval(&mut Fr::Mut(frame), None, pd, e)?;
-            return self.write(&mut Fr::Mut(frame), targets[0], v, pos);
+            let v = self.operand(fr, None, pd, e)?;
+            return self.write(fr, targets[0], v, pos);
         }
-        let vals = self.eval_call(&mut Fr::Mut(frame), None, pd, e)?;
-        self.write_all(frame, targets, vals, pos)
+        let vals = self.eval_call(fr, None, pd, e)?;
+        self.write_all(fr, targets, vals, pos)
     }
 
-    fn effect(&self, frame: &mut Vec<Value>, pd: &Pd<'_>, e: &CExpr) -> Result<(), AlpsError> {
+    fn effect(&self, fr: &mut Fr<'_>, pd: &Pd<'_>, e: &CExpr) -> Res<()> {
         // A builtin in statement position builds no result Vec.
         if let CExpr::CallBuiltin(b, args, pos) = e {
-            return self.run_builtin(&mut Fr::Mut(frame), None, pd, b, args, *pos);
+            return self.run_builtin(fr, None, pd, b, args, *pos);
         }
-        self.eval_call(&mut Fr::Mut(frame), None, pd, e).map(drop)
+        self.eval_call(fr, None, pd, e).map(drop)
     }
 
-    fn ret(
-        &self,
-        frame: &mut Vec<Value>,
-        pd: &Pd<'_>,
-        args: &[CExpr],
-    ) -> Result<Vec<Value>, AlpsError> {
-        // The frame dies with the return, so distinct returned frame
-        // variables move out of their slots instead of being cloned — a
-        // long message flows back to the caller without an O(len) copy.
-        if let Some(slots) = distinct_frame_vars(args) {
-            return Ok(slots
-                .into_iter()
-                .map(|s| std::mem::replace(&mut frame[s], Value::Unit))
-                .collect());
-        }
-        self.eval_all(&mut Fr::Mut(frame), None, pd, args)
+    fn ret(&self, fr: &mut Fr<'_>, pd: &Pd<'_>, args: &[CExpr]) -> Res<ValVec> {
+        self.eval_all(fr, None, pd, args)
     }
 
     fn conditions<'a>(&self, mut g: Guard<'a>, arm: &'a CGuarded, cand: Cand<'a>) -> Guard<'a>
@@ -422,6 +417,7 @@ impl Eval for Ex<'_, Optimised> {
         Self: 'a,
     {
         let ex = *self;
+        let shape = arm.shape;
         // Evaluate a guard expression against one candidate; the overlay
         // is built only for expressions that can read it.
         let on_candidate = move |view: &GuardView<'_>, e: &CExpr, needs_ov: bool| {
@@ -430,88 +426,38 @@ impl Eval for Ex<'_, Optimised> {
         };
         if !matches!(arm.kind, CGuardKind::Plain) {
             g = match &arm.when {
-                // Decided once for the round: nothing it reads can change
-                // while the select is open.
-                Some(w) if const_during_select(w) => {
-                    let pre = ex
-                        .eval(&mut Fr::Ref(cand.frame), None, &Pd::None, w)
-                        .and_then(|v| v.as_bool())
-                        .unwrap_or(false);
-                    g.when(move |view| pre && cand.in_bounds(view))
+                Some(w) if !shape.when_fixed => g.when(move |view| {
+                    cand.in_bounds(view)
+                        && matches!(
+                            on_candidate(view, w, shape.when_overlay),
+                            Ok(Value::Bool(true))
+                        )
+                }),
+                // Decided once for the round, and a closure only where a
+                // candidate can still fail the guard.
+                when => {
+                    let open = when.as_ref().is_none_or(|w| {
+                        let v = ex.eval(&mut Fr::Ref(cand.frame), None, &Pd::None, w);
+                        matches!(v, Ok(Value::Bool(true)))
+                    });
+                    match (open, arm.quant.is_some()) {
+                        // Zero-sized: boxes nothing.
+                        (false, _) => g.when(|_| false),
+                        (true, false) => g,
+                        (true, true) => g.when(move |view| cand.in_bounds(view)),
+                    }
                 }
-                Some(w) => {
-                    let needs_ov = uses_overlay(w);
-                    g.when(move |view| {
-                        cand.in_bounds(view)
-                            && on_candidate(view, w, needs_ov)
-                                .and_then(|v| v.as_bool())
-                                .unwrap_or(false)
-                    })
-                }
-                None => g.when(move |view| cand.in_bounds(view)),
             };
         }
         if let Some(pe) = &arm.pri {
-            let needs_ov = uses_overlay(pe);
-            g = g.pri(move |view| {
-                on_candidate(view, pe, needs_ov)
-                    .and_then(|v| v.as_int())
-                    .unwrap_or(0)
-            });
+            g = g.pri(
+                move |view| match on_candidate(view, pe, shape.pri_overlay) {
+                    Ok(Value::Int(p)) => p,
+                    _ => 0,
+                },
+            );
         }
         g
-    }
-}
-
-/// The frame slots of `args` when every element is a plain frame
-/// variable and no slot repeats — the precondition for moving the values
-/// out of the frame on `return` instead of cloning them.
-fn distinct_frame_vars(args: &[CExpr]) -> Option<Vec<usize>> {
-    let mut slots = Vec::with_capacity(args.len());
-    for a in args {
-        match a {
-            CExpr::Var(VarRef::Frame(i), _) if !slots.contains(i) => slots.push(*i),
-            _ => return None,
-        }
-    }
-    Some(slots)
-}
-
-/// Whether `e` is constant for the duration of one `select` round: only
-/// manager-frame variables and literals, no bound values, no `#E`
-/// pending counts, no environment reads (a started body may mutate the
-/// environment concurrently), no calls. Such a guard condition is
-/// evaluated once per round instead of once per pending candidate — the
-/// same semantics as an embedded manager capturing its state by value in
-/// the `when` closure. Resolved `VarRef`s are what tell a frozen manager
-/// variable from a live environment variable.
-fn const_during_select(e: &CExpr) -> bool {
-    match e {
-        CExpr::Const(_) | CExpr::Var(VarRef::Frame(_), _) => true,
-        CExpr::Var(_, _) | CExpr::Pending(_, _) => false,
-        CExpr::Unary(_, a, _) => const_during_select(a),
-        CExpr::Binary(_, a, b, _) => const_during_select(a) && const_during_select(b),
-        CExpr::CallEntry { .. }
-        | CExpr::CallSelf { .. }
-        | CExpr::CallInline { .. }
-        | CExpr::CallBuiltin(_, _, _) => false,
-    }
-}
-
-/// Whether evaluating `e` can read an overlay slot (a guard-bound value
-/// or the arm's quantifier). Guard conditions that never do skip
-/// building the overlay, which would otherwise clone every bound value —
-/// long message payloads included — once per candidate evaluation.
-fn uses_overlay(e: &CExpr) -> bool {
-    match e {
-        CExpr::Var(VarRef::Overlay(_), _) => true,
-        CExpr::Const(_) | CExpr::Var(_, _) | CExpr::Pending(_, _) => false,
-        CExpr::Unary(_, a, _) => uses_overlay(a),
-        CExpr::Binary(_, a, b, _) => uses_overlay(a) || uses_overlay(b),
-        CExpr::CallEntry { args, .. }
-        | CExpr::CallSelf { args, .. }
-        | CExpr::CallInline { args, .. }
-        | CExpr::CallBuiltin(_, args, _) => args.iter().any(uses_overlay),
     }
 }
 
@@ -536,7 +482,7 @@ fn single_valued(e: &CExpr) -> bool {
 
 /// Unwrap a call reply that must carry exactly one value, without
 /// collecting the `ValVec` into a heap `Vec` first.
-fn one(vv: ValVec, pos: Pos) -> Result<Value, AlpsError> {
+fn one(vv: ValVec, pos: Pos) -> Res<Value> {
     match vv.as_slice().len() {
         1 => Ok(vv.into_iter().next().expect("len checked")),
         n => Err(not_one(n, pos)),

@@ -1,20 +1,23 @@
 //! What the two walkers share: everything about running the resolved IR
 //! ([`crate::ir`]) that is not an evaluation strategy.
 //!
-//! * **Program linkage** — [`Prog`]: one [`CObject`] becomes one
-//!   `ObjectBuilder` product (entry bodies and the manager are closures
-//!   over the IR), entry ids are interned into a flat table, init code
-//!   runs before the manager comes up, `main` runs, the objects shut
-//!   down.
-//! * **State** — activation frames ([`new_frame`]), the frame/overlay/
-//!   environment accessors ([`Ex::read`], [`Ex::write`]), the manager's
-//!   token tables and the rule that picks the slot a bare
-//!   `start`/`finish`/`execute P` means.
+//! * **Program linkage** — [`Linked`] and [`Prog`]: one [`CObject`]
+//!   becomes one `ObjectBuilder` product (entry bodies and the manager
+//!   are closures over the IR), entry ids are interned into a flat table,
+//!   init code runs before the manager comes up, `main` runs, the objects
+//!   shut down. The closures own the program and the program does not own
+//!   the objects' handles ([`Handles`]), so a finished run is freed.
+//! * **State** — activation frames (on the walker's stack up to
+//!   [`INLINE_FRAME`] slots), the frame/overlay/environment accessors
+//!   ([`Ex::read`], [`Ex::write`]; a [`CStmt::Held`] run locks the
+//!   object's variables once), the manager's token tables and the rule
+//!   that picks the slot a bare `start`/`finish`/`execute P` means.
 //! * **Statements** — every [`CStmt`] except the three that move values
 //!   (`Assign`, `Expr`, `Return`), and the three-phase `select`:
-//!   pre-evaluate, build guards, commit.
+//!   evaluate what no candidate changes, attach the conditions, commit.
 //! * **Run-time errors** — each condition's message is built at one
-//!   site here, so both back ends report byte-identical text.
+//!   site here, so both back ends report byte-identical text. The walkers
+//!   carry it boxed ([`Res`]).
 //!
 //! What is *not* here is [`Eval`]: how an expression becomes a value,
 //! how values move on assignment and return, and how a guard's
@@ -27,14 +30,14 @@
 //! the paper; the core API is 0-based, so [`to_slot0`] converts at the
 //! boundary.
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::fmt;
 use std::marker::PhantomData;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use alps_core::{
     AcceptedCall, AlpsError, ChanValue, EntryDef, EntryId, Guard, GuardView, ManagerCtx,
-    ObjectBuilder, ObjectHandle, ReadyEntry, Selected, Value,
+    ObjectBuilder, ObjectHandle, ReadyEntry, Selected, ValVec, Value,
 };
 use alps_runtime::Runtime;
 use parking_lot::Mutex;
@@ -114,6 +117,16 @@ impl From<AlpsError> for RunError {
     }
 }
 
+/// What the walkers return: their error boxed, so that a `Value` result
+/// is 24 bytes on every `eval`, not the 80 of an unboxed [`AlpsError`].
+pub(crate) type Res<T> = Result<T, Box<AlpsError>>;
+
+impl From<Box<AlpsError>> for RunError {
+    fn from(e: Box<AlpsError>) -> Self {
+        RunError::Run(*e)
+    }
+}
+
 // ---- the strategy ------------------------------------------------------
 
 /// An evaluation strategy: the part of a back end the equivalence tests
@@ -121,34 +134,23 @@ impl From<AlpsError> for RunError {
 /// `Ex<'_, Optimised>`.
 pub(crate) trait Eval: Copy {
     /// Evaluate `e` to exactly one value.
-    fn eval(
-        &self,
-        fr: &mut Fr<'_>,
-        ov: Option<&[Value]>,
-        pd: &Pd<'_>,
-        e: &CExpr,
-    ) -> Result<Value, AlpsError>;
+    fn eval(&self, fr: &mut Fr<'_>, ov: Option<&[Value]>, pd: &Pd<'_>, e: &CExpr) -> Res<Value>;
 
     /// `x, y := e`
     fn assign(
         &self,
-        frame: &mut Vec<Value>,
+        fr: &mut Fr<'_>,
         pd: &Pd<'_>,
         targets: &[VarRef],
         e: &CExpr,
         pos: Pos,
-    ) -> Result<(), AlpsError>;
+    ) -> Res<()>;
 
     /// A call for effect; its results are dropped.
-    fn effect(&self, frame: &mut Vec<Value>, pd: &Pd<'_>, e: &CExpr) -> Result<(), AlpsError>;
+    fn effect(&self, fr: &mut Fr<'_>, pd: &Pd<'_>, e: &CExpr) -> Res<()>;
 
     /// The values of `return (e, …)`. The frame dies with the return.
-    fn ret(
-        &self,
-        frame: &mut Vec<Value>,
-        pd: &Pd<'_>,
-        args: &[CExpr],
-    ) -> Result<Vec<Value>, AlpsError>;
+    fn ret(&self, fr: &mut Fr<'_>, pd: &Pd<'_>, args: &[CExpr]) -> Res<ValVec>;
 
     /// Attach `arm`'s acceptance condition (quantifier range and `when`)
     /// and its `pri` to the guard `g` of one select round.
@@ -159,13 +161,34 @@ pub(crate) trait Eval: Copy {
 
 // ---- program linkage ---------------------------------------------------
 
-/// Interned runtime tables filled during spawn: one handle per object,
-/// one [`EntryId`] per entry (flat, `CUnit::flat_base` indexed), one
-/// environment vector per object.
+/// Interned runtime tables filled during spawn: one [`EntryId`] per
+/// entry (flat, `CUnit::flat_base` indexed), one environment vector per
+/// object.
 struct Tables {
-    handles: Vec<OnceLock<ObjectHandle>>,
     ids: Vec<OnceLock<EntryId>>,
     envs: Vec<Mutex<Vec<Value>>>,
+}
+
+/// One handle per object, filled during spawn.
+///
+/// Only a run ([`Linked`]) and its live activations own the table. The
+/// objects' entry closures hold the [`Prog`], which holds the table
+/// weakly: were it strong, every object would own itself through its
+/// closures, and no run would ever be freed.
+pub(crate) struct Handles(Vec<OnceLock<ObjectHandle>>);
+
+/// How one activation reaches the handle table: a run's `main` and init
+/// code through the run's own reference; an entry body or a manager
+/// through the program's weak one, upgraded at its first entry call and
+/// kept until it ends. An activation that calls nothing never touches
+/// a reference count.
+#[derive(Default)]
+pub(crate) struct Link(OnceCell<Option<Arc<Handles>>>);
+
+impl Link {
+    fn owned(handles: &Arc<Handles>) -> Link {
+        Link(OnceCell::from(Some(Arc::clone(handles))))
+    }
 }
 
 /// A checked program's IR plus its runtime linkage, walked with strategy
@@ -173,46 +196,38 @@ struct Tables {
 pub(crate) struct Prog<S> {
     unit: Arc<CUnit>,
     tables: Tables,
+    handles: Weak<Handles>,
     pub(crate) rt: Runtime,
     pub(crate) out: Output,
     strategy: PhantomData<fn(S)>,
 }
 
 impl<S> Prog<S> {
-    fn at(&self, obj: Option<usize>) -> Ex<'_, S> {
-        Ex { p: self, obj }
-    }
-
-    /// Handle of a spawned object.
-    pub(crate) fn handle(&self, object: &str) -> Option<ObjectHandle> {
-        let oi = self.unit.objects.iter().position(|o| o.name == object)?;
-        self.tables.handles[oi].get().cloned()
-    }
-
-    /// Shut all objects down (idempotent).
-    pub(crate) fn shutdown(&self) {
-        for h in &self.tables.handles {
-            if let Some(h) = h.get() {
-                h.shutdown();
-            }
-        }
+    fn at<'p>(&'p self, obj: Option<usize>, link: &'p Link) -> Ex<'p, S> {
+        Ex { p: self, link, obj }
     }
 }
 
-impl<S: 'static> Prog<S>
+/// A spawned program: the [`Prog`] and the handle table, which this run
+/// owns. Shutting the objects down and dropping the run frees both once
+/// the managers have exited.
+pub(crate) struct Linked<S> {
+    prog: Arc<Prog<S>>,
+    handles: Arc<Handles>,
+}
+
+impl<S: 'static> Linked<S>
 where
     for<'p> Ex<'p, S>: Eval,
 {
     /// Spawn a checked program's objects on the runtime, in declaration
     /// order, without running `main`.
-    pub(crate) fn spawn(
-        rt: &Runtime,
-        checked: &Checked,
-        out: Output,
-    ) -> Result<Arc<Self>, RunError> {
+    pub(crate) fn spawn(rt: &Runtime, checked: &Checked, out: Output) -> Result<Self, RunError> {
         let unit = Arc::clone(&checked.unit);
+        let handles = Arc::new(Handles(
+            unit.objects.iter().map(|_| OnceLock::new()).collect(),
+        ));
         let tables = Tables {
-            handles: unit.objects.iter().map(|_| OnceLock::new()).collect(),
             ids: (0..unit.total_entries).map(|_| OnceLock::new()).collect(),
             envs: unit
                 .objects
@@ -223,16 +238,18 @@ where
         let prog = Arc::new(Prog {
             unit,
             tables,
+            handles: Arc::downgrade(&handles),
             rt: rt.clone(),
             out,
             strategy: PhantomData,
         });
+        let link = Link::owned(&handles);
         for (oi, cobj) in prog.unit.objects.iter().enumerate() {
             // Initialization code first, then the manager comes up (paper:
             // "its initialization code is first executed and then its
             // manager process is implicitly created").
             if let Some(init) = &cobj.init {
-                prog.at(Some(oi)).run_body(init, [], None)?;
+                prog.at(Some(oi), &link).run_body(init, [], None)?;
             }
             let mut builder = ObjectBuilder::new(&cobj.name);
             for (ei, ce) in cobj.entries.iter().enumerate() {
@@ -250,15 +267,18 @@ where
                 }
                 let p2 = Arc::clone(&prog);
                 def = def.body(move |_ctx, args| {
-                    let ex = p2.at(Some(oi));
+                    let link = Link::default();
+                    let ex = p2.at(Some(oi), &link);
                     ex.run_body(&ex.cobj().entries[ei].code, args, None)
+                        .map_err(|e| *e)
                 });
                 builder = builder.entry(def);
             }
             if cobj.manager.is_some() {
                 let p2 = Arc::clone(&prog);
                 builder = builder.manager(move |mctx| {
-                    let ex = p2.at(Some(oi));
+                    let link = Link::default();
+                    let ex = p2.at(Some(oi), &link);
                     let cobj = ex.cobj();
                     let mgr = cobj.manager.as_ref().expect("manager present");
                     let cm = CMgr {
@@ -266,7 +286,7 @@ where
                         toks: RefCell::new(Toks::new(cobj.tok_len)),
                         tok_base: &cobj.tok_base,
                     };
-                    ex.run_body(mgr, [], Some(&cm)).map(|_| ())
+                    ex.run_body(mgr, [], Some(&cm)).map(drop).map_err(|e| *e)
                 });
             }
             let handle = builder.spawn(rt)?;
@@ -276,53 +296,102 @@ where
             for (ei, ce) in cobj.entries.iter().enumerate() {
                 let _ = prog.tables.ids[base + ei].set(handle.entry_id(&ce.name)?);
             }
-            let _ = prog.tables.handles[oi].set(handle);
+            let _ = handles.0[oi].set(handle);
         }
-        Ok(prog)
+        Ok(Linked { prog, handles })
     }
 
     /// Run the program's `main` block (no-op without one).
     pub(crate) fn run_main(&self) -> Result<(), RunError> {
-        if let Some(main) = &self.unit.main {
-            self.at(None).run_body(main, [], None)?;
+        if let Some(main) = &self.prog.unit.main {
+            let link = Link::owned(&self.handles);
+            self.prog.at(None, &link).run_body(main, [], None)?;
         }
         Ok(())
     }
 
     /// Spawn the objects, run `main`, tear the objects down.
     pub(crate) fn run(rt: &Runtime, checked: &Checked, out: Output) -> Result<(), RunError> {
-        let prog = Self::spawn(rt, checked, out)?;
-        let result = prog.run_main();
-        prog.shutdown();
+        let run = Self::spawn(rt, checked, out)?;
+        let result = run.run_main();
+        run.shutdown();
         result
+    }
+}
+
+impl<S> Linked<S> {
+    /// Handle of a spawned object.
+    pub(crate) fn handle(&self, object: &str) -> Option<ObjectHandle> {
+        let oi = self
+            .prog
+            .unit
+            .objects
+            .iter()
+            .position(|o| o.name == object)?;
+        self.handles.0[oi].get().cloned()
+    }
+
+    /// Shut all objects down (idempotent).
+    pub(crate) fn shutdown(&self) {
+        for h in &self.handles.0 {
+            if let Some(h) = h.get() {
+                h.shutdown();
+            }
+        }
     }
 }
 
 // ---- state -------------------------------------------------------------
 
-/// Build an activation frame: argument slots, declared-local defaults,
-/// `Unit` fillers for loop/bind slots.
-fn new_frame(cp: &CProc, args: impl IntoIterator<Item = Value>) -> Vec<Value> {
-    let mut f = Vec::with_capacity(cp.frame_size);
-    f.extend(args);
-    f.truncate(cp.params);
-    while f.len() < cp.params {
-        f.push(Value::Unit);
+/// Frames of at most this many slots live on the walker's stack; larger
+/// ones on the heap.
+const INLINE_FRAME: usize = 8;
+
+const UNIT: Value = Value::Unit;
+
+/// Fill a `Unit` activation frame: argument slots, then declared-local
+/// defaults; loop and bind slots stay `Unit`.
+fn fill<'f>(
+    frame: &'f mut [Value],
+    cp: &CProc,
+    args: impl IntoIterator<Item = Value>,
+) -> &'f mut [Value] {
+    for (slot, v) in frame[..cp.params].iter_mut().zip(args) {
+        *slot = v;
     }
-    for d in &cp.defaults {
-        f.push(d.make());
+    for (slot, d) in frame[cp.params..].iter_mut().zip(&cp.defaults) {
+        *slot = d.make();
     }
-    while f.len() < cp.frame_size {
-        f.push(Value::Unit);
-    }
-    f
+    frame
 }
 
-/// How the current frame is borrowed: statement execution writes;
-/// guard-condition closures read only.
+/// How an evaluation reaches its variables: statement execution writes
+/// the frame; guard-condition closures only read it.
 pub(crate) enum Fr<'a> {
-    Mut(&'a mut Vec<Value>),
+    /// A statement's frame; each object-variable access locks on its own.
+    Mut(&'a mut [Value]),
+    /// A statement's frame and its object's variables, locked once for a
+    /// run of statements ([`CStmt::Held`]).
+    Held(&'a mut [Value], &'a mut [Value]),
+    /// A guard condition's frame.
     Ref(&'a [Value]),
+}
+
+impl Fr<'_> {
+    pub(crate) fn frame(&self) -> &[Value] {
+        match self {
+            Fr::Mut(f) | Fr::Held(f, _) => f,
+            Fr::Ref(f) => f,
+        }
+    }
+
+    /// The frame, unless this is a guard condition's.
+    pub(crate) fn frame_mut(&mut self) -> Option<&mut [Value]> {
+        match self {
+            Fr::Mut(f) | Fr::Held(f, _) => Some(f),
+            Fr::Ref(_) => None,
+        }
+    }
 }
 
 /// Source for `#P` evaluation.
@@ -357,7 +426,7 @@ pub(crate) struct CMgr<'a> {
 
 enum Flow {
     Normal,
-    Return(Vec<Value>),
+    Return(ValVec),
 }
 
 enum SelOut {
@@ -401,9 +470,11 @@ impl Cand<'_> {
     }
 }
 
-/// The executor: a program reference plus the current object (if any).
+/// The executor: a program reference, the activation's way to the
+/// handle table, and the current object (if any).
 pub(crate) struct Ex<'p, S> {
     pub(crate) p: &'p Prog<S>,
+    link: &'p Link,
     obj: Option<usize>,
 }
 
@@ -420,8 +491,30 @@ impl<'p, S> Ex<'p, S> {
         &self.p.unit.objects[self.obj.expect("object scope")]
     }
 
-    pub(crate) fn env(&self) -> &'p Mutex<Vec<Value>> {
+    fn env(&self) -> &'p Mutex<Vec<Value>> {
         &self.p.tables.envs[self.obj.expect("object scope")]
+    }
+
+    /// `f` on object variable `i`: through the statement's hold on the
+    /// object's variables, else under the lock for this access alone.
+    pub(crate) fn env_mut<R>(
+        &self,
+        fr: &mut Fr<'_>,
+        i: usize,
+        f: impl FnOnce(&mut Value) -> R,
+    ) -> R {
+        match fr {
+            Fr::Held(_, env) => f(&mut env[i]),
+            _ => f(&mut self.env().lock()[i]),
+        }
+    }
+
+    /// Read-only [`Self::env_mut`].
+    pub(crate) fn env_ref<R>(&self, fr: &Fr<'_>, i: usize, f: impl FnOnce(&Value) -> R) -> R {
+        match fr {
+            Fr::Held(_, env) => f(&env[i]),
+            _ => f(&self.env().lock()[i]),
+        }
     }
 
     /// Handle and interned id of the entry at `flat` in object `obj`.
@@ -430,23 +523,21 @@ impl<'p, S> Ex<'p, S> {
         obj: usize,
         flat: usize,
         pos: Pos,
-    ) -> Result<(&'p ObjectHandle, EntryId), AlpsError> {
+    ) -> Res<(&'p ObjectHandle, EntryId)> {
         let unavailable = || {
             let name = &self.p.unit.objects[obj].name;
             rerr(pos, format!("object `{name}` is not available"))
         };
-        let h = self.p.tables.handles[obj].get().ok_or_else(unavailable)?;
+        let handles = self.link.0.get_or_init(|| self.p.handles.upgrade());
+        let h = handles.as_ref().and_then(|hs| hs.0[obj].get());
+        let h = h.ok_or_else(unavailable)?;
         let id = self.p.tables.ids[flat].get().ok_or_else(unavailable)?;
         Ok((h, *id))
     }
 
     /// As [`Self::entry`], for an intercepted sibling of the current
     /// object.
-    pub(crate) fn own_entry(
-        &self,
-        flat: usize,
-        pos: Pos,
-    ) -> Result<(&'p ObjectHandle, EntryId), AlpsError> {
+    pub(crate) fn own_entry(&self, flat: usize, pos: Pos) -> Res<(&'p ObjectHandle, EntryId)> {
         self.entry(self.obj.expect("object scope"), flat, pos)
     }
 
@@ -456,33 +547,25 @@ impl<'p, S> Ex<'p, S> {
         ov: Option<&[Value]>,
         r: VarRef,
         pos: Pos,
-    ) -> Result<Value, AlpsError> {
+    ) -> Res<Value> {
         match r {
             VarRef::Overlay(i) => ov
                 .and_then(|o| o.get(i))
                 .cloned()
                 .ok_or_else(|| no_guard_value(pos)),
-            VarRef::Frame(i) => Ok(match fr {
-                Fr::Mut(f) => f[i].clone(),
-                Fr::Ref(f) => f[i].clone(),
-            }),
-            VarRef::Env(i) => Ok(self.env().lock()[i].clone()),
+            VarRef::Frame(i) => Ok(fr.frame()[i].clone()),
+            VarRef::Env(i) => Ok(self.env_ref(fr, i, Value::clone)),
         }
     }
 
-    pub(crate) fn write(
-        &self,
-        fr: &mut Fr<'_>,
-        r: VarRef,
-        v: Value,
-        pos: Pos,
-    ) -> Result<(), AlpsError> {
-        match (r, fr) {
-            (VarRef::Frame(i), Fr::Mut(f)) => f[i] = v,
-            (VarRef::Env(i), _) => self.env().lock()[i] = v,
-            (VarRef::Frame(_), Fr::Ref(_)) | (VarRef::Overlay(_), _) => {
-                return Err(guard_write(pos))
-            }
+    pub(crate) fn write(&self, fr: &mut Fr<'_>, r: VarRef, v: Value, pos: Pos) -> Res<()> {
+        match r {
+            VarRef::Frame(i) => match fr.frame_mut() {
+                Some(f) => f[i] = v,
+                None => return Err(guard_write(pos)),
+            },
+            VarRef::Env(i) => self.env_mut(fr, i, |slot| *slot = v),
+            VarRef::Overlay(_) => return Err(guard_write(pos)),
         }
         Ok(())
     }
@@ -490,31 +573,31 @@ impl<'p, S> Ex<'p, S> {
     /// Write `vals` to `targets`, one each.
     pub(crate) fn write_all(
         &self,
-        frame: &mut Vec<Value>,
+        fr: &mut Fr<'_>,
         targets: &[VarRef],
-        vals: Vec<Value>,
+        vals: ValVec,
         pos: Pos,
-    ) -> Result<(), AlpsError> {
+    ) -> Res<()> {
         if vals.len() != targets.len() {
             return Err(rerr(
                 pos,
                 format!("{} value(s) for {} target(s)", vals.len(), targets.len()),
             ));
         }
-        self.bind(frame, targets, vals, pos)
+        self.bind(fr, targets, vals, pos)
     }
 
     /// Write the leading `vals` to the bind targets of an
     /// `accept`/`await`/`receive`.
     fn bind(
         &self,
-        frame: &mut Vec<Value>,
+        fr: &mut Fr<'_>,
         targets: &[VarRef],
         vals: impl IntoIterator<Item = Value>,
         pos: Pos,
-    ) -> Result<(), AlpsError> {
+    ) -> Res<()> {
         for (t, v) in targets.iter().zip(vals) {
-            self.write(&mut Fr::Mut(frame), *t, v, pos)?;
+            self.write(fr, *t, v, pos)?;
         }
         Ok(())
     }
@@ -533,7 +616,7 @@ where
         ov: Option<&[Value]>,
         pd: &Pd<'_>,
         args: &[CExpr],
-    ) -> Result<C, AlpsError> {
+    ) -> Res<C> {
         let mut vals = C::default();
         for a in args {
             vals.extend(Some(self.eval(fr, ov, pd, a)?));
@@ -541,18 +624,18 @@ where
         Ok(vals)
     }
 
-    fn eval_int(&self, frame: &mut Vec<Value>, pd: &Pd<'_>, e: &CExpr) -> Result<i64, AlpsError> {
-        self.eval(&mut Fr::Mut(frame), None, pd, e)?.as_int()
+    fn eval_int(&self, frame: &mut [Value], pd: &Pd<'_>, e: &CExpr) -> Res<i64> {
+        Ok(self.eval(&mut Fr::Mut(frame), None, pd, e)?.as_int()?)
     }
 
     fn eval_chan(
         &self,
-        frame: &mut Vec<Value>,
+        frame: &mut [Value],
         pd: &Pd<'_>,
         chan: &CExpr,
         pos: Pos,
         what: &str,
-    ) -> Result<ChanValue, AlpsError> {
+    ) -> Res<ChanValue> {
         let c = self.eval(&mut Fr::Mut(frame), None, pd, chan)?;
         match c.as_chan() {
             Ok(c) => Ok(c.clone()),
@@ -567,11 +650,20 @@ where
         cp: &CProc,
         args: impl IntoIterator<Item = Value>,
         mgr: Option<&CMgr<'_>>,
-    ) -> Result<Vec<Value>, AlpsError> {
-        let mut frame = new_frame(cp, args);
-        match self.exec_block(&mut frame, &cp.body, mgr)? {
+    ) -> Res<ValVec> {
+        if cp.frame_size <= INLINE_FRAME {
+            let mut slots = [UNIT; INLINE_FRAME];
+            self.run_in(cp, fill(&mut slots[..cp.frame_size], cp, args), mgr)
+        } else {
+            let mut slots = vec![UNIT; cp.frame_size];
+            self.run_in(cp, fill(&mut slots, cp, args), mgr)
+        }
+    }
+
+    fn run_in(&self, cp: &CProc, frame: &mut [Value], mgr: Option<&CMgr<'_>>) -> Res<ValVec> {
+        match self.exec_block(frame, &cp.body, mgr)? {
             Flow::Return(vals) => Ok(vals),
-            Flow::Normal if cp.result_count == 0 => Ok(vec![]),
+            Flow::Normal if cp.result_count == 0 => Ok(ValVec::new()),
             Flow::Normal => Err(rerr(
                 cp.pos,
                 format!(
@@ -584,20 +676,16 @@ where
 
     /// Run a non-intercepted sibling procedure inline in the current
     /// process.
-    pub(crate) fn run_inline(
-        &self,
-        entry: usize,
-        args: Vec<Value>,
-    ) -> Result<Vec<Value>, AlpsError> {
+    pub(crate) fn run_inline(&self, entry: usize, args: ValVec) -> Res<ValVec> {
         self.run_body(&self.cobj().entries[entry].code, args, None)
     }
 
     fn exec_block(
         &self,
-        frame: &mut Vec<Value>,
+        frame: &mut [Value],
         stmts: &[CStmt],
         mgr: Option<&CMgr<'_>>,
-    ) -> Result<Flow, AlpsError> {
+    ) -> Res<Flow> {
         for s in stmts {
             match self.exec_stmt(frame, s, mgr)? {
                 Flow::Normal => {}
@@ -608,24 +696,27 @@ where
     }
 
     #[allow(clippy::too_many_lines)]
-    fn exec_stmt(
-        &self,
-        frame: &mut Vec<Value>,
-        s: &CStmt,
-        mgr: Option<&CMgr<'_>>,
-    ) -> Result<Flow, AlpsError> {
+    fn exec_stmt(&self, frame: &mut [Value], s: &CStmt, mgr: Option<&CMgr<'_>>) -> Res<Flow> {
         let pd = match mgr {
             Some(m) => Pd::Mgr(m.ctx),
             None => Pd::None,
         };
-        let in_mgr = |what: &str, pos: Pos| -> Result<&CMgr<'_>, AlpsError> {
+        let in_mgr = |what: &str, pos: Pos| -> Res<&CMgr<'_>> {
             mgr.ok_or_else(|| rerr(pos, format!("{what} outside manager")))
         };
         match s {
             CStmt::Skip => {}
-            CStmt::Assign(targets, e, pos) => self.assign(frame, &pd, targets, e, *pos)?,
-            CStmt::Expr(e) => self.effect(frame, &pd, e)?,
-            CStmt::Return(args, _) => return Ok(Flow::Return(self.ret(frame, &pd, args)?)),
+            CStmt::Assign(..) | CStmt::Expr(_) | CStmt::Return(..) => {
+                return self.move_values(&mut Fr::Mut(frame), &pd, s);
+            }
+            CStmt::Held(run) => {
+                let mut fr = Fr::Held(frame, &mut self.env().lock());
+                for s in run {
+                    if let ret @ Flow::Return(_) = self.move_values(&mut fr, &pd, s)? {
+                        return Ok(ret);
+                    }
+                }
+            }
             CStmt::If(arms, els) => {
                 for (c, body) in arms {
                     if self.eval(&mut Fr::Mut(frame), None, &pd, c)?.as_bool()? {
@@ -662,7 +753,7 @@ where
                     Some(m) => m.ctx.receive(&c)?,
                     None => c.recv(&self.p.rt)?,
                 };
-                self.bind(frame, binds, msg, *pos)?;
+                self.bind(&mut Fr::Mut(frame), binds, msg, *pos)?;
             }
             CStmt::Select(arms, pos) => {
                 return match self.run_select(frame, arms, in_mgr("select", *pos)?)? {
@@ -718,7 +809,12 @@ where
                     }
                     None => m.ctx.accept(name)?,
                 };
-                self.bind(frame, binds, acc.params().to_vec(), *pos)?;
+                self.bind(
+                    &mut Fr::Mut(frame),
+                    binds,
+                    acc.params().iter().cloned(),
+                    *pos,
+                )?;
                 let ti = m.tok_base[*entry] + acc.slot();
                 m.toks.borrow_mut().accepted[ti] = Some(acc);
             }
@@ -737,7 +833,7 @@ where
                     }
                     None => m.ctx.await_done(name)?,
                 };
-                self.bind(frame, binds, ready_values(&done), *pos)?;
+                self.bind(&mut Fr::Mut(frame), binds, ready_values(&done), *pos)?;
                 let ti = m.tok_base[*entry] + done.slot();
                 m.toks.borrow_mut().ready[ti] = Some(done);
             }
@@ -753,10 +849,8 @@ where
                 if args.is_empty() {
                     m.ctx.start_as_is(acc)?;
                 } else {
-                    let mut vals: Vec<Value> =
-                        self.eval_all(&mut Fr::Mut(frame), None, &pd, args)?;
-                    let hidden = vals.split_off(*intercept_params);
-                    m.ctx.start(acc, vals, hidden)?;
+                    let (prefix, hidden) = self.split_args(frame, &pd, args, *intercept_params)?;
+                    m.ctx.start(acc, prefix, hidden)?;
                 }
             }
             CStmt::Execute {
@@ -771,10 +865,8 @@ where
                 if args.is_empty() {
                     m.ctx.execute(acc)?;
                 } else {
-                    let mut vals: Vec<Value> =
-                        self.eval_all(&mut Fr::Mut(frame), None, &pd, args)?;
-                    let hidden = vals.split_off(*intercept_params);
-                    m.ctx.execute_with(acc, vals, hidden)?;
+                    let (prefix, hidden) = self.split_args(frame, &pd, args, *intercept_params)?;
+                    m.ctx.execute_with(acc, prefix, hidden)?;
                 }
             }
             CStmt::Finish {
@@ -785,7 +877,7 @@ where
             } => {
                 let m = in_mgr("finish", *pos)?;
                 let s0 = self.resolve_tok(frame, &pd, m, *entry, slot.as_ref(), false, *pos)?;
-                let vals: Vec<Value> = self.eval_all(&mut Fr::Mut(frame), None, &pd, args)?;
+                let vals: ValVec = self.eval_all(&mut Fr::Mut(frame), None, &pd, args)?;
                 let ti = m.tok_base[*entry] + s0;
                 let ready = m.toks.borrow_mut().ready[ti].take();
                 if let Some(done) = ready {
@@ -811,24 +903,52 @@ where
         Ok(Flow::Normal)
     }
 
+    /// The arguments of a `start`/`execute`: the intercepted prefix and
+    /// the hidden parameters.
+    fn split_args(
+        &self,
+        frame: &mut [Value],
+        pd: &Pd<'_>,
+        args: &[CExpr],
+        prefix: usize,
+    ) -> Res<(ValVec, ValVec)> {
+        let mut vals: ValVec = self.eval_all(&mut Fr::Mut(frame), None, pd, args)?;
+        let hidden = vals.split_off(prefix);
+        Ok((vals, hidden))
+    }
+
+    /// One of the statements that move values, the walker's own business
+    /// ([`Eval`]): `:=`, a call statement, `return`.
+    fn move_values(&self, fr: &mut Fr<'_>, pd: &Pd<'_>, s: &CStmt) -> Res<Flow> {
+        match s {
+            CStmt::Assign(targets, e, pos) => self.assign(fr, pd, targets, e, *pos)?,
+            CStmt::Expr(e) => self.effect(fr, pd, e)?,
+            CStmt::Return(args, _) => return Ok(Flow::Return(self.ret(fr, pd, args)?)),
+            _ => unreachable!("check holds only statements that move values"),
+        }
+        Ok(Flow::Normal)
+    }
+
     /// Package one `par` branch as a runnable call through the interned
     /// tables.
     fn par_call(
         &self,
-        frame: &mut Vec<Value>,
+        frame: &mut [Value],
         pd: &Pd<'_>,
         br: &CParBranch,
         pos: Pos,
-    ) -> Result<ParCall, AlpsError> {
+    ) -> Res<ParCall> {
         let vv: alps_core::ValVec = self.eval_all(&mut Fr::Mut(frame), None, pd, &br.args)?;
         let (h, id) = self.entry(br.obj, br.flat, pos)?;
         let h = h.clone();
-        Ok(Box::new(move || h.call_id(id, vv).map(|_| ())))
+        Ok(Box::new(move || {
+            h.call_id(id, vv).map(drop).map_err(Box::new)
+        }))
     }
 
     /// Run the branches of a `par` to completion; the first failure is
     /// the statement's.
-    fn par(&self, calls: Vec<ParCall>) -> Result<(), AlpsError> {
+    fn par(&self, calls: Vec<ParCall>) -> Res<()> {
         alps_runtime::par(&self.p.rt, calls)
             .map_err(AlpsError::Runtime)?
             .into_iter()
@@ -838,13 +958,13 @@ where
     /// The accepted-call token a `start`/`execute P[i]` spends.
     fn take_accepted(
         &self,
-        frame: &mut Vec<Value>,
+        frame: &mut [Value],
         pd: &Pd<'_>,
         m: &CMgr<'_>,
         entry: usize,
         slot: Option<&CExpr>,
         pos: Pos,
-    ) -> Result<AcceptedCall, AlpsError> {
+    ) -> Res<AcceptedCall> {
         let s0 = self.resolve_tok(frame, pd, m, entry, slot, true, pos)?;
         m.toks.borrow_mut().accepted[m.tok_base[entry] + s0]
             .take()
@@ -860,14 +980,14 @@ where
     #[allow(clippy::too_many_arguments)]
     fn resolve_tok(
         &self,
-        frame: &mut Vec<Value>,
+        frame: &mut [Value],
         pd: &Pd<'_>,
         m: &CMgr<'_>,
         entry: usize,
         slot: Option<&CExpr>,
         accepted_only: bool,
         pos: Pos,
-    ) -> Result<usize, AlpsError> {
+    ) -> Res<usize> {
         if let Some(ix) = slot {
             return to_slot0(self.eval_int(frame, pd, ix)?, pos);
         }
@@ -899,77 +1019,60 @@ where
 
     // ---- select --------------------------------------------------------
 
-    fn run_select(
-        &self,
-        frame: &mut Vec<Value>,
-        arms: &[CGuarded],
-        m: &CMgr<'_>,
-    ) -> Result<SelOut, AlpsError> {
-        // Phase 1: pre-evaluate quantifier bounds, channel expressions
-        // and plain-guard conditions (they may not depend on bound
-        // values), with write access to the frame.
-        struct Meta {
-            bounds: Option<(i64, i64)>,
-            chan: Option<ChanValue>,
-            plain: bool,
-        }
+    fn run_select(&self, frame: &mut [Value], arms: &[CGuarded], m: &CMgr<'_>) -> Res<SelOut> {
+        // Phase 1, with write access to the frame: each guard gets its
+        // kind, and what may not depend on a candidate is evaluated —
+        // quantifier bounds, channels, plain-guard conditions. The bounds
+        // stay on the stack for up to `INLINE_ARMS` arms.
         let pd = Pd::Mgr(m.ctx);
-        let mut metas = Vec::with_capacity(arms.len());
-        for arm in arms {
-            let bounds = match &arm.quant {
-                Some((_, lo, hi)) => Some((
+        let mut inline = [None; INLINE_ARMS];
+        let mut spilled = Vec::new();
+        let bounds: &mut [Option<(i64, i64)>] = if arms.len() <= INLINE_ARMS {
+            &mut inline[..arms.len()]
+        } else {
+            spilled.resize(arms.len(), None);
+            &mut spilled
+        };
+        let mut guards = Vec::with_capacity(arms.len());
+        for (arm, b) in arms.iter().zip(bounds.iter_mut()) {
+            if let Some((_, lo, hi)) = &arm.quant {
+                *b = Some((
                     self.eval_int(frame, &pd, lo)?,
                     self.eval_int(frame, &pd, hi)?,
-                )),
-                None => None,
-            };
-            let chan = match &arm.kind {
-                CGuardKind::Receive { chan, .. } => {
-                    Some(self.eval_chan(frame, &pd, chan, chan.pos(), "receive")?)
-                }
-                _ => None,
-            };
-            let plain = if matches!(arm.kind, CGuardKind::Plain) {
-                let w = arm.when.as_ref().expect("parser enforced");
-                self.eval(&mut Fr::Mut(frame), None, &pd, w)?.as_bool()?
-            } else {
-                false
-            };
-            metas.push(Meta {
-                bounds,
-                chan,
-                plain,
-            });
-        }
-        // Phase 2: build the guards; their condition and priority
-        // closures borrow the frame read-only.
-        let fro: &[Value] = frame;
-        let mut guards: Vec<Guard<'_>> = Vec::with_capacity(arms.len());
-        for (arm, meta) in arms.iter().zip(&metas) {
-            let g = match &arm.kind {
+                ));
+            }
+            guards.push(match &arm.kind {
                 CGuardKind::Accept { entry, .. } => Guard::accept_idx(*entry),
                 CGuardKind::Await { entry, .. } => Guard::await_idx(*entry),
-                CGuardKind::Receive { .. } => {
-                    Guard::receive(meta.chan.as_ref().expect("receive meta"))
+                CGuardKind::Receive { chan, .. } => {
+                    Guard::receive(&self.eval_chan(frame, &pd, chan, chan.pos(), "receive")?)
                 }
-                CGuardKind::Plain => Guard::cond(meta.plain),
-            };
+                CGuardKind::Plain => {
+                    let w = arm.when.as_ref().expect("parser enforced");
+                    Guard::cond(self.eval(&mut Fr::Mut(frame), None, &pd, w)?.as_bool()?)
+                }
+            });
+        }
+        // Phase 2: attach the conditions; their closures borrow the frame
+        // read-only.
+        let fro: &[Value] = frame;
+        for ((g, arm), b) in guards.iter_mut().zip(arms).zip(bounds.iter()) {
             let cand = Cand {
                 frame: fro,
                 quantified: arm.quant.is_some(),
-                bounds: meta.bounds,
+                bounds: *b,
             };
-            guards.push(self.conditions(g, arm, cand));
+            *g = self.conditions(std::mem::replace(g, Guard::cond(false)), arm, cand);
         }
         let sel = match m.ctx.select(guards) {
             Ok(s) => s,
             Err(AlpsError::SelectFailed) => return Ok(SelOut::AllClosed),
-            Err(e) => return Err(e),
+            Err(e) => return Err(Box::new(e)),
         };
         // Phase 3: commit — bind the quantifier and values, record the
         // token by (entry_index, slot), run the arm body.
         let arm = &arms[sel.guard_index()];
-        let quant = |frame: &mut Vec<Value>, slot: usize| {
+        let quant = |frame: &mut [Value], slot: usize| {
             if let Some((q, _, _)) = &arm.quant {
                 frame[*q] = Value::Int(slot as i64 + 1);
             }
@@ -977,18 +1080,23 @@ where
         match (sel, &arm.kind) {
             (Selected::Accepted { call, .. }, CGuardKind::Accept { binds, .. }) => {
                 quant(frame, call.slot());
-                self.bind(frame, binds, call.params().to_vec(), arm.pos)?;
+                self.bind(
+                    &mut Fr::Mut(frame),
+                    binds,
+                    call.params().iter().cloned(),
+                    arm.pos,
+                )?;
                 let ti = m.tok_base[call.entry_index()] + call.slot();
                 m.toks.borrow_mut().accepted[ti] = Some(call);
             }
             (Selected::Ready { done, .. }, CGuardKind::Await { binds, .. }) => {
                 quant(frame, done.slot());
-                self.bind(frame, binds, ready_values(&done), arm.pos)?;
+                self.bind(&mut Fr::Mut(frame), binds, ready_values(&done), arm.pos)?;
                 let ti = m.tok_base[done.entry_index()] + done.slot();
                 m.toks.borrow_mut().ready[ti] = Some(done);
             }
             (Selected::Received { msg, .. }, CGuardKind::Receive { binds, .. }) => {
-                self.bind(frame, binds, msg, arm.pos)?;
+                self.bind(&mut Fr::Mut(frame), binds, msg, arm.pos)?;
             }
             (Selected::Cond { .. }, CGuardKind::Plain) => {}
             _ => unreachable!("select chose a guard of another kind than it was given"),
@@ -998,36 +1106,38 @@ where
     }
 }
 
-type ParCall = Box<dyn FnOnce() -> Result<(), AlpsError> + Send>;
+/// Selects with at most this many arms keep their quantifier bounds on
+/// the stack.
+const INLINE_ARMS: usize = 8;
+
+type ParCall = Box<dyn FnOnce() -> Res<()> + Send>;
 
 /// What an `await` binds: the intercepted results, then the hidden ones.
-fn ready_values(done: &ReadyEntry) -> Vec<Value> {
-    let mut vals = done.results().to_vec();
-    vals.extend(done.hidden().iter().cloned());
-    vals
+fn ready_values(done: &ReadyEntry) -> impl Iterator<Item = Value> + '_ {
+    done.results().iter().chain(done.hidden()).cloned()
 }
 
 // ---- values and run-time errors ----------------------------------------
 
-pub(crate) fn rerr(pos: Pos, msg: impl Into<String>) -> AlpsError {
-    AlpsError::Custom(format!("{pos}: {}", msg.into()))
+pub(crate) fn rerr(pos: Pos, msg: impl Into<String>) -> Box<AlpsError> {
+    Box::new(AlpsError::Custom(format!("{pos}: {}", msg.into())))
 }
 
-pub(crate) fn no_guard_value(pos: Pos) -> AlpsError {
+pub(crate) fn no_guard_value(pos: Pos) -> Box<AlpsError> {
     rerr(pos, "guard value not available")
 }
 
-pub(crate) fn guard_write(pos: Pos) -> AlpsError {
+pub(crate) fn guard_write(pos: Pos) -> Box<AlpsError> {
     rerr(pos, "cannot assign inside a guard condition")
 }
 
 /// The error for an expression that yielded `n != 1` values where one
 /// was needed.
-pub(crate) fn not_one(n: usize, pos: Pos) -> AlpsError {
+pub(crate) fn not_one(n: usize, pos: Pos) -> Box<AlpsError> {
     rerr(pos, format!("expected one value, got {n}"))
 }
 
-fn to_slot0(i: i64, pos: Pos) -> Result<usize, AlpsError> {
+fn to_slot0(i: i64, pos: Pos) -> Res<usize> {
     if i < 1 {
         return Err(rerr(pos, format!("slot index {i} out of range (1-based)")));
     }
@@ -1035,7 +1145,7 @@ fn to_slot0(i: i64, pos: Pos) -> Result<usize, AlpsError> {
 }
 
 /// `#P`
-pub(crate) fn pending(pd: &Pd<'_>, entry: usize, pos: Pos) -> Result<Value, AlpsError> {
+pub(crate) fn pending(pd: &Pd<'_>, entry: usize, pos: Pos) -> Res<Value> {
     let n = match pd {
         Pd::Mgr(m) => m.pending_idx(entry).map_err(|e| rerr(pos, e.to_string()))?,
         Pd::View(v) => v.pending_idx(entry),
@@ -1044,7 +1154,7 @@ pub(crate) fn pending(pd: &Pd<'_>, entry: usize, pos: Pos) -> Result<Value, Alps
     Ok(Value::Int(n as i64))
 }
 
-pub(crate) fn unop(op: UnOp, v: Value, pos: Pos) -> Result<Value, AlpsError> {
+pub(crate) fn unop(op: UnOp, v: Value, pos: Pos) -> Res<Value> {
     match (op, v) {
         (UnOp::Neg, Value::Int(i)) => Ok(Value::Int(-i)),
         (UnOp::Neg, Value::Float(x)) => Ok(Value::Float(-x)),
@@ -1054,7 +1164,7 @@ pub(crate) fn unop(op: UnOp, v: Value, pos: Pos) -> Result<Value, AlpsError> {
 }
 
 /// Every binary operator but the short-circuit `and`/`or`.
-pub(crate) fn binop(op: BinOp, a: Value, b: Value, pos: Pos) -> Result<Value, AlpsError> {
+pub(crate) fn binop(op: BinOp, a: Value, b: Value, pos: Pos) -> Res<Value> {
     use BinOp::*;
     Ok(match (op, &a, &b) {
         (Add, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_add(*y)),
@@ -1099,14 +1209,14 @@ pub(crate) fn binop(op: BinOp, a: Value, b: Value, pos: Pos) -> Result<Value, Al
 // value is reached (a clone written back, or the slot in place) is the
 // back end's business.
 
-fn list_of<'v>(v: &'v mut Value, what: &str, pos: Pos) -> Result<&'v mut Vec<Value>, AlpsError> {
+fn list_of<'v>(v: &'v mut Value, what: &str, pos: Pos) -> Res<&'v mut Vec<Value>> {
     match v {
         Value::List(xs) => Ok(xs),
         other => Err(rerr(pos, format!("{what} {other}"))),
     }
 }
 
-fn list_index(i: i64, len: usize, pos: Pos) -> Result<usize, AlpsError> {
+fn list_index(i: i64, len: usize, pos: Pos) -> Res<usize> {
     usize::try_from(i)
         .ok()
         .filter(|&k| k < len)
@@ -1114,7 +1224,7 @@ fn list_index(i: i64, len: usize, pos: Pos) -> Result<usize, AlpsError> {
 }
 
 /// `len(e)`
-pub(crate) fn len_of(v: &Value, pos: Pos) -> Result<Value, AlpsError> {
+pub(crate) fn len_of(v: &Value, pos: Pos) -> Res<Value> {
     match v {
         Value::List(xs) => Ok(Value::Int(xs.len() as i64)),
         Value::Str(s) => Ok(Value::Int(s.chars().count() as i64)),
@@ -1123,7 +1233,7 @@ pub(crate) fn len_of(v: &Value, pos: Pos) -> Result<Value, AlpsError> {
 }
 
 /// `get(xs, i)`
-pub(crate) fn list_get(list: &Value, i: i64, pos: Pos) -> Result<Value, AlpsError> {
+pub(crate) fn list_get(list: &Value, i: i64, pos: Pos) -> Res<Value> {
     match list {
         Value::List(xs) => Ok(xs[list_index(i, xs.len(), pos)?].clone()),
         other => Err(rerr(pos, format!("get from {other}"))),
@@ -1131,20 +1241,20 @@ pub(crate) fn list_get(list: &Value, i: i64, pos: Pos) -> Result<Value, AlpsErro
 }
 
 /// `push(xs, e)`
-pub(crate) fn list_push(list: &mut Value, item: Value, pos: Pos) -> Result<(), AlpsError> {
+pub(crate) fn list_push(list: &mut Value, item: Value, pos: Pos) -> Res<()> {
     list_of(list, "push to", pos)?.push(item);
     Ok(())
 }
 
 /// `remove(xs, i)`
-pub(crate) fn list_remove(list: &mut Value, i: i64, pos: Pos) -> Result<Value, AlpsError> {
+pub(crate) fn list_remove(list: &mut Value, i: i64, pos: Pos) -> Res<Value> {
     let xs = list_of(list, "remove from", pos)?;
     let idx = list_index(i, xs.len(), pos)?;
     Ok(xs.remove(idx))
 }
 
 /// `pop(xs)`
-pub(crate) fn list_pop(list: &mut Value, pos: Pos) -> Result<Value, AlpsError> {
+pub(crate) fn list_pop(list: &mut Value, pos: Pos) -> Res<Value> {
     let xs = list_of(list, "pop from", pos)?;
     if xs.is_empty() {
         return Err(rerr(pos, "pop from an empty list"));
@@ -1153,7 +1263,7 @@ pub(crate) fn list_pop(list: &mut Value, pos: Pos) -> Result<Value, AlpsError> {
 }
 
 /// `set(xs, i, e)`
-pub(crate) fn list_set(list: &mut Value, i: i64, item: Value, pos: Pos) -> Result<(), AlpsError> {
+pub(crate) fn list_set(list: &mut Value, i: i64, item: Value, pos: Pos) -> Res<()> {
     let xs = list_of(list, "set on", pos)?;
     let idx = list_index(i, xs.len(), pos)?;
     xs[idx] = item;

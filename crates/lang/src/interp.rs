@@ -21,14 +21,14 @@
 
 use std::sync::Arc;
 
-use alps_core::{AlpsError, Guard, GuardView, Value};
+use alps_core::{Guard, GuardView, ValVec, Value};
 use alps_runtime::Runtime;
 
 use crate::ast::BinOp;
 use crate::check::Checked;
 use crate::exec::{
     binop, len_of, list_get, list_pop, list_push, list_remove, list_set, not_one, pending, unop,
-    Cand, Eval, Ex, Fr, Pd, Prog,
+    Cand, Eval, Ex, Fr, Linked, Pd, Res,
 };
 use crate::ir::{Builtin, CExpr, CGuardKind, CGuarded, VarRef};
 use crate::token::Pos;
@@ -46,10 +46,11 @@ impl Ex<'_, Reference> {
         ov: Option<&[Value]>,
         pd: &Pd<'_>,
         e: &CExpr,
-    ) -> Result<Vec<Value>, AlpsError> {
+    ) -> Res<Vec<Value>> {
         Ok(match e {
             CExpr::Const(v) => vec![v.clone()],
             CExpr::Var(r, pos) => vec![self.read(fr, ov, *r, *pos)?],
+            CExpr::Take(i, pos) => vec![self.read(fr, ov, VarRef::Frame(*i), *pos)?],
             CExpr::Pending(entry, pos) => vec![pending(pd, *entry, *pos)?],
             CExpr::Unary(op, inner, pos) => {
                 vec![unop(*op, self.eval(fr, ov, pd, inner)?, *pos)?]
@@ -83,7 +84,7 @@ impl Ex<'_, Reference> {
             }
             CExpr::CallInline { entry, args, .. } => {
                 let vals = self.eval_all(fr, ov, pd, args)?;
-                self.run_inline(*entry, vals)?
+                self.run_inline(*entry, vals)?.into()
             }
             CExpr::CallBuiltin(b, args, pos) => self.builtin(fr, ov, pd, b, args, *pos)?,
         })
@@ -97,7 +98,7 @@ impl Ex<'_, Reference> {
         b: &Builtin,
         args: &[CExpr],
         pos: Pos,
-    ) -> Result<Vec<Value>, AlpsError> {
+    ) -> Res<Vec<Value>> {
         let vals: Vec<Value> = self.eval_all(fr, ov, pd, args)?;
         let mut vals = vals.into_iter();
         let mut arg = || vals.next().expect("arity checked");
@@ -145,8 +146,8 @@ impl Ex<'_, Reference> {
         ov: Option<&[Value]>,
         target: VarRef,
         pos: Pos,
-        f: impl FnOnce(&mut Value) -> Result<R, AlpsError>,
-    ) -> Result<R, AlpsError> {
+        f: impl FnOnce(&mut Value) -> Res<R>,
+    ) -> Res<R> {
         let mut v = self.read(fr, ov, target, pos)?;
         let out = f(&mut v)?;
         self.write(fr, target, v, pos)?;
@@ -155,13 +156,7 @@ impl Ex<'_, Reference> {
 }
 
 impl Eval for Ex<'_, Reference> {
-    fn eval(
-        &self,
-        fr: &mut Fr<'_>,
-        ov: Option<&[Value]>,
-        pd: &Pd<'_>,
-        e: &CExpr,
-    ) -> Result<Value, AlpsError> {
+    fn eval(&self, fr: &mut Fr<'_>, ov: Option<&[Value]>, pd: &Pd<'_>, e: &CExpr) -> Res<Value> {
         let mut vals = self.eval_multi(fr, ov, pd, e)?;
         match vals.len() {
             1 => Ok(vals.remove(0)),
@@ -171,27 +166,22 @@ impl Eval for Ex<'_, Reference> {
 
     fn assign(
         &self,
-        frame: &mut Vec<Value>,
+        fr: &mut Fr<'_>,
         pd: &Pd<'_>,
         targets: &[VarRef],
         e: &CExpr,
         pos: Pos,
-    ) -> Result<(), AlpsError> {
-        let vals = self.eval_multi(&mut Fr::Mut(frame), None, pd, e)?;
-        self.write_all(frame, targets, vals, pos)
+    ) -> Res<()> {
+        let vals = self.eval_multi(fr, None, pd, e)?;
+        self.write_all(fr, targets, vals.into(), pos)
     }
 
-    fn effect(&self, frame: &mut Vec<Value>, pd: &Pd<'_>, e: &CExpr) -> Result<(), AlpsError> {
-        self.eval_multi(&mut Fr::Mut(frame), None, pd, e).map(drop)
+    fn effect(&self, fr: &mut Fr<'_>, pd: &Pd<'_>, e: &CExpr) -> Res<()> {
+        self.eval_multi(fr, None, pd, e).map(drop)
     }
 
-    fn ret(
-        &self,
-        frame: &mut Vec<Value>,
-        pd: &Pd<'_>,
-        args: &[CExpr],
-    ) -> Result<Vec<Value>, AlpsError> {
-        self.eval_all(&mut Fr::Mut(frame), None, pd, args)
+    fn ret(&self, fr: &mut Fr<'_>, pd: &Pd<'_>, args: &[CExpr]) -> Res<ValVec> {
+        self.eval_all(fr, None, pd, args)
     }
 
     fn conditions<'a>(&self, mut g: Guard<'a>, arm: &'a CGuarded, cand: Cand<'a>) -> Guard<'a>
@@ -206,15 +196,17 @@ impl Eval for Ex<'_, Reference> {
         if !matches!(arm.kind, CGuardKind::Plain) {
             g = g.when(move |view| {
                 cand.in_bounds(view)
-                    && arm.when.as_ref().is_none_or(|w| {
-                        on_candidate(view, w)
-                            .and_then(|v| v.as_bool())
-                            .unwrap_or(false)
-                    })
+                    && arm
+                        .when
+                        .as_ref()
+                        .is_none_or(|w| matches!(on_candidate(view, w), Ok(Value::Bool(true))))
             });
         }
         if let Some(pe) = &arm.pri {
-            g = g.pri(move |view| on_candidate(view, pe).and_then(|v| v.as_int()).unwrap_or(0));
+            g = g.pri(move |view| match on_candidate(view, pe) {
+                Ok(Value::Int(p)) => p,
+                _ => 0,
+            });
         }
         g
     }
@@ -230,7 +222,7 @@ impl Eval for Ex<'_, Reference> {
 /// [`RunError::Run`] for runtime failures (body errors, shutdowns,
 /// protocol violations surfaced by the core).
 pub fn run_checked(rt: &Runtime, checked: &Arc<Checked>, out: Output) -> Result<(), RunError> {
-    Prog::<Reference>::run(rt, checked, out)
+    Linked::<Reference>::run(rt, checked, out)
 }
 
 /// Parse, check, and run an ALPS source string.

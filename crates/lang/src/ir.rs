@@ -25,7 +25,8 @@ pub enum VarRef {
     /// Slot in the current activation frame (procedure/manager/main
     /// locals, parameters, loop and guard bindings).
     Frame(usize),
-    /// Slot in the object's shared data part (locked per access).
+    /// Slot in the object's shared data part (locked per access, or once
+    /// for a [`CStmt::Held`] run).
     Env(usize),
     /// Slot in the guard-evaluation overlay: the quantifier value and the
     /// candidate's bound values. Only valid inside compiled `when`/`pri`
@@ -94,6 +95,16 @@ pub enum Builtin {
     Set(VarRef),
 }
 
+impl Builtin {
+    /// The variable a mutating list builtin updates in place.
+    pub fn target(&self) -> Option<&VarRef> {
+        match self {
+            Builtin::Push(t) | Builtin::Remove(t) | Builtin::Pop(t) | Builtin::Set(t) => Some(t),
+            _ => None,
+        }
+    }
+}
+
 /// Resolved expressions.
 #[derive(Debug, Clone)]
 pub enum CExpr {
@@ -102,6 +113,10 @@ pub enum CExpr {
     Const(Value),
     /// A resolved variable read.
     Var(VarRef, Pos),
+    /// The last read of frame slot `i` before the slot is written again or
+    /// its frame dies (marked after checking, by `last_use`): the
+    /// optimised walker moves the value out instead of cloning it.
+    Take(usize, Pos),
     /// `#P` — resolved entry index; manager/guard scope only.
     Pending(usize, Pos),
     /// Unary operation.
@@ -145,11 +160,26 @@ pub enum CExpr {
 }
 
 impl CExpr {
+    /// Whether `f` holds for `self` or any expression inside it.
+    pub fn any(&self, f: &impl Fn(&CExpr) -> bool) -> bool {
+        f(self)
+            || match self {
+                CExpr::Const(_) | CExpr::Var(..) | CExpr::Take(..) | CExpr::Pending(..) => false,
+                CExpr::Unary(_, a, _) => a.any(f),
+                CExpr::Binary(_, a, b, _) => a.any(f) || b.any(f),
+                CExpr::CallEntry { args, .. }
+                | CExpr::CallSelf { args, .. }
+                | CExpr::CallInline { args, .. }
+                | CExpr::CallBuiltin(_, args, _) => args.iter().any(|a| a.any(f)),
+            }
+    }
+
     /// Position of the expression (for runtime error messages).
     pub fn pos(&self) -> Pos {
         match self {
             CExpr::Const(_) => Pos::default(),
             CExpr::Var(_, p)
+            | CExpr::Take(_, p)
             | CExpr::Pending(_, p)
             | CExpr::Unary(_, _, p)
             | CExpr::Binary(_, _, _, p)
@@ -203,6 +233,42 @@ pub enum CGuardKind {
     Plain,
 }
 
+/// What the optimised walker may take for granted about an arm's
+/// `when` and `pri`, decided once by `check`; the reference walker
+/// ignores it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GuardShape {
+    /// `when` reads only literals and manager-frame variables, which
+    /// cannot change while the manager is blocked in the select: no bound
+    /// value, no `#P`, no object variable (a started body may write one
+    /// meanwhile), no call. It is decided once per round, not once per
+    /// candidate, as an embedded manager's `move` closure would capture
+    /// its state.
+    pub when_fixed: bool,
+    /// `when` reads an overlay slot (a bound value or the quantifier), so
+    /// each candidate's overlay must be built for it.
+    pub when_overlay: bool,
+    /// `pri` reads an overlay slot.
+    pub pri_overlay: bool,
+}
+
+impl GuardShape {
+    /// The shape of an arm with these conditions.
+    pub fn of(when: Option<&CExpr>, pri: Option<&CExpr>) -> Self {
+        let overlay = |e: &CExpr| e.any(&|x| matches!(x, CExpr::Var(VarRef::Overlay(_), _)));
+        let live = |x: &CExpr| match x {
+            CExpr::Const(_) | CExpr::Take(..) | CExpr::Unary(..) | CExpr::Binary(..) => false,
+            CExpr::Var(r, _) => !matches!(r, VarRef::Frame(_)),
+            _ => true,
+        };
+        GuardShape {
+            when_fixed: when.is_some_and(|w| !w.any(&live)),
+            when_overlay: when.is_some_and(overlay),
+            pri_overlay: pri.is_some_and(overlay),
+        }
+    }
+}
+
 /// One guarded alternative of a compiled `select`/`loop`.
 #[derive(Debug, Clone)]
 pub struct CGuarded {
@@ -217,6 +283,8 @@ pub struct CGuarded {
     pub when: Option<CExpr>,
     /// Run-time priority, same scoping as `when`.
     pub pri: Option<CExpr>,
+    /// What `when` and `pri` read.
+    pub shape: GuardShape,
     /// Arm body.
     pub body: Vec<CStmt>,
     /// Position.
@@ -230,6 +298,13 @@ pub enum CStmt {
     Assign(Vec<VarRef>, CExpr, Pos),
     /// A call for effect.
     Expr(CExpr),
+    /// A run of statements that each read or write the object's variables
+    /// ([`VarRef::Env`]) and neither call nor sleep — `:=`, call
+    /// statements and `return` only. The walker locks the object's
+    /// variables once for the whole run instead of once per access, which
+    /// makes the run atomic against other started bodies; no scheduling
+    /// point falls inside it either way. Built by [`CStmt::hold_runs`].
+    Held(Vec<CStmt>),
     /// `if … elsif … else …`
     If(Vec<(CExpr, Vec<CStmt>)>, Vec<CStmt>),
     /// `while e do …`
@@ -324,6 +399,60 @@ pub enum CStmt {
     },
     /// `skip`
     Skip,
+}
+
+impl CStmt {
+    /// Group each maximal run of statements that may hold the object's
+    /// variables into one [`CStmt::Held`].
+    pub fn hold_runs(stmts: Vec<CStmt>) -> Vec<CStmt> {
+        if !stmts.iter().any(CStmt::may_hold) {
+            return stmts;
+        }
+        let mut out = Vec::with_capacity(stmts.len());
+        let mut stmts = stmts.into_iter().peekable();
+        while let Some(s) = stmts.next() {
+            if !s.may_hold() {
+                out.push(s);
+                continue;
+            }
+            let mut run = vec![s];
+            while let Some(s) = stmts.next_if(CStmt::may_hold) {
+                run.push(s);
+            }
+            run.shrink_to_fit();
+            out.push(CStmt::Held(run));
+        }
+        out.shrink_to_fit();
+        out
+    }
+
+    /// Whether this statement reads or writes the object's variables and
+    /// neither calls nor sleeps.
+    fn may_hold(&self) -> bool {
+        let (targets, exprs): (&[VarRef], &[CExpr]) = match self {
+            CStmt::Assign(targets, e, _) => (targets, std::slice::from_ref(e)),
+            CStmt::Expr(e) => (&[], std::slice::from_ref(e)),
+            CStmt::Return(args, _) => (&[], args),
+            _ => return false,
+        };
+        let env = |r: &VarRef| matches!(r, VarRef::Env(_));
+        let touches = |x: &CExpr| match x {
+            CExpr::Var(r, _) => env(r),
+            CExpr::CallBuiltin(b, _, _) => b.target().is_some_and(env),
+            _ => false,
+        };
+        let blocks = |x: &CExpr| {
+            matches!(
+                x,
+                CExpr::CallEntry { .. }
+                    | CExpr::CallSelf { .. }
+                    | CExpr::CallInline { .. }
+                    | CExpr::CallBuiltin(Builtin::Sleep, _, _)
+            )
+        };
+        (targets.iter().any(env) || exprs.iter().any(|e| e.any(&touches)))
+            && !exprs.iter().any(|e| e.any(&blocks))
+    }
 }
 
 /// A compiled code block with its activation-frame layout: parameter

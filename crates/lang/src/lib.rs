@@ -54,6 +54,7 @@ pub mod error;
 mod exec;
 pub mod interp;
 pub mod ir;
+mod last_use;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;

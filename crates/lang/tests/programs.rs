@@ -18,7 +18,8 @@ fn run(src: &str) -> Vec<String> {
 /// Run a program through the reference walker and the optimised one.
 /// Their outputs — or their error strings, position included — must be
 /// equal; the tests then hold that one result against what is written
-/// down here, which also checks the lowering both walkers start from.
+/// down here, which also checks the IR both walkers start from: the one
+/// `check.rs`'s `Cx` builds while it types the program.
 fn try_run(src: &str) -> Result<Vec<String>, String> {
     let checked =
         Arc::new(check(parse(src).map_err(|e| e.to_string())?).map_err(|e| e.to_string())?);
@@ -244,7 +245,7 @@ fn statement_accept_binds_into_an_object_variable() {
 #[test]
 fn select_accept_binds_into_an_object_variable() {
     // The guard form must write the same variable the statement form
-    // does (`lower.rs::resolve_bind`), not shadow it in the manager frame.
+    // does (`check.rs`'s `Cx::bind`), not shadow it in the manager frame.
     let out = bind_into_object_variable("loop accept Put(Last) => execute Put(Last) end loop");
     assert_eq!(out, vec!["7"]);
 }
@@ -657,4 +658,132 @@ fn guard_quantifier_shadows_a_manager_variable_of_another_type() {
         end
     "#);
     assert_eq!(out, vec!["s!"]);
+}
+
+#[test]
+fn last_reads_move_only_dead_values() {
+    // The optimised walker moves a frame variable out at its last read
+    // (`last_use.rs`); the reference walker always copies. Values read
+    // again later — in the next round of a loop or a select loop, after a
+    // loop that may not run, twice in one statement — must not move.
+    let out = run(r#"
+        object Box defines
+          proc Put(v: list(int));
+          proc Twice(x: list(int)) returns (list(int), list(int));
+          proc Size() returns (int);
+        end Box;
+        object Box implements
+          var Kept: list(list(int));
+          proc Put(v: list(int));
+          begin push(Kept, v) end Put;
+          proc Twice(x: list(int)) returns (list(int), list(int));
+          begin return (x, x) end Twice;
+          proc Size() returns (int);
+          begin return (len(Kept)) end Size;
+          manager
+            intercepts Put(list(int)), Twice, Size;
+            var last: list(int);
+            begin
+              loop
+                accept Put(v) => execute Put(v); last := v
+              or
+                accept Twice => execute Twice
+              or
+                accept Size => print("last", len(last)); execute Size
+              end loop
+            end;
+        end Box;
+        main
+          var xs: list(int);
+          var a: list(int);
+          var b: list(int);
+          var c: list(int);
+          var i: int;
+          var n: int;
+        begin
+          for i := 1 to 3 do
+            push(xs, i);
+            Box.Put(xs)
+          end for;
+          a, b := Box.Twice(xs);
+          print(len(a), len(b), len(xs));
+          for i := 1 to 2 do print("b", len(b)) end for;
+          c := xs;
+          n := Box.Size();
+          n := Box.Size();
+          while n > 1 do
+            print("c", len(c));
+            n := n - 1
+          end while;
+          while len(xs) > 0 do
+            a := xs;
+            i := pop(xs)
+          end while;
+          print(len(a), " ", i)
+        end
+    "#);
+    assert_eq!(
+        out,
+        vec!["333", "b3", "b3", "last3", "last3", "c3", "c3", "1 3"]
+    );
+}
+
+/// Every program run must free its objects, tables and IR once it is over:
+/// the objects' closures own the program, so the program must not own the
+/// objects' handles back. A manager that makes an entry call holds the
+/// handle table until it exits.
+#[test]
+fn a_finished_run_frees_its_program() {
+    let checked = Arc::new(
+        check(
+            parse(
+                r#"
+        object Log defines
+          proc Add(n: int);
+          proc Total() returns (int);
+        end Log;
+        object Log implements
+          var sum: int;
+          proc Add(n: int);
+          begin sum := sum + n end Add;
+          proc Total() returns (int);
+          begin return (sum) end Total;
+        end Log;
+        object Counter defines
+          proc Bump();
+        end Counter;
+        object Counter implements
+          proc Bump();
+          begin Log.Add(1) end Bump;
+          manager
+            intercepts Bump;
+            begin
+              loop accept Bump => execute Bump; Log.Add(10) end loop
+            end;
+        end Counter;
+        main var t: int; begin
+          Counter.Bump();
+          Counter.Bump();
+          t := Log.Total();
+          print(t)
+        end
+    "#,
+            )
+            .unwrap(),
+        )
+        .unwrap(),
+    );
+    for backend in [run_checked as Backend, run_compiled] {
+        assert_eq!(run_on(&checked, backend), Ok(vec!["22".to_string()]));
+        assert_eq!(Arc::strong_count(&checked.unit), 1);
+    }
+    let c = Arc::clone(&checked);
+    SimRuntime::new()
+        .run(move |rt| {
+            let compiled = spawn_compiled(rt, &c, Output::buffer().0).unwrap();
+            compiled.run_main().unwrap();
+            compiled.shutdown();
+        })
+        .unwrap();
+    assert_eq!(Arc::strong_count(&checked.unit), 1);
 }
