@@ -21,22 +21,19 @@
 //! * `cancel` frees an `Attached` or `Ready` slot and turns a `Started`
 //!   one `Abandoned`; a caller whose deadline expired frees its own
 //!   `Attached` slot. An `Abandoned` slot frees when its body is done.
-//! * A restart turns `Started` slots `Abandoned` and frees `Accepted`,
-//!   `Ready`, `Awaited` and (unless [`OnRestart::Requeue`]) `Attached`
-//!   ones; shutdown frees every slot.
+//! * A restart turns `Started` slots `Abandoned` and frees every other
+//!   occupied one; shutdown frees every slot.
 //!
 //! Calls that find no free slot wait in a FIFO queue and attach when a
 //! slot frees. `#P` counts attached and queued calls (paper §2.5.1), plus
 //! the entry's calls still in the intake ring ([`crate::intake`]).
-//!
-//! [`OnRestart::Requeue`]: crate::OnRestart::Requeue
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use alps_runtime::{tuning, CommitPoint, ProcId, SpinWait};
+use alps_runtime::{tuning, CommitPoint, ProcId};
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::error::{AlpsError, Result};
@@ -74,7 +71,7 @@ const CALL_TOMBSTONE: u32 = 3;
 ///   argument for the `unsafe impl Sync`.
 /// * `waiting` is the caller's "I am about to park" announcement. The
 ///   completer skips the (expensive) `rt.unpark` when it is false — i.e.
-///   when the caller is still in its spin/yield phase. The flag and the
+///   when the caller is still in its yield phase. The flag and the
 ///   state word form a store-buffering pair, which is why both sides use
 ///   `SeqCst`: the caller stores `waiting = true` then loads `state`, the
 ///   completer stores `state = DONE` then loads `waiting` — sequential
@@ -522,7 +519,7 @@ impl ObjectInner {
 
     /// Complete a call: deliver the result and unpark the caller — unless
     /// the caller has not announced a park (`waiting` false), in which
-    /// case it is still in its spin/yield phase and will pick the result
+    /// case it is still in its yield phase and will pick the result
     /// up itself; skipping `rt.unpark` there saves the proc-table lookup
     /// and wake syscall on the contended fast path. The SeqCst
     /// store-then-load on the completer side pairs with the caller's
@@ -612,12 +609,12 @@ impl ObjectInner {
     /// Block until `call` completes.
     ///
     /// Without a deadline, an `adaptive` wait (a ring call, answered by
-    /// the manager) spins briefly, then — while the manager is awake —
-    /// yields a bounded number of times, then announces (`waiting = true`)
-    /// and parks. Other waits (queued implicit calls, answered by a pool
-    /// worker) park at once, and so does every wait on the simulation
-    /// executor, where a blocked process never observes progress by
-    /// spinning.
+    /// the manager) yields a bounded number of times while the manager is
+    /// awake, then announces (`waiting = true`) and parks. It never spins:
+    /// a spinning green task holds the worker the manager may need. Other
+    /// waits (queued implicit calls, answered by a pool worker) park at
+    /// once, and so does every wait on the simulation executor, where a
+    /// blocked process never observes progress by yielding.
     ///
     /// `deadline` is `(absolute expiry, budget)`. A caller that opted into
     /// one is latency-tolerant by definition, so it parks with a timer
@@ -633,13 +630,6 @@ impl ObjectInner {
     ) -> Result<ValVec> {
         let adaptive = adaptive && deadline.is_none();
         if adaptive && !self.rt.is_sim() {
-            let mut sw = SpinWait::new(tuning::CALLER_SPIN_ROUNDS);
-            while sw.spin() {
-                if let Some(r) = call.try_take() {
-                    self.stats.on_spin_resolved();
-                    return r;
-                }
-            }
             // Yield phase: worth it only while the manager is running —
             // each yield hands it the CPU (single-core) or leaves it
             // draining (multi-core).
@@ -779,7 +769,7 @@ mod tests {
             assert!(Arc::ptr_eq(&es.pop().expect("one queued"), &q2));
             assert_eq!(counts(&t), (0, 0, 0));
 
-            // A restart sweep (FailInFlight) over Attached, Ready and
+            // A restart sweep over Attached, Ready and
             // Abandoned slots, and a drained queue.
             es.replace(0, Slot::Attached { call: cell() });
             let outcome = Err("boom".to_string());

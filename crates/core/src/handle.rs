@@ -18,7 +18,7 @@ use crate::object::{ManagerBody, ObjectInner};
 use crate::pool::PoolMode;
 use crate::restart::Supervisor;
 use crate::stats::ObjectStats;
-use crate::supervise::{OnRestart, RestartPolicy, Wait};
+use crate::supervise::{RestartPolicy, Wait};
 use crate::value::{check_types_lazy, ValVec, Value};
 
 /// Interned handle to one entry of one object.
@@ -192,7 +192,6 @@ pub struct ObjectBuilder {
     manager_prio: Priority,
     poison_on_panic: bool,
     supervise: Option<RestartPolicy>,
-    on_restart: OnRestart,
     state_init: Option<Box<dyn Fn() + Send + Sync + 'static>>,
     admission: AdmissionPolicy,
     intake_capacity: Option<usize>,
@@ -220,7 +219,6 @@ impl ObjectBuilder {
             manager_prio: Priority::MANAGER,
             poison_on_panic: false,
             supervise: None,
-            on_restart: OnRestart::default(),
             state_init: None,
             admission: AdmissionPolicy::default(),
             intake_capacity: None,
@@ -239,14 +237,13 @@ impl ObjectBuilder {
     }
 
     /// Supervise the object: an entry-body panic triggers the restart
-    /// machinery instead of (only) poisoning. Per `policy` the object is
-    /// swept of in-flight calls (see [`on_restart`](Self::on_restart)),
-    /// its user state is rebuilt by the [`state_init`](Self::state_init)
-    /// closure, its manager process body is re-entered at a bumped
-    /// generation, and the poison is cleared — the object serves calls
-    /// again. A refused restart (budget exhausted,
-    /// [`RestartPolicy::Never`]) leaves the object permanently poisoned,
-    /// exactly like [`poison_on_panic`](Self::poison_on_panic).
+    /// machinery instead of (only) poisoning. Per `policy` the object's
+    /// in-flight calls are failed, its user state is rebuilt by the
+    /// [`state_init`](Self::state_init) closure, its manager process body
+    /// is re-entered at a bumped generation, and the poison is cleared —
+    /// the object serves calls again. A refused restart (budget
+    /// exhausted) leaves the object permanently poisoned, exactly like
+    /// [`poison_on_panic`](Self::poison_on_panic).
     ///
     /// While a restart is possible, rejected new calls and swept in-flight
     /// calls fail with the *transient* [`AlpsError::ObjectRestarting`]
@@ -254,14 +251,6 @@ impl ObjectBuilder {
     /// permanent [`AlpsError::ObjectPoisoned`].
     pub fn supervise(mut self, policy: RestartPolicy) -> Self {
         self.supervise = Some(policy);
-        self
-    }
-
-    /// What a supervised restart does with in-flight calls (default:
-    /// [`OnRestart::FailInFlight`]). Only meaningful together with
-    /// [`supervise`](Self::supervise).
-    pub fn on_restart(mut self, choice: OnRestart) -> Self {
-        self.on_restart = choice;
         self
     }
 
@@ -382,12 +371,7 @@ impl ObjectBuilder {
             self.intake_capacity,
             self.admission,
         );
-        let supervisor = Supervisor::new(
-            self.supervise,
-            self.on_restart,
-            self.state_init,
-            self.poison_on_panic,
-        );
+        let supervisor = Supervisor::new(self.supervise, self.state_init, self.poison_on_panic);
         let uid = OBJECT_UID.fetch_add(1, Ordering::Relaxed);
         let inner = Arc::new(ObjectInner::new(
             rt,

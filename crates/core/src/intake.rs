@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use alps_runtime::{tuning, CommitPoint, IntakeRing, Notifier, Runtime, WaitOutcome};
+use alps_runtime::{tuning, CommitPoint, IntakeRing, Notifier, Runtime};
 use parking_lot::Mutex;
 
 use crate::cell::{CallCell, Slot};
@@ -355,18 +355,15 @@ impl ObjectInner {
                 }
             }
             None => {
-                // Spin rounds are pure CPU hints (no yields): they only
-                // pay when a producer is mid-call on another core;
-                // `wait_past_spin` skips them in simulation.
-                let out =
-                    self.notifier
-                        .wait_past_spin(&self.rt, epoch, tuning::MGR_IDLE_SPIN_ROUNDS);
+                // An idle manager parks at once: a spin would hold the
+                // worker its producers need. An epoch that already moved
+                // is no wait; any other counts as park-resolved.
+                let parks = self.notifier.epoch() == epoch;
+                self.notifier.wait_past(&self.rt, epoch);
                 ik.mgr_active.store(true, Ordering::SeqCst);
                 self.stats.on_mgr_wakeup();
-                match out {
-                    WaitOutcome::Spun => self.stats.on_spin_resolved(),
-                    WaitOutcome::Parked => self.stats.on_park_resolved(),
-                    WaitOutcome::Immediate => {}
+                if parks {
+                    self.stats.on_park_resolved();
                 }
             }
         }

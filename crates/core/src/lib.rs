@@ -111,5 +111,5 @@ pub use proc_ctx::ProcCtx;
 pub use select::{Guard, GuardView, Selected};
 pub use shard::{hash_values, spread, ShardEntryId, ShardedBuilder, ShardedHandle, ShardedStats};
 pub use stats::ObjectStats;
-pub use supervise::{Backoff, OnRestart, RestartPolicy, RetryPolicy, Wait};
+pub use supervise::{Backoff, RestartPolicy, RetryPolicy, Wait};
 pub use value::{check_types, check_types_lazy, ChanValue, Ty, ValVec, Value, INLINE_VALS};

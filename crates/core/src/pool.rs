@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
 use alps_runtime::metrics::Counter;
-use alps_runtime::{tuning, ProcId, Runtime, Spawn, SpinWait};
+use alps_runtime::{ProcId, Runtime, Spawn};
 use parking_lot::Mutex;
 
 use crate::object::ObjectInner;
@@ -108,10 +108,6 @@ struct QState {
 struct SlotBox {
     st: Mutex<SlotBoxSt>,
     closed: AtomicBool,
-    /// Lock-free mirror of `st.job.is_some()`, letting an idle worker
-    /// notice a freshly dispatched job during its spin phase without
-    /// taking the mutex.
-    has_job: AtomicBool,
 }
 
 #[derive(Default)]
@@ -153,7 +149,6 @@ impl Pool {
                     let sb = Arc::new(SlotBox {
                         st: Mutex::new(SlotBoxSt::default()),
                         closed: AtomicBool::new(false),
-                        has_job: AtomicBool::new(false),
                     });
                     pool.per_slot.push(Arc::clone(&sb));
                     pool.spawn_slot_worker(key, sb);
@@ -175,36 +170,17 @@ impl Pool {
         let rt = self.rt.clone();
         let executed = self.executed.clone();
         let opts = Spawn::new(format!("{}:worker[{key}]", self.name)).daemon(true);
-        let spin_rounds = if self.rt.is_sim() {
-            0
-        } else {
-            tuning::POOL_SLOT_SPIN_ROUNDS
-        };
         self.rt.spawn_with(opts, move || loop {
-            // Brief spin for a job dispatched while the previous one
-            // was winding down — skips a park/unpark round trip when
-            // the manager restarts this slot back-to-back.
-            let mut sw = SpinWait::new(spin_rounds);
-            while sw.spin() {
-                if sb.has_job.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
             let job = {
                 let mut st = sb.st.lock();
-                match st.job.take() {
-                    Some(j) => {
-                        sb.has_job.store(false, Ordering::SeqCst);
-                        Some(j)
+                let job = st.job.take();
+                if job.is_none() {
+                    if sb.closed.load(Ordering::SeqCst) {
+                        return;
                     }
-                    None => {
-                        if sb.closed.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        st.waiter = Some(rt.current());
-                        None
-                    }
+                    st.waiter = Some(rt.current());
                 }
+                job
             };
             match job {
                 Some(j) => {
@@ -269,7 +245,6 @@ impl Pool {
                     let mut st = sb.st.lock();
                     debug_assert!(st.job.is_none(), "slot worker busy twice");
                     st.job = Some(job);
-                    sb.has_job.store(true, Ordering::SeqCst);
                     st.waiter.take()
                 };
                 if let Some(w) = waiter {

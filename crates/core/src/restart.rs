@@ -11,14 +11,13 @@ use crate::cell::{CallCell, EntryState, Slot};
 use crate::error::{AlpsError, Result};
 use crate::manager::ManagerCtx;
 use crate::object::{ManagerBody, ObjectInner};
-use crate::supervise::{OnRestart, RestartPolicy};
+use crate::supervise::RestartPolicy;
 
 pub(crate) struct Supervisor {
-    /// `None` for unsupervised objects; with `on_restart` and
-    /// `state_init`, the installed configuration
+    /// `None` for unsupervised objects; with `state_init`, the installed
+    /// configuration
     /// ([`ObjectBuilder::supervise`](crate::ObjectBuilder::supervise)).
     policy: Option<RestartPolicy>,
-    on_restart: OnRestart,
     state_init: Option<Box<dyn Fn() + Send + Sync + 'static>>,
     /// Set when an entry body panics in a poisoning or supervised object:
     /// the object's invariants may be corrupt, so new calls fail fast.
@@ -40,7 +39,7 @@ pub(crate) struct Supervisor {
     /// state rebuild is still in progress.
     restart_times: Mutex<Vec<u64>>,
     /// A restart was refused — budget exhausted, injected `"restart"`
-    /// fault, [`RestartPolicy::Never`], or a panicking `state_init`. The
+    /// fault, or a panicking `state_init`. The
     /// poison is permanent: callers get [`AlpsError::ObjectPoisoned`],
     /// not the transient [`AlpsError::ObjectRestarting`].
     perm_failed: AtomicBool,
@@ -52,13 +51,11 @@ pub(crate) struct Supervisor {
 impl Supervisor {
     pub(crate) fn new(
         policy: Option<RestartPolicy>,
-        on_restart: OnRestart,
         state_init: Option<Box<dyn Fn() + Send + Sync + 'static>>,
         poison_on_panic: bool,
     ) -> Supervisor {
         Supervisor {
             policy,
-            on_restart,
             state_init,
             poisoned: AtomicBool::new(false),
             poison_on_panic,
@@ -128,7 +125,7 @@ impl ObjectInner {
     ///
     /// Under the restart lock: charge the restart budget (refusal ⇒
     /// permanent poison), consult the `"restart"` fault point, bump the
-    /// generation, sweep in-flight calls per the [`OnRestart`] choice,
+    /// generation, fail the calls in flight,
     /// re-run `state_init`, clear the poison, and wake everyone with a
     /// stake — the old-generation manager (whose next primitive fails with
     /// [`AlpsError::ObjectRestarting`], sending the supervisor loop back
@@ -159,7 +156,6 @@ impl ObjectInner {
         }
         let now = self.rt.now();
         let allowed = match policy {
-            RestartPolicy::Never => false,
             RestartPolicy::AlwaysFresh => true,
             RestartPolicy::RestartTransient {
                 max_restarts,
@@ -180,7 +176,7 @@ impl ObjectInner {
         // under the entry lock, so no old-generation accept, start, or
         // finish can commit once the sweep below begins.
         sv.generation.fetch_add(1, Ordering::SeqCst);
-        self.restart_sweep(sv.on_restart);
+        self.restart_sweep();
         // Rebuild user state. A panicking initializer fails the restart
         // permanently (poison), not the process.
         if let Some(init) = &sv.state_init {
@@ -196,64 +192,39 @@ impl ObjectInner {
         self.intake.space_freed(&self.rt);
     }
 
-    /// The restart's in-flight sweep. Phase 1 empties the intake ring
-    /// under the drain lock (FailInFlight only — under Requeue the ring
-    /// holds exactly the calls no manager generation has seen, and the new
-    /// generation's first drain classifies them in FIFO order). Phase 2
-    /// walks each entry under its own lock — the drain lock is *not* held,
-    /// matching `drain_intake`'s drain-lock → entry-lock order — and
-    /// completes victims only after unlocking, mirroring `shutdown`.
-    fn restart_sweep(self: &Arc<Self>, on: OnRestart) {
-        let fail_unseen = matches!(on, OnRestart::FailInFlight);
-        if fail_unseen {
-            self.fail_intake(|| self.restarting_err());
-        }
+    /// The restart's in-flight sweep. Phase 1 fails the intake ring under
+    /// the drain lock. Phase 2 walks each entry under its own lock — the
+    /// drain lock is *not* held, matching `drain_intake`'s drain-lock →
+    /// entry-lock order — and completes victims only after unlocking,
+    /// mirroring `shutdown`.
+    fn restart_sweep(self: &Arc<Self>) {
+        self.fail_intake(|| self.restarting_err());
         for entry in 0..self.entries.len() {
             let mut victims: Vec<Arc<CallCell>> = Vec::new();
-            let mut dispatches = Vec::new();
             {
                 let mut es = self.slots.lock(entry);
-                if fail_unseen {
-                    victims.extend(es.drain());
-                }
+                victims.extend(es.drain());
                 es.sweep(
                     |s| match s {
                         // An inline implicit body answers its own caller;
                         // an already-abandoned body is somebody else's
                         // cleanup. Both keep their slot.
                         Slot::Free | Slot::InlineBusy | Slot::Abandoned => None,
-                        // Requeue: attached-but-unaccepted calls were
-                        // never seen by the dead generation and survive
-                        // in place.
-                        Slot::Attached { .. } if !fail_unseen => None,
                         // The body cannot be interrupted. It keeps the
                         // slot as Abandoned; `body_done` discards its
                         // outcome and frees it.
                         Slot::Started { .. } => Some(Slot::Abandoned),
-                        // The dead generation's bookkeeping owned the
-                        // rest — accepted, ready, or awaited, holding a
-                        // pre-restart result that must never be
-                        // delivered.
+                        // Every other call — attached, or held by the
+                        // dead generation's bookkeeping (accepted, ready,
+                        // awaited, maybe with a pre-restart result that
+                        // must never be delivered) — is failed.
                         _ => Some(Slot::Free),
                     },
                     &mut victims,
                 );
-                if !fail_unseen {
-                    // Requeue: slots freed above (accepted/ready/awaited
-                    // victims) immediately re-attach surviving queued
-                    // calls, preserving per-entry FIFO.
-                    for i in 0..es.slots().len() {
-                        if matches!(es.slots()[i], Slot::Free) {
-                            dispatches.extend(self.free_slot_and_pull(&mut es, entry, i));
-                        }
-                    }
-                }
             }
             for call in victims {
                 self.complete(&call, Err(self.restarting_err()));
-            }
-            for d in dispatches {
-                self.dispatch_body(entry, Some(d));
             }
         }
     }

@@ -82,8 +82,8 @@ impl ObjectStats {
         &self.inner.call_latency
     }
     /// Times the manager loop woke up to drain intake / re-evaluate guards
-    /// (parked or spun wakeups; the busy-loop iterations between sleeps
-    /// are not counted).
+    /// (parked or poll-resolved wakeups; the busy-loop iterations between
+    /// sleeps are not counted).
     pub fn mgr_wakeups(&self) -> u64 {
         self.inner.mgr_wakeups.get()
     }
@@ -92,12 +92,13 @@ impl ObjectStats {
     pub fn drain_batch(&self) -> &Histogram {
         &self.inner.drain_batch
     }
-    /// Reply/manager waits resolved during the bounded spin phase (no
-    /// park syscall paid).
+    /// Reply/manager waits resolved in a bounded yield or poll phase,
+    /// before parking (no park paid). Neither side spins.
     pub fn spin_resolved(&self) -> u64 {
         self.inner.spin_resolved.get()
     }
-    /// Reply/manager waits that exhausted their spin budget and parked.
+    /// Reply/manager waits that parked: the yield or poll budget ran out
+    /// or did not apply.
     pub fn park_resolved(&self) -> u64 {
         self.inner.park_resolved.get()
     }

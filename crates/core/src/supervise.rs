@@ -7,11 +7,9 @@
 //!
 //! * [`RestartPolicy`] — what happens when an entry body panics in a
 //!   supervised object ([`ObjectBuilder::supervise`](crate::ObjectBuilder::supervise)):
-//!   stay poisoned forever, restart within a budget, or always restart.
-//! * [`OnRestart`] — what happens to in-flight calls caught by a restart:
-//!   fail them with [`AlpsError::ObjectRestarting`](crate::AlpsError::ObjectRestarting)
-//!   or re-queue the ones that have not been handed to the (now dead)
-//!   manager generation.
+//!   restart within a budget, or always restart. A restart fails every
+//!   call it catches in flight with
+//!   [`AlpsError::ObjectRestarting`](crate::AlpsError::ObjectRestarting).
 //! * [`Wait`] — how long a caller waits; every handle's `call_with`
 //!   takes one.
 //! * [`RetryPolicy`] / [`Backoff`] — caller-side retry of the transient
@@ -30,19 +28,16 @@ use crate::error::{AlpsError, Result};
 /// sweeps in-flight calls, re-runs the
 /// [`state_init`](crate::ObjectBuilder::state_init) closure, bumps the
 /// object generation, and un-poisons. If the policy refuses (budget
-/// exhausted, or [`Never`](RestartPolicy::Never)), the object stays
-/// poisoned — exactly
-/// [`poison_on_panic`](crate::ObjectBuilder::poison_on_panic).
+/// exhausted), the object stays poisoned — exactly
+/// [`poison_on_panic`](crate::ObjectBuilder::poison_on_panic), which is
+/// also what to use for an object that should never restart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestartPolicy {
-    /// Today's poison behaviour: the first body panic poisons the object
-    /// permanently.
-    Never,
     /// Restart after a panic, but give up (permanent poison) once more
     /// than `max_restarts` restarts have happened within the trailing
     /// `window_ticks` virtual microseconds. A crash-looping constructor
-    /// or state-dependent panic thus converges to `Never` instead of
-    /// burning the object's callers forever.
+    /// or state-dependent panic thus converges to permanent poison
+    /// instead of burning the object's callers forever.
     RestartTransient {
         /// Restarts allowed inside the window before giving up.
         max_restarts: u32,
@@ -51,26 +46,6 @@ pub enum RestartPolicy {
     },
     /// Restart unconditionally on every body panic.
     AlwaysFresh,
-}
-
-/// What a restart does with the calls it catches in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OnRestart {
-    /// Answer every in-flight call — queued, attached, accepted, started,
-    /// ready, awaited, or still in the intake ring — with
-    /// [`AlpsError::ObjectRestarting`](crate::AlpsError::ObjectRestarting).
-    /// The conservative default: no call spans a state reset.
-    #[default]
-    FailInFlight,
-    /// Keep the calls the dead manager generation never saw: ring
-    /// residents, queued, and attached-but-unaccepted calls survive into
-    /// the new generation (per-entry FIFO preserved) and are served as if
-    /// they had arrived after the restart. Calls the old generation
-    /// already held — accepted, started, ready, awaited — are failed with
-    /// `ObjectRestarting`: the manager bookkeeping that owned them is
-    /// gone, and a started body's pre-restart result must never be
-    /// delivered (its slot is tombstoned).
-    Requeue,
 }
 
 /// Delay schedule between the attempts of a [`Wait::Retry`] call.
@@ -247,7 +222,6 @@ mod tests {
 
     #[test]
     fn defaults_are_conservative() {
-        assert_eq!(OnRestart::default(), OnRestart::FailInFlight);
         assert_eq!(AdmissionPolicy::default(), AdmissionPolicy::Block);
     }
 }

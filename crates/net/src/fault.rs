@@ -107,60 +107,6 @@ impl NetFaultPlan {
             disconnect_every: 40,
         }
     }
-
-    /// Parse the `NET_FAULT` environment contract:
-    ///
-    /// ```text
-    /// NET_FAULT="drop_send=0.05,drop_recv=0.05,delay=0.1:300,dup=0.05,\
-    ///            corrupt=0.02,disconnect=0.01,disconnect_every=40,seed=7"
-    /// ```
-    ///
-    /// Unknown keys and malformed values are ignored (a fault knob must
-    /// never turn a benchmark run into a parse-error crash); an unset or
-    /// empty variable returns `None`.
-    pub fn from_env() -> Option<NetFaultPlan> {
-        let spec = std::env::var("NET_FAULT").ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        let mut plan = NetFaultPlan::seeded(0);
-        for part in spec.split(',') {
-            let Some((k, v)) = part.split_once('=') else {
-                continue;
-            };
-            let (k, v) = (k.trim(), v.trim());
-            let rate = || v.parse::<f64>().ok().filter(|r| (0.0..=1.0).contains(r));
-            match k {
-                "seed" => {
-                    if let Ok(s) = v.parse() {
-                        plan.seed = s;
-                    }
-                }
-                "drop_send" => plan.drop_send = rate().unwrap_or(plan.drop_send),
-                "drop_recv" => plan.drop_recv = rate().unwrap_or(plan.drop_recv),
-                "dup" => plan.dup_rate = rate().unwrap_or(plan.dup_rate),
-                "corrupt" => plan.corrupt_rate = rate().unwrap_or(plan.corrupt_rate),
-                "disconnect" => plan.disconnect_rate = rate().unwrap_or(plan.disconnect_rate),
-                "disconnect_every" => {
-                    if let Ok(n) = v.parse() {
-                        plan.disconnect_every = n;
-                    }
-                }
-                "delay" => {
-                    // rate:max_ticks, e.g. 0.1:300
-                    let (r, m) = v.split_once(':').unwrap_or((v, "100"));
-                    if let Ok(r) = r.parse::<f64>() {
-                        if (0.0..=1.0).contains(&r) {
-                            plan.delay_rate = r;
-                            plan.delay_max_ticks = m.parse().unwrap_or(100);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        Some(plan)
-    }
 }
 
 /// xorshift64* — the same tiny deterministic generator the sim executor
@@ -320,24 +266,5 @@ mod tests {
             }
         }
         assert_eq!(disconnects, 4);
-    }
-
-    #[test]
-    fn env_contract_parses() {
-        // Parse via the same splitter from_env uses, without touching the
-        // process environment (tests run in parallel).
-        std::env::set_var(
-            "NET_FAULT",
-            "drop_send=0.25,delay=0.5:300,dup=0.1,disconnect_every=9,seed=11,junk=zzz",
-        );
-        let plan = NetFaultPlan::from_env().unwrap();
-        std::env::remove_var("NET_FAULT");
-        assert_eq!(plan.seed, 11);
-        assert!((plan.drop_send - 0.25).abs() < 1e-12);
-        assert!((plan.delay_rate - 0.5).abs() < 1e-12);
-        assert_eq!(plan.delay_max_ticks, 300);
-        assert!((plan.dup_rate - 0.1).abs() < 1e-12);
-        assert_eq!(plan.disconnect_every, 9);
-        assert_eq!(plan.drop_recv, 0.0, "unset knobs stay quiet");
     }
 }

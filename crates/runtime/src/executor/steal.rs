@@ -24,10 +24,9 @@
 //!   the injector ahead of their own deque every
 //!   [`GLOBAL_POLL_INTERVAL`] dispatches, so injected tasks cannot
 //!   starve behind a local deque that never drains.
-//! * The idle protocol is spin-then-park with the shared budgets from
-//!   [`crate::tuning`]: a worker that finds every queue empty burns
-//!   [`tuning::WORKER_IDLE_SPIN_ROUNDS`](crate::tuning::WORKER_IDLE_SPIN_ROUNDS),
-//!   registers in an idle list, re-checks (producers enqueue *before*
+//! * The idle protocol is check-then-park, with no spin phase (it paid
+//!   for nothing, DESIGN.md §11.10): a worker that finds every queue
+//!   empty registers in an idle list, re-checks (producers enqueue *before*
 //!   consulting the list, so the recheck closes the sleep/publish race),
 //!   and parks on its own parker. Producers wake at most one worker per
 //!   enqueue; a worker that grabs a batch wakes the next worker, so
@@ -77,8 +76,7 @@ use parking_lot::{Condvar, Mutex};
 
 use super::{current_for, set_current, ExecutorCore};
 use crate::error::{Aborted, RuntimeError};
-use crate::process::{ProcId, Spawn, SpinWait};
-use crate::tuning;
+use crate::process::{ProcId, Spawn};
 
 /// Green-task stack size. Lazily committed (plain `malloc`-class
 /// allocation, untouched pages cost address space only).
@@ -91,7 +89,14 @@ const INJ_BATCH_MAX: usize = 16;
 const STEAL_BATCH_MAX: usize = 16;
 /// Every this-many dispatches a worker polls the global injector before
 /// its own deque, so injected tasks cannot starve behind a local deque
-/// that never drains (cf. tokio's global-queue interval).
+/// that never drains (cf. tokio's global-queue interval). It must stay
+/// finite: `injected_task_is_not_starved_by_yield_looping_tasks`.
+///
+/// Measured worth (ten rotating rounds, `--seconds 16`, 2 cores,
+/// medians, 61 → 7): `call_solo` `lat_p50_us` 2.21 → 2.15 (lower with 7
+/// in 5/10), `kv_storm` 12.5 → 12.2 (4/10), `alps_buffer` 24.4 → 22.5 ms
+/// (9/10, inside the spread of 3.2 ms that the 61 runs show): no
+/// resolvable difference, so the period stays.
 const GLOBAL_POLL_INTERVAL: u64 = 61;
 /// Re-arm delay (ticks = µs) when a timer fires inside the instant
 /// between a task *deciding* to park and the scheduler publishing
@@ -810,12 +815,6 @@ impl PoolInner {
     // --- worker / timer threads ---------------------------------------
 
     fn idle_wait(&self, i: usize) {
-        let mut sw = SpinWait::new(tuning::WORKER_IDLE_SPIN_ROUNDS);
-        while sw.spin() {
-            if self.has_work() {
-                return;
-            }
-        }
         if self.has_work() {
             return;
         }

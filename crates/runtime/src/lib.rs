@@ -59,9 +59,9 @@ pub use error::{Aborted, RuntimeError};
 pub use executor::{ProcHandle, Runtime, SchedPolicy, SimProbe, SimRuntime, TICKS_PER_MS};
 pub use explore::{CommitPoint, TraceSpec};
 pub use fault::{FaultAction, FaultPlan};
-pub use notifier::{Notifier, NotifyBatch, WaitOutcome};
+pub use notifier::{Notifier, NotifyBatch};
 pub use par::{par, par_for};
-pub use process::{Priority, ProcId, Spawn, SpinWait};
+pub use process::{Priority, ProcId, Spawn};
 
 #[cfg(test)]
 mod send_sync_tests {

@@ -26,18 +26,7 @@ use std::sync::{Arc, Weak};
 use parking_lot::Mutex;
 
 use crate::executor::Runtime;
-use crate::process::{ProcId, SpinWait};
-
-/// How a [`Notifier::wait_past_spin`] call resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaitOutcome {
-    /// The epoch had already moved — no waiting at all.
-    Immediate,
-    /// The epoch moved during the bounded spin phase (no park syscall).
-    Spun,
-    /// The spin budget ran out and the caller parked at least once.
-    Parked,
-}
+use crate::process::ProcId;
 
 #[derive(Debug)]
 pub(crate) struct NotifierInner {
@@ -141,11 +130,43 @@ impl Notifier {
     /// Returns immediately if it already does. May return spuriously;
     /// callers re-check their condition in a loop.
     pub fn wait_past(&self, rt: &Runtime, seen: u64) {
+        self.wait(rt, seen, None);
+    }
+
+    /// Deadline-bounded variant of [`wait_past`](Notifier::wait_past):
+    /// park until the epoch differs from `seen` **or** `rt.now()` reaches
+    /// the absolute tick `deadline`. Returns `true` when the epoch moved,
+    /// `false` on timeout. Uses the same register-then-recheck handshake
+    /// as `wait_past`, with [`Runtime::park_timeout`] bounding each park;
+    /// on timeout the caller deregisters itself so the waiter list does
+    /// not accumulate dead entries.
+    pub fn wait_past_deadline(&self, rt: &Runtime, seen: u64, deadline: u64) -> bool {
+        self.wait(rt, seen, Some(deadline))
+    }
+
+    /// The one wait loop: register, raise `has_waiters`, re-check the
+    /// epoch, park (timer-bounded when there is a `deadline`). Returns
+    /// `true` once the epoch moved, `false` when the deadline passed.
+    fn wait(&self, rt: &Runtime, seen: u64, deadline: Option<u64>) -> bool {
         let me = rt.current();
         loop {
             if self.inner.epoch.load(Ordering::SeqCst) != seen {
-                return;
+                return true;
             }
+            let left = match deadline {
+                None => None,
+                Some(at) => {
+                    let now = rt.now();
+                    if now >= at {
+                        let mut ws = self.inner.waiters.lock();
+                        if let Some(pos) = ws.iter().position(|w| *w == me) {
+                            ws.remove(pos);
+                        }
+                        return false;
+                    }
+                    Some(at - now)
+                }
+            };
             {
                 let mut ws = self.inner.waiters.lock();
                 if !ws.contains(&me) {
@@ -157,69 +178,13 @@ impl Notifier {
             // slipped in before registration, this load sees its bump; if
             // after, the notify sees `has_waiters` and unparks us.
             if self.inner.epoch.load(Ordering::SeqCst) != seen {
-                return;
-            }
-            rt.park();
-        }
-    }
-
-    /// Deadline-bounded variant of [`wait_past`](Notifier::wait_past):
-    /// park until the epoch differs from `seen` **or** `rt.now()` reaches
-    /// the absolute tick `deadline`. Returns `true` when the epoch moved,
-    /// `false` on timeout. Uses the same register-then-recheck handshake
-    /// as `wait_past`, with [`Runtime::park_timeout`] bounding each park;
-    /// on timeout the caller deregisters itself so the waiter list does
-    /// not accumulate dead entries.
-    pub fn wait_past_deadline(&self, rt: &Runtime, seen: u64, deadline: u64) -> bool {
-        let me = rt.current();
-        loop {
-            if self.inner.epoch.load(Ordering::SeqCst) != seen {
                 return true;
             }
-            let now = rt.now();
-            if now >= deadline {
-                let mut ws = self.inner.waiters.lock();
-                if let Some(pos) = ws.iter().position(|w| *w == me) {
-                    ws.remove(pos);
-                }
-                return false;
-            }
-            {
-                let mut ws = self.inner.waiters.lock();
-                if !ws.contains(&me) {
-                    ws.push(me);
-                }
-                self.inner.has_waiters.store(true, Ordering::SeqCst);
-            }
-            if self.inner.epoch.load(Ordering::SeqCst) != seen {
-                return true;
-            }
-            rt.park_timeout(deadline - now);
-        }
-    }
-
-    /// Adaptive variant of [`wait_past`](Notifier::wait_past): burn up to
-    /// `max_spin_rounds` exponential-backoff spin rounds polling the epoch
-    /// before falling back to the registering park path. Returns how the
-    /// wait resolved so callers can account spin- vs park-resolved waits.
-    ///
-    /// Spinning is pointless on the simulation executor (the notifying
-    /// process can only run once this one blocks), so a zero budget — or
-    /// any budget when `rt.is_sim()` — goes straight to the park path.
-    pub fn wait_past_spin(&self, rt: &Runtime, seen: u64, max_spin_rounds: u32) -> WaitOutcome {
-        if self.inner.epoch.load(Ordering::SeqCst) != seen {
-            return WaitOutcome::Immediate;
-        }
-        if max_spin_rounds > 0 && !rt.is_sim() {
-            let mut sw = SpinWait::new(max_spin_rounds);
-            while sw.spin() {
-                if self.inner.epoch.load(Ordering::SeqCst) != seen {
-                    return WaitOutcome::Spun;
-                }
+            match left {
+                Some(ticks) => rt.park_timeout(ticks),
+                None => rt.park(),
             }
         }
-        self.wait_past(rt, seen);
-        WaitOutcome::Parked
     }
 
     pub(crate) fn downgrade(&self) -> WeakNotifier {
@@ -335,52 +300,6 @@ mod tests {
                 hits2.store(1, Ordering::SeqCst);
             });
             rt.yield_now(); // waiter runs and parks
-            n.notify(rt);
-            h.join().unwrap();
-        })
-        .unwrap();
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn wait_past_spin_outcomes() {
-        let rt = Runtime::threaded();
-        let n = Notifier::new();
-        n.notify(&rt);
-        assert_eq!(n.wait_past_spin(&rt, 0, 8), WaitOutcome::Immediate);
-        // Epoch moves while we spin: another thread bumps it shortly.
-        let n2 = n.clone();
-        let rt2 = rt.clone();
-        let seen = n.epoch();
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            n2.notify(&rt2);
-        });
-        let out = n.wait_past_spin(&rt, seen, 64);
-        assert!(
-            out == WaitOutcome::Spun || out == WaitOutcome::Parked,
-            "{out:?}"
-        );
-        h.join().unwrap();
-        rt.shutdown();
-    }
-
-    #[test]
-    fn wait_past_spin_sim_goes_straight_to_park() {
-        let sim = SimRuntime::new();
-        let hits = Arc::new(AtomicUsize::new(0));
-        let hits2 = Arc::clone(&hits);
-        sim.run(move |rt| {
-            let n = Notifier::new();
-            let n2 = n.clone();
-            let rt2 = rt.clone();
-            let h = rt.spawn_with(Spawn::new("waiter"), move || {
-                let seen = n2.epoch();
-                let out = n2.wait_past_spin(&rt2, seen, 32);
-                assert_eq!(out, WaitOutcome::Parked);
-                hits2.store(1, Ordering::SeqCst);
-            });
-            rt.yield_now();
             n.notify(rt);
             h.join().unwrap();
         })

@@ -130,71 +130,6 @@ impl Default for Spawn {
     }
 }
 
-/// Bounded exponential-backoff spinner used by the adaptive
-/// spin-then-park wait paths (call-cell reply waits, manager wakeups,
-/// pool workers).
-///
-/// Each [`spin`](SpinWait::spin) round issues `2^round` (capped at 64)
-/// `std::hint::spin_loop` hints and returns `true` while budget remains;
-/// once `max_rounds` rounds have been consumed it returns `false` and the
-/// caller should fall back to parking. The budget is deliberately small —
-/// spinning only pays when the awaited event is produced by a peer that
-/// is *currently running* on another CPU; the caller decides how much to
-/// spend (the budgets in use are in [`tuning`](crate::tuning)) and must use
-/// a zero budget on the simulation executor, where spinning can never
-/// observe progress.
-///
-/// ```
-/// use alps_runtime::SpinWait;
-/// let mut sw = SpinWait::new(3);
-/// let mut rounds = 0;
-/// while sw.spin() {
-///     rounds += 1;
-/// }
-/// assert_eq!(rounds, 3);
-/// sw.reset();
-/// assert!(sw.spin());
-/// ```
-#[derive(Debug)]
-pub struct SpinWait {
-    round: u32,
-    max_rounds: u32,
-}
-
-impl SpinWait {
-    /// A spinner with a budget of `max_rounds` rounds (0 = never spin).
-    pub fn new(max_rounds: u32) -> SpinWait {
-        SpinWait {
-            round: 0,
-            max_rounds,
-        }
-    }
-
-    /// Burn one backoff round. Returns `false` when the budget is
-    /// exhausted (nothing is spun in that case).
-    pub fn spin(&mut self) -> bool {
-        if self.round >= self.max_rounds {
-            return false;
-        }
-        let iters = 1u32 << self.round.min(6);
-        for _ in 0..iters {
-            std::hint::spin_loop();
-        }
-        self.round += 1;
-        true
-    }
-
-    /// Restore the full budget.
-    pub fn reset(&mut self) {
-        self.round = 0;
-    }
-
-    /// Rounds consumed so far.
-    pub fn rounds_used(&self) -> u32 {
-        self.round
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,23 +146,6 @@ mod tests {
         let id = ProcId(42);
         assert_eq!(id.as_u64(), 42);
         assert_eq!(id.to_string(), "proc#42");
-    }
-
-    #[test]
-    fn spin_wait_budget_and_reset() {
-        let mut sw = SpinWait::new(0);
-        assert!(!sw.spin(), "zero budget never spins");
-        let mut sw = SpinWait::new(5);
-        let mut used = 0;
-        while sw.spin() {
-            used += 1;
-        }
-        assert_eq!(used, 5);
-        assert_eq!(sw.rounds_used(), 5);
-        assert!(!sw.spin(), "stays exhausted");
-        sw.reset();
-        assert_eq!(sw.rounds_used(), 0);
-        assert!(sw.spin());
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Spin-then-park tuning constants, in one place.
+//! Wait-budget tuning constants, in one place.
 //!
-//! Three layers of the system wait for events that usually arrive within
-//! a few microseconds: callers waiting for a reply, managers waiting for
-//! work, and executor workers waiting for runnable tasks. Each uses the
-//! same shape of adaptive wait — a short pure-spin burst, an optional
-//! bounded yield phase, then park — but before PR 5 each layer carried a
-//! private copy of its budgets. They live here now so a change to the
-//! policy is a change to one module, and so the work-stealing executor's
-//! idle parker reuses the measured defaults instead of inventing a third
-//! set.
+//! Two kinds of process wait for events that usually arrive within a
+//! few microseconds: callers waiting for a reply and managers waiting
+//! for work. Each waits by yielding within a bounded budget while there
+//! is evidence its peer is running, then parks. Nothing spins: on
+//! `Runtime::thread_pool` a process is a green task, and one that burns
+//! `spin_loop` hints holds the worker its peer may need. The caller's,
+//! the idle manager's, the pool slot's and the idle executor worker's
+//! spin phases each paid for nothing when measured, and are gone
+//! (DESIGN.md §11.10).
 //!
 //! The figures the budgets are sized against come from the repo
 //! benchmark (`BENCHMARK.json`, 2-core box): a managed `execute` round
@@ -16,18 +16,10 @@
 //! at ~5.3 µs of CPU per call while caller and manager both stay in their
 //! yield phases (PR 23's runs), ~3.2 µs / ~7.8 µs when the caller's yield
 //! budget is short enough that some calls park, and ~5 µs / ~13 µs once
-//! the manager parks per call (PR 12's ablation). The spin budgets keep
-//! the uncontended reply inside the yield phase, while a cold wait
-//! degrades to a park after at most a few microseconds of CPU.
+//! the manager parks per call (the ablation under `MGR_POLL_BUDGET`).
 
-/// Pure-spin rounds a caller burns before judging whether to yield or
-/// park while waiting for its reply ([`SpinWait`](crate::SpinWait)
-/// rounds, exponential: round *r* issues `2^r` `spin_loop` hints, capped
-/// at 64 per round).
-pub const CALLER_SPIN_ROUNDS: u32 = 4;
-
-/// Yields a caller spends waiting for its reply after the spin rounds,
-/// while the manager is awake, before it announces itself and parks.
+/// Yields a caller spends waiting for its reply, while the manager is
+/// awake, before it announces itself and parks.
 ///
 /// Measured worth (PR 23, ten alternating rounds, 2 cores, medians,
 /// budget 4 → 16): `call_solo` `lat_p50_us` 3.21 → 2.40 and
@@ -53,22 +45,6 @@ pub const CALLER_YIELD_BUDGET: u64 = 16;
 /// `lat_p50_us` reads 4.75–5.35 against 2.43–2.61 with the poll, and
 /// `cpu_us_per_op` 12.6–14.0 against 5.4–6.3.
 pub const MGR_POLL_BUDGET: u32 = 64;
-
-/// Pure-spin rounds of an idle (not polling) manager inside
-/// [`Notifier::wait_past_spin`](crate::Notifier::wait_past_spin) before
-/// it registers as a waiter and parks.
-pub const MGR_IDLE_SPIN_ROUNDS: u32 = 6;
-
-/// Pure-spin rounds of a per-slot pool worker between finishing a job
-/// and parking — catches a back-to-back restart of the same slot without
-/// a park/unpark round trip.
-pub const POOL_SLOT_SPIN_ROUNDS: u32 = 4;
-
-/// Pure-spin rounds of an idle work-stealing executor worker checking
-/// its deque, the injector, and steal victims before it registers idle
-/// and parks on its parker. Matches [`MGR_IDLE_SPIN_ROUNDS`]: both are
-/// "nothing locally, maybe a producer is mid-publish" waits.
-pub const WORKER_IDLE_SPIN_ROUNDS: u32 = 6;
 
 /// Default preemption budget for
 /// [`SchedPolicy::PreemptionBounded`](crate::SchedPolicy) when selected
