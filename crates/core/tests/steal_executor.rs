@@ -9,11 +9,11 @@
 //! so the whole file is gated.
 #![cfg(target_arch = "x86_64")]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use alps_core::{
-    vals, AlpsError, Backoff, EntryDef, Guard, ObjectBuilder, ObjectHandle, PoolMode,
+    vals, AlpsError, Backoff, EntryDef, Guard, ObjectBuilder, ObjectHandle, ObjectStats, PoolMode,
     RestartPolicy, RetryPolicy, Selected, Ty, Value, Wait,
 };
 use alps_runtime::Runtime;
@@ -154,6 +154,86 @@ fn injected_task_is_not_starved_by_yield_looping_tasks() {
             "spinner exhausted its budget without ever seeing the injected task run"
         );
     }
+    rt.shutdown();
+}
+
+/// Two managers wait on a started body each beside a yield-looping task,
+/// all on one worker. With bodies in flight a manager's poll yields are
+/// brief, and those must leave the looping task its turns: were one
+/// manager re-queued directly behind the other, the two would trade the
+/// worker until their poll budgets ran out and park. The bodies finish
+/// only after the looping task's laps, so a manager that parks before
+/// its body is `Ready` shows the starvation. Everything is spawned from
+/// a green task, so it all queues on the worker's own deque.
+#[test]
+fn managers_awaiting_bodies_leave_a_yield_looping_task_its_turns() {
+    const LAPS: usize = 4;
+    let rt = Runtime::thread_pool(1);
+    let laps = Arc::new(AtomicUsize::new(0));
+    let parked_awaiting = Arc::new(AtomicU64::new(0));
+    let (laps1, parked1) = (Arc::clone(&laps), Arc::clone(&parked_awaiting));
+    let gated = move |rt: &Runtime| {
+        let stats = Arc::new(OnceLock::<ObjectStats>::new());
+        let (rt2, laps) = (rt.clone(), Arc::clone(&laps1));
+        let (stats2, parked) = (Arc::clone(&stats), Arc::clone(&parked1));
+        let obj = ObjectBuilder::new("Gated")
+            .entry(EntryDef::new("Work").results([Ty::Int]).intercepted().body(
+                move |_ctx, _args| {
+                    while laps.load(Ordering::SeqCst) < LAPS {
+                        rt2.yield_now();
+                    }
+                    Ok(vec![Value::Int(1)])
+                },
+            ))
+            .manager(move |mgr| loop {
+                let parks = || stats2.get().map_or(0, |s| s.park_resolved());
+                let acc = mgr.accept("Work")?;
+                mgr.start_as_is(acc)?;
+                let before = parks();
+                let done = mgr.await_done("Work")?;
+                parked.fetch_add(parks() - before, Ordering::SeqCst);
+                mgr.finish_as_is(done)?;
+            })
+            .spawn(rt)
+            .unwrap();
+        stats.set(obj.stats()).unwrap();
+        obj
+    };
+    let rt2 = rt.clone();
+    let laps2 = Arc::clone(&laps);
+    let main_task = rt.spawn(move || {
+        let objects = [gated(&rt2), gated(&rt2)];
+        let callers: Vec<_> = objects
+            .iter()
+            .map(|o| {
+                let o = o.clone();
+                rt2.spawn(move || o.call("Work", vec![]))
+            })
+            .collect();
+        let looper = {
+            let rt3 = rt2.clone();
+            rt2.spawn(move || {
+                while laps2.load(Ordering::SeqCst) < LAPS {
+                    laps2.fetch_add(1, Ordering::SeqCst);
+                    rt3.yield_now();
+                }
+            })
+        };
+        let replies: Vec<_> = callers.into_iter().map(|c| c.join().unwrap()).collect();
+        looper.join().unwrap();
+        for o in objects {
+            o.shutdown();
+        }
+        replies
+    });
+    for reply in main_task.join().unwrap() {
+        assert_eq!(reply.unwrap(), vec![Value::Int(1)]);
+    }
+    assert_eq!(
+        parked_awaiting.load(Ordering::SeqCst),
+        0,
+        "a manager ran out of its poll budget while its body waited for the looping task"
+    );
     rt.shutdown();
 }
 

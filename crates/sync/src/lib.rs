@@ -14,18 +14,15 @@
 //! * [`Serializer`] / [`Queue`] / [`Crowd`] — Hewitt–Atkinson serializer.
 //! * [`PathController`] / [`PathExpr`] — compiled Campbell–Habermann path
 //!   expressions with the classic semaphore translation.
-//! * [`Region`] — conditional critical regions.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod ccr;
 mod monitor;
 mod path;
 mod semaphore;
 mod serializer;
 
-pub use ccr::Region;
 pub use monitor::{Cond, Monitor, MonitorGuard};
 pub use path::{ParsePathError, PathController, PathError, PathExpr};
 pub use semaphore::Semaphore;
