@@ -580,13 +580,16 @@ impl ManagerCtx {
     /// the supplied prefix and hidden parameters, take the call out of
     /// its `Accepted` slot, and leave it `Started` with the body's full
     /// argument list `prefix ++ suffix ++ hidden` in hand. `what` names
-    /// the primitive in the [`AlpsError::ProtocolViolation`] text.
+    /// the primitive in the [`AlpsError::ProtocolViolation`] text, and
+    /// `by_start` whether the body goes to the pool for the manager to
+    /// await.
     fn begin(
         &self,
         acc: AcceptedCall,
         prefix: ValVec,
         hidden: ValVec,
         what: &'static str,
+        by_start: bool,
     ) -> Result<(Arc<ObjectInner>, usize, usize, ValVec)> {
         let def = &acc.obj.entries[acc.entry];
         let ic = def.intercept.expect("accepted entries are intercepted");
@@ -610,7 +613,7 @@ impl ManagerCtx {
         // slot is `Started`).
         full.extend(call.take_args().split_off(ic.params));
         full.extend(hidden);
-        es.replace(slot, Slot::Started { call });
+        es.replace(slot, Slot::Started { call, by_start });
         drop(es);
         Ok((obj, entry, slot, full))
     }
@@ -629,7 +632,8 @@ impl ManagerCtx {
         prefix: impl Into<ValVec>,
         hidden: impl Into<ValVec>,
     ) -> Result<()> {
-        let (obj, entry, slot, full) = self.begin(acc, prefix.into(), hidden.into(), "start")?;
+        let (obj, entry, slot, full) =
+            self.begin(acc, prefix.into(), hidden.into(), "start", true)?;
         obj.dispatch_body(entry, Some((slot, full)));
         Ok(())
     }
@@ -772,7 +776,8 @@ impl ManagerCtx {
         // (monitor-style exclusive execution), so executing it inline is
         // observationally the same protocol minus a worker wakeup, a
         // manager park, and a notifier round trip.
-        let (obj, entry, slot, full) = self.begin(acc, prefix.into(), hidden.into(), "execute")?;
+        let (obj, entry, slot, full) =
+            self.begin(acc, prefix.into(), hidden.into(), "execute", false)?;
         let def = &obj.entries[entry];
         let kr = def.intercept.map_or(0, |ic| ic.results);
         let pub_len = def.results.len();
@@ -785,7 +790,7 @@ impl ManagerCtx {
         // answer the caller directly — no Ready state, no notify.
         let mut es = obj.slots.lock(entry);
         let call = match es.replace(slot, Slot::Free) {
-            Slot::Started { call } => call,
+            Slot::Started { call, .. } => call,
             // A supervised restart swept the slot mid-body: the caller
             // was already answered `ObjectRestarting`, the computed
             // outcome must be discarded (it belongs to the dead
