@@ -18,11 +18,10 @@
 //!   when the caller finds a free slot and runs the body itself. Either
 //!   frees the slot when the body is done.
 //! * `execute` fuses `start; await; finish`: `Accepted → Started → Free`.
-//! * `cancel` frees an `Attached` or `Ready` slot and turns a `Started`
-//!   one `Abandoned`; a caller whose deadline expired frees its own
-//!   `Attached` slot. An `Abandoned` slot frees when its body is done.
+//! * A caller whose deadline expired frees its own `Attached` slot.
 //! * A restart turns `Started` slots `Abandoned` and frees every other
-//!   occupied one; shutdown frees every slot.
+//!   occupied one; an `Abandoned` slot frees when its body is done. Only
+//!   a restart abandons a slot. Shutdown frees every slot.
 //!
 //! Calls that find no free slot wait in a FIFO queue and attach when a
 //! slot frees. `#P` counts attached and queued calls (paper §2.5.1), plus
@@ -248,11 +247,9 @@ pub(crate) enum Slot {
         call: Arc<CallCell>,
         remainder: ValVec,
     },
-    /// The manager cancelled a `Started` call
-    /// ([`ManagerCtx::cancel`](crate::ManagerCtx::cancel)), or a restart
-    /// swept it: the caller was answered already, but the body is still
-    /// running and owns the slot until `body_done` discards its outcome
-    /// and frees it.
+    /// A restart swept a `Started` call: the caller was answered
+    /// already, but the body is still running and owns the slot until
+    /// `body_done` discards its outcome and frees it.
     Abandoned,
 }
 
@@ -788,7 +785,7 @@ mod tests {
             es.replace(0, Slot::Awaited { call: c, remainder });
             es.replace(0, Slot::Free);
 
-            // Inline implicit body; cancel of a started call.
+            // Inline implicit body; a started body a restart abandoned.
             es.replace(1, Slot::InlineBusy);
             es.replace(1, Slot::Free);
             let call2 = cell();
@@ -902,13 +899,6 @@ mod tests {
             );
             assert_eq!(started(&t), 0);
             assert!(!t.bodies_in_flight());
-            es.replace(0, Slot::Free);
-
-            // `cancel` of a started call: Started → Abandoned, then the
-            // body finishes and frees the slot.
-            es.replace(0, started_by(true));
-            es.replace(0, Slot::Abandoned);
-            assert_eq!(started(&t), 0);
             es.replace(0, Slot::Free);
 
             // `execute`: Accepted → Started → Free, never counted.

@@ -84,21 +84,16 @@ pub enum AlpsError {
         /// Name of the object the id was used on.
         object: String,
     },
-    /// A deadline-bounded wait expired before the protocol answered
-    /// ([`Wait::Deadline`](crate::Wait::Deadline),
-    /// [`ManagerCtx::accept_deadline`](crate::ManagerCtx::accept_deadline),
-    /// [`ManagerCtx::await_deadline`](crate::ManagerCtx::await_deadline)).
+    /// A caller's deadline-bounded wait expired before the protocol
+    /// answered ([`Wait::Deadline`](crate::Wait::Deadline), or a
+    /// [`Wait::Retry`](crate::Wait::Retry) whose budget ran out). A
+    /// manager's waits have no deadline.
     Timeout {
-        /// What was being waited for (entry name or select description).
+        /// What was being waited for: the called entry, or the remote
+        /// object a connect was for.
         what: String,
         /// The deadline budget in ticks.
         ticks: u64,
-    },
-    /// The manager cancelled the call
-    /// ([`ManagerCtx::cancel`](crate::ManagerCtx::cancel)).
-    Cancelled {
-        /// Entry name.
-        entry: String,
     },
     /// An entry body panicked in a poisoning object
     /// ([`ObjectBuilder::poison_on_panic`](crate::ObjectBuilder::poison_on_panic));
@@ -166,8 +161,9 @@ impl AlpsError {
     ///   duplicate delivery.
     ///
     /// Everything *delivered* — results, [`BodyFailed`](AlpsError::BodyFailed),
-    /// [`Cancelled`](AlpsError::Cancelled) — is non-retryable: the body
-    /// ran, or the manager chose not to run it.
+    /// [`ObjectClosed`](AlpsError::ObjectClosed),
+    /// [`ObjectPoisoned`](AlpsError::ObjectPoisoned) — is non-retryable:
+    /// the body ran, or the object will never run it.
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
@@ -220,9 +216,6 @@ impl fmt::Display for AlpsError {
             }
             AlpsError::Timeout { what, ticks } => {
                 write!(f, "`{what}` timed out after {ticks} ticks")
-            }
-            AlpsError::Cancelled { entry } => {
-                write!(f, "call to `{entry}` was cancelled")
             }
             AlpsError::ObjectPoisoned { object } => {
                 write!(f, "object `{object}` is poisoned (an entry body panicked)")
@@ -293,10 +286,6 @@ mod tests {
                 "`P` timed out after 500 ticks",
             ),
             (
-                AlpsError::Cancelled { entry: "P".into() },
-                "call to `P` was cancelled",
-            ),
-            (
                 AlpsError::ObjectPoisoned { object: "X".into() },
                 "object `X` is poisoned (an entry body panicked)",
             ),
@@ -344,7 +333,6 @@ mod tests {
                 entry: "P".into(),
                 message: "m".into(),
             },
-            AlpsError::Cancelled { entry: "P".into() },
             AlpsError::SelectFailed,
             AlpsError::Custom("boom".into()),
         ];

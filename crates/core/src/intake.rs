@@ -299,87 +299,58 @@ impl ObjectInner {
     /// watches. A `false` from `is_empty` may also mean a producer has
     /// *claimed but not yet published* a slot (such a producer owes no
     /// notify), so the manager must not sleep — it yields and retries.
-    ///
-    /// `deadline` is `(absolute expiry, budget)`: the park is then
-    /// timer-bounded, and an expiry with no epoch movement fails the
-    /// select with [`AlpsError::Timeout`]. The poll-mode yield loop is
-    /// skipped — a deadline wait is a latency-tolerant cold path by
-    /// definition.
-    pub(crate) fn wait_for_work(&self, epoch: u64, deadline: Option<(u64, u64)>) -> Result<()> {
+    /// It has no deadline: it returns once there may be work.
+    pub(crate) fn wait_for_work(&self, epoch: u64) {
         let ik = &self.intake;
-        let timeout = |budget| AlpsError::Timeout {
-            what: "select".into(),
-            ticks: budget,
-        };
-        match deadline {
-            Some((at, budget)) if self.rt.now() >= at => return Err(timeout(budget)),
-            Some(_) => {}
-            // Poll mode (entered by `drain_intake` after any non-empty
-            // drain): the callers just served are in their
-            // wake-and-resubmit window. Parking now would convoy them —
-            // each would find `mgr_active` false, park in turn, and pay a
-            // futex round trip per call while the ring never accumulates a
-            // real batch. Instead, yield-poll the ring: every yield hands
-            // the CPU to a waking caller, whose push needs no notify
-            // syscall (we never register as a waiter) and whose reply wait
-            // stays in its yield phase (`mgr_active` stays true). One dry
-            // budget — no work after `tuning::MGR_POLL_BUDGET` yields —
-            // demotes back to parking. Pointless in simulation, where only
-            // one process runs at a time.
-            //
-            // While bodies this manager started are still running, it is
-            // the object's serial resource waiting on them, and its yield
-            // is brief (paper §3's high-priority manager): it comes back
-            // after the task at the hot end of its worker's deque, not
-            // after every yield-polling caller. Read once: only this
-            // manager starts bodies, and one finishing moves the epoch,
-            // which ends the poll.
-            None if ik.mgr_poll.load(Ordering::SeqCst) && !self.rt.is_sim() => {
-                let brief = self.slots.bodies_in_flight();
-                for _ in 0..tuning::MGR_POLL_BUDGET {
-                    if !ik.ring.is_empty() || self.notifier.epoch() != epoch {
-                        self.stats.on_mgr_wakeup();
-                        self.stats.on_spin_resolved();
-                        return Ok(());
-                    }
-                    if brief {
-                        self.rt.yield_briefly();
-                    } else {
-                        self.rt.yield_now();
-                    }
+        // Poll mode (entered by `drain_intake` after any non-empty drain):
+        // the callers just served are in their wake-and-resubmit window.
+        // Parking now would convoy them — each would find `mgr_active`
+        // false, park in turn, and pay a futex round trip per call while
+        // the ring never accumulates a real batch. Instead, yield-poll the
+        // ring: every yield hands the CPU to a waking caller, whose push
+        // needs no notify syscall (we never register as a waiter) and
+        // whose reply wait stays in its yield phase (`mgr_active` stays
+        // true). One dry budget — no work after `tuning::MGR_POLL_BUDGET`
+        // yields — demotes back to parking. Pointless in simulation, where
+        // only one process runs at a time.
+        //
+        // While bodies this manager started are still running, it is the
+        // object's serial resource waiting on them, and its yield is brief
+        // (paper §3's high-priority manager): it comes back after the task
+        // at the hot end of its worker's deque, not after every
+        // yield-polling caller. Read once: only this manager starts
+        // bodies, and one finishing moves the epoch, which ends the poll.
+        if ik.mgr_poll.load(Ordering::SeqCst) && !self.rt.is_sim() {
+            let brief = self.slots.bodies_in_flight();
+            for _ in 0..tuning::MGR_POLL_BUDGET {
+                if !ik.ring.is_empty() || self.notifier.epoch() != epoch {
+                    self.stats.on_mgr_wakeup();
+                    self.stats.on_spin_resolved();
+                    return;
                 }
-                ik.mgr_poll.store(false, Ordering::SeqCst);
+                if brief {
+                    self.rt.yield_briefly();
+                } else {
+                    self.rt.yield_now();
+                }
             }
-            None => {}
+            ik.mgr_poll.store(false, Ordering::SeqCst);
         }
         ik.mgr_active.store(false, Ordering::SeqCst);
         if !ik.ring.is_empty() {
             ik.mgr_active.store(true, Ordering::SeqCst);
             self.rt.yield_now();
-            return Ok(());
+            return;
         }
-        match deadline {
-            Some((at, budget)) => {
-                let moved = self.notifier.wait_past_deadline(&self.rt, epoch, at);
-                ik.mgr_active.store(true, Ordering::SeqCst);
-                self.stats.on_mgr_wakeup();
-                if !moved && self.rt.now() >= at {
-                    return Err(timeout(budget));
-                }
-            }
-            None => {
-                // An idle manager parks at once: a spin would hold the
-                // worker its producers need. An epoch that already moved
-                // is no wait; any other counts as park-resolved.
-                let parks = self.notifier.epoch() == epoch;
-                self.notifier.wait_past(&self.rt, epoch);
-                ik.mgr_active.store(true, Ordering::SeqCst);
-                self.stats.on_mgr_wakeup();
-                if parks {
-                    self.stats.on_park_resolved();
-                }
-            }
+        // An idle manager parks at once: a spin would hold the worker its
+        // producers need. An epoch that already moved is no wait; any
+        // other counts as park-resolved.
+        let parks = self.notifier.epoch() == epoch;
+        self.notifier.wait_past(&self.rt, epoch);
+        ik.mgr_active.store(true, Ordering::SeqCst);
+        self.stats.on_mgr_wakeup();
+        if parks {
+            self.stats.on_park_resolved();
         }
-        Ok(())
     }
 }

@@ -390,7 +390,7 @@ impl ManagerCtx {
     /// * [`AlpsError::ProtocolViolation`] for a slot guard naming an
     ///   array element the entry does not have.
     pub fn select(&self, guards: Vec<Guard<'_>>) -> Result<Selected> {
-        run_select(&self.obj, &guards, None, self.gen)
+        run_select(&self.obj, &guards, self.gen)
     }
 
     /// `accept P` — block until a call to `entry` is attached, accept it.
@@ -399,7 +399,7 @@ impl ManagerCtx {
     ///
     /// [`AlpsError::ObjectClosed`], [`AlpsError::UnknownEntry`].
     pub fn accept(&self, entry: &str) -> Result<AcceptedCall> {
-        self.select_one(One::Accept(entry, None), None)
+        self.select_one(One::Accept(entry, None))
             .map(Selected::into_accepted)
     }
 
@@ -410,7 +410,7 @@ impl ManagerCtx {
     /// [`AlpsError::ObjectClosed`], [`AlpsError::UnknownEntry`];
     /// [`AlpsError::ProtocolViolation`] when `P` has no element `i`.
     pub fn accept_slot(&self, entry: &str, slot: usize) -> Result<AcceptedCall> {
-        self.select_one(One::Accept(entry, Some(slot)), None)
+        self.select_one(One::Accept(entry, Some(slot)))
             .map(Selected::into_accepted)
     }
 
@@ -421,7 +421,7 @@ impl ManagerCtx {
     ///
     /// [`AlpsError::ObjectClosed`], [`AlpsError::UnknownEntry`].
     pub fn await_done(&self, entry: &str) -> Result<ReadyEntry> {
-        self.select_one(One::Await(entry, None), None)
+        self.select_one(One::Await(entry, None))
             .map(Selected::into_ready)
     }
 
@@ -432,133 +432,27 @@ impl ManagerCtx {
     /// [`AlpsError::ObjectClosed`], [`AlpsError::UnknownEntry`];
     /// [`AlpsError::ProtocolViolation`] when `P` has no element `i`.
     pub fn await_slot(&self, entry: &str, slot: usize) -> Result<ReadyEntry> {
-        self.select_one(One::Await(entry, Some(slot)), None)
-            .map(Selected::into_ready)
-    }
-
-    /// `accept P` bounded by a deadline: like [`accept`](Self::accept),
-    /// but give up with [`AlpsError::Timeout`] after `ticks` virtual
-    /// microseconds with no acceptable call. A call that is already
-    /// attached is accepted even with `ticks == 0`, so a zero deadline is
-    /// a non-blocking poll.
-    ///
-    /// # Errors
-    ///
-    /// As [`accept`](Self::accept), plus [`AlpsError::Timeout`].
-    pub fn accept_deadline(&self, entry: &str, ticks: u64) -> Result<AcceptedCall> {
-        self.select_one(One::Accept(entry, None), Some(ticks))
-            .map(Selected::into_accepted)
-    }
-
-    /// `await P` bounded by a deadline: like
-    /// [`await_done`](Self::await_done), but give up with
-    /// [`AlpsError::Timeout`] after `ticks` virtual microseconds with no
-    /// ready execution. The started body keeps running; a later
-    /// `await_done` (or [`cancel`](Self::cancel)) can still consume it.
-    ///
-    /// # Errors
-    ///
-    /// As [`await_done`](Self::await_done), plus [`AlpsError::Timeout`].
-    pub fn await_deadline(&self, entry: &str, ticks: u64) -> Result<ReadyEntry> {
-        self.select_one(One::Await(entry, None), Some(ticks))
+        self.select_one(One::Await(entry, Some(slot)))
             .map(Selected::into_ready)
     }
 
     /// The select behind every single-guard primitive: resolve the entry
     /// name once, build an index guard, and select over that one guard —
     /// no `String` and no `Vec`, so a warm `accept` allocates nothing.
-    /// `deadline` bounds the wait to that many ticks; its `Timeout` names
-    /// the primitive and the entry.
-    fn select_one(&self, one: One<'_>, deadline: Option<u64>) -> Result<Selected> {
+    fn select_one(&self, one: One<'_>) -> Result<Selected> {
         let obj = &self.obj;
-        let (kind, verb, name) = match one {
-            One::Accept(name, slot) => {
-                let entry = EntrySel::Idx(obj.entry_idx(name)?);
-                (GuardKind::Accept { entry, slot }, "accept", name)
-            }
-            One::Await(name, slot) => {
-                let entry = EntrySel::Idx(obj.entry_idx(name)?);
-                (GuardKind::AwaitDone { entry, slot }, "await", name)
-            }
-            One::Receive(chan) => {
-                let kind = GuardKind::Receive { chan: chan.clone() };
-                (kind, "receive", chan.name())
-            }
+        let kind = match one {
+            One::Accept(name, slot) => GuardKind::Accept {
+                entry: EntrySel::Idx(obj.entry_idx(name)?),
+                slot,
+            },
+            One::Await(name, slot) => GuardKind::AwaitDone {
+                entry: EntrySel::Idx(obj.entry_idx(name)?),
+                slot,
+            },
+            One::Receive(chan) => GuardKind::Receive { chan: chan.clone() },
         };
-        let at = deadline.map(|ticks| (obj.rt.now().saturating_add(ticks), ticks));
-        match run_select(obj, std::slice::from_ref(&Guard::new(kind)), at, self.gen) {
-            Err(AlpsError::Timeout { ticks, .. }) => Err(AlpsError::Timeout {
-                what: format!("{verb} {name}"),
-                ticks,
-            }),
-            r => r,
-        }
-    }
-
-    /// Abort the call occupying `entry`'s procedure-array element `slot`:
-    /// the caller is answered immediately with [`AlpsError::Cancelled`].
-    /// Returns `true` if a call was cancelled, `false` if the slot held
-    /// nothing cancellable (free, or running an implicit inline body).
-    ///
-    /// What happens depends on the slot's protocol state:
-    ///
-    /// * **attached** (not yet accepted) — the call is removed and the
-    ///   slot freed for the next queued call;
-    /// * **started** (body running) — the caller is answered now, the
-    ///   slot is marked *abandoned*, and the still-running body's result
-    ///   is discarded when it completes (cancellation is cooperative: the
-    ///   body itself is never interrupted);
-    /// * **ready** (body finished, not yet awaited) — the computed
-    ///   results are discarded and the caller answered with `Cancelled`.
-    ///
-    /// # Errors
-    ///
-    /// * [`AlpsError::ProtocolViolation`] if the slot is `accepted` or
-    ///   `awaited` — the manager holds a live [`AcceptedCall`] /
-    ///   [`ReadyEntry`] token for it and must consume that instead;
-    /// * [`AlpsError::UnknownEntry`] / bad `slot` index.
-    pub fn cancel(&self, entry: &str, slot: usize) -> Result<bool> {
-        let idx = self.obj.entry_idx(entry)?;
-        let obj = &self.obj;
-        let mut es = obj.lock_at_gen(idx, self.gen)?;
-        let new = match es.slots().get(slot) {
-            None => {
-                return Err(AlpsError::ProtocolViolation {
-                    reason: format!("cancel {entry}[{slot}]: no such array element"),
-                })
-            }
-            Some(Slot::Free | Slot::InlineBusy | Slot::Abandoned) => return Ok(false),
-            Some(Slot::Attached { .. } | Slot::Ready { .. }) => Slot::Free,
-            // The body owns the slot until it completes; `body_done`
-            // sees Abandoned, discards the outcome, and frees the slot.
-            Some(Slot::Started { .. }) => Slot::Abandoned,
-            Some(other @ (Slot::Accepted { .. } | Slot::Awaited { .. })) => {
-                let name = other.state_name();
-                return Err(AlpsError::ProtocolViolation {
-                    reason: format!(
-                        "cancel on slot in state `{name}`: the manager holds a live \
-                         token for it (consume or drop that token instead)"
-                    ),
-                });
-            }
-        };
-        let frees_slot = matches!(new, Slot::Free);
-        let call = es
-            .replace(slot, new)
-            .into_call()
-            .expect("a cancellable slot holds a call");
-        let entry = obj.entries[idx].name.clone();
-        if obj.complete(&call, Err(AlpsError::Cancelled { entry })) {
-            obj.stats.on_cancel();
-        }
-        let dispatch = if frees_slot {
-            obj.free_slot_and_pull(&mut es, idx, slot)
-        } else {
-            None
-        };
-        drop(es);
-        obj.dispatch_body(idx, dispatch);
-        Ok(true)
+        run_select(obj, std::slice::from_ref(&Guard::new(kind)), self.gen)
     }
 
     /// `receive C` — block for a message on a channel, interruptible by
@@ -570,7 +464,7 @@ impl ManagerCtx {
     /// [`AlpsError::ObjectClosed`]; [`AlpsError::SelectFailed`] when the
     /// channel is closed and drained.
     pub fn receive(&self, chan: &ChanValue) -> Result<Vec<Value>> {
-        match self.select_one(One::Receive(chan), None)? {
+        match self.select_one(One::Receive(chan))? {
             Selected::Received { msg, .. } => Ok(msg),
             _ => unreachable!("single receive guard"),
         }

@@ -218,9 +218,9 @@ impl ObjectInner {
                 self.complete(&call, reply);
                 self.free_slot_and_pull(&mut es, entry, slot)
             }
-            // The manager cancelled this call mid-body: the caller was
-            // already answered, so the outcome is discarded and the slot
-            // simply frees up for the next queued call.
+            // A restart swept this call mid-body: the caller was already
+            // answered, so the outcome is discarded and the slot simply
+            // frees up for the next queued call.
             Slot::Abandoned => self.free_slot_and_pull(&mut es, entry, slot),
             // Object likely shut down underneath the body.
             other => {
@@ -279,7 +279,7 @@ impl ObjectInner {
             let mut es = self.slots.lock(entry);
             victims.extend(es.drain());
             // Every slot frees, Abandoned included: its caller was already
-            // answered by `cancel`, and the still-running body's
+            // answered by the restart, and the still-running body's
             // `body_done` finds the slot `Free` and treats it as swept.
             es.sweep(|_| Some(Slot::Free), &mut victims);
         }

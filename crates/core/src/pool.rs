@@ -93,9 +93,12 @@ impl Job {
     }
 }
 
+/// A FIFO of jobs and the workers parked waiting for one. `PerSlot` gives
+/// each slot its own queue with one worker; `Shared(m)` has one queue
+/// with `m` workers.
 #[derive(Default)]
-struct SharedQ {
-    q: Mutex<QState>,
+struct JobQueue {
+    st: Mutex<QState>,
     closed: AtomicBool,
 }
 
@@ -105,23 +108,11 @@ struct QState {
     idle: Vec<ProcId>,
 }
 
-struct SlotBox {
-    st: Mutex<SlotBoxSt>,
-    closed: AtomicBool,
-}
-
-#[derive(Default)]
-struct SlotBoxSt {
-    job: Option<Job>,
-    waiter: Option<ProcId>,
-}
-
 pub(crate) struct Pool {
     rt: Runtime,
     name: String,
     mode: PoolMode,
-    shared: Option<Arc<SharedQ>>,
-    per_slot: Vec<Arc<SlotBox>>,
+    queues: Vec<Arc<JobQueue>>,
     spawned: Counter,
     executed: Counter,
     closed: AtomicBool,
@@ -132,74 +123,42 @@ impl Pool {
     /// `total_slots` is the sum of all procedure-array sizes of the object
     /// (used by [`PoolMode::PerSlot`]).
     pub(crate) fn new(rt: Runtime, name: String, mode: PoolMode, total_slots: usize) -> Pool {
-        let mut pool = Pool {
+        let per_slot = mode == PoolMode::PerSlot;
+        let (queues, workers) = match mode {
+            PoolMode::PerCall => (0, 0),
+            PoolMode::PerSlot => (total_slots, total_slots),
+            PoolMode::Shared(m) => (1, m.max(1)),
+        };
+        let pool = Pool {
             rt,
             name,
             mode,
-            shared: None,
-            per_slot: Vec::new(),
+            queues: (0..queues).map(|_| Arc::default()).collect(),
             spawned: Counter::new(),
             executed: Counter::new(),
             closed: AtomicBool::new(false),
         };
-        match mode {
-            PoolMode::PerCall => {}
-            PoolMode::PerSlot => {
-                for key in 0..total_slots {
-                    let sb = Arc::new(SlotBox {
-                        st: Mutex::new(SlotBoxSt::default()),
-                        closed: AtomicBool::new(false),
-                    });
-                    pool.per_slot.push(Arc::clone(&sb));
-                    pool.spawn_slot_worker(key, sb);
-                }
-            }
-            PoolMode::Shared(m) => {
-                let q = Arc::new(SharedQ::default());
-                pool.shared = Some(Arc::clone(&q));
-                for i in 0..m.max(1) {
-                    pool.spawn_shared_worker(i, Arc::clone(&q));
-                }
-            }
+        // Slot `k`'s worker serves queue `k`; the shared workers all
+        // serve queue 0.
+        for i in 0..workers {
+            let (q, name) = if per_slot {
+                (i, format!("{}:worker[{i}]", pool.name))
+            } else {
+                (0, format!("{}:pool[{i}]", pool.name))
+            };
+            pool.spawn_worker(name, Arc::clone(&pool.queues[q]));
         }
         pool
     }
 
-    fn spawn_slot_worker(&self, key: usize, sb: Arc<SlotBox>) {
+    fn spawn_worker(&self, name: String, q: Arc<JobQueue>) {
         self.spawned.incr();
         let rt = self.rt.clone();
         let executed = self.executed.clone();
-        let opts = Spawn::new(format!("{}:worker[{key}]", self.name)).daemon(true);
+        let opts = Spawn::new(name).daemon(true);
         self.rt.spawn_with(opts, move || loop {
             let job = {
-                let mut st = sb.st.lock();
-                let job = st.job.take();
-                if job.is_none() {
-                    if sb.closed.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    st.waiter = Some(rt.current());
-                }
-                job
-            };
-            match job {
-                Some(j) => {
-                    executed.incr();
-                    j.run();
-                }
-                None => rt.park(),
-            }
-        });
-    }
-
-    fn spawn_shared_worker(&self, i: usize, q: Arc<SharedQ>) {
-        self.spawned.incr();
-        let rt = self.rt.clone();
-        let executed = self.executed.clone();
-        let opts = Spawn::new(format!("{}:pool[{i}]", self.name)).daemon(true);
-        self.rt.spawn_with(opts, move || loop {
-            let job = {
-                let mut st = q.q.lock();
+                let mut st = q.st.lock();
                 match st.jobs.pop_front() {
                     Some(j) => Some(j),
                     None => {
@@ -232,61 +191,37 @@ impl Pool {
             // error by the object, drop the job.
             return;
         }
-        match self.mode {
+        let per_slot = match self.mode {
             PoolMode::PerCall => {
                 self.spawned.incr();
                 self.executed.incr();
                 let opts = Spawn::new(format!("{}:call", self.name)).daemon(true);
                 self.rt.spawn_with(opts, move || job.run());
+                return;
             }
-            PoolMode::PerSlot => {
-                let sb = &self.per_slot[slot_key];
-                let waiter = {
-                    let mut st = sb.st.lock();
-                    debug_assert!(st.job.is_none(), "slot worker busy twice");
-                    st.job = Some(job);
-                    st.waiter.take()
-                };
-                if let Some(w) = waiter {
-                    self.rt.unpark(w);
-                }
-            }
-            PoolMode::Shared(_) => {
-                let q = self.shared.as_ref().expect("shared pool missing queue");
-                let waiter = {
-                    let mut st = q.q.lock();
-                    st.jobs.push_back(job);
-                    st.idle.pop()
-                };
-                if let Some(w) = waiter {
-                    self.rt.unpark(w);
-                }
-            }
+            PoolMode::PerSlot => true,
+            PoolMode::Shared(_) => false,
+        };
+        let q = &self.queues[if per_slot { slot_key } else { 0 }];
+        let waiter = {
+            let mut st = q.st.lock();
+            debug_assert!(!per_slot || st.jobs.is_empty(), "slot worker busy twice");
+            st.jobs.push_back(job);
+            st.idle.pop()
+        };
+        if let Some(w) = waiter {
+            self.rt.unpark(w);
         }
     }
 
     /// Stop all workers; pending jobs are discarded.
     pub(crate) fn shutdown(&self) {
         self.closed.store(true, Ordering::SeqCst);
-        match self.mode {
-            PoolMode::PerCall => {}
-            PoolMode::PerSlot => {
-                for sb in &self.per_slot {
-                    sb.closed.store(true, Ordering::SeqCst);
-                    let waiter = sb.st.lock().waiter.take();
-                    if let Some(w) = waiter {
-                        self.rt.unpark(w);
-                    }
-                }
-            }
-            PoolMode::Shared(_) => {
-                if let Some(q) = &self.shared {
-                    q.closed.store(true, Ordering::SeqCst);
-                    let idle = std::mem::take(&mut q.q.lock().idle);
-                    for w in idle {
-                        self.rt.unpark(w);
-                    }
-                }
+        for q in &self.queues {
+            q.closed.store(true, Ordering::SeqCst);
+            let idle = std::mem::take(&mut q.st.lock().idle);
+            for w in idle {
+                self.rt.unpark(w);
             }
         }
     }
@@ -381,13 +316,16 @@ mod tests {
 
     #[test]
     fn dispatch_after_shutdown_is_dropped() {
-        let sim = SimRuntime::new();
-        sim.run(|rt| {
-            let pool = Pool::new(rt.clone(), "t".into(), PoolMode::Shared(1), 1);
-            pool.shutdown();
-            pool.dispatch(0, Job::Task(Box::new(|| panic!("must not run"))));
-            rt.yield_now();
-        })
-        .unwrap();
+        for mode in [PoolMode::PerCall, PoolMode::PerSlot, PoolMode::Shared(1)] {
+            let sim = SimRuntime::new();
+            sim.run(move |rt| {
+                let pool = Pool::new(rt.clone(), "t".into(), mode, 1);
+                pool.shutdown();
+                pool.dispatch(0, Job::Task(Box::new(|| panic!("must not run"))));
+                rt.yield_now();
+                assert_eq!(pool.jobs_executed(), 0, "{mode}");
+            })
+            .unwrap();
+        }
     }
 }

@@ -413,17 +413,9 @@ const INLINE_GUARDS: usize = 8;
 /// `gen` is the restart generation of the selecting manager context; a
 /// supervised restart bumps it, failing the select with
 /// [`AlpsError::ObjectRestarting`] before any stale commit.
-///
-/// `deadline` is `(absolute expiry, budget)`. When the expiry passes
-/// before any guard fires, the select fails with [`AlpsError::Timeout`]
-/// (callers rewrite `what` to name their wait). The deadline bounds
-/// *waiting* only — a guard that is already eligible is still committed
-/// even if the deadline has technically passed, so a zero-tick deadline
-/// degenerates to a non-blocking poll.
 pub(crate) fn run_select(
     obj: &Arc<ObjectInner>,
     guards: &[Guard<'_>],
-    deadline: Option<(u64, u64)>,
     gen: u64,
 ) -> Result<Selected> {
     if guards.is_empty() {
@@ -584,6 +576,6 @@ pub(crate) fn run_select(
         if all_closed {
             return Err(AlpsError::SelectFailed);
         }
-        obj.wait_for_work(epoch, deadline)?;
+        obj.wait_for_work(epoch);
     }
 }

@@ -34,7 +34,6 @@ struct StatsInner {
     spin_resolved: Counter,
     park_resolved: Counter,
     timeouts: Counter,
-    cancels: Counter,
     reaps: Counter,
     poison_rejects: Counter,
     restarts: Counter,
@@ -107,12 +106,6 @@ impl ObjectStats {
     /// [`Timeout`](crate::AlpsError::Timeout).
     pub fn timeouts(&self) -> u64 {
         self.inner.timeouts.get()
-    }
-    /// Calls the manager aborted via
-    /// [`cancel`](crate::ManagerCtx::cancel) — the caller received
-    /// [`Cancelled`](crate::AlpsError::Cancelled).
-    pub fn cancels(&self) -> u64 {
-        self.inner.cancels.get()
     }
     /// Cancelled cells reaped (tombstoned) by a protocol-side holder —
     /// the intake drain, a manager completion whose delivery found the
@@ -190,9 +183,6 @@ impl ObjectStats {
     pub(crate) fn on_timeout(&self) {
         self.inner.timeouts.incr();
     }
-    pub(crate) fn on_cancel(&self) {
-        self.inner.cancels.incr();
-    }
     pub(crate) fn on_reap(&self) {
         self.inner.reaps.incr();
     }
@@ -216,7 +206,7 @@ impl fmt::Display for ObjectStats {
             f,
             "calls={} accepts={} starts={} finishes={} combines={} implicit={} failures={} \
              p50_latency={} p99_latency={} p999_latency={} wakeups={} mean_batch={:.1} \
-             max_batch={} spin_resolved={} park_resolved={} timeouts={} cancels={} reaps={} \
+             max_batch={} spin_resolved={} park_resolved={} timeouts={} reaps={} \
              poison_rejects={} restarts={} sheds={} retries={}",
             self.calls(),
             self.accepts(),
@@ -234,7 +224,6 @@ impl fmt::Display for ObjectStats {
             self.spin_resolved(),
             self.park_resolved(),
             self.timeouts(),
-            self.cancels(),
             self.reaps(),
             self.poison_rejects(),
             self.restarts(),
@@ -301,11 +290,9 @@ mod tests {
         let s = ObjectStats::new();
         s.on_timeout();
         s.on_timeout();
-        s.on_cancel();
         s.on_reap();
         s.on_poison_reject();
         assert_eq!(s.timeouts(), 2);
-        assert_eq!(s.cancels(), 1);
         assert_eq!(s.reaps(), 1);
         assert_eq!(s.poison_rejects(), 1);
         let shown = s.to_string();

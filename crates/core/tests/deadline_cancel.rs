@@ -1,17 +1,21 @@
-//! Deadline-bounded calls, manager-side cancellation, cell reclamation,
-//! and poisoning.
+//! Deadline-bounded calls, cell reclamation, the restart that abandons a
+//! started body, and poisoning.
 //!
 //! The cancellation state machine under test (see DESIGN.md §"Deadlines
 //! and cancellation"): a call cell moves WAITING → DONE when a completer
 //! wins, WAITING → CANCELLED when the caller's deadline CAS wins, and
 //! CANCELLED → TOMBSTONE when exactly one protocol-side holder reclaims
 //! the departed caller's cell. A call is answered exactly once, by
-//! exactly one side, no matter how the timeout races the reply.
+//! exactly one side, no matter how the timeout races the reply. Only the
+//! caller cancels; the manager has no cancel and no deadline, and only a
+//! restart abandons a started body, answering its caller itself.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use alps_core::{vals, AlpsError, EntryDef, Guard, ObjectBuilder, Selected, Ty, Value, Wait};
+use alps_core::{
+    vals, AlpsError, EntryDef, Guard, ObjectBuilder, RestartPolicy, Selected, Ty, Value, Wait,
+};
 use alps_runtime::{Runtime, SimRuntime, Spawn};
 
 /// An object whose manager blocks accepting `Gate` (which nobody calls),
@@ -213,94 +217,48 @@ fn cancelled_cells_are_recycled_never_double_completed() {
 }
 
 #[test]
-fn manager_cancel_of_attached_call_fails_the_caller() {
-    // Admission control: the manager never accepts `P`; it notices the
-    // attached call (the timed-out accept on `Gate` drained the intake)
-    // and rejects it with `cancel` — without ever holding a token for it.
-    let sim = SimRuntime::new();
-    sim.run(|rt| {
-        let obj = ObjectBuilder::new("Rejecting")
-            .entry(
-                EntryDef::new("P")
-                    .params([Ty::Int])
-                    .results([Ty::Int])
-                    .intercepted()
-                    .body(|_ctx, args| Ok(vec![args[0].clone()])),
-            )
-            .entry(
-                EntryDef::new("Gate")
-                    .intercepted()
-                    .body(|_ctx, _| Ok(vec![])),
-            )
-            .manager(|mgr| loop {
-                match mgr.accept_deadline("Gate", 50) {
-                    Ok(acc) => {
-                        mgr.execute(acc)?;
-                    }
-                    Err(AlpsError::Timeout { .. }) => {
-                        let _ = mgr.cancel("P", 0)?;
-                    }
-                    Err(e) => return Err(e),
-                }
-            })
-            .spawn(rt)
-            .unwrap();
-        let err = obj.call("P", vals![4i64]).unwrap_err();
-        assert!(matches!(err, AlpsError::Cancelled { .. }), "{err:?}");
-        let stats = obj.stats();
-        assert_eq!(stats.cancels(), 1);
-        assert_eq!(stats.starts(), 0, "the body never ran");
-    })
-    .unwrap();
-}
-
-#[test]
-fn manager_cancel_started_call_answers_caller_and_discards_body() {
-    // Satellite: the lost-wakeup regression. The caller parks waiting for
-    // its reply; the manager cancels the started call from its own
-    // process. The cancel's unpark must be consumed by exactly that one
-    // park — afterwards the caller's park_timeout must actually sleep
-    // (a stray buffered permit would return it immediately at now()).
+fn restart_answers_a_started_call_once_and_discards_its_body() {
+    // The lost-wakeup regression. The caller of P(0) parks waiting for its
+    // reply while its body sleeps; P(1)'s body panics, and the restart
+    // abandons P(0)'s started slot and answers its caller from the
+    // panicking body's process. That answer's unpark must be consumed by
+    // exactly the caller's one park — afterwards its park_timeout must
+    // actually sleep (a stray buffered permit would return it at once).
     let sim = SimRuntime::new();
     sim.run(|rt| {
         let obj = ObjectBuilder::new("Abort")
             .entry(
                 EntryDef::new("P")
+                    .array(2)
                     .params([Ty::Int])
                     .results([Ty::Int])
                     .intercepted()
                     .body(|ctx, args| {
+                        let v = args[0].as_int()?;
+                        assert!(v != 1, "P(1) kills the body");
                         ctx.sleep(10_000);
-                        Ok(vec![args[0].clone()])
+                        Ok(vec![Value::Int(v)])
                     }),
             )
-            .manager(|mgr| {
-                let acc = mgr.accept("P")?;
-                let slot = acc.slot();
-                mgr.start_as_is(acc)?;
-                // Give the body time to start sleeping and the caller
-                // time to park, then abort it.
-                mgr.sleep(500);
-                let cancelled = mgr.cancel("P", slot)?;
-                assert!(cancelled, "started slot should be cancellable");
-                // Keep serving: the abandoned slot frees itself when the
-                // body completes.
-                loop {
-                    let acc = mgr.accept("P")?;
-                    mgr.execute(acc)?;
+            .manager(|mgr| loop {
+                match mgr.select(vec![Guard::accept("P"), Guard::await_done("P")])? {
+                    Selected::Accepted { call, .. } => mgr.start_as_is(call)?,
+                    Selected::Ready { done, .. } => mgr.finish_as_is(done)?,
+                    _ => unreachable!(),
                 }
             })
+            .supervise(RestartPolicy::AlwaysFresh)
             .spawn(rt)
             .unwrap();
         let (o2, rt2) = (obj.clone(), rt.clone());
         let caller = rt.spawn_with(Spawn::new("caller"), move || {
-            let err = o2.call("P", vals![1i64]).unwrap_err();
+            let err = o2.call("P", vals![0i64]).unwrap_err();
             assert!(
-                matches!(err, AlpsError::Cancelled { .. }),
-                "wanted Cancelled, got {err:?}"
+                matches!(err, AlpsError::ObjectRestarting { .. }),
+                "wanted ObjectRestarting, got {err:?}"
             );
             let woke_before = rt2.now();
-            assert!(woke_before < 10_000, "cancel answered before the body");
+            assert!(woke_before < 10_000, "restart answered before the body");
             // Exactly-once token check: with no stray permit, this park
             // must consume the full 300 ticks of virtual time.
             rt2.park_timeout(300);
@@ -312,125 +270,19 @@ fn manager_cancel_started_call_answers_caller_and_discards_body() {
                 rt2.now()
             );
         });
+        // Give P(0)'s body time to start sleeping and its caller time to
+        // park, then kill the other body.
+        rt.sleep(500);
+        let err = obj.call("P", vals![1i64]).unwrap_err();
+        assert!(matches!(err, AlpsError::ObjectRestarting { .. }), "{err:?}");
         caller.join().unwrap();
         // Drain the abandoned execution, then prove the slot is reusable.
         rt.sleep(20_000);
         let r = obj.call("P", vals![2i64]).unwrap();
         assert_eq!(r[0].as_int().unwrap(), 2);
         let stats = obj.stats();
-        assert_eq!(stats.cancels(), 1);
-    })
-    .unwrap();
-}
-
-#[test]
-fn cancel_on_free_slot_is_a_noop_and_on_accepted_is_a_violation() {
-    let sim = SimRuntime::new();
-    sim.run(|rt| {
-        let obj = ObjectBuilder::new("Edge")
-            .entry(
-                EntryDef::new("P")
-                    .params([Ty::Int])
-                    .results([Ty::Int])
-                    .intercepted()
-                    .body(|_ctx, args| Ok(vec![args[0].clone()])),
-            )
-            .manager(|mgr| {
-                // No call yet: cancel must report "nothing to cancel".
-                assert!(!mgr.cancel("P", 0)?);
-                assert!(matches!(
-                    mgr.cancel("P", 99),
-                    Err(AlpsError::ProtocolViolation { .. })
-                ));
-                loop {
-                    let acc = mgr.accept("P")?;
-                    // While the manager holds the accepted token, cancel
-                    // on that slot is a protocol violation.
-                    assert!(matches!(
-                        mgr.cancel("P", acc.slot()),
-                        Err(AlpsError::ProtocolViolation { .. })
-                    ));
-                    mgr.execute(acc)?;
-                }
-            })
-            .spawn(rt)
-            .unwrap();
-        let r = obj.call("P", vals![3i64]).unwrap();
-        assert_eq!(r[0].as_int().unwrap(), 3);
-    })
-    .unwrap();
-}
-
-#[test]
-fn manager_accept_deadline_times_out_then_recovers() {
-    let sim = SimRuntime::new();
-    let observed = sim
-        .run(|rt| {
-            let timeouts = Arc::new(AtomicU64::new(0));
-            let t2 = Arc::clone(&timeouts);
-            let obj = ObjectBuilder::new("Poller")
-                .entry(
-                    EntryDef::new("P")
-                        .params([Ty::Int])
-                        .results([Ty::Int])
-                        .intercepted()
-                        .body(|_ctx, args| Ok(vec![args[0].clone()])),
-                )
-                .manager(move |mgr| loop {
-                    match mgr.accept_deadline("P", 100) {
-                        Ok(acc) => {
-                            mgr.execute(acc)?;
-                        }
-                        Err(AlpsError::Timeout { .. }) => {
-                            t2.fetch_add(1, Ordering::SeqCst);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                })
-                .spawn(rt)
-                .unwrap();
-            // Let the manager starve through a few accept deadlines.
-            rt.sleep(550);
-            let r = obj.call("P", vals![9i64]).unwrap();
-            assert_eq!(r[0].as_int().unwrap(), 9);
-            timeouts.load(Ordering::SeqCst)
-        })
-        .unwrap();
-    assert!(
-        (4..=7).contains(&observed),
-        "manager should have seen ~5 accept timeouts in 550 ticks, saw {observed}"
-    );
-}
-
-#[test]
-fn manager_await_deadline_times_out_while_body_runs() {
-    let sim = SimRuntime::new();
-    sim.run(|rt| {
-        let obj = ObjectBuilder::new("SlowAwait")
-            .entry(
-                EntryDef::new("P")
-                    .params([Ty::Int])
-                    .results([Ty::Int])
-                    .intercepted()
-                    .body(|ctx, args| {
-                        ctx.sleep(500);
-                        Ok(vec![args[0].clone()])
-                    }),
-            )
-            .manager(|mgr| loop {
-                let acc = mgr.accept("P")?;
-                mgr.start_as_is(acc)?;
-                // Too short for the 500-tick body: must time out, then a
-                // patient await picks the result up.
-                let short = mgr.await_deadline("P", 50);
-                assert!(matches!(short, Err(AlpsError::Timeout { .. })), "{short:?}");
-                let done = mgr.await_done("P")?;
-                mgr.finish_as_is(done)?;
-            })
-            .spawn(rt)
-            .unwrap();
-        let r = obj.call("P", vals![6i64]).unwrap();
-        assert_eq!(r[0].as_int().unwrap(), 6);
+        assert_eq!(stats.restarts(), 1);
+        assert_eq!(stats.finishes(), 1, "only the post-restart call finished");
     })
     .unwrap();
 }

@@ -175,7 +175,9 @@ const E_RESTARTING: u8 = 3;
 const E_POISONED: u8 = 4;
 const E_CLOSED: u8 = 5;
 const E_TIMEOUT: u8 = 6;
-const E_CANCELLED: u8 = 7;
+// Code 7 was `Cancelled`, an error the manager no longer raises. Never
+// reuse it: an older peer may still send it, and it must keep decoding
+// as `Custom`.
 const E_BODY_FAILED: u8 = 8;
 const E_UNKNOWN_ENTRY: u8 = 9;
 const E_LOCAL_ENTRY: u8 = 10;
@@ -199,7 +201,6 @@ pub fn err_to_wire(e: &AlpsError) -> WireErr {
         AlpsError::ObjectPoisoned { object } => w(E_POISONED, object, "", 0),
         AlpsError::ObjectClosed { object } => w(E_CLOSED, object, "", 0),
         AlpsError::Timeout { what, ticks } => w(E_TIMEOUT, what, "", *ticks),
-        AlpsError::Cancelled { entry } => w(E_CANCELLED, entry, "", 0),
         AlpsError::BodyFailed { entry, message } => w(E_BODY_FAILED, entry, message, 0),
         AlpsError::UnknownEntry { object, entry } => w(E_UNKNOWN_ENTRY, object, entry, 0),
         AlpsError::LocalEntryCalled { object, entry } => w(E_LOCAL_ENTRY, object, entry, 0),
@@ -238,7 +239,6 @@ pub fn wire_to_err(w: &WireErr) -> AlpsError {
             what: w.a.clone(),
             ticks: w.aux,
         },
-        E_CANCELLED => AlpsError::Cancelled { entry: w.a.clone() },
         E_BODY_FAILED => AlpsError::BodyFailed {
             entry: w.a.clone(),
             message: w.b.clone(),
@@ -703,7 +703,6 @@ mod tests {
                 what: "P".into(),
                 ticks: 500,
             },
-            AlpsError::Cancelled { entry: "P".into() },
             AlpsError::BodyFailed {
                 entry: "P".into(),
                 message: "boom".into(),
@@ -740,6 +739,14 @@ mod tests {
         let back = wire_to_err(&err_to_wire(&e));
         assert!(matches!(back, AlpsError::Custom(_)));
         assert!(!back.is_retryable());
+        // The retired `Cancelled` code from an older peer.
+        let old = WireErr {
+            code: 7,
+            a: "P".into(),
+            b: String::new(),
+            aux: 0,
+        };
+        assert!(matches!(wire_to_err(&old), AlpsError::Custom(_)));
     }
 
     #[test]

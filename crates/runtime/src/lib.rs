@@ -59,7 +59,7 @@ pub use error::{Aborted, RuntimeError};
 pub use executor::{ProcHandle, Runtime, SchedPolicy, SimProbe, SimRuntime, TICKS_PER_MS};
 pub use explore::{CommitPoint, TraceSpec};
 pub use fault::{FaultAction, FaultPlan};
-pub use notifier::{Notifier, NotifyBatch};
+pub use notifier::Notifier;
 pub use par::{par, par_for};
 pub use process::{Priority, ProcId, Spawn};
 

@@ -12,8 +12,7 @@
 //! The epoch is a plain atomic and the waiter list is guarded by a flag:
 //! when nobody is parked — the common case while a manager is busy
 //! draining work — `notify` is one `fetch_add` plus one load, with no
-//! lock and no syscall. Producers that publish many events at once can
-//! coalesce the wake pass further with [`NotifyBatch`].
+//! lock and no syscall.
 //!
 //! Lost wakeups are impossible by a store-buffer argument: a waiter
 //! registers itself (and raises the flag) *before* re-checking the epoch,
@@ -112,20 +111,6 @@ impl Notifier {
         self.inner.notify(rt);
     }
 
-    /// Start a batch of notifications: [`NotifyBatch::mark`] (any number
-    /// of times) records that events happened; dropping the batch performs
-    /// a single epoch bump and wake pass for all of them. Use when one
-    /// operation publishes many events — e.g. a manager draining N calls,
-    /// or [`Chan::send_batch`](crate::Chan::send_batch) — so waiters are
-    /// unparked once instead of N times.
-    pub fn batch<'a>(&'a self, rt: &'a Runtime) -> NotifyBatch<'a> {
-        NotifyBatch {
-            notifier: self,
-            rt,
-            marked: false,
-        }
-    }
-
     /// Park the calling process until the epoch differs from `seen`.
     /// Returns immediately if it already does. May return spuriously;
     /// callers re-check their condition in a loop.
@@ -196,36 +181,6 @@ impl Notifier {
     /// Pointer identity, used to deduplicate subscriptions.
     pub(crate) fn inner_ptr(&self) -> usize {
         Arc::as_ptr(&self.inner) as *const () as usize
-    }
-}
-
-/// Guard coalescing several notifications into one epoch bump and one
-/// wake pass; created by [`Notifier::batch`].
-#[derive(Debug)]
-pub struct NotifyBatch<'a> {
-    notifier: &'a Notifier,
-    rt: &'a Runtime,
-    marked: bool,
-}
-
-impl NotifyBatch<'_> {
-    /// Record that an event happened. The actual notification is deferred
-    /// to drop.
-    pub fn mark(&mut self) {
-        self.marked = true;
-    }
-
-    /// Whether any event was recorded.
-    pub fn is_marked(&self) -> bool {
-        self.marked
-    }
-}
-
-impl Drop for NotifyBatch<'_> {
-    fn drop(&mut self) {
-        if self.marked {
-            self.notifier.notify(self.rt);
-        }
     }
 }
 
@@ -382,48 +337,5 @@ mod tests {
         })
         .unwrap();
         assert_eq!(count.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn batch_bumps_epoch_once() {
-        let rt = Runtime::threaded();
-        let n = Notifier::new();
-        {
-            let mut b = n.batch(&rt);
-            b.mark();
-            b.mark();
-            b.mark();
-            assert!(b.is_marked());
-        }
-        assert_eq!(n.epoch(), 1);
-        {
-            let b = n.batch(&rt); // never marked — no bump
-            drop(b);
-        }
-        assert_eq!(n.epoch(), 1);
-    }
-
-    #[test]
-    fn batch_wakes_waiter_on_drop_sim() {
-        let sim = SimRuntime::new();
-        let hits = Arc::new(AtomicUsize::new(0));
-        let hits2 = Arc::clone(&hits);
-        sim.run(move |rt| {
-            let n = Notifier::new();
-            let n2 = n.clone();
-            let rt2 = rt.clone();
-            let h = rt.spawn_with(Spawn::new("waiter"), move || {
-                let seen = n2.epoch();
-                n2.wait_past(&rt2, seen);
-                hits2.store(1, Ordering::SeqCst);
-            });
-            rt.yield_now();
-            let mut b = n.batch(rt);
-            b.mark();
-            drop(b);
-            h.join().unwrap();
-        })
-        .unwrap();
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
     }
 }
