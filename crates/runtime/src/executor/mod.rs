@@ -206,10 +206,15 @@ impl Runtime {
     /// Create a work-stealing shared runtime: spawned processes are
     /// stackful green tasks multiplexed onto `workers` long-lived OS
     /// workers (plus one timer thread), with per-worker LIFO deques, a
-    /// global injector, and steal-half batching. The park/unpark/
-    /// `park_timeout` contract is identical to [`Runtime::threaded`];
-    /// the OS-thread count stays fixed no matter how many processes are
-    /// spawned (see [`Runtime::os_threads`]).
+    /// global injector, and steal-half batching. A woken process that
+    /// its waker also woke the time before (a caller and its manager
+    /// handing a call back and forth) stays on the waker's worker: a
+    /// sleeping worker is roused only for surplus work, and one that
+    /// went idle while a peer ran checks every millisecond for a peer
+    /// stuck behind one long task and takes its oldest queued process.
+    /// The park/unpark/`park_timeout` contract is identical to
+    /// [`Runtime::threaded`]; the OS-thread count stays fixed no matter
+    /// how many processes are spawned (see [`Runtime::os_threads`]).
     ///
     /// x86_64 only (hand-written context switch); other targets fall
     /// back to the threaded executor.

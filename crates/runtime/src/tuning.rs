@@ -12,11 +12,15 @@
 //!
 //! The figures the budgets are sized against come from the repo
 //! benchmark (`BENCHMARK.json`, 2-core box): a managed `execute` round
-//! trip with one closed-loop caller (`call_solo`) has a p50 of ~2.4 µs
+//! trip with one closed-loop caller (`call_solo`) had a p50 of ~2.4 µs
 //! at ~5.3 µs of CPU per call while caller and manager both stay in their
 //! yield phases (PR 23's runs), ~3.2 µs / ~7.8 µs when the caller's yield
 //! budget is short enough that some calls park, and ~5 µs / ~13 µs once
 //! the manager parks per call (the ablation under `MGR_POLL_BUDGET`).
+//! Those runs had the caller and its manager on two workers. Since
+//! `thread_pool` keeps a woken process on its waker's worker (DESIGN.md
+//! §11.12), the two share one worker and yield to each other: ~1.7–2.0
+//! µs at ~1.8–2.1 µs of CPU per call.
 
 /// Yields a caller spends waiting for its reply, while the manager is
 /// awake, before it announces itself and parks.
