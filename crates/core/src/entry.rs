@@ -55,7 +55,6 @@ pub struct Intercept {
 ///     .hidden_results([Ty::Int])
 ///     .body(|_ctx, args| Ok(vec![args[1].clone()]));
 /// assert_eq!(print.name(), "Print");
-/// assert_eq!(print.array_size(), 8);
 /// ```
 #[derive(Clone)]
 pub struct EntryDef {
@@ -189,21 +188,6 @@ impl EntryDef {
         &self.name
     }
 
-    /// The hidden-array size (1 for a plain procedure).
-    pub fn array_size(&self) -> usize {
-        self.array
-    }
-
-    /// Whether the entry is intercepted by the manager.
-    pub fn is_intercepted(&self) -> bool {
-        self.intercept.is_some()
-    }
-
-    /// Whether the procedure is local.
-    pub fn is_local(&self) -> bool {
-        self.local
-    }
-
     /// Full implementation-side result signature: public then hidden.
     pub(crate) fn full_results(&self) -> Vec<Ty> {
         let mut v = self.results.clone();
@@ -220,10 +204,11 @@ mod tests {
     fn builder_defaults() {
         let e = EntryDef::new("P");
         assert_eq!(e.name(), "P");
-        assert_eq!(e.array_size(), 1);
-        assert!(!e.is_intercepted());
-        assert!(!e.is_local());
+        assert_eq!(e.array, 1);
+        assert!(e.intercept.is_none());
+        assert!(!e.local);
         assert!(e.body.is_none());
+        assert_eq!(EntryDef::new("Print").array(8).array, 8);
     }
 
     #[test]

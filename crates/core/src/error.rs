@@ -95,9 +95,10 @@ pub enum AlpsError {
         /// The deadline budget in ticks.
         ticks: u64,
     },
-    /// An entry body panicked in a poisoning object
-    /// ([`ObjectBuilder::poison_on_panic`](crate::ObjectBuilder::poison_on_panic));
-    /// the object's state may be corrupt, so new calls fail fast.
+    /// An entry body panicked in a supervised object
+    /// ([`ObjectBuilder::supervise`](crate::ObjectBuilder::supervise))
+    /// whose restart was refused; the object's state may be corrupt, so
+    /// new calls fail fast, for good.
     ObjectPoisoned {
         /// Object name.
         object: String,

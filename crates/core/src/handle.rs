@@ -190,7 +190,6 @@ pub struct ObjectBuilder {
     manager: Option<ManagerBody>,
     pool: PoolMode,
     manager_prio: Priority,
-    poison_on_panic: bool,
     supervise: Option<RestartPolicy>,
     state_init: Option<Box<dyn Fn() + Send + Sync + 'static>>,
     admission: AdmissionPolicy,
@@ -217,7 +216,6 @@ impl ObjectBuilder {
             manager: None,
             pool: PoolMode::default(),
             manager_prio: Priority::MANAGER,
-            poison_on_panic: false,
             supervise: None,
             state_init: None,
             admission: AdmissionPolicy::default(),
@@ -225,25 +223,17 @@ impl ObjectBuilder {
         }
     }
 
-    /// Poison the object when an entry body panics: subsequent calls fail
-    /// fast with [`AlpsError::ObjectPoisoned`] instead of running against
-    /// possibly-corrupt state. Off by default — a panicking body already
-    /// fails its own caller with [`AlpsError::BodyFailed`], and many
-    /// objects (e.g. the failure-injection tests) tolerate body panics
-    /// without invariant damage.
-    pub fn poison_on_panic(mut self, yes: bool) -> Self {
-        self.poison_on_panic = yes;
-        self
-    }
-
-    /// Supervise the object: an entry-body panic triggers the restart
-    /// machinery instead of (only) poisoning. Per `policy` the object's
+    /// Supervise the object: an entry-body panic poisons it and triggers
+    /// the restart machinery. Without supervision a panicking body fails
+    /// only its own caller, with [`AlpsError::BodyFailed`]. Per `policy` the object's
     /// in-flight calls are failed, its user state is rebuilt by the
     /// [`state_init`](Self::state_init) closure, its manager process body
     /// is re-entered at a bumped generation, and the poison is cleared —
     /// the object serves calls again. A refused restart (budget
-    /// exhausted) leaves the object permanently poisoned, exactly like
-    /// [`poison_on_panic`](Self::poison_on_panic).
+    /// exhausted) leaves the object permanently poisoned: new calls fail
+    /// fast with [`AlpsError::ObjectPoisoned`]. A zero budget
+    /// (`RestartTransient { max_restarts: 0, .. }`) poisons for good on
+    /// the first panic.
     ///
     /// While a restart is possible, rejected new calls and swept in-flight
     /// calls fail with the *transient* [`AlpsError::ObjectRestarting`]
@@ -371,7 +361,7 @@ impl ObjectBuilder {
             self.intake_capacity,
             self.admission,
         );
-        let supervisor = Supervisor::new(self.supervise, self.state_init, self.poison_on_panic);
+        let supervisor = Supervisor::new(self.supervise, self.state_init);
         let uid = OBJECT_UID.fetch_add(1, Ordering::Relaxed);
         let inner = Arc::new(ObjectInner::new(
             rt,
@@ -644,10 +634,9 @@ impl ObjectHandle {
         self.core.inner.is_closed()
     }
 
-    /// Whether an entry-body panic poisoned the object: with
-    /// [`ObjectBuilder::poison_on_panic`], or in a supervised object
-    /// ([`ObjectBuilder::supervise`]) from the panic until a restart
-    /// clears it — for good once a restart is refused.
+    /// Whether an entry-body panic poisoned the object: in a supervised
+    /// object ([`ObjectBuilder::supervise`]) from the panic until a
+    /// restart clears it — for good once a restart is refused.
     pub fn is_poisoned(&self) -> bool {
         self.core.inner.is_poisoned()
     }
@@ -656,10 +645,5 @@ impl ObjectHandle {
     /// shutdown path), that error.
     pub fn manager_error(&self) -> Option<AlpsError> {
         self.core.inner.manager_error()
-    }
-
-    /// Number of body executions the pool has run.
-    pub fn pool_jobs_executed(&self) -> u64 {
-        self.core.inner.pool.jobs_executed()
     }
 }

@@ -114,7 +114,6 @@ pub(crate) struct Pool {
     mode: PoolMode,
     queues: Vec<Arc<JobQueue>>,
     spawned: Counter,
-    executed: Counter,
     closed: AtomicBool,
 }
 
@@ -135,7 +134,6 @@ impl Pool {
             mode,
             queues: (0..queues).map(|_| Arc::default()).collect(),
             spawned: Counter::new(),
-            executed: Counter::new(),
             closed: AtomicBool::new(false),
         };
         // Slot `k`'s worker serves queue `k`; the shared workers all
@@ -154,7 +152,6 @@ impl Pool {
     fn spawn_worker(&self, name: String, q: Arc<JobQueue>) {
         self.spawned.incr();
         let rt = self.rt.clone();
-        let executed = self.executed.clone();
         let opts = Spawn::new(name).daemon(true);
         self.rt.spawn_with(opts, move || loop {
             let job = {
@@ -174,10 +171,7 @@ impl Pool {
                 }
             };
             match job {
-                Some(j) => {
-                    executed.incr();
-                    j.run();
-                }
+                Some(j) => j.run(),
                 None => rt.park(),
             }
         });
@@ -194,7 +188,6 @@ impl Pool {
         let per_slot = match self.mode {
             PoolMode::PerCall => {
                 self.spawned.incr();
-                self.executed.incr();
                 let opts = Spawn::new(format!("{}:call", self.name)).daemon(true);
                 self.rt.spawn_with(opts, move || job.run());
                 return;
@@ -231,11 +224,6 @@ impl Pool {
     pub(crate) fn procs_spawned(&self) -> u64 {
         self.spawned.get()
     }
-
-    /// Number of jobs executed.
-    pub(crate) fn jobs_executed(&self) -> u64 {
-        self.executed.get()
-    }
 }
 
 impl fmt::Debug for Pool {
@@ -244,7 +232,6 @@ impl fmt::Debug for Pool {
             .field("name", &self.name)
             .field("mode", &self.mode)
             .field("spawned", &self.spawned.get())
-            .field("executed", &self.executed.get())
             .finish()
     }
 }
@@ -281,7 +268,7 @@ mod tests {
                 }
             }
             pool.shutdown();
-            (pool.procs_spawned(), pool.jobs_executed())
+            (pool.procs_spawned(), done.load(Ordering::SeqCst) as u64)
         })
         .unwrap()
     }
@@ -321,9 +308,17 @@ mod tests {
             sim.run(move |rt| {
                 let pool = Pool::new(rt.clone(), "t".into(), mode, 1);
                 pool.shutdown();
-                pool.dispatch(0, Job::Task(Box::new(|| panic!("must not run"))));
+                let ran = Arc::new(AtomicUsize::new(0));
+                let ran2 = Arc::clone(&ran);
+                pool.dispatch(
+                    0,
+                    Job::Task(Box::new(move || {
+                        ran2.fetch_add(1, Ordering::SeqCst);
+                        panic!("must not run");
+                    })),
+                );
                 rt.yield_now();
-                assert_eq!(pool.jobs_executed(), 0, "{mode}");
+                assert_eq!(ran.load(Ordering::SeqCst), 0, "{mode}");
             })
             .unwrap();
         }

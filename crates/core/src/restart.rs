@@ -19,12 +19,11 @@ pub(crate) struct Supervisor {
     /// ([`ObjectBuilder::supervise`](crate::ObjectBuilder::supervise)).
     policy: Option<RestartPolicy>,
     state_init: Option<Box<dyn Fn() + Send + Sync + 'static>>,
-    /// Set when an entry body panics in a poisoning or supervised object:
-    /// the object's invariants may be corrupt, so new calls fail fast.
-    /// Poisoned ≠ closed — the manager keeps running and in-flight calls
-    /// complete normally. A successful restart clears it.
+    /// Set when an entry body panics in a supervised object: the object's
+    /// invariants may be corrupt, so new calls fail fast. Poisoned ≠
+    /// closed — the manager keeps running and in-flight calls complete
+    /// normally. A successful restart clears it.
     poisoned: AtomicBool,
-    poison_on_panic: bool,
     /// Restart generation: bumped at the start of every supervised
     /// restart, *before* the in-flight sweep. Manager primitives capture
     /// it at [`ManagerCtx`] creation and re-check it under the entry lock
@@ -39,9 +38,10 @@ pub(crate) struct Supervisor {
     /// state rebuild is still in progress.
     restart_times: Mutex<Vec<u64>>,
     /// A restart was refused — budget exhausted, injected `"restart"`
-    /// fault, or a panicking `state_init`. The
-    /// poison is permanent: callers get [`AlpsError::ObjectPoisoned`],
-    /// not the transient [`AlpsError::ObjectRestarting`].
+    /// fault, or a panicking `state_init`. The poison is permanent:
+    /// callers get [`AlpsError::ObjectPoisoned`], not the transient
+    /// [`AlpsError::ObjectRestarting`]. Stored before `poisoned`, so no
+    /// caller reads a refused restart as one in progress.
     perm_failed: AtomicBool,
     /// The error the manager body exited with, other than the normal
     /// shutdown path.
@@ -52,13 +52,11 @@ impl Supervisor {
     pub(crate) fn new(
         policy: Option<RestartPolicy>,
         state_init: Option<Box<dyn Fn() + Send + Sync + 'static>>,
-        poison_on_panic: bool,
     ) -> Supervisor {
         Supervisor {
             policy,
             state_init,
             poisoned: AtomicBool::new(false),
-            poison_on_panic,
             generation: AtomicU64::new(0),
             restart_times: Mutex::new(Vec::new()),
             perm_failed: AtomicBool::new(false),
@@ -119,13 +117,14 @@ impl ObjectInner {
     /// An entry body panicked (not an error return), called with no locks
     /// held in whichever process ran it (pool worker, inline caller, or
     /// the manager itself via `execute`). The panic may have unwound the
-    /// body mid-update: a poisoning object fails all future calls fast
-    /// rather than letting them observe torn state, and a supervised one
-    /// also attempts a restart, which clears the poison again on success.
+    /// body mid-update: a supervised object fails all future calls fast
+    /// rather than letting them observe torn state, and attempts a
+    /// restart, which clears the poison again on success. An unsupervised
+    /// object is left as it is.
     ///
     /// Under the restart lock: charge the restart budget (refusal ⇒
-    /// permanent poison), consult the `"restart"` fault point, bump the
-    /// generation, fail the calls in flight,
+    /// permanent poison), consult the `"restart"` fault point, poison,
+    /// bump the generation, fail the calls in flight,
     /// re-run `state_init`, clear the poison, and wake everyone with a
     /// stake — the old-generation manager (whose next primitive fails with
     /// [`AlpsError::ObjectRestarting`], sending the supervisor loop back
@@ -139,9 +138,6 @@ impl ObjectInner {
     /// place.
     pub(crate) fn handle_body_panic(self: &Arc<Self>) {
         let sv = &self.supervisor;
-        if sv.poison_on_panic || sv.policy.is_some() {
-            sv.poisoned.store(true, Ordering::SeqCst);
-        }
         let Some(policy) = sv.policy else { return };
         // Commit point, before the restart lock: a restart is about to
         // sweep in-flight calls, racing callers publishing, cancelling,
@@ -152,6 +148,7 @@ impl ObjectInner {
         // lock as its re-entry barrier.
         let mut times = sv.restart_times.lock();
         if self.is_closed() || sv.perm_failed.load(Ordering::SeqCst) {
+            sv.poisoned.store(true, Ordering::SeqCst);
             return;
         }
         let now = self.rt.now();
@@ -169,8 +166,10 @@ impl ObjectInner {
         // stays permanently poisoned, as if the rebuild itself died.
         if !allowed || self.rt.fault_point("restart") {
             sv.perm_failed.store(true, Ordering::SeqCst);
+            sv.poisoned.store(true, Ordering::SeqCst);
             return;
         }
+        sv.poisoned.store(true, Ordering::SeqCst);
         times.push(now);
         // Bump the generation FIRST: every manager primitive re-checks it
         // under the entry lock, so no old-generation accept, start, or

@@ -306,11 +306,6 @@ impl<'a> Guard<'a> {
         self
     }
 
-    /// Constant-priority convenience for [`pri`](Guard::pri).
-    pub fn pri_const(self, v: i64) -> Self {
-        self.pri(move |_| v)
-    }
-
     /// Whether the acceptance condition admits the alternative `view`
     /// shows; a guard without one admits every alternative.
     fn admits(&self, view: &GuardView<'_>) -> bool {

@@ -141,13 +141,17 @@ pub struct ShardEntryId {
 /// [`ShardedHandle::call_id_combined`]). The leader publishes exactly once
 /// and notifies; followers park on the notifier until the result lands.
 struct CombineCell {
+    /// The leader's argument tuple. The map is keyed by its hash, so a
+    /// caller follows only when its own tuple equals this one.
+    args: ValVec,
     result: Mutex<Option<Result<ValVec>>>,
     notifier: Notifier,
 }
 
 impl CombineCell {
-    fn new() -> CombineCell {
+    fn new(args: ValVec) -> CombineCell {
         CombineCell {
+            args,
             result: Mutex::new(None),
             notifier: Notifier::new(),
         }
@@ -160,7 +164,8 @@ struct ShardedInner {
     rt: Runtime,
     /// Non-empty, and every shard's entry table equals shard 0's.
     shards: Vec<ObjectHandle>,
-    /// (entry index, argument hash) → in-flight combined read.
+    /// (entry index, argument hash) → in-flight combined read. Tuples
+    /// that collide on the hash share a slot; see [`CombineCell::args`].
     combine: Mutex<HashMap<(u32, u64), Arc<CombineCell>>>,
     combined_leads: Counter,
     combined_follows: Counter,
@@ -462,7 +467,10 @@ impl ShardedHandle {
     /// any shard's intake, so the shared body runs once per burst.
     ///
     /// Only use for **read-only** entries: followers observe the
-    /// leader's reply without the body running on their behalf.
+    /// leader's reply without the body running on their behalf. A caller
+    /// whose tuple hashes like the leader's but is not equal to it (a
+    /// channel with the same name, or a hash collision) makes its own
+    /// routed call.
     ///
     /// # Errors
     ///
@@ -474,9 +482,17 @@ impl ShardedHandle {
         let args: ValVec = args.into();
         let key = hash_values(&args);
         let (shard, eid) = inner.route(id, key)?;
-        let (cell, leads) = match inner.combine.lock().entry((id.idx, key)) {
-            Entry::Occupied(e) => (Arc::clone(e.get()), false),
-            Entry::Vacant(v) => (Arc::clone(v.insert(Arc::new(CombineCell::new()))), true),
+        let joined = match inner.combine.lock().entry((id.idx, key)) {
+            Entry::Occupied(e) => (e.get().args == args).then(|| (Arc::clone(e.get()), false)),
+            Entry::Vacant(v) => {
+                let cell = Arc::new(CombineCell::new(args.clone()));
+                Some((Arc::clone(v.insert(cell)), true))
+            }
+        };
+        // With the map lock released: a tuple that only shares the
+        // leader's hash makes its own call.
+        let Some((cell, leads)) = joined else {
+            return shard.call_id(eid, args);
         };
         if !leads {
             // Follower: park until the leader publishes. Epoch is read
@@ -830,6 +846,63 @@ mod tests {
         assert_eq!(s.combined_follows, 0);
         group.shutdown();
         rt.shutdown();
+    }
+
+    /// Combining matches on the argument tuple, not on its hash: two
+    /// distinct channels with the same name hash alike, but a channel is
+    /// equal only to itself, so the second caller must not take the
+    /// first one's reply.
+    #[test]
+    fn combined_reads_match_on_arguments_not_their_hash() {
+        use crate::value::ChanValue;
+        use alps_runtime::{SimRuntime, Spawn};
+        SimRuntime::new()
+            .run(|rt| {
+                let sig = vec![Ty::Int];
+                let group = ShardedBuilder::new("Hold", 2)
+                    .spawn(rt, |shard| {
+                        ObjectBuilder::new(format!("Hold#{shard}")).entry(
+                            EntryDef::new("Read")
+                                .params([Ty::Chan(vec![Ty::Int])])
+                                .results([Ty::Chan(vec![Ty::Int])])
+                                .body(|ctx, args| {
+                                    ctx.sleep(100);
+                                    Ok(vec![args[0].clone()])
+                                }),
+                        )
+                    })
+                    .unwrap();
+                let read = group.entry_id("Read").unwrap();
+                let (a, b) = (
+                    Value::Chan(ChanValue::new("c", sig.clone())),
+                    Value::Chan(ChanValue::new("c", sig)),
+                );
+                assert_ne!(a, b);
+                assert_eq!(
+                    hash_values(std::slice::from_ref(&a)),
+                    hash_values(std::slice::from_ref(&b))
+                );
+                let callers: Vec<_> = [(a, 0), (b, 10)]
+                    .into_iter()
+                    .map(|(v, delay)| {
+                        let (group, rt2) = (group.clone(), rt.clone());
+                        rt.spawn_with(Spawn::new("caller"), move || {
+                            // The second caller arrives while the first
+                            // one's body sleeps.
+                            rt2.sleep(delay);
+                            let r = group.call_id_combined(read, vals![v.clone()]).unwrap();
+                            assert_eq!(r[0], v, "a caller got another caller's reply");
+                        })
+                    })
+                    .collect();
+                for c in callers {
+                    c.join().unwrap();
+                }
+                let s = group.stats();
+                assert_eq!(s.combined_follows, 0);
+                group.shutdown();
+            })
+            .unwrap();
     }
 
     /// Two ways a shard can fail the group: its own definition is bad

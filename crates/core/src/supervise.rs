@@ -28,9 +28,11 @@ use crate::error::{AlpsError, Result};
 /// sweeps in-flight calls, re-runs the
 /// [`state_init`](crate::ObjectBuilder::state_init) closure, bumps the
 /// object generation, and un-poisons. If the policy refuses (budget
-/// exhausted), the object stays poisoned — exactly
-/// [`poison_on_panic`](crate::ObjectBuilder::poison_on_panic), which is
-/// also what to use for an object that should never restart.
+/// exhausted), the object stays poisoned for good and new calls fail with
+/// [`AlpsError::ObjectPoisoned`](crate::AlpsError::ObjectPoisoned). An
+/// object that should never restart takes a zero budget,
+/// `RestartTransient { max_restarts: 0, window_ticks: 0 }`, and is
+/// poisoned for good by its first panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestartPolicy {
     /// Restart after a panic, but give up (permanent poison) once more

@@ -429,14 +429,6 @@ impl ValVec {
         }
     }
 
-    /// The values as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [Value] {
-        match self {
-            ValVec::Inline { buf, len } => &mut buf[..*len as usize],
-            ValVec::Heap(h) => h,
-        }
-    }
-
     /// Whether this tuple lives entirely on the stack.
     pub fn is_inline(&self) -> bool {
         matches!(self, ValVec::Inline { .. })
@@ -487,7 +479,10 @@ impl std::ops::Deref for ValVec {
 
 impl std::ops::DerefMut for ValVec {
     fn deref_mut(&mut self) -> &mut [Value] {
-        self.as_mut_slice()
+        match self {
+            ValVec::Inline { buf, len } => &mut buf[..*len as usize],
+            ValVec::Heap(h) => h,
+        }
     }
 }
 

@@ -291,8 +291,12 @@ fn restart_answers_a_started_call_once_and_discards_its_body() {
 fn poisoned_object_rejects_new_calls() {
     let sim = SimRuntime::new();
     sim.run(|rt| {
+        // A zero restart budget: the first panic poisons for good.
         let obj = ObjectBuilder::new("Glass")
-            .poison_on_panic(true)
+            .supervise(RestartPolicy::RestartTransient {
+                max_restarts: 0,
+                window_ticks: 0,
+            })
             .entry(
                 EntryDef::new("P")
                     .params([Ty::Int])
@@ -331,7 +335,10 @@ fn error_returns_do_not_poison_even_when_enabled() {
     let sim = SimRuntime::new();
     sim.run(|rt| {
         let obj = ObjectBuilder::new("Sturdy")
-            .poison_on_panic(true)
+            .supervise(RestartPolicy::RestartTransient {
+                max_restarts: 0,
+                window_ticks: 0,
+            })
             .entry(
                 EntryDef::new("P")
                     .params([Ty::Int])

@@ -127,9 +127,9 @@ fn pri_ties_break_by_guard_listing_order() {
         .run(|rt| {
             let obj = one_entry_object(rt, 1, |mgr| loop {
                 let sel = mgr.select(vec![
-                    Guard::cond(true).pri_const(5),
-                    Guard::cond(true).pri_const(5),
-                    Guard::accept("P").pri_const(1),
+                    Guard::cond(true).pri(|_| 5),
+                    Guard::cond(true).pri(|_| 5),
+                    Guard::accept("P").pri(|_| 1),
                 ])?;
                 match sel {
                     Selected::Cond { guard } => {
@@ -160,8 +160,8 @@ fn accept_beats_cond_when_lower_pri() {
         let obj = one_entry_object(rt, 1, |mgr| {
             loop {
                 let sel = mgr.select(vec![
-                    Guard::cond(true).pri_const(5),
-                    Guard::accept("P").pri_const(1),
+                    Guard::cond(true).pri(|_| 5),
+                    Guard::accept("P").pri(|_| 1),
                 ])?;
                 match sel {
                     Selected::Accepted { call, .. } => {

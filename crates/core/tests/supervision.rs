@@ -13,6 +13,7 @@ use alps_core::{
     vals, AdmissionPolicy, AlpsError, Backoff, EntryDef, ObjectBuilder, RestartPolicy, RetryPolicy,
     Ty, Value, Wait,
 };
+use alps_runtime::explore::{policy_for, STRATEGY_MATRIX};
 use alps_runtime::{FaultPlan, SchedPolicy, SimRuntime, Spawn};
 
 /// A supervised object whose body is killed by an injected panic must be
@@ -437,11 +438,17 @@ fn timeout_retry_reruns_a_started_body() {
 /// Regression pin: a call whose cell is already DONE before a panic
 /// poisons the object still delivers its result. Poisoning gates
 /// *admission*, never delivery — across every interleaving of the
-/// completing call and the poisoning one.
+/// completing call and the poisoning one. The object has a zero restart
+/// budget, so no caller may ever see `ObjectRestarting`: the strategies
+/// that preempt at `RestartSweep` open the window between the panic and
+/// the refused restart.
 #[test]
 fn completed_call_delivers_despite_poisoning() {
-    for seed in 0..32u64 {
-        let sim = SimRuntime::with_policy(SchedPolicy::PriorityRandom(seed));
+    for (strategy, seed) in STRATEGY_MATRIX
+        .iter()
+        .flat_map(|s| (0..32u64).map(move |seed| (*s, seed)))
+    {
+        let sim = SimRuntime::with_policy(policy_for(strategy, seed));
         sim.run(move |rt| {
             let obj = ObjectBuilder::new("Pinned")
                 .entry(
@@ -471,7 +478,10 @@ fn completed_call_delivers_despite_poisoning() {
                         }
                     }
                 })
-                .poison_on_panic(true)
+                .supervise(RestartPolicy::RestartTransient {
+                    max_restarts: 0,
+                    window_ticks: 0,
+                })
                 .spawn(rt)
                 .unwrap();
             let o_work = obj.clone();
@@ -485,7 +495,7 @@ fn completed_call_delivers_despite_poisoning() {
                         // Legal only when the poison landed before this
                         // call was admitted at all.
                     }
-                    Err(e) => panic!("seed {seed}: unexpected error {e:?}"),
+                    Err(e) => panic!("{strategy} seed {seed}: unexpected error {e:?}"),
                 }
             });
             let o_boom = obj.clone();

@@ -88,32 +88,6 @@ impl Connector for TcpConnector {
     }
 }
 
-/// Dials a Unix-domain socket path.
-#[cfg(unix)]
-pub struct UnixConnector {
-    path: std::path::PathBuf,
-}
-
-#[cfg(unix)]
-impl UnixConnector {
-    /// Connector for the socket at `path`.
-    pub fn new(path: impl Into<std::path::PathBuf>) -> UnixConnector {
-        UnixConnector { path: path.into() }
-    }
-}
-
-#[cfg(unix)]
-impl Connector for UnixConnector {
-    fn connect(&self) -> io::Result<Arc<dyn Link>> {
-        let stream = std::os::unix::net::UnixStream::connect(&self.path)?;
-        Ok(Arc::new(crate::link::UnixLink::new(stream)?))
-    }
-
-    fn endpoint(&self) -> String {
-        format!("unix:{}", self.path.display())
-    }
-}
-
 /// Dials an in-process [`NetServer`](crate::server::NetServer) through
 /// [`MemLink`] pairs — the deterministic transport for simulation
 /// sweeps. Obtained from

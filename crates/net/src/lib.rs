@@ -9,9 +9,9 @@
 //!   [`ValVec`](alps_core::ValVec) calls and replies, with an
 //!   entry-table handshake that interns entry ids per connection and a
 //!   wire image of the [`AlpsError`](alps_core::AlpsError) taxonomy.
-//! * [`link`] — transports: TCP, Unix sockets, and an in-memory channel
-//!   pair ([`MemLink`]) that runs the whole protocol inside one
-//!   deterministic simulation.
+//! * [`link`] — transports: TCP and an in-memory channel pair
+//!   ([`MemLink`]) that runs the whole protocol inside one deterministic
+//!   simulation.
 //! * [`server`] — [`NetServer`] exposes a runtime's objects over any
 //!   link, with per-session duplicate suppression making every call
 //!   **at-most-once-executed** no matter how the transport misbehaves
@@ -37,15 +37,11 @@ pub mod link;
 pub mod server;
 pub mod wire;
 
-#[cfg(unix)]
-pub use client::UnixConnector;
 pub use client::{
     Connector, MemConnector, ReconnectPolicy, RemoteEntryId, RemoteHandle, RemoteStats,
     TcpConnector,
 };
 pub use fault::{NetFault, NetFaultPlan, RecvPlan, SendPlan};
-#[cfg(unix)]
-pub use link::UnixLink;
 pub use link::{FaultyLink, Link, MemLink, TcpLink};
 pub use server::{NetServer, ServerStats};
 pub use wire::{

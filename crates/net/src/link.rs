@@ -3,7 +3,6 @@
 //! endpoints:
 //!
 //! * [`TcpLink`] — loopback or real TCP, for the 2-process case.
-//! * [`UnixLink`] — Unix-domain sockets, same framing (unix only).
 //! * [`MemLink`] — a pair of runtime [`Chan`]s, so the *entire* client ↔
 //!   server protocol (handshake, calls, reconnects) runs inside one
 //!   deterministic simulation.
@@ -14,7 +13,8 @@
 //! errors, checksum failures, and disconnects all surface to the
 //! connection layer, which owns the supervision policy.
 
-use std::io;
+use std::io::{self, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -78,119 +78,36 @@ fn timed_out() -> io::Error {
     io::Error::new(io::ErrorKind::TimedOut, "no frame within the bound")
 }
 
-// --------------------------------------------------------------- stream
+// ------------------------------------------------------------------ tcp
 
-/// [`TcpLink`] and [`UnixLink`] are this one link over their two socket
-/// types; the module is private so only those names are reachable.
-mod stream {
-    use super::*;
-
-    /// The three socket operations [`io::Read`] and [`io::Write`] lack.
-    pub trait Stream: io::Read + io::Write + Send + Sized {
-        fn try_clone(&self) -> io::Result<Self>;
-        fn shutdown(&self, how: std::net::Shutdown) -> io::Result<()>;
-        fn set_read_timeout(&self, bound: Option<Duration>) -> io::Result<()>;
-    }
-
-    impl Stream for std::net::TcpStream {
-        fn try_clone(&self) -> io::Result<Self> {
-            std::net::TcpStream::try_clone(self)
-        }
-        fn shutdown(&self, how: std::net::Shutdown) -> io::Result<()> {
-            std::net::TcpStream::shutdown(self, how)
-        }
-        fn set_read_timeout(&self, bound: Option<Duration>) -> io::Result<()> {
-            std::net::TcpStream::set_read_timeout(self, bound)
-        }
-    }
-
-    #[cfg(unix)]
-    impl Stream for std::os::unix::net::UnixStream {
-        fn try_clone(&self) -> io::Result<Self> {
-            std::os::unix::net::UnixStream::try_clone(self)
-        }
-        fn shutdown(&self, how: std::net::Shutdown) -> io::Result<()> {
-            std::os::unix::net::UnixStream::shutdown(self, how)
-        }
-        fn set_read_timeout(&self, bound: Option<Duration>) -> io::Result<()> {
-            std::os::unix::net::UnixStream::set_read_timeout(self, bound)
-        }
-    }
-
-    /// A [`Link`] over a connected byte stream. Reader and writer sides
-    /// are guarded by separate locks so a blocked `recv` never starves
-    /// `send`.
-    pub struct StreamLink<S> {
-        reader: Mutex<Reader<S>>,
-        writer: Mutex<S>,
-        peer: String,
-    }
-
-    /// The read half with the read timeout its socket currently has, so
-    /// that unbounded receives in a row cost no `setsockopt`.
-    struct Reader<S> {
-        stream: S,
-        bound: Option<Duration>,
-    }
-
-    impl<S: Stream> Reader<S> {
-        fn read_frame(&mut self, bound: Option<Duration>) -> io::Result<Vec<u8>> {
-            if self.bound != bound {
-                self.stream.set_read_timeout(bound)?;
-                self.bound = bound;
-            }
-            read_exact_frame(&mut self.stream).map_err(|e| match e.kind() {
-                // What an expired SO_RCVTIMEO reads as on Unix.
-                io::ErrorKind::WouldBlock => timed_out(),
-                _ => e,
-            })
-        }
-    }
-
-    impl<S: Stream> StreamLink<S> {
-        pub(super) fn with_peer(stream: S, peer: String) -> io::Result<Self> {
-            let writer = stream.try_clone()?;
-            Ok(StreamLink {
-                reader: Mutex::new(Reader {
-                    stream,
-                    bound: None,
-                }),
-                writer: Mutex::new(writer),
-                peer,
-            })
-        }
-    }
-
-    impl<S: Stream> Link for StreamLink<S> {
-        fn send(&self, frame: &[u8]) -> io::Result<()> {
-            let mut w = self.writer.lock();
-            w.write_all(frame)?;
-            w.flush()
-        }
-
-        fn recv(&self) -> io::Result<Vec<u8>> {
-            self.reader.lock().read_frame(None)
-        }
-
-        fn recv_deadline(&self, ticks: u64) -> io::Result<Vec<u8>> {
-            // A tick is a microsecond on every runtime that has sockets;
-            // a zero timeout would mean "none" to the socket.
-            let bound = Duration::from_micros(ticks.max(1));
-            self.reader.lock().read_frame(Some(bound))
-        }
-
-        fn shutdown(&self) {
-            let _ = self.writer.lock().shutdown(std::net::Shutdown::Both);
-        }
-
-        fn peer(&self) -> String {
-            self.peer.clone()
-        }
-    }
+/// A [`Link`] over a TCP stream. Reader and writer sides are guarded by
+/// separate locks so a blocked `recv` never starves `send`.
+pub struct TcpLink {
+    reader: Mutex<Reader>,
+    writer: Mutex<TcpStream>,
+    peer: String,
 }
 
-/// A [`Link`] over a TCP stream.
-pub type TcpLink = stream::StreamLink<std::net::TcpStream>;
+/// The read half with the read timeout its socket currently has, so
+/// that unbounded receives in a row cost no `setsockopt`.
+struct Reader {
+    stream: TcpStream,
+    bound: Option<Duration>,
+}
+
+impl Reader {
+    fn read_frame(&mut self, bound: Option<Duration>) -> io::Result<Vec<u8>> {
+        if self.bound != bound {
+            self.stream.set_read_timeout(bound)?;
+            self.bound = bound;
+        }
+        read_exact_frame(&mut self.stream).map_err(|e| match e.kind() {
+            // What an expired SO_RCVTIMEO reads as on Unix.
+            io::ErrorKind::WouldBlock => timed_out(),
+            _ => e,
+        })
+    }
+}
 
 impl TcpLink {
     /// Wrap a connected stream.
@@ -198,13 +115,48 @@ impl TcpLink {
     /// # Errors
     ///
     /// When the stream cannot be cloned into reader/writer halves.
-    pub fn new(stream: std::net::TcpStream) -> io::Result<TcpLink> {
+    pub fn new(stream: TcpStream) -> io::Result<TcpLink> {
         stream.set_nodelay(true).ok();
         let peer = stream
             .peer_addr()
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "tcp:?".into());
-        Self::with_peer(stream, peer)
+        let writer = stream.try_clone()?;
+        Ok(TcpLink {
+            reader: Mutex::new(Reader {
+                stream,
+                bound: None,
+            }),
+            writer: Mutex::new(writer),
+            peer,
+        })
+    }
+}
+
+impl Link for TcpLink {
+    fn send(&self, frame: &[u8]) -> io::Result<()> {
+        let mut w = self.writer.lock();
+        w.write_all(frame)?;
+        w.flush()
+    }
+
+    fn recv(&self) -> io::Result<Vec<u8>> {
+        self.reader.lock().read_frame(None)
+    }
+
+    fn recv_deadline(&self, ticks: u64) -> io::Result<Vec<u8>> {
+        // A tick is a microsecond on every runtime that has sockets;
+        // a zero timeout would mean "none" to the socket.
+        let bound = Duration::from_micros(ticks.max(1));
+        self.reader.lock().read_frame(Some(bound))
+    }
+
+    fn shutdown(&self) {
+        let _ = self.writer.lock().shutdown(Shutdown::Both);
+    }
+
+    fn peer(&self) -> String {
+        self.peer.clone()
     }
 }
 
@@ -224,27 +176,6 @@ fn read_exact_frame(r: &mut impl io::Read) -> io::Result<Vec<u8>> {
     frame[..HEADER_LEN].copy_from_slice(&header);
     r.read_exact(&mut frame[HEADER_LEN..])?;
     Ok(frame)
-}
-
-/// A [`Link`] over a Unix-domain socket.
-#[cfg(unix)]
-pub type UnixLink = stream::StreamLink<std::os::unix::net::UnixStream>;
-
-#[cfg(unix)]
-impl UnixLink {
-    /// Wrap a connected stream.
-    ///
-    /// # Errors
-    ///
-    /// When the stream cannot be cloned into reader/writer halves.
-    pub fn new(stream: std::os::unix::net::UnixStream) -> io::Result<UnixLink> {
-        let peer = stream
-            .peer_addr()
-            .ok()
-            .and_then(|a| a.as_pathname().map(|p| p.display().to_string()))
-            .unwrap_or_else(|| "unix:?".into());
-        Self::with_peer(stream, peer)
-    }
 }
 
 // ------------------------------------------------------------------ mem
@@ -522,21 +453,6 @@ mod tests {
             link.send(&got).unwrap();
         });
         let link = TcpLink::new(std::net::TcpStream::connect(addr).unwrap()).unwrap();
-        link.send(&hello()).unwrap();
-        assert_eq!(link.recv().unwrap(), hello());
-        t.join().unwrap();
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn unix_link_round_trips_frames() {
-        let (a, b) = std::os::unix::net::UnixStream::pair().unwrap();
-        let t = std::thread::spawn(move || {
-            let link = UnixLink::new(b).unwrap();
-            let got = link.recv().unwrap();
-            link.send(&got).unwrap();
-        });
-        let link = UnixLink::new(a).unwrap();
         link.send(&hello()).unwrap();
         assert_eq!(link.recv().unwrap(), hello());
         t.join().unwrap();

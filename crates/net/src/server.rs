@@ -130,8 +130,6 @@ struct ServerInner {
 /// An accept loop, by the handle that can reach it from outside.
 enum Listener {
     Tcp(std::net::SocketAddr),
-    #[cfg(unix)]
-    Unix(std::path::PathBuf),
     Mem(Chan<Arc<MemLink>>),
 }
 
@@ -211,10 +209,6 @@ impl NetServer {
                     }
                     let _ = std::net::TcpStream::connect(addr);
                 }
-                #[cfg(unix)]
-                Listener::Unix(path) => {
-                    let _ = std::os::unix::net::UnixStream::connect(path);
-                }
                 Listener::Mem(accept) => accept.close(&self.inner.rt),
             }
         }
@@ -258,36 +252,6 @@ impl NetServer {
                 }
             });
         Ok(local)
-    }
-
-    /// Accept loop over a Unix-domain socket at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Bind failure (e.g. the path exists).
-    #[cfg(unix)]
-    pub fn listen_unix(&self, path: &std::path::Path) -> io::Result<()> {
-        let listener = std::os::unix::net::UnixListener::bind(path)?;
-        self.inner
-            .listeners
-            .lock()
-            .push(Listener::Unix(path.to_path_buf()));
-        let this = self.clone();
-        self.inner
-            .rt
-            .spawn_with(Spawn::new("net.accept.unix").daemon(true), move || {
-                for stream in listener.incoming() {
-                    if this.inner.shutdown.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    match crate::link::UnixLink::new(stream) {
-                        Ok(link) => this.serve_link(Arc::new(link)),
-                        Err(_) => continue,
-                    }
-                }
-            });
-        Ok(())
     }
 
     /// An in-memory connector to this server: each

@@ -254,7 +254,9 @@ fn a_warm_call_creates_no_process() {
                 warm.recv(rt).unwrap();
             }
             let before = rt.spawn_with(Spawn::new("probe"), || ()).id().as_u64();
-            go.send_batch(rt, (0..CALLERS).map(|_| ())).unwrap();
+            for _ in 0..CALLERS {
+                go.send(rt, ()).unwrap();
+            }
             for j in joins {
                 j.join().unwrap();
             }

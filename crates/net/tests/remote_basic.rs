@@ -118,7 +118,10 @@ fn errors_cross_the_wire_as_themselves() {
                         .results([])
                         .body(|_ctx, _args| -> alps_core::Result<Vec<Value>> { panic!("kaboom") }),
                 )
-                .poison_on_panic(true)
+                .supervise(RestartPolicy::RestartTransient {
+                    max_restarts: 0,
+                    window_ticks: 0,
+                })
                 .spawn(rt)
                 .unwrap();
             let server = NetServer::new(rt);
@@ -370,16 +373,21 @@ fn a_duplicate_below_the_watermark_is_not_run_again() {
         .unwrap();
 }
 
-/// Eight bumps and a deadline-bounded read against a served counter on
-/// the threaded runtime, over whatever socket `listen` opens.
-fn socket_round_trip<C: Connector + 'static>(listen: impl FnOnce(&NetServer) -> C) {
+/// Real TCP over loopback: eight bumps and a deadline-bounded read
+/// against a served counter on the threaded runtime. This is the
+/// 2-process wire path minus the second process (covered by the
+/// repository benchmark's `remote_call` workload, which CI's
+/// benchmark-smoke job runs).
+#[test]
+fn tcp_loopback_round_trip() {
     let rt = Runtime::threaded();
     let counts = Arc::new(Mutex::new(HashMap::new()));
     let obj = counter(&rt, &counts);
     let server = NetServer::new(&rt);
     server.register(&obj);
 
-    let client = RemoteHandle::new(&rt, "Counter", listen(&server));
+    let addr = server.listen_tcp("127.0.0.1:0").unwrap();
+    let client = RemoteHandle::new(&rt, "Counter", TcpConnector::new(addr.to_string()));
     let bump = client.entry_id("Bump");
     for i in 1..=8i64 {
         let r = client.call_id(&bump, vals![1i64]).unwrap();
@@ -391,28 +399,4 @@ fn socket_round_trip<C: Connector + 'static>(listen: impl FnOnce(&NetServer) -> 
 
     server.shutdown();
     obj.shutdown();
-}
-
-/// Real TCP over loopback: the 2-process wire path minus the second
-/// process (covered by the repository benchmark's `remote_call`
-/// workload, which CI's benchmark-smoke job runs).
-#[test]
-fn tcp_loopback_round_trip() {
-    socket_round_trip(|server| {
-        let addr = server.listen_tcp("127.0.0.1:0").unwrap();
-        TcpConnector::new(addr.to_string())
-    });
-}
-
-/// The same through `listen_unix` and `UnixConnector`.
-#[cfg(unix)]
-#[test]
-fn unix_socket_round_trip() {
-    let path = std::env::temp_dir().join(format!("alps-remote-basic-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    socket_round_trip(|server| {
-        server.listen_unix(&path).unwrap();
-        alps_net::UnixConnector::new(&path)
-    });
-    std::fs::remove_file(&path).unwrap();
 }

@@ -184,79 +184,6 @@ impl<T: Send + 'static> Chan<T> {
         }
     }
 
-    /// Send a batch of messages, waking receivers and subscribed selects
-    /// **once** for the whole batch rather than once per message. On a
-    /// bounded channel the batch honors the capacity: the sender blocks
-    /// mid-batch while the buffer is full (messages already enqueued stay
-    /// enqueued, and their wakeups are delivered before blocking).
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Shutdown`] if the channel is (or becomes) closed;
-    /// messages enqueued before the failure remain in the buffer.
-    pub fn send_batch(
-        &self,
-        rt: &Runtime,
-        msgs: impl IntoIterator<Item = T>,
-    ) -> Result<(), RuntimeError> {
-        let mut pending = msgs.into_iter();
-        let mut carry: Option<T> = None;
-        loop {
-            let (recv_waiters, notify_subs, full) = {
-                let mut st = self.inner.st.lock();
-                if st.closed {
-                    return Err(RuntimeError::Shutdown);
-                }
-                let mut sent_any = false;
-                let mut full = false;
-                loop {
-                    if let Some(cap) = self.inner.cap {
-                        if st.q.len() >= cap {
-                            full = true;
-                            break;
-                        }
-                    }
-                    match carry.take().or_else(|| pending.next()) {
-                        Some(v) => {
-                            st.q.push_back(v);
-                            sent_any = true;
-                        }
-                        None => break,
-                    }
-                }
-                if full {
-                    // Remember where we stopped and register for a wakeup.
-                    carry = carry.take().or_else(|| pending.next());
-                    if carry.is_none() {
-                        full = false; // iterator exhausted exactly at cap
-                    } else {
-                        let me = rt.current();
-                        if !st.send_waiters.contains(&me) {
-                            st.send_waiters.push(me);
-                        }
-                    }
-                }
-                if sent_any {
-                    (
-                        std::mem::take(&mut st.recv_waiters),
-                        st.subscribers.clone(),
-                        full,
-                    )
-                } else {
-                    (Vec::new(), Vec::new(), full)
-                }
-            };
-            for w in recv_waiters {
-                rt.unpark(w);
-            }
-            self.fan_out(rt, notify_subs);
-            if !full {
-                return Ok(());
-            }
-            rt.park();
-        }
-    }
-
     /// Receive the oldest message, blocking until one is available.
     ///
     /// # Errors
@@ -564,53 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn send_batch_delivers_all_with_one_notification() {
-        let rt = Runtime::threaded();
-        let c = Chan::unbounded("c");
-        let n = Notifier::new();
-        c.subscribe(&n);
-        let e0 = n.epoch();
-        c.send_batch(&rt, 0..5).unwrap();
-        // One epoch bump for the whole batch…
-        assert_eq!(n.epoch(), e0 + 1);
-        // …and every message delivered in order.
-        let got: Vec<i32> = std::iter::from_fn(|| c.try_recv(&rt)).collect();
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn send_batch_respects_bounded_capacity_sim() {
-        let sim = SimRuntime::new();
-        let got = sim
-            .run(|rt| {
-                let c = Chan::bounded("c", 2);
-                let c2 = c.clone();
-                let rt2 = rt.clone();
-                let h = rt.spawn_with(Spawn::new("batcher"), move || {
-                    c2.send_batch(&rt2, 0..5).unwrap();
-                });
-                rt.yield_now(); // batcher fills to capacity and parks
-                assert_eq!(c.len(), 2);
-                let mut out = Vec::new();
-                for _ in 0..5 {
-                    out.push(c.recv(rt).unwrap());
-                }
-                h.join().unwrap();
-                out
-            })
-            .unwrap();
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn send_batch_on_closed_channel_fails() {
-        let rt = Runtime::threaded();
-        let c: Chan<i32> = Chan::unbounded("c");
-        c.close(&rt);
-        assert_eq!(c.send_batch(&rt, [1, 2]), Err(RuntimeError::Shutdown));
-    }
-
-    #[test]
     fn subscriber_notified_on_send() {
         let rt = Runtime::threaded();
         let c = Chan::unbounded("c");
@@ -823,19 +703,6 @@ impl<T> IntakeRing<T> {
                 pos = self.enqueue_pos.load(Relaxed);
             }
         }
-    }
-
-    /// Pop every currently-published item in order, applying `f` to each;
-    /// returns how many were drained. Stops at the first claimed-but-
-    /// unpublished slot, like [`pop`](Self::pop) — the caller must treat
-    /// a non-empty ring after `drain_with` as work still pending.
-    pub fn drain_with(&self, mut f: impl FnMut(T)) -> usize {
-        let mut n = 0;
-        while let Some(item) = self.pop() {
-            f(item);
-            n += 1;
-        }
-        n
     }
 
     /// Pop the oldest item, or `None` when the ring is empty *or* the

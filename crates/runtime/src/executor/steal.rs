@@ -76,7 +76,9 @@
 //!   panicked instead of running it.
 //! * Green stacks are 1 MiB with no guard page; deep recursion in a
 //!   spawned process is UB where the threaded executor would fault
-//!   cleanly. The object runtime's frames are shallow.
+//!   cleanly. A checked ALPS program reaches it: a local procedure that
+//!   recurses 200 deep dies with SIGSEGV on `thread_pool(2)`, while
+//!   depth 100 runs (ROADMAP.md, item 1).
 //!
 //! x86_64 only (the context switch is hand-written for the System V
 //! ABI); `Runtime::thread_pool` falls back to the threaded executor on

@@ -60,7 +60,7 @@ pub use executor::{ProcHandle, Runtime, SchedPolicy, SimProbe, SimRuntime, TICKS
 pub use explore::{CommitPoint, TraceSpec};
 pub use fault::{FaultAction, FaultPlan};
 pub use notifier::Notifier;
-pub use par::{par, par_for};
+pub use par::par;
 pub use process::{Priority, ProcId, Spawn};
 
 #[cfg(test)]

@@ -7,9 +7,10 @@
 //! par i = m to n do P(i) end par             -- run an indexed family
 //! ```
 //!
-//! Both terminate only when *all* branches terminate. [`par`] and
-//! [`par_for`] reproduce them for the embedded API; the interpreter maps
-//! ALPS `par` statements onto these.
+//! Both terminate only when *all* branches terminate. [`par`] reproduces
+//! them for the embedded API: an indexed family is one branch per index,
+//! built by mapping the range, which is how both ALPS walkers run
+//! `par i = m to n`.
 
 use crate::error::RuntimeError;
 use crate::executor::Runtime;
@@ -68,56 +69,6 @@ pub fn par<R: Send + 'static>(
     }
 }
 
-/// Run `f(i)` for every `i` in `m..=n` in parallel, waiting for all;
-/// results come back indexed in order (paper: `par i = m to n do P(i)`).
-///
-/// An empty range (`n < m`) returns an empty vector.
-///
-/// # Errors
-///
-/// Propagates the first branch panic as
-/// [`RuntimeError::ProcPanicked`] after joining all branches.
-///
-/// # Examples
-///
-/// ```
-/// use alps_runtime::{par_for, Runtime};
-///
-/// let rt = Runtime::threaded();
-/// let squares = par_for(&rt, 1, 4, |i| i * i).unwrap();
-/// assert_eq!(squares, vec![1, 4, 9, 16]);
-/// rt.shutdown();
-/// ```
-pub fn par_for<R, F>(rt: &Runtime, m: i64, n: i64, f: F) -> Result<Vec<R>, RuntimeError>
-where
-    R: Send + 'static,
-    F: Fn(i64) -> R + Send + Sync + 'static,
-{
-    let f = std::sync::Arc::new(f);
-    let handles: Vec<_> = (m..=n)
-        .map(|i| {
-            let f = std::sync::Arc::clone(&f);
-            rt.spawn_with(Spawn::new(format!("par_for[{i}]")), move || f(i))
-        })
-        .collect();
-    let mut first_err = None;
-    let mut out = Vec::with_capacity(handles.len());
-    for h in handles {
-        match h.join() {
-            Ok(v) => out.push(v),
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(out),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,17 +88,33 @@ mod tests {
         assert_eq!(out, vec!["a", "b"]);
     }
 
+    /// An indexed family over `m..=n`, as `par i = m to n` runs it.
+    fn family<R: Send + 'static>(
+        m: i64,
+        n: i64,
+        f: impl Fn(i64) -> R + Send + Clone + 'static,
+    ) -> Vec<Box<dyn FnOnce() -> R + Send>> {
+        (m..=n)
+            .map(|i| {
+                let f = f.clone();
+                Box::new(move || f(i)) as Box<dyn FnOnce() -> R + Send>
+            })
+            .collect()
+    }
+
     #[test]
-    fn par_for_empty_range() {
+    fn par_empty_range() {
         let rt = Runtime::threaded();
-        let out: Vec<i64> = par_for(&rt, 5, 4, |i| i).unwrap();
+        let out: Vec<i64> = par(&rt, family(5, 4, |i| i)).unwrap();
         assert!(out.is_empty());
     }
 
     #[test]
-    fn par_for_in_sim_is_deterministic() {
+    fn par_in_sim_is_deterministic() {
         let sim = SimRuntime::new();
-        let out = sim.run(|rt| par_for(rt, 0, 9, |i| i * 2).unwrap()).unwrap();
+        let out = sim
+            .run(|rt| par(rt, family(0, 9, |i| i * 2)).unwrap())
+            .unwrap();
         assert_eq!(out, (0..=9).map(|i| i * 2).collect::<Vec<_>>());
     }
 

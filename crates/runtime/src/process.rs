@@ -122,11 +122,6 @@ impl Spawn {
     pub fn priority(&self) -> Priority {
         self.prio
     }
-
-    /// Whether the process is a daemon.
-    pub fn is_daemon(&self) -> bool {
-        self.daemon
-    }
 }
 
 impl Default for Spawn {
@@ -158,10 +153,10 @@ mod tests {
         let s = Spawn::new("x").prio(Priority(3)).daemon(true);
         assert_eq!(s.name(), "x");
         assert_eq!(s.priority(), Priority(3));
-        assert!(s.is_daemon());
+        assert!(s.daemon);
         let d = Spawn::default();
         assert_eq!(d.name(), "proc");
-        assert!(!d.is_daemon());
+        assert!(!d.daemon);
         assert_eq!(d.priority(), Priority::NORMAL);
     }
 }

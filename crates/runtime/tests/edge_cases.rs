@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use alps_runtime::{par_for, Chan, Notifier, Runtime, RuntimeError, SimRuntime, Spawn};
+use alps_runtime::{par, Chan, Notifier, Runtime, RuntimeError, SimRuntime, Spawn};
 
 #[test]
 fn close_wakes_blocked_senders_on_bounded_chan() {
@@ -74,20 +74,24 @@ fn zero_tick_sleep_is_not_a_scheduling_point() {
 }
 
 #[test]
-fn nested_par_for_in_sim() {
+fn nested_par_in_sim() {
+    type Branch = Box<dyn FnOnce() -> i64 + Send>;
     let sim = SimRuntime::new();
     let total: i64 = sim
         .run(|rt| {
-            let rt2 = rt.clone();
-            let outer = par_for(rt, 1, 3, move |i| {
-                // Each branch spawns its own inner family.
-                par_for(&rt2, 1, 2, move |j| i * 10 + j)
-                    .unwrap()
-                    .iter()
-                    .sum::<i64>()
-            })
-            .unwrap();
-            outer.iter().sum()
+            let outer: Vec<Branch> = (1..=3i64)
+                .map(|i| {
+                    let rt2 = rt.clone();
+                    Box::new(move || {
+                        // Each branch spawns its own inner family.
+                        let inner: Vec<Branch> = (1..=2i64)
+                            .map(|j| Box::new(move || i * 10 + j) as Branch)
+                            .collect();
+                        par(&rt2, inner).unwrap().iter().sum::<i64>()
+                    }) as Branch
+                })
+                .collect();
+            par(rt, outer).unwrap().iter().sum()
         })
         .unwrap();
     // (11+12) + (21+22) + (31+32) = 129
@@ -254,7 +258,9 @@ fn intake_ring_drain_observes_cancellation_not_stale_calls() {
     // live ones serviced.
     let mut serviced = Vec::new();
     let mut reaped = Vec::new();
-    let n = ring.drain_with(|c| {
+    let mut n = 0;
+    while let Some(c) = ring.pop() {
+        n += 1;
         if c.state.load(Ordering::SeqCst) == CANCELLED {
             assert!(
                 c.state
@@ -269,7 +275,7 @@ fn intake_ring_drain_observes_cancellation_not_stale_calls() {
             assert_eq!(c.state.load(Ordering::SeqCst), WAITING, "stale state");
             serviced.push(c.id);
         }
-    });
+    }
     assert_eq!(n, 6);
     assert_eq!(reaped, vec![1, 4]);
     assert_eq!(serviced, vec![0, 2, 3, 5]);
